@@ -25,22 +25,22 @@ sequence; we keep the literal transcription.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from . import neural
 from .linsys import (
+    DEFAULT_EPS_TRUNC,
     SCHUR_MARGIN,
     ClosedLoopMaps,
     StateSpacePlant,
-    abs_transfer,
     close_loop,
-    l1_norm,
     spectral_radius,
 )
-from .neural import Box, QuantizationSpec, ReluNetwork
+from .neural import Box, LinearBounds, QuantizationSpec, ReluNetwork
 
 __all__ = [
     "Quadruplet",
@@ -167,18 +167,24 @@ def check_theorem1(maps: ClosedLoopMaps, quad: Quadruplet, w_bar) -> tuple[bool,
         raise ValueError("quadruplet dimensions do not match the maps")
     if (quad.y_bar.shape, quad.alpha_bar.shape) != ((r,), (s,)):
         raise ValueError("quadruplet dimensions do not match the maps")
-    y_out = (abs_transfer(maps.yw) @ w_bar + abs_transfer(maps.yu) @ quad.u_bar
-             + abs_transfer(maps.ydelta) @ quad.delta_bar)
-    a_out = (abs_transfer(maps.alpha_w) @ w_bar + abs_transfer(maps.alpha_u) @ quad.u_bar
-             + abs_transfer(maps.alpha_delta) @ quad.delta_bar)
-    x_bar = (abs_transfer(maps.xw) @ w_bar + abs_transfer(maps.xu) @ quad.u_bar
-             + abs_transfer(maps.xdelta) @ quad.delta_bar)
+    x_bar, y_out, a_out = _implied_bounds(maps, w_bar, quad.u_bar, quad.delta_bar)
     holds = bool(np.all(y_out <= quad.y_bar) and np.all(a_out <= quad.alpha_bar))
     return holds, x_bar
 
 
+def _implied_bounds(maps: ClosedLoopMaps, w_bar, u_bar, delta_bar):
+    """``(x_bar, y_bar, alpha_bar)`` implied by bounds on ``(w, u0, delta)``.
+
+    Each is ``|Phi_w| w_bar + |Phi_u| u_bar + |Phi_delta| delta_bar``.
+    """
+    rows = (("xw", "xu", "xdelta"), ("yw", "yu", "ydelta"),
+            ("alpha_w", "alpha_u", "alpha_delta"))
+    return tuple(maps.abs_block(w) @ w_bar + maps.abs_block(u) @ u_bar
+                 + maps.abs_block(d) @ delta_bar for w, u, d in rows)
+
+
 def _l1_norms(maps: ClosedLoopMaps) -> dict:
-    return {name: l1_norm(getattr(maps, name))
+    return {name: maps.l1(name)
             for name in ("yu", "yw", "ydelta", "alpha_u", "alpha_w", "alpha_delta")}
 
 
@@ -292,9 +298,17 @@ def extract_gain(plant: StateSpacePlant, net: ReluNetwork, box: Box | None,
     NoStabilizingGain
         If no candidate stabilizes the loop.
     """
-    candidates = []
+    lb = None
     if box is not None and np.any(box.radius > 0):
         lb = neural.linear_relaxation(net, box)
+    return _pick_gain(plant, net, lb, k_d)
+
+
+def _pick_gain(plant: StateSpacePlant, net: ReluNetwork, lb: LinearBounds | None,
+               k_d: np.ndarray | None) -> np.ndarray:
+    """:func:`extract_gain` with the relaxation ``lb`` over the box given."""
+    candidates = []
+    if lb is not None:
         candidates.append((lb.k_u + lb.k_l) / 2.0)
     try:
         candidates.append(neural.jacobian_at(net, np.zeros(net.input_dim)))
@@ -311,11 +325,12 @@ def extract_gain(plant: StateSpacePlant, net: ReluNetwork, box: Box | None,
 
 
 class _MapsCache:
-    """Content-addressed cache of closed-loop maps (plant, gain, eps)."""
+    """Content-addressed, thread-safe cache of closed-loop maps (plant, gain, eps)."""
 
     def __init__(self, maxsize: int = 64):
         self.maxsize = maxsize
         self._store: dict = {}
+        self._lock = threading.Lock()
 
     @staticmethod
     def _plant_key(plant: StateSpacePlant) -> bytes:
@@ -325,29 +340,31 @@ class _MapsCache:
 
     def get(self, plant: StateSpacePlant, k: np.ndarray, eps_trunc: float) -> ClosedLoopMaps:
         key = (self._plant_key(plant), np.ascontiguousarray(k).tobytes(), eps_trunc)
-        if key not in self._store:
-            if len(self._store) >= self.maxsize:
-                self._store.pop(next(iter(self._store)))
-            self._store[key] = close_loop(plant, k, eps_trunc)
-        return self._store[key]
+        with self._lock:
+            maps = self._store.get(key)
+            if maps is None:
+                if len(self._store) >= self.maxsize:
+                    self._store.pop(next(iter(self._store)))
+                maps = self._store[key] = close_loop(plant, k, eps_trunc)
+            return maps
 
 
 _maps_cache = _MapsCache()
 
 
-def _certified_policy_bounds(net: ReluNetwork, y_ref: np.ndarray, k: np.ndarray,
-                             quantization: QuantizationSpec | None):
-    """(u0_bar, u_bar) over the box |y| <= y_ref for the residual and full policy.
+def _certified_policy_bounds(net: ReluNetwork, box: Box | None, lb: LinearBounds | None,
+                             k: np.ndarray, quantization: QuantizationSpec | None):
+    """(u0_bar, u_bar) over ``box`` for the residual and full policy.
 
-    On the degenerate all-zero box the bounds are the exact values at the
-    origin.  Output quantization widens both bounds by half a step.
+    ``lb`` is the relaxation over ``box``.  On the degenerate box (None) the
+    bounds are the exact values at the origin.  Output quantization widens
+    both bounds by half a step.
     """
-    if np.all(y_ref == 0.0):
+    if box is None:
         u0 = np.abs(neural.evaluate(net, np.zeros(net.input_dim)))
         u0_bar, u_bar = u0.copy(), u0.copy()
     else:
-        box = Box(np.zeros_like(y_ref), y_ref)
-        u0_bar, u_bar = neural.residual_bounds(net, box, k)
+        u0_bar, u_bar = neural.residual_magnitudes(lb, box, k)
     if quantization is not None:
         u0_bar = u0_bar + quantization.step / 2.0
         u_bar = u_bar + quantization.step / 2.0
@@ -370,10 +387,9 @@ def algorithm1(plant: StateSpacePlant, net: ReluNetwork,
     otherwise inflates the reference by ``1 + eps`` and repeats.
 
     ``u_bar`` in the result bounds the full policy output (for checking
-    ``u_lim``); the residual bound is what feeds the transfer matrices.
+    ``u_lim``); the residual bound is what feeds the transfer matrices.  The
+    gain candidate and both policy bounds come from one relaxation per pass.
     """
-    from .linsys import DEFAULT_EPS_TRUNC
-
     eps_trunc = DEFAULT_EPS_TRUNC if eps_trunc is None else eps_trunc
     w_amp = plant.w_inf if w_inf is None else float(w_inf)
     m, p, q, r, s = plant.m, plant.p, plant.q, plant.r, plant.s
@@ -396,20 +412,18 @@ def algorithm1(plant: StateSpacePlant, net: ReluNetwork,
     prev_scale = None
     while iterations < max_iter:
         iterations += 1
-        box = None if np.all(y_ref == 0.0) else Box(np.zeros(r), y_ref)
+        box = lb = None
+        if np.any(y_ref != 0.0):
+            box = Box(np.zeros(r), y_ref)
+            lb = neural.linear_relaxation(net, box)
         try:
-            k = extract_gain(plant, net, box, k_d)
+            k = _pick_gain(plant, net, lb, k_d)
         except NoStabilizingGain:
             return CertResult(False, None, iterations, NO_STABILIZING_GAIN)
-        u0_bar, u_bar = _certified_policy_bounds(net, y_ref, k, quantization)
+        u0_bar, u_bar = _certified_policy_bounds(net, box, lb, k, quantization)
         delta_bar = gamma_delta @ alpha_ref
         maps = _maps_cache.get(plant, k, eps_trunc)
-        x_bar = (abs_transfer(maps.xw) @ w_bar + abs_transfer(maps.xu) @ u0_bar
-                 + abs_transfer(maps.xdelta) @ delta_bar)
-        y_bar = (abs_transfer(maps.yw) @ w_bar + abs_transfer(maps.yu) @ u0_bar
-                 + abs_transfer(maps.ydelta) @ delta_bar)
-        alpha_bar = (abs_transfer(maps.alpha_w) @ w_bar + abs_transfer(maps.alpha_u) @ u0_bar
-                     + abs_transfer(maps.alpha_delta) @ delta_bar)
+        x_bar, y_bar, alpha_bar = _implied_bounds(maps, w_bar, u0_bar, delta_bar)
         if (np.any(x_bar > plant.x_lim) or np.any(y_bar > plant.y_lim)
                 or np.any(u_bar > plant.u_lim)):
             return CertResult(False, None, iterations, CONSTRAINT_VIOLATED, gain=k)
@@ -451,9 +465,7 @@ def with_state_limit(plant: StateSpacePlant, target_state: int | None,
         x_lim[:] = value
     else:
         x_lim[target_state] = value
-    return StateSpacePlant(plant.a, plant.b, plant.b_w, plant.b_delta, plant.c,
-                           plant.d_w, plant.c_alpha, plant.d_alpha_u, plant.d_alpha_w,
-                           x_lim, plant.y_lim, plant.u_lim, plant.w_inf)
+    return replace(plant, x_lim=x_lim)
 
 
 def bisect_max_level(certifies: Callable[[float], bool], tol: float = 1e-4,
@@ -500,15 +512,20 @@ def frontier(plant: StateSpacePlant, net: ReluNetwork,
     on ``target_state`` (every state when None).  The resulting curve is
     nondecreasing in the limit up to the bisection tolerance.
     """
+    def certifies(limited: StateSpacePlant, w: float) -> bool:
+        return algorithm1(limited, net, k_d, gamma_delta, quantization=quantization,
+                          w_inf=w, eps_trunc=eps_trunc).success
+
+    return _frontier(plant, x_lim_values, tol, target_state, certifies)
+
+
+def _frontier(plant: StateSpacePlant, x_lim_values, tol: float, target_state: int | None,
+              certifies: Callable[[StateSpacePlant, float], bool]) -> list[tuple[float, float]]:
+    """``(limit, largest level)`` pairs, bisecting ``certifies(limited_plant, w)``."""
     out = []
     for value in x_lim_values:
         limited = with_state_limit(plant, target_state, float(value))
-
-        def certifies(w: float) -> bool:
-            return algorithm1(limited, net, k_d, gamma_delta, quantization=quantization,
-                              w_inf=w, eps_trunc=eps_trunc).success
-
-        out.append((float(value), bisect_max_level(certifies, tol)))
+        out.append((float(value), bisect_max_level(lambda w: certifies(limited, w), tol)))
     return out
 
 
@@ -560,8 +577,6 @@ def baseline_certify(plant: StateSpacePlant, net: ReluNetwork,
     form quadruplet is returned as well; with ``check_limits`` the plant
     limits must also contain it.
     """
-    from .linsys import DEFAULT_EPS_TRUNC
-
     eps_trunc = DEFAULT_EPS_TRUNC if eps_trunc is None else eps_trunc
     w_amp = plant.w_inf if w_inf is None else float(w_inf)
     gamma = 0.0
@@ -576,7 +591,7 @@ def baseline_certify(plant: StateSpacePlant, net: ReluNetwork,
     # Region search: the sampled gain is large both on tiny regions (any
     # policy offset at the origin dominates) and on huge ones (saturation),
     # so scan upward and keep the first region that closes all conditions.
-    y_inf = max(l1_norm(maps.yw) * w_amp, 1e-9)
+    y_inf = max(maps.l1("yw") * w_amp, 1e-9)
     result = BaselineResult(np.inf, np.inf, False, np.inf)
     certified_result = None
     for _ in range(max_region_iter):
@@ -615,15 +630,10 @@ def baseline_frontier(plant: StateSpacePlant, net: ReluNetwork,
                       n_samples: int = 4096, seed: int = 0,
                       eps_trunc: float | None = None) -> list[tuple[float, float]]:
     """Largest attack level the small-gain baseline accepts, per limit."""
-    out = []
-    for value in x_lim_values:
-        limited = with_state_limit(plant, target_state, float(value))
+    def certifies(limited: StateSpacePlant, w: float) -> bool:
+        result, _ = baseline_certify(limited, net, k_d, gamma_delta, w_inf=w,
+                                     quantization=quantization, n_samples=n_samples,
+                                     seed=seed, eps_trunc=eps_trunc)
+        return result.certified
 
-        def certifies(w: float) -> bool:
-            result, _ = baseline_certify(limited, net, k_d, gamma_delta, w_inf=w,
-                                         quantization=quantization, n_samples=n_samples,
-                                         seed=seed, eps_trunc=eps_trunc)
-            return result.certified
-
-        out.append((float(value), bisect_max_level(certifies, tol)))
-    return out
+    return _frontier(plant, x_lim_values, tol, target_state, certifies)

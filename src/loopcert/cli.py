@@ -10,8 +10,7 @@ All randomness is driven by ``--seed`` and every float is written with 17
 significant digits, so identical invocations produce byte-identical outputs.
 Plant and policy JSON files always store radians; ``--degrees`` converts the
 scalar angle-valued options (attack level, state limits) and the matching
-output columns at the terminal, never the files.  ``LOOPCERT_THREADS`` caps
-the worker count used to fan out independent frontier points and seeds.
+output columns at the terminal, never the files.
 """
 
 from __future__ import annotations
@@ -19,9 +18,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
@@ -96,32 +94,11 @@ def _angle_scale(args) -> float:
 
 
 def _apply_limits(plant, args, scale: float):
-    x_lim = plant.x_lim.copy()
-    if getattr(args, "x_lim", None) is not None:
-        if getattr(args, "target_state", None) is not None:
-            x_lim[args.target_state] = args.x_lim * scale
-        else:
-            x_lim[:] = args.x_lim * scale
-    w_inf = plant.w_inf if args.w_inf is None else args.w_inf * scale
-    return linsys.StateSpacePlant(plant.a, plant.b, plant.b_w, plant.b_delta, plant.c,
-                                  plant.d_w, plant.c_alpha, plant.d_alpha_u,
-                                  plant.d_alpha_w, x_lim, plant.y_lim, plant.u_lim, w_inf)
-
-
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("LOOPCERT_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _fan_out(fn, items):
-    """Map ``fn`` over items, threaded when LOOPCERT_THREADS allows."""
-    n = _workers()
-    if n <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
+    if args.x_lim is not None:
+        plant = certify.with_state_limit(plant, args.target_state, args.x_lim * scale)
+    if args.w_inf is not None:
+        plant = replace(plant, w_inf=args.w_inf * scale)
+    return plant
 
 
 def cmd_certify(args) -> int:
@@ -162,7 +139,9 @@ def cmd_frontier(args) -> int:
     except ValueError as exc:
         raise CliError(f"bad --x-lim-list: {exc}") from exc
 
-    def one_point(value):
+    unit = "degrees" if args.degrees else "radians"
+    lines = [f"# angle unit: {unit}", "x_lim,w_certified,w_baseline,w_attack"]
+    for value in x_values:
         certified = certify.frontier(plant, net, k_d, gamma, x_lim_values=[value],
                                      tol=args.tol, target_state=args.target_state,
                                      quantization=quant, eps_trunc=args.eps_trunc)[0][1]
@@ -184,13 +163,7 @@ def cmd_frontier(args) -> int:
                                                  quantization=quant)
             except certify.NoStabilizingGain:
                 atk = math.inf
-        return value, certified, base, atk
-
-    rows = _fan_out(one_point, x_values)
-    unit = "degrees" if args.degrees else "radians"
-    lines = [f"# angle unit: {unit}", "x_lim,w_certified,w_baseline,w_attack"]
-    for value, cert, base, atk in rows:
-        cells = [_fmt(value / scale), _fmt(cert / scale)]
+        cells = [_fmt(value / scale), _fmt(certified / scale)]
         cells.append(_fmt(base / scale) if base != "" else "")
         cells.append(_fmt(atk / scale) if atk != "" and math.isfinite(atk) else "")
         lines.append(",".join(cells))

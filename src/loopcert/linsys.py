@@ -223,9 +223,15 @@ def impulse_response(a, bc, cc, dc, eps_trunc: float = DEFAULT_EPS_TRUNC) -> Tru
 def abs_transfer(phi: TruncatedTransferMatrix) -> np.ndarray:
     """Elementwise ``sum_t |Phi[t]|`` with the tail bound folded in.
 
-    Sound over-approximation of the exact infinite absolute sum.
+    Sound over-approximation of the exact infinite absolute sum.  The terms
+    are added in time order for every shape, so a sub-map's sum equals the
+    matching slice of the sum over the whole map bit for bit.
     """
-    return np.sum(np.abs(phi.impulse), axis=0) + phi.tail_bound
+    terms = np.abs(phi.impulse)
+    if phi.dims == (1, 1) and phi.length > 1:
+        # np.sum adds a single-entry stack pairwise, not in time order
+        return np.cumsum(terms, axis=0)[-1] + phi.tail_bound
+    return np.sum(terms, axis=0) + phi.tail_bound
 
 
 def l1_norm(phi: TruncatedTransferMatrix) -> float:
@@ -233,10 +239,7 @@ def l1_norm(phi: TruncatedTransferMatrix) -> float:
 
     Upper bounds the exact infinity-to-infinity induced gain of the map.
     """
-    total = abs_transfer(phi)
-    if total.size == 0:
-        return 0.0
-    return float(np.max(np.sum(total, axis=1)))
+    return float(np.max(np.sum(abs_transfer(phi), axis=1), initial=0.0))
 
 
 def _golden_section_max(f, lo: float, hi: float, iters: int = 80) -> float:
@@ -420,6 +423,24 @@ def make_plant(a, b, *, b_w=None, b_delta=None, c=None, d_w=None, c_alpha=None,
                            x_lim, y_lim, u_lim, w_inf)
 
 
+# The nine loop maps by name, as (output, input) blocks of the stacked map.
+_MAP_BLOCKS = {
+    "xu": ("x", "u"), "xw": ("x", "w"), "xdelta": ("x", "delta"),
+    "yu": ("y", "u"), "yw": ("y", "w"), "ydelta": ("y", "delta"),
+    "alpha_u": ("alpha", "u"), "alpha_w": ("alpha", "w"), "alpha_delta": ("alpha", "delta"),
+}
+
+
+def _block_slices(n: int, m: int, p: int, q: int, r: int, s: int) -> dict:
+    """(row, column) slices of each map in the stacked map.
+
+    Rows stack the outputs (x, y, alpha), columns the inputs (u, w, delta).
+    """
+    rows = {"x": slice(0, n), "y": slice(n, n + r), "alpha": slice(n + r, n + r + s)}
+    cols = {"u": slice(0, m), "w": slice(m, m + p), "delta": slice(m + p, m + p + q)}
+    return {name: (rows[out], cols[inp]) for name, (out, inp) in _MAP_BLOCKS.items()}
+
+
 @dataclass(frozen=True)
 class ClosedLoopMaps:
     """The nine truncated transfer matrices of the loop closed with a gain K0.
@@ -433,6 +454,10 @@ class ClosedLoopMaps:
     residual control ``u0`` to the state, ``yw`` the perturbation to the
     measurement, and so on.  The closed-loop realization matrices are kept for
     frequency-domain evaluation.
+
+    ``abs_stack`` is :func:`abs_transfer` of the stacked map: rows
+    ``(x, y, alpha)`` and columns ``(u, w, delta)``, so its blocks are the
+    absolute transfer matrices of the nine maps.
     """
 
     xu: TruncatedTransferMatrix
@@ -453,6 +478,7 @@ class ClosedLoopMaps:
     d_yw: np.ndarray
     d_alpha_u: np.ndarray
     d_alpha_w_cl: np.ndarray
+    abs_stack: np.ndarray
 
     @property
     def dims(self) -> tuple[int, int, int, int, int, int]:
@@ -460,6 +486,14 @@ class ClosedLoopMaps:
         n = self.a_cl.shape[0]
         return (n, self.b_u.shape[1], self.b_w_cl.shape[1], self.b_delta.shape[1],
                 self.c_y.shape[0], self.c_alpha_cl.shape[0])
+
+    def abs_block(self, which: str) -> np.ndarray:
+        """``abs_transfer`` of one of the nine maps, as a block of ``abs_stack``."""
+        return self.abs_stack[_block_slices(*self.dims)[which]]
+
+    def l1(self, which: str) -> float:
+        """:func:`l1_norm` of one of the nine maps, read from ``abs_stack``."""
+        return float(np.max(np.sum(self.abs_block(which), axis=1), initial=0.0))
 
     def realization(self, which: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """State-space quadruple (A, B, C, D) of one of the nine maps."""
@@ -521,19 +555,13 @@ def close_loop(plant: StateSpacePlant, k0, eps_trunc: float = DEFAULT_EPS_TRUNC)
     dc[n + r:, m:m + p] = d_alpha_w_cl
 
     full = impulse_response(a_cl, bc, cc, dc, eps_trunc)
-    rows = {"x": slice(0, n), "y": slice(n, n + r), "alpha": slice(n + r, n + r + s)}
-    cols = {"u": slice(0, m), "w": slice(m, m + p), "delta": slice(m + p, m + p + q)}
-
-    def blk(out_name, in_name):
-        return full.block(rows[out_name], cols[in_name])
-
     return ClosedLoopMaps(
-        xu=blk("x", "u"), xw=blk("x", "w"), xdelta=blk("x", "delta"),
-        yu=blk("y", "u"), yw=blk("y", "w"), ydelta=blk("y", "delta"),
-        alpha_u=blk("alpha", "u"), alpha_w=blk("alpha", "w"), alpha_delta=blk("alpha", "delta"),
+        **{name: full.block(*slices)
+           for name, slices in _block_slices(n, m, p, q, r, s).items()},
         a_cl=a_cl, b_u=plant.b, b_w_cl=b_w_cl, b_delta=plant.b_delta,
         c_y=plant.c, c_alpha_cl=c_alpha_cl, d_yw=plant.d_w,
         d_alpha_u=plant.d_alpha_u, d_alpha_w_cl=d_alpha_w_cl,
+        abs_stack=abs_transfer(full),
     )
 
 
@@ -601,39 +629,22 @@ def plant_from_dict(obj: dict) -> tuple[StateSpacePlant, np.ndarray | None]:
     """Plant plus the optional uncertainty gain ``Gamma_Delta`` (may be None)."""
     a = matrix_from_dict(obj["A"], "A")
     b = matrix_from_dict(obj["B"], "B")
-    n, m = a.shape[0], b.shape[1]
 
     def opt(name):
         return matrix_from_dict(obj[name], name) if name in obj and obj[name] is not None else None
 
-    b_w, d_w = opt("Bw"), opt("Dw")
-    p = b_w.shape[1] if b_w is not None else (d_w.shape[1] if d_w is not None else 1)
     c = opt("C")
-    c = np.eye(n) if c is None else c
-    r = c.shape[0]
-    b_delta = opt("Bdelta")
-    b_delta = np.zeros((n, 0)) if b_delta is None else b_delta
-    c_alpha = opt("Calpha")
-    c_alpha = np.zeros((0, n)) if c_alpha is None else c_alpha
-    s = c_alpha.shape[0]
-    d_alpha_u = opt("Dalpha_u")
-    d_alpha_w = opt("Dalpha_w")
-    plant = StateSpacePlant(
-        a=a, b=b,
-        b_w=np.zeros((n, p)) if b_w is None else b_w,
-        b_delta=b_delta,
-        c=c,
-        d_w=np.zeros((r, p)) if d_w is None else d_w,
-        c_alpha=c_alpha,
-        d_alpha_u=np.zeros((s, m)) if d_alpha_u is None else d_alpha_u,
-        d_alpha_w=np.zeros((s, p)) if d_alpha_w is None else d_alpha_w,
+    n, m = a.shape[0], b.shape[1]
+    r = n if c is None else c.shape[0]
+    plant = make_plant(
+        a, b, b_w=opt("Bw"), b_delta=opt("Bdelta"), c=c, d_w=opt("Dw"),
+        c_alpha=opt("Calpha"), d_alpha_u=opt("Dalpha_u"), d_alpha_w=opt("Dalpha_w"),
         x_lim=_limits_from_list(obj.get("x_lim"), n, "x_lim"),
         y_lim=_limits_from_list(obj.get("y_lim"), r, "y_lim"),
         u_lim=_limits_from_list(obj.get("u_lim"), m, "u_lim"),
         w_inf=float(obj.get("w_inf", 0.0)),
     )
-    gamma = opt("Gamma_Delta")
-    return plant, gamma
+    return plant, opt("Gamma_Delta")
 
 
 def save_plant(path, plant: StateSpacePlant, gamma_delta: np.ndarray | None = None) -> None:

@@ -36,6 +36,7 @@ __all__ = [
     "concretize",
     "magnitude_bound",
     "residual_bounds",
+    "residual_magnitudes",
     "jacobian_at",
     "quantized_concretize",
     "load_policy",
@@ -327,11 +328,14 @@ def residual_bounds(net: ReluNetwork, box: Box, k0) -> tuple[np.ndarray, np.ndar
     with ``K0`` subtracted from both slope matrices.  Returns ``(u0_bar,
     u_bar)``: elementwise bounds on ``|pi0(y)|`` and ``|pi(y)|`` over the box.
     """
+    return residual_magnitudes(linear_relaxation(net, box), box, k0)
+
+
+def residual_magnitudes(lb: LinearBounds, box: Box, k0) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`residual_bounds` from envelopes ``lb`` already built over ``box``."""
     k0 = np.asarray(k0, dtype=float)
-    if k0.shape != (net.output_dim, net.input_dim):
-        raise ValueError(f"k0 has shape {k0.shape}, expected "
-                         f"({net.output_dim}, {net.input_dim})")
-    lb = linear_relaxation(net, box)
+    if k0.shape != lb.k_u.shape:
+        raise ValueError(f"k0 has shape {k0.shape}, expected {lb.k_u.shape}")
     res = LinearBounds(k_l=lb.k_l - k0, b_l=lb.b_l, k_u=lb.k_u - k0, b_u=lb.b_u)
     u0_bar = magnitude_bound(*concretize(res, box))
     u_bar = magnitude_bound(*concretize(lb, box))

@@ -1,5 +1,8 @@
 """Certification engine against hand-derived scalar closed forms."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -170,12 +173,67 @@ class TestAlgorithm1:
             np.testing.assert_array_equal(getattr(first.quadruplet, name),
                                           getattr(second.quadruplet, name))
 
+    def test_one_relaxation_per_pass(self, cartpole, cloned_policy, kd, monkeypatch):
+        calls = []
+        relax = neural.linear_relaxation
+
+        def counting(net, box):
+            calls.append(box)
+            return relax(net, box)
+
+        monkeypatch.setattr(neural, "linear_relaxation", counting)
+        relu = neural.mlp([(np.array([[1.0]]), np.array([0.0])),
+                           (np.array([[-0.2]]), np.array([0.0]))])
+        runs = [(scalar_plant(w_inf=0.05), relu, None, 0.05),
+                (certify.with_state_limit(cartpole, 2, 0.005), cloned_policy, kd, 0.001)]
+        for plant, net, k_d, w_inf in runs:
+            calls.clear()
+            result = algorithm1(plant, net, k_d, w_inf=w_inf)
+            assert result.success
+            # the first pass starts from the degenerate box and relaxes nothing
+            assert 0 < len(calls) <= result.iterations - 1
+
     def test_result_serialization(self):
         result = algorithm1(scalar_plant(), linear_policy(-0.2))
         obj = result.to_dict()
         assert obj["success"] is True
         assert obj["failure_reason"] is None
         assert len(obj["x_bar"]) == 1
+
+
+class TestMapsCache:
+    def test_concurrent_get_matches_close_loop(self):
+        plant = scalar_plant()
+        gains = [np.array([[-0.1 * (i + 1)]]) for i in range(5)]
+        expected = [linsys.close_loop(plant, k) for k in gains]
+        cache = certify._MapsCache(maxsize=2)
+        errors, mismatches = [], []
+
+        def worker(offset):
+            try:
+                for i in range(100):
+                    j = (i + offset) % len(gains)
+                    maps = cache.get(plant, gains[j], linsys.DEFAULT_EPS_TRUNC)
+                    if not (np.array_equal(maps.a_cl, expected[j].a_cl)
+                            and np.array_equal(maps.abs_stack, expected[j].abs_stack)):
+                        mismatches.append(j)
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert mismatches == []
+        assert len(cache._store) <= 2
 
 
 class TestFrontier:

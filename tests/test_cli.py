@@ -86,20 +86,6 @@ class TestFrontier:
             assert float(cells[1]) == pytest.approx(0.7 * x_lim, rel=1e-3)
             assert cells[2] == "" and cells[3] == ""
 
-    def test_worker_fanout_is_deterministic(self, scalar_files, tmp_path,
-                                            monkeypatch):
-        plant_path, policy_path = scalar_files
-        outputs = []
-        for threads in ("1", "3"):
-            monkeypatch.setenv("LOOPCERT_THREADS", threads)
-            path = tmp_path / f"front_{threads}.csv"
-            code = main(["frontier", "--plant", plant_path, "--policy", policy_path,
-                         "--x-lim-list", "0.5,1.0,2.0", "--target-state", "0",
-                         "--tol", "1e-4", "--out", str(path)])
-            assert code == EXIT_OK
-            outputs.append(path.read_bytes())
-        assert outputs[0] == outputs[1]
-
     def test_optional_columns(self, scalar_files, tmp_path):
         plant_path, policy_path = scalar_files
         out = tmp_path / "front.csv"

@@ -151,6 +151,29 @@ class TestCloseLoop:
         maps = close_loop(plant, [[-0.9]])
         assert abs_transfer(maps.yw)[0, 0] == pytest.approx(1.0 / 0.7, abs=1e-6)
 
+    def test_abs_stack_blocks_equal_abs_transfer_of_each_map(self):
+        # the scalar plant makes every block 1x1, the random one mixes shapes
+        scalar = make_plant([[0.5]], [[1.0]], b_w=[[1.0]], b_delta=[[1.0]], c_alpha=[[1.0]],
+                            d_alpha_u=[[0.3]], d_alpha_w=[[0.2]])
+        rng = np.random.default_rng(17)
+        for plant, gain in ((scalar, [[-0.2]]),
+                            (random_stable_plant(rng), None)):
+            gain = np.zeros((plant.m, plant.r)) if gain is None else gain
+            maps = close_loop(plant, gain)
+            n, m, p, q, r, s = maps.dims
+            assert q > 0 and s > 0
+            assert maps.abs_stack.shape == (n + r + s, m + p + q)
+            rows = {"x": slice(0, n), "y": slice(n, n + r), "alpha": slice(n + r, None)}
+            cols = {"u": slice(0, m), "w": slice(m, m + p), "delta": slice(m + p, None)}
+            for out_name in ("x", "y", "alpha"):
+                for in_name in ("u", "w", "delta"):
+                    name = out_name + ("_" if out_name == "alpha" else "") + in_name
+                    expected = abs_transfer(getattr(maps, name))
+                    block = maps.abs_stack[rows[out_name], cols[in_name]]
+                    np.testing.assert_array_equal(block, expected)
+                    np.testing.assert_array_equal(maps.abs_block(name), expected)
+                    assert maps.l1(name) == l1_norm(getattr(maps, name))
+
     def test_rejects_unstable_closure(self):
         plant = make_plant([[1.2]], [[1.0]], b_w=[[1.0]])
         with pytest.raises(NotSchurStable):
