@@ -49,6 +49,10 @@ DEFAULT_EPS_TRUNC = 1e-9
 
 _MAX_TRUNC_TERMS = 2_000_000
 
+# Steps whose norms the decay-window search and the impulse-response march
+# take in one call.
+_GROUP = 32
+
 
 class NotSchurStable(ValueError):
     """A matrix that must be Schur stable (spectral radius < 1) is not."""
@@ -70,11 +74,14 @@ def _as_vector(value, name: str = "vector") -> np.ndarray:
     return arr
 
 
-def _inf_norm(a: np.ndarray) -> float:
-    """Induced infinity norm (maximum absolute row sum); 0 for empty arrays."""
-    if a.size == 0:
-        return 0.0
-    return float(np.max(np.sum(np.abs(a), axis=1)))
+def _inf_norms(stack: np.ndarray) -> np.ndarray:
+    """Induced infinity norm (maximum absolute row sum) of each matrix of a
+    ``(k, rows, cols)`` stack; 0 for empty matrices.
+
+    Each row is summed on its own, so every norm equals the one of its matrix
+    computed alone bit for bit.
+    """
+    return np.max(np.sum(np.abs(stack), axis=2), axis=1, initial=0.0)
 
 
 def spectral_radius(a) -> float:
@@ -136,20 +143,31 @@ def _decay_window(a: np.ndarray, max_power: int = 4096) -> tuple[int, float, flo
 
     The smallest admissible m is preferred; the search runs past ``4n``
     because strongly non-normal stable matrices can need longer windows.
+    The powers come from the recursion ``A^m = A^(m-1) A``; their norms are
+    taken a group at a time.
     """
     n = a.shape[0]
     if n == 0:
         return 1, 0.0, 1.0
+    powers = np.empty((_GROUP, n, n))
     power = np.eye(n)
     norms = [1.0]
     limit = max(4 * n, max_power)
-    for m in range(1, limit + 1):
-        power = power @ a
-        q = _inf_norm(power)
-        if q < 1.0:
-            c_geo = float(sum(norms)) / (1.0 - q)
-            return m, q, c_geo
-        norms.append(q)
+    while len(norms) <= limit:
+        group = powers[:min(_GROUP, limit + 1 - len(norms))]
+        # power views the buffer: a full group leaves it at powers[-1], which
+        # the next group only reads while it overwrites powers[0] onwards
+        for cur in group:
+            np.matmul(power, a, out=cur)
+            power = cur
+        qs = _inf_norms(group)
+        below = np.flatnonzero(qs < 1.0)
+        if below.size:
+            j = int(below[0])
+            norms.extend(qs[:j].tolist())
+            q = float(qs[j])
+            return len(norms), q, float(sum(norms)) / (1.0 - q)
+        norms.extend(qs.tolist())
     raise NotSchurStable(
         f"no power contraction within {limit} steps; matrix is (numerically) not Schur stable"
     )
@@ -180,16 +198,26 @@ def impulse_response(a, bc, cc, dc, eps_trunc: float = DEFAULT_EPS_TRUNC) -> Tru
         raise ValueError("d dimensions do not match b/c")
     if not eps_trunc > 0:
         raise ValueError("eps_trunc must be positive")
-    if spectral_radius(a) >= 1.0 - SCHUR_MARGIN:
-        raise NotSchurStable(f"spectral radius {spectral_radius(a):.12g} is not below 1")
+    rho = spectral_radius(a)
+    if rho >= 1.0 - SCHUR_MARGIN:
+        raise NotSchurStable(f"spectral radius {rho:.12g} is not below 1")
 
     _, _, c_geo = _decay_window(a)
     b_max = float(np.max(np.abs(bc))) if bc.size else 0.0
 
-    # March in chunks: with CA_r = C A^r precomputed for r < chunk, the terms
-    # Phi[k*chunk + r + 1] = CA_r (A^chunk)^k B come from one stacked matmul
-    # per chunk; the tail criterion is evaluated at chunk boundaries from
-    # ||C A^(T-1)||_inf.
+    # March in chunks of 8 terms: with CA_r = C A^r precomputed for r < 8,
+    # chunk k holds Phi[8k + r + 1] = CA_r X_k with X_k = (A^8)^k B, and the
+    # march stops at the first k whose tail bound b_max ||Z_k||_inf c_geo,
+    # Z_k = C (A^8)^k, is at most eps_trunc.  Only the recursions
+    # Z_(k+1) = Z_k A^8 and X_(k+1) = A^8 X_k step in Python; the norms and
+    # tail tests of a group of Z_k are taken in one call (the products past
+    # the stop in the last group are thrown away), and the terms of all
+    # chunks come from one batched matmul written straight into the result.
+    # That matmul runs one (8 out, n) x (n, in) product per chunk, the same
+    # product as a chunk computed alone, so every term keeps its last bit.
+    # Neither a wider product (CA_r times all X_k side by side) nor a longer
+    # chunk is used: the first changes the last bits of the terms, the second
+    # moves the stopping horizon T.
     chunk = 8
     ca = [cc]
     for _ in range(chunk - 1):
@@ -197,21 +225,33 @@ def impulse_response(a, bc, cc, dc, eps_trunc: float = DEFAULT_EPS_TRUNC) -> Tru
     ca_stack = np.vstack(ca)
     a_chunk = np.linalg.matrix_power(a, chunk)
 
-    blocks = [dc[None, :, :]]
-    x_state = bc  # A^(chunk*k) B
-    z_state = cc  # C A^(chunk*k)
-    total = 1
+    zs = np.empty((_GROUP, cc.shape[0], n))  # C A^(chunk*k) for a group of k
+    zs[0] = cc
+    chunks = 0
     while True:
-        tail = b_max * _inf_norm(z_state) * c_geo
-        if tail <= eps_trunc:
-            break
-        if total > _MAX_TRUNC_TERMS:
+        for prev, cur in zip(zs, zs[1:]):
+            np.matmul(prev, a_chunk, out=cur)
+        tails = b_max * _inf_norms(zs) * c_geo
+        below = np.flatnonzero(tails <= eps_trunc)
+        stop = int(below[0]) if below.size else len(zs)
+        # chunk k is added only while 1 + chunk*k terms stay within the cap
+        if stop and 1 + chunk * (chunks + stop - 1) > _MAX_TRUNC_TERMS:
             raise RuntimeError("impulse response did not decay below eps_trunc")
-        blocks.append((ca_stack @ x_state).reshape(chunk, cc.shape[0], bc.shape[1]))
-        x_state = a_chunk @ x_state
-        z_state = z_state @ a_chunk
-        total += chunk
-    impulse = np.concatenate(blocks, axis=0)
+        chunks += stop
+        if below.size:
+            tail = float(tails[stop])
+            break
+        np.matmul(zs[-1], a_chunk, out=zs[0])
+
+    out_dim, in_dim = dc.shape
+    impulse = np.empty((1 + chunk * chunks, out_dim, in_dim))
+    impulse[0] = dc
+    if chunks:
+        xs = np.empty((chunks, n, in_dim))  # A^(chunk*k) B
+        xs[0] = bc
+        for prev, cur in zip(xs, xs[1:]):
+            np.matmul(a_chunk, prev, out=cur)
+        np.matmul(ca_stack, xs, out=impulse[1:].reshape(chunks, chunk * out_dim, in_dim))
     # drop exactly-zero trailing terms (they contribute nothing to any sum
     # and the tail bound stays valid); keeps nilpotent responses minimal
     length = impulse.shape[0]
@@ -539,10 +579,9 @@ def close_loop(plant: StateSpacePlant, k0, eps_trunc: float = DEFAULT_EPS_TRUNC)
         raise ValueError(f"k0 has shape {k0.shape}, expected ({m}, {r})")
 
     a_cl = plant.a + plant.b @ k0 @ plant.c
-    if spectral_radius(a_cl) >= 1.0 - SCHUR_MARGIN:
-        raise NotSchurStable(
-            f"closed-loop spectral radius {spectral_radius(a_cl):.12g} is not below 1"
-        )
+    rho = spectral_radius(a_cl)
+    if rho >= 1.0 - SCHUR_MARGIN:
+        raise NotSchurStable(f"closed-loop spectral radius {rho:.12g} is not below 1")
     b_w_cl = plant.b @ k0 @ plant.d_w + plant.b_w
     c_alpha_cl = plant.c_alpha + plant.d_alpha_u @ k0 @ plant.c
     d_alpha_w_cl = plant.d_alpha_u @ k0 @ plant.d_w + plant.d_alpha_w

@@ -18,6 +18,70 @@ from loopcert.linsys import (
 from conftest import random_stable_plant, scalar_plant
 
 
+# The decay-window search and the impulse-response march as they were written
+# before their loops were batched: one power, one chunk and one norm at a
+# time.  The batched code must reproduce them bit for bit.
+
+def _inf_norm(a):
+    if a.size == 0:
+        return 0.0
+    return float(np.max(np.sum(np.abs(a), axis=1)))
+
+
+def _sequential_decay_window(a, max_power=4096):
+    n = a.shape[0]
+    if n == 0:
+        return 1, 0.0, 1.0
+    power = np.eye(n)
+    norms = [1.0]
+    limit = max(4 * n, max_power)
+    for m in range(1, limit + 1):
+        power = power @ a
+        q = _inf_norm(power)
+        if q < 1.0:
+            return m, q, float(sum(norms)) / (1.0 - q)
+        norms.append(q)
+    raise NotSchurStable(f"no power contraction within {limit} steps")
+
+
+def _sequential_impulse_response(a, bc, cc, dc, eps_trunc=linsys.DEFAULT_EPS_TRUNC):
+    a, bc, cc, dc = (np.asarray(v, dtype=float) for v in (a, bc, cc, dc))
+    if spectral_radius(a) >= 1.0 - linsys.SCHUR_MARGIN:
+        raise NotSchurStable("not Schur stable")
+    _, _, c_geo = _sequential_decay_window(a)
+    b_max = float(np.max(np.abs(bc))) if bc.size else 0.0
+    chunk = 8
+    ca = [cc]
+    for _ in range(chunk - 1):
+        ca.append(ca[-1] @ a)
+    ca_stack = np.vstack(ca)
+    a_chunk = np.linalg.matrix_power(a, chunk)
+    blocks = [dc[None, :, :]]
+    x_state, z_state, total = bc, cc, 1
+    while True:
+        tail = b_max * _inf_norm(z_state) * c_geo
+        if tail <= eps_trunc:
+            break
+        if total > linsys._MAX_TRUNC_TERMS:
+            raise RuntimeError("impulse response did not decay below eps_trunc")
+        blocks.append((ca_stack @ x_state).reshape(chunk, cc.shape[0], bc.shape[1]))
+        x_state = a_chunk @ x_state
+        z_state = z_state @ a_chunk
+        total += chunk
+    impulse = np.concatenate(blocks, axis=0)
+    length = impulse.shape[0]
+    while length > 1 and not impulse[length - 1].any():
+        length -= 1
+    return linsys.TruncatedTransferMatrix(impulse[:length], tail)
+
+
+def _assert_same_response(phi, ref):
+    assert phi.length == ref.length
+    assert phi.impulse.shape == ref.impulse.shape
+    assert np.array_equal(phi.impulse, ref.impulse)
+    assert phi.tail_bound == ref.tail_bound
+
+
 class TestSpectralRadius:
     def test_diagonal(self):
         assert spectral_radius(np.diag([0.3, -0.9])) == pytest.approx(0.9, rel=1e-10)
@@ -69,6 +133,75 @@ class TestImpulseResponse:
     def test_unstable_raises(self):
         with pytest.raises(NotSchurStable):
             impulse_response([[1.0]], [[1.0]], [[1.0]], [[0.0]])
+
+
+class TestBatchedMarch:
+    """The batched decay window and march against the sequential reference."""
+
+    def test_matches_sequential_march_on_random_systems(self):
+        rng = np.random.default_rng(2024)
+        for i in range(240):
+            n, out, inp = (int(rng.integers(1, hi)) for hi in (14, 14, 8))
+            a = rng.normal(size=(n, n))
+            if i % 3 == 0:  # a diagonal similarity keeps the spectrum, adds non-normality
+                d = np.exp(1.5 * rng.normal(size=n))
+                a = a * d[:, None] / d[None, :]
+            a = a * (rng.uniform(0.2, 0.97) / max(spectral_radius(a), 1e-9))
+            bc = rng.normal(size=(n, inp))
+            cc = rng.normal(size=(out, n))
+            dc = rng.normal(size=(out, inp))
+            eps = 10.0 ** rng.uniform(-12, -3)
+            assert linsys._decay_window(a) == _sequential_decay_window(a)
+            _assert_same_response(impulse_response(a, bc, cc, dc, eps),
+                                  _sequential_impulse_response(a, bc, cc, dc, eps))
+
+    def test_close_loop_matches_sequential_march(self, cartpole, lqr_gain, monkeypatch):
+        rng = np.random.default_rng(31)
+        cases = [(cartpole, -lqr_gain)]
+        for _ in range(30):
+            plant = random_stable_plant(rng, n_max=6)
+            gain = 0.1 * rng.normal(size=(plant.m, plant.r))
+            if spectral_radius(plant.a + plant.b @ gain @ plant.c) >= 0.99:
+                gain = np.zeros_like(gain)
+            cases.append((plant, gain))
+        batched = [close_loop(plant, gain) for plant, gain in cases]
+        monkeypatch.setattr(linsys, "impulse_response", _sequential_impulse_response)
+        for maps, (plant, gain) in zip(batched, cases):
+            ref = close_loop(plant, gain)
+            assert np.array_equal(maps.abs_stack, ref.abs_stack)
+            for name in linsys._MAP_BLOCKS:
+                _assert_same_response(getattr(maps, name), getattr(ref, name))
+
+    def test_term_cap_boundary_matches_sequential_rule(self, monkeypatch):
+        # chunk k is marched only while 1 + 8k <= _MAX_TRUNC_TERMS, so a
+        # response with K chunks raises exactly when 1 + 8 (K - 1) exceeds it
+        args = ([[0.999]], [[1.0]], [[1.0]], [[0.0]])
+        chunks = (impulse_response(*args).length - 1) // 8
+        assert chunks > 2 * linsys._GROUP
+        edge = 1 + 8 * (chunks - 1)
+        for cap in (0, 100, 8 * linsys._GROUP + 1, edge - 1, edge, edge + 8):
+            monkeypatch.setattr(linsys, "_MAX_TRUNC_TERMS", cap)
+            for march in (impulse_response, _sequential_impulse_response):
+                if edge > cap:
+                    with pytest.raises(RuntimeError, match="did not decay"):
+                        march(*args)
+                else:
+                    assert march(*args).length == 1 + 8 * chunks
+
+    def test_decay_window_raises_without_contraction(self):
+        with pytest.raises(NotSchurStable):
+            linsys._decay_window(np.array([[1.0]]), max_power=50)
+
+    def test_decay_window_on_non_normal_jordan_blocks(self):
+        # ||A^m||_inf first drops below 1 at m = 10 and m = 80, past 4n = 8
+        for a in ([[0.5, 50.0], [0.0, 0.5]], [[0.9, 50.0], [0.0, 0.9]]):
+            a = np.array(a)
+            brute = next(m for m in range(1, 4097)
+                         if _inf_norm(np.linalg.matrix_power(a, m)) < 1.0)
+            assert brute > 4 * a.shape[0]
+            window = linsys._decay_window(a)
+            assert window[0] == brute
+            assert window == _sequential_decay_window(a)
 
 
 class TestAbsTransferAndL1:
