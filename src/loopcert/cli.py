@@ -252,15 +252,22 @@ def cmd_learn(args) -> int:
     return EXIT_OK
 
 
-def cmd_train_policy(args) -> int:
-    plant, _ = _load_plant(args.plant)
+def _lqr_design(args, plant):
+    """LQR ``(P, K)`` for ``Q = diag(--q-diag)`` (default I), ``R = --r``; None on failure."""
     q = np.diag([float(v) for v in args.q_diag.split(",")]) if args.q_diag else np.eye(plant.n)
-    r = np.array([[args.r]])
     try:
-        _, k = policysynth.dare_solve(plant.a, plant.b, q, r)
+        return policysynth.dare_solve(plant.a, plant.b, q, np.array([[args.r]]))
     except policysynth.NoConvergence as exc:
         print(f"LQR design failed: {exc}", file=sys.stderr)
+        return None
+
+
+def cmd_train_policy(args) -> int:
+    plant, _ = _load_plant(args.plant)
+    design = _lqr_design(args, plant)
+    if design is None:
         return EXIT_NEGATIVE
+    _, k = design
     hidden = tuple(int(v) for v in args.hidden.split(",")) if args.hidden else (16, 16, 16)
     radius = ([float(v) for v in args.radius.split(",")]
               if args.radius and "," in args.radius
@@ -286,13 +293,10 @@ def cmd_train_policy(args) -> int:
 
 def cmd_lqr(args) -> int:
     plant, _ = _load_plant(args.plant)
-    q = np.diag([float(v) for v in args.q_diag.split(",")]) if args.q_diag else np.eye(plant.n)
-    r = np.array([[args.r]])
-    try:
-        p, k = policysynth.dare_solve(plant.a, plant.b, q, r)
-    except policysynth.NoConvergence as exc:
-        print(f"Riccati iteration failed: {exc}", file=sys.stderr)
+    design = _lqr_design(args, plant)
+    if design is None:
         return EXIT_NEGATIVE
+    p, k = design
     obj = {
         "P": linsys.matrix_to_dict(p),
         "K": linsys.matrix_to_dict(k),

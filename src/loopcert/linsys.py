@@ -483,53 +483,48 @@ def _block_slices(n: int, m: int, p: int, q: int, r: int, s: int) -> dict:
 
 @dataclass(frozen=True)
 class ClosedLoopMaps:
-    """The nine truncated transfer matrices of the loop closed with a gain K0.
+    """The loop closed with a gain K0, held once as one stacked realization.
 
     Closing ``u = K0 y + u0`` turns the plant into
 
         x[t+1] = A_cl x[t] + B u0[t] + (B K0 D_w + B_w) w[t] + B_delta delta[t]
 
     with ``A_cl = A + B K0 C``; the alpha output picks up the matching
-    ``D_alpha_u K0`` terms.  Maps are indexed output-input: ``xu`` sends the
-    residual control ``u0`` to the state, ``yw`` the perturbation to the
-    measurement, and so on.  The closed-loop realization matrices are kept for
-    frequency-domain evaluation.
+    ``D_alpha_u K0`` terms.  All nine loop maps share ``A_cl``, so they are
+    kept as one realization ``(a_cl, bc, cc, dc)`` whose outputs stack
+    ``(x, y, alpha)`` as rows and whose inputs stack ``(u0, w, delta)`` as
+    columns.  ``phi`` is its truncated impulse response (one uniform tail
+    bound) and ``abs_stack`` its :func:`abs_transfer`.  ``dims`` is
+    ``(n, m, p, q, r, s)``, which fixes where each block sits
+    (:func:`_block_slices`).
 
-    ``abs_stack`` is :func:`abs_transfer` of the stacked map: rows
-    ``(x, y, alpha)`` and columns ``(u, w, delta)``, so its blocks are the
-    absolute transfer matrices of the nine maps.
+    Maps are named output-input: ``xu`` sends the residual control ``u0`` to
+    the state, ``yw`` the perturbation to the measurement, and so on.  Each
+    name reads as an attribute (``maps.xw``), a view of its block of
+    ``phi``; :meth:`abs_block`, :meth:`l1`, :meth:`realization` and
+    :meth:`hinf` take the name as an argument.
     """
 
-    xu: TruncatedTransferMatrix
-    xw: TruncatedTransferMatrix
-    xdelta: TruncatedTransferMatrix
-    yu: TruncatedTransferMatrix
-    yw: TruncatedTransferMatrix
-    ydelta: TruncatedTransferMatrix
-    alpha_u: TruncatedTransferMatrix
-    alpha_w: TruncatedTransferMatrix
-    alpha_delta: TruncatedTransferMatrix
     a_cl: np.ndarray
-    b_u: np.ndarray
-    b_w_cl: np.ndarray
-    b_delta: np.ndarray
-    c_y: np.ndarray
-    c_alpha_cl: np.ndarray
-    d_yw: np.ndarray
-    d_alpha_u: np.ndarray
-    d_alpha_w_cl: np.ndarray
+    bc: np.ndarray
+    cc: np.ndarray
+    dc: np.ndarray
+    phi: TruncatedTransferMatrix
     abs_stack: np.ndarray
+    dims: tuple[int, int, int, int, int, int]
 
-    @property
-    def dims(self) -> tuple[int, int, int, int, int, int]:
-        """(n, m, p, q, r, s) of the underlying interconnection."""
-        n = self.a_cl.shape[0]
-        return (n, self.b_u.shape[1], self.b_w_cl.shape[1], self.b_delta.shape[1],
-                self.c_y.shape[0], self.c_alpha_cl.shape[0])
+    def _slices(self, which: str) -> tuple[slice, slice]:
+        return _block_slices(*self.dims)[which]
+
+    def __getattr__(self, name: str) -> TruncatedTransferMatrix:
+        # only reached when normal lookup fails, i.e. for the nine map names
+        if name not in _MAP_BLOCKS:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        return self.phi.block(*self._slices(name))
 
     def abs_block(self, which: str) -> np.ndarray:
         """``abs_transfer`` of one of the nine maps, as a block of ``abs_stack``."""
-        return self.abs_stack[_block_slices(*self.dims)[which]]
+        return self.abs_stack[self._slices(which)]
 
     def l1(self, which: str) -> float:
         """:func:`l1_norm` of one of the nine maps, read from ``abs_stack``."""
@@ -537,24 +532,8 @@ class ClosedLoopMaps:
 
     def realization(self, which: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """State-space quadruple (A, B, C, D) of one of the nine maps."""
-        n = self.a_cl.shape[0]
-        mapping = {
-            "xu": (np.eye(n), self.b_u, None),
-            "xw": (np.eye(n), self.b_w_cl, None),
-            "xdelta": (np.eye(n), self.b_delta, None),
-            "yu": (self.c_y, self.b_u, None),
-            "yw": (self.c_y, self.b_w_cl, self.d_yw),
-            "ydelta": (self.c_y, self.b_delta, None),
-            "alpha_u": (self.c_alpha_cl, self.b_u, self.d_alpha_u),
-            "alpha_w": (self.c_alpha_cl, self.b_w_cl, self.d_alpha_w_cl),
-            "alpha_delta": (self.c_alpha_cl, self.b_delta, None),
-        }
-        if which not in mapping:
-            raise KeyError(f"unknown map {which!r}")
-        cc, bc, dc = mapping[which]
-        if dc is None:
-            dc = np.zeros((cc.shape[0], bc.shape[1]))
-        return self.a_cl, bc, cc, dc
+        rows, cols = self._slices(which)
+        return self.a_cl, self.bc[:, cols], self.cc[rows], self.dc[rows, cols]
 
     def hinf(self, which: str, grid: int = 512) -> float:
         a, bc, cc, dc = self.realization(which)
@@ -574,34 +553,22 @@ def close_loop(plant: StateSpacePlant, k0, eps_trunc: float = DEFAULT_EPS_TRUNC)
         If ``rho(A + B K0 C) >= 1 - SCHUR_MARGIN``.
     """
     k0 = _as_matrix(k0, "k0")
-    n, m, p, q, r, s = plant.n, plant.m, plant.p, plant.q, plant.r, plant.s
+    dims = n, m, p, q, r, s = plant.n, plant.m, plant.p, plant.q, plant.r, plant.s
     if k0.shape != (m, r):
         raise ValueError(f"k0 has shape {k0.shape}, expected ({m}, {r})")
 
     a_cl = plant.a + plant.b @ k0 @ plant.c
-    rho = spectral_radius(a_cl)
-    if rho >= 1.0 - SCHUR_MARGIN:
-        raise NotSchurStable(f"closed-loop spectral radius {rho:.12g} is not below 1")
-    b_w_cl = plant.b @ k0 @ plant.d_w + plant.b_w
-    c_alpha_cl = plant.c_alpha + plant.d_alpha_u @ k0 @ plant.c
-    d_alpha_w_cl = plant.d_alpha_u @ k0 @ plant.d_w + plant.d_alpha_w
-
-    cc = np.vstack([np.eye(n), plant.c, c_alpha_cl])
-    bc = np.hstack([plant.b, b_w_cl, plant.b_delta])
+    bc = np.hstack([plant.b, plant.b @ k0 @ plant.d_w + plant.b_w, plant.b_delta])
+    cc = np.vstack([np.eye(n), plant.c, plant.c_alpha + plant.d_alpha_u @ k0 @ plant.c])
     dc = np.zeros((n + r + s, m + p + q))
-    dc[n:n + r, m:m + p] = plant.d_w
-    dc[n + r:, :m] = plant.d_alpha_u
-    dc[n + r:, m:m + p] = d_alpha_w_cl
+    blocks = _block_slices(*dims)
+    dc[blocks["yw"]] = plant.d_w
+    dc[blocks["alpha_u"]] = plant.d_alpha_u
+    dc[blocks["alpha_w"]] = plant.d_alpha_u @ k0 @ plant.d_w + plant.d_alpha_w
 
-    full = impulse_response(a_cl, bc, cc, dc, eps_trunc)
-    return ClosedLoopMaps(
-        **{name: full.block(*slices)
-           for name, slices in _block_slices(n, m, p, q, r, s).items()},
-        a_cl=a_cl, b_u=plant.b, b_w_cl=b_w_cl, b_delta=plant.b_delta,
-        c_y=plant.c, c_alpha_cl=c_alpha_cl, d_yw=plant.d_w,
-        d_alpha_u=plant.d_alpha_u, d_alpha_w_cl=d_alpha_w_cl,
-        abs_stack=abs_transfer(full),
-    )
+    # impulse_response raises NotSchurStable for an unstable a_cl
+    phi = impulse_response(a_cl, bc, cc, dc, eps_trunc)
+    return ClosedLoopMaps(a_cl, bc, cc, dc, phi, abs_transfer(phi), dims)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from loopcert import certify, linsys, neural
+from loopcert import attack, certify, linsys, neural
 from loopcert.certify import (
     BaselineResult,
     Quadruplet,
@@ -22,6 +22,7 @@ from loopcert.certify import (
 
 from conftest import (
     linear_policy,
+    random_relu_net,
     random_stable_plant,
     scalar_plant,
     valid_small_gains,
@@ -201,6 +202,33 @@ class TestAlgorithm1:
         assert len(obj["x_bar"]) == 1
 
 
+class TestSoundnessProperty:
+    def test_attacks_stay_inside_certified_boxes(self):
+        # every success on random plants and nets bounds a designed attack on
+        # each state and a Rademacher attack, up to float rounding
+        successes = 0
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            plant = random_stable_plant(rng, with_uncertainty=False)
+            net = random_relu_net(rng, d_in=plant.r, d_out=plant.m)
+            w_inf = float(rng.uniform(0.01, 0.2))
+            result = algorithm1(plant, net, w_inf=w_inf)
+            if not result.success:
+                continue
+            successes += 1
+            quad = result.quadruplet
+            maps = linsys.close_loop(plant, result.gain)
+            traces = [attack.simulate(plant, net, attack.design_attack(maps, i, 300, w_inf), 300)
+                      for i in range(plant.n)]
+            traces.append(attack.monte_carlo_attack(plant, net, w_inf, 300, seed=seed,
+                                                    mode="rademacher")[0])
+            for trace in traces:
+                for signal, bar in (("x", quad.x_bar), ("y", quad.y_bar), ("u", quad.u_bar)):
+                    assert np.all(trace.max_abs(signal) <= bar * (1 + 1e-9) + 1e-15), \
+                        (seed, signal)
+        assert successes >= 10
+
+
 class TestMapsCache:
     def test_concurrent_get_matches_close_loop(self):
         plant = scalar_plant()
@@ -243,6 +271,43 @@ class TestFrontier:
                           x_lim_values=[0.5, 1.0, 2.0], tol=1e-5, target_state=0)
         for x_lim, w_star in points:
             assert w_star == pytest.approx(0.7 * x_lim, rel=1e-4)
+
+    def test_concurrent_frontiers_match_sequential(self, monkeypatch):
+        # the README promises thread safety; threads share the maps cache, which
+        # is kept small here so that they also evict each other's entries
+        rng = np.random.default_rng(25)
+        plant = random_stable_plant(rng, with_uncertainty=False)
+        cases = [(scalar_plant(), linear_policy(-0.2), [0.5, 1.0, 2.0]),
+                 (plant, random_relu_net(rng, d_in=plant.r, d_out=plant.m), [1.0, 2.0, 4.0])]
+
+        def run_all():
+            return [frontier(p, net, x_lim_values=limits, tol=1e-3) for p, net, limits in cases]
+
+        monkeypatch.setattr(certify, "_maps_cache", certify._MapsCache())
+        expected = run_all()
+        assert all(w > 0 for points in expected for _, w in points)
+        monkeypatch.setattr(certify, "_maps_cache", certify._MapsCache(maxsize=4))
+        results, errors = [None] * 4, []
+
+        def worker(i):
+            try:
+                results[i] = run_all()
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert results == [expected] * 4
 
     def test_zero_limit(self):
         points = frontier(scalar_plant(), linear_policy(-0.2),

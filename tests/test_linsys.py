@@ -289,15 +289,23 @@ class TestCloseLoop:
         scalar = make_plant([[0.5]], [[1.0]], b_w=[[1.0]], b_delta=[[1.0]], c_alpha=[[1.0]],
                             d_alpha_u=[[0.3]], d_alpha_w=[[0.2]])
         rng = np.random.default_rng(17)
-        for plant, gain in ((scalar, [[-0.2]]),
-                            (random_stable_plant(rng), None)):
-            gain = np.zeros((plant.m, plant.r)) if gain is None else gain
+        mixed = random_stable_plant(rng)
+        for plant, gain in ((scalar, np.array([[-0.2]])),
+                            (mixed, 0.3 * rng.normal(size=(mixed.m, mixed.r)))):
             maps = close_loop(plant, gain)
             n, m, p, q, r, s = maps.dims
             assert q > 0 and s > 0
             assert maps.abs_stack.shape == (n + r + s, m + p + q)
             rows = {"x": slice(0, n), "y": slice(n, n + r), "alpha": slice(n + r, None)}
             cols = {"u": slice(0, m), "w": slice(m, m + p), "delta": slice(m + p, None)}
+            # each map's quadruple, built by hand from the plant and the gain
+            a_cl = plant.a + plant.b @ gain @ plant.c
+            outputs = {"x": np.eye(n), "y": plant.c,
+                       "alpha": plant.c_alpha + plant.d_alpha_u @ gain @ plant.c}
+            inputs = {"u": plant.b, "w": plant.b @ gain @ plant.d_w + plant.b_w,
+                      "delta": plant.b_delta}
+            feedthrough = {"yw": plant.d_w, "alpha_u": plant.d_alpha_u,
+                           "alpha_w": plant.d_alpha_u @ gain @ plant.d_w + plant.d_alpha_w}
             for out_name in ("x", "y", "alpha"):
                 for in_name in ("u", "w", "delta"):
                     name = out_name + ("_" if out_name == "alpha" else "") + in_name
@@ -306,6 +314,17 @@ class TestCloseLoop:
                     np.testing.assert_array_equal(block, expected)
                     np.testing.assert_array_equal(maps.abs_block(name), expected)
                     assert maps.l1(name) == l1_norm(getattr(maps, name))
+                    np.testing.assert_array_equal(
+                        getattr(maps, name).impulse,
+                        maps.phi.impulse[:, rows[out_name], cols[in_name]])
+                    c_out, b_in = outputs[out_name], inputs[in_name]
+                    d = feedthrough.get(name, np.zeros((c_out.shape[0], b_in.shape[1])))
+                    for got, want in zip(maps.realization(name), (a_cl, b_in, c_out, d)):
+                        np.testing.assert_array_equal(got, want)
+            with pytest.raises(KeyError):
+                maps.realization("uy")
+            with pytest.raises(AttributeError):
+                maps.uy
 
     def test_rejects_unstable_closure(self):
         plant = make_plant([[1.2]], [[1.0]], b_w=[[1.0]])
