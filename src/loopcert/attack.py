@@ -127,10 +127,9 @@ def design_attack(maps: ClosedLoopMaps, target: int, horizon: int,
         raise IndexError(f"target state {target} out of range for n={n}")
     phi = maps.xw.impulse
     signs = np.zeros((horizon, p))
-    for t in range(horizon):
-        lag = horizon - t
-        if lag < phi.shape[0]:
-            signs[t] = np.sign(phi[lag, target, :])
+    lags = np.arange(horizon, 0, -1)  # step t sees Phi_xw at lag horizon - t
+    kept = lags < phi.shape[0]
+    signs[kept] = np.sign(phi[lags[kept], target, :])
     return AttackPlan(signs=signs, w_inf=float(w_inf), target=target, horizon=horizon)
 
 

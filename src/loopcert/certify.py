@@ -34,11 +34,10 @@ import numpy as np
 from . import neural
 from .linsys import (
     DEFAULT_EPS_TRUNC,
-    SCHUR_MARGIN,
     ClosedLoopMaps,
+    NotSchurStable,
     StateSpacePlant,
     close_loop,
-    spectral_radius,
 )
 from .neural import Box, LinearBounds, QuantizationSpec, ReluNetwork
 
@@ -280,18 +279,14 @@ def constructive_quadruplet(maps: ClosedLoopMaps, gamma_pi: float, gamma_delta: 
 # ---------------------------------------------------------------------------
 
 
-def _stabilizes(plant: StateSpacePlant, k: np.ndarray) -> bool:
-    return spectral_radius(plant.a + plant.b @ k @ plant.c) < 1.0 - SCHUR_MARGIN
-
-
 def extract_gain(plant: StateSpacePlant, net: ReluNetwork, box: Box | None,
                  k_d: np.ndarray | None) -> np.ndarray:
     """Pick a stabilizing linear approximation of the policy.
 
     Candidate order: midpoint of the relaxation envelopes over ``box`` (when
     the box is non-degenerate), then the Jacobian at the origin (when it
-    exists), then the supplied default ``k_d``.  The first stabilizing
-    candidate wins.
+    exists), then the supplied default ``k_d``.  The first candidate whose
+    loop closes (:func:`close_loop` does not raise ``NotSchurStable``) wins.
 
     Raises
     ------
@@ -301,12 +296,13 @@ def extract_gain(plant: StateSpacePlant, net: ReluNetwork, box: Box | None,
     lb = None
     if box is not None and np.any(box.radius > 0):
         lb = neural.linear_relaxation(net, box)
-    return _pick_gain(plant, net, lb, k_d)
+    return _pick_gain(plant, net, lb, k_d, DEFAULT_EPS_TRUNC)[0]
 
 
 def _pick_gain(plant: StateSpacePlant, net: ReluNetwork, lb: LinearBounds | None,
-               k_d: np.ndarray | None) -> np.ndarray:
-    """:func:`extract_gain` with the relaxation ``lb`` over the box given."""
+               k_d: np.ndarray | None, eps_trunc: float) -> tuple[np.ndarray, ClosedLoopMaps]:
+    """:func:`extract_gain` with the relaxation ``lb`` over the box given,
+    returning the winning gain together with its closed-loop maps."""
     candidates = []
     if lb is not None:
         candidates.append((lb.k_u + lb.k_l) / 2.0)
@@ -319,8 +315,10 @@ def _pick_gain(plant: StateSpacePlant, net: ReluNetwork, lb: LinearBounds | None
     # zero gain closes nothing; valid whenever the plant is open-loop stable
     candidates.append(np.zeros((plant.m, plant.r)))
     for k in candidates:
-        if _stabilizes(plant, k):
-            return k
+        try:
+            return k, _maps_cache.get(plant, k, eps_trunc)
+        except NotSchurStable:
+            pass
     raise NoStabilizingGain("no stabilizing candidate gain (midpoint, Jacobian, default)")
 
 
@@ -417,12 +415,11 @@ def algorithm1(plant: StateSpacePlant, net: ReluNetwork,
             box = Box(np.zeros(r), y_ref)
             lb = neural.linear_relaxation(net, box)
         try:
-            k = _pick_gain(plant, net, lb, k_d)
+            k, maps = _pick_gain(plant, net, lb, k_d, eps_trunc)
         except NoStabilizingGain:
             return CertResult(False, None, iterations, NO_STABILIZING_GAIN)
         u0_bar, u_bar = _certified_policy_bounds(net, box, lb, k, quantization)
         delta_bar = gamma_delta @ alpha_ref
-        maps = _maps_cache.get(plant, k, eps_trunc)
         x_bar, y_bar, alpha_bar = _implied_bounds(maps, w_bar, u0_bar, delta_bar)
         if (np.any(x_bar > plant.x_lim) or np.any(y_bar > plant.y_lim)
                 or np.any(u_bar > plant.u_lim)):
@@ -583,10 +580,9 @@ def baseline_certify(plant: StateSpacePlant, net: ReluNetwork,
     if gamma_delta is not None and np.asarray(gamma_delta).size:
         gamma = float(np.max(np.sum(np.asarray(gamma_delta, dtype=float), axis=1)))
     try:
-        k0 = extract_gain(plant, net, None, k_d)
+        k0, maps = _pick_gain(plant, net, None, k_d, eps_trunc)
     except NoStabilizingGain:
         return BaselineResult(np.inf, np.inf, False, np.inf), None
-    maps = _maps_cache.get(plant, k0, eps_trunc)
 
     # Region search: the sampled gain is large both on tiny regions (any
     # policy offset at the origin dominates) and on huge ones (saturation),

@@ -11,8 +11,12 @@ transfer matrices, L1 norms, invariant-set bounds) fold that tail bound in
 additively, so they over-approximate the exact infinite sums.
 
 The truncation horizon is our own construction (the underlying theory never
-needs one): we locate a power ``m`` with ``||A^m||_inf < 1`` and bound the
-tail by the induced geometric decay.  See :func:`impulse_response`.
+needs one).  One contraction certificate per matrix answers both "is A
+stable?" and "how fast does it decay?": a quadratic Lyapunov weight W in
+which one step of A shrinks every vector by ``rho_w < 1``
+(:func:`_contraction`), so the tail is a geometric series in the weighted
+norm.  A strongly non-normal A for which no such weight is found in float64
+is rejected as not Schur stable.  See :func:`impulse_response`.
 """
 
 from __future__ import annotations
@@ -49,9 +53,12 @@ DEFAULT_EPS_TRUNC = 1e-9
 
 _MAX_TRUNC_TERMS = 2_000_000
 
-# Steps whose norms the decay-window search and the impulse-response march
-# take in one call.
+# Steps whose tail bounds the impulse-response march takes in one call.
 _GROUP = 32
+
+# Cap on the doubling steps of the Stein solve in _contraction; step k sums
+# 2^k powers, far more than any decay float64 can resolve.
+_SMITH_STEPS = 64
 
 
 class NotSchurStable(ValueError):
@@ -72,16 +79,6 @@ def _as_vector(value, name: str = "vector") -> np.ndarray:
     if arr.ndim != 1:
         raise ValueError(f"{name} must be 1-dimensional, got shape {arr.shape}")
     return arr
-
-
-def _inf_norms(stack: np.ndarray) -> np.ndarray:
-    """Induced infinity norm (maximum absolute row sum) of each matrix of a
-    ``(k, rows, cols)`` stack; 0 for empty matrices.
-
-    Each row is summed on its own, so every norm equals the one of its matrix
-    computed alone bit for bit.
-    """
-    return np.max(np.sum(np.abs(stack), axis=2), axis=1, initial=0.0)
 
 
 def spectral_radius(a) -> float:
@@ -132,58 +129,74 @@ class TruncatedTransferMatrix:
         return TruncatedTransferMatrix(self.impulse[:, rows, cols], self.tail_bound)
 
 
-def _decay_window(a: np.ndarray, max_power: int = 4096) -> tuple[int, float, float]:
-    """Find m with ``q = ||A^m||_inf < 1`` and the geometric tail factor.
+def _contraction(a: np.ndarray) -> tuple[np.ndarray, float]:
+    """Lyapunov weight ``W`` of a Schur-stable A and its contraction ``rho_w``.
 
-    Returns ``(m, q, c_geo)`` where ``c_geo = (sum_{r<m} ||A^r||_inf)/(1-q)``.
-    For any T >= 1 every entry of ``sum_{t>=T} |C A^(t-1) B|`` is bounded by
-    ``max|B| * ||C A^(T-1)||_inf * c_geo``:  writing ``t-1 = (T-1) + r + k m``
-    gives ``||C A^(t-1)||_inf <= ||C A^(T-1)||_inf ||A^r||_inf q^k`` and the
-    entries of ``M B`` are bounded by ``||M||_inf * max|B|``.
+    With ``r = (1 + rho(A)) / 2`` and ``S = A / r``, ``P = W^T W`` (W upper
+    triangular, the Cholesky factor) solves the Stein equation
+    ``S^T P S - P = -I`` by Smith doubling: from ``P = I`` and ``S^1 = S``,
+    ``P <- P + (S^k)^T P S^k`` and ``S^k <- S^k S^k`` until P stops changing.
+    In the norm ``||x||_W = ||W x||_2`` one step of A shrinks every vector by
+    ``rho_w = ||W A W^-1||_2 < 1``, so for all t
 
-    The smallest admissible m is preferred; the search runs past ``4n``
-    because strongly non-normal stable matrices can need longer windows.
-    The powers come from the recursion ``A^m = A^(m-1) A``; their norms are
-    taken a group at a time.
+        |z A^t b| <= ||z W^-1||_2  rho_w^t  ||W b||_2.
+
+    That bound needs only ``rho_w < 1`` for the computed W, not an accurate
+    solve.
+
+    Raises
+    ------
+    NotSchurStable
+        If ``rho(A) >= 1 - SCHUR_MARGIN``, or if the solve yields no weight
+        with ``rho_w < 1`` (P not finite or not positive definite), as for
+        a strongly non-normal A whose P is too ill-conditioned for float64.
     """
-    n = a.shape[0]
-    if n == 0:
-        return 1, 0.0, 1.0
-    powers = np.empty((_GROUP, n, n))
-    power = np.eye(n)
-    norms = [1.0]
-    limit = max(4 * n, max_power)
-    while len(norms) <= limit:
-        group = powers[:min(_GROUP, limit + 1 - len(norms))]
-        # power views the buffer: a full group leaves it at powers[-1], which
-        # the next group only reads while it overwrites powers[0] onwards
-        for cur in group:
-            np.matmul(power, a, out=cur)
-            power = cur
-        qs = _inf_norms(group)
-        below = np.flatnonzero(qs < 1.0)
-        if below.size:
-            j = int(below[0])
-            norms.extend(qs[:j].tolist())
-            q = float(qs[j])
-            return len(norms), q, float(sum(norms)) / (1.0 - q)
-        norms.extend(qs.tolist())
-    raise NotSchurStable(
-        f"no power contraction within {limit} steps; matrix is (numerically) not Schur stable"
-    )
+    rho = spectral_radius(a)
+    if rho >= 1.0 - SCHUR_MARGIN:
+        raise NotSchurStable(f"spectral radius {rho:.12g} is not below 1")
+    power = a / ((1.0 + rho) / 2.0)
+    p = np.eye(a.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_SMITH_STEPS):
+            grown = p + power.T @ p @ power
+            if np.array_equal(grown, p):
+                break
+            p = grown
+            power = power @ power
+        rho_w = np.inf
+        if np.all(np.isfinite(p)):
+            try:
+                w = np.linalg.cholesky(p).T
+                rho_w = float(np.linalg.norm(w @ a @ np.linalg.inv(w), 2))
+            except np.linalg.LinAlgError:
+                pass
+    if not rho_w < 1.0:
+        raise NotSchurStable(
+            f"no Lyapunov weight certifies the decay (spectral radius {rho:.12g}); "
+            "the matrix is too non-normal to be treated as Schur stable"
+        )
+    return w, rho_w
 
 
 def impulse_response(a, bc, cc, dc, eps_trunc: float = DEFAULT_EPS_TRUNC) -> TruncatedTransferMatrix:
     """Truncated impulse response of ``C (zI - A)^-1 B + D``.
 
-    The response is cut at the first horizon T where the geometric tail bound
-    of :func:`_decay_window` drops below ``eps_trunc``; that bound is recorded
-    on the result so downstream sums stay sound.
+    The response is cut at the first horizon T = 1 + 8k whose tail bound
+    drops below ``eps_trunc``; that bound is recorded on the result so
+    downstream sums stay sound.  With the weight W and contraction
+    ``rho_w`` of :func:`_contraction` and ``Z_k = C A^(8k)``, every entry of
+    ``sum_{t >= T} |Phi[t]|`` is at most
+
+        max_i ||(Z_k W^-1)_i||_2  max_j ||(W B)_j||_2 / (1 - rho_w)
+
+    (rows i of ``Z_k W^-1``, columns j of ``W B``).  The bound is exact for
+    a scalar A and loosens with the non-normality of A; a loop too
+    non-normal for any weight to be found raises ``NotSchurStable``.
 
     Raises
     ------
     NotSchurStable
-        If ``rho(A) >= 1 - SCHUR_MARGIN``.
+        If ``rho(A) >= 1 - SCHUR_MARGIN`` or no contracting weight is found.
     """
     a = _as_matrix(a, "a")
     bc = _as_matrix(bc, "bc")
@@ -198,16 +211,13 @@ def impulse_response(a, bc, cc, dc, eps_trunc: float = DEFAULT_EPS_TRUNC) -> Tru
         raise ValueError("d dimensions do not match b/c")
     if not eps_trunc > 0:
         raise ValueError("eps_trunc must be positive")
-    rho = spectral_radius(a)
-    if rho >= 1.0 - SCHUR_MARGIN:
-        raise NotSchurStable(f"spectral radius {rho:.12g} is not below 1")
-
-    _, _, c_geo = _decay_window(a)
-    b_max = float(np.max(np.abs(bc))) if bc.size else 0.0
+    w, rho_w = _contraction(a)
+    w_inv = np.linalg.inv(w)
+    wb_max = float(np.max(np.linalg.norm(w @ bc, axis=0), initial=0.0))
 
     # March in chunks of 8 terms: with CA_r = C A^r precomputed for r < 8,
     # chunk k holds Phi[8k + r + 1] = CA_r X_k with X_k = (A^8)^k B, and the
-    # march stops at the first k whose tail bound b_max ||Z_k||_inf c_geo,
+    # march stops at the first k whose tail bound (see the docstring),
     # Z_k = C (A^8)^k, is at most eps_trunc.  Only the recursions
     # Z_(k+1) = Z_k A^8 and X_(k+1) = A^8 X_k step in Python; the norms and
     # tail tests of a group of Z_k are taken in one call (the products past
@@ -231,7 +241,10 @@ def impulse_response(a, bc, cc, dc, eps_trunc: float = DEFAULT_EPS_TRUNC) -> Tru
     while True:
         for prev, cur in zip(zs, zs[1:]):
             np.matmul(prev, a_chunk, out=cur)
-        tails = b_max * _inf_norms(zs) * c_geo
+        # each row norm is reduced on its own, so a group's bounds equal the
+        # ones of its chunks computed alone bit for bit
+        row_max = np.max(np.linalg.norm(zs @ w_inv, axis=2), axis=1, initial=0.0)
+        tails = row_max * wb_max / (1.0 - rho_w)
         below = np.flatnonzero(tails <= eps_trunc)
         stop = int(below[0]) if below.size else len(zs)
         # chunk k is added only while 1 + chunk*k terms stay within the cap

@@ -38,7 +38,6 @@ __all__ = [
     "residual_bounds",
     "residual_magnitudes",
     "jacobian_at",
-    "quantized_concretize",
     "load_policy",
     "save_policy",
 ]
@@ -367,14 +366,6 @@ def jacobian_at(net: ReluNetwork, y0, kink_tol: float = KINK_TOL) -> np.ndarray:
         else:
             z = pre
     return jac
-
-
-def quantized_concretize(lb: LinearBounds, box: Box,
-                         quantization: QuantizationSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Concretized bounds widened by the quantizer's worst-case error h/2."""
-    u_min, u_max = concretize(lb, box)
-    half = quantization.step / 2.0
-    return u_min - half, u_max + half
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from loopcert.attack import (
 )
 from loopcert.plant import CartPoleParams, cartpole_linearized, cartpole_nonlinear
 
-from conftest import linear_policy, scalar_plant
+from conftest import linear_policy, random_stable_plant, scalar_plant
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +52,29 @@ class TestDesignAttack:
         trace = simulate(plant, net, plan, horizon + 1)
         predicted = 0.1 * np.sum(np.abs(maps.xw.impulse[1:horizon + 1, 0, :]))
         assert trace.x[horizon, 0] == pytest.approx(predicted, abs=1e-9)
+
+    def test_gather_matches_per_step_loop(self):
+        # the per-step loop the gather replaced, on random maps with
+        # horizons below, at and above the truncation length T
+        def loop_signs(maps, target, horizon):
+            phi = maps.xw.impulse
+            signs = np.zeros((horizon, maps.dims[2]))
+            for t in range(horizon):
+                lag = horizon - t
+                if lag < phi.shape[0]:
+                    signs[t] = np.sign(phi[lag, target, :])
+            return signs
+
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            plant = random_stable_plant(rng)
+            maps = linsys.close_loop(plant, np.zeros((plant.m, plant.r)))
+            length = maps.xw.length
+            for horizon in (0, 1, length // 2, length - 1, length, length + 7, 2 * length):
+                for target in range(plant.n):
+                    plan = design_attack(maps, target, horizon)
+                    np.testing.assert_array_equal(plan.signs,
+                                                  loop_signs(maps, target, horizon))
 
     def test_bad_index(self, scalar_loop):
         _, _, maps = scalar_loop

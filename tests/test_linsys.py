@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from loopcert import linsys
+from loopcert import certify, linsys, neural
 from loopcert.linsys import (
     NotSchurStable,
     abs_transfer,
@@ -18,38 +18,19 @@ from loopcert.linsys import (
 from conftest import random_stable_plant, scalar_plant
 
 
-# The decay-window search and the impulse-response march as they were written
-# before their loops were batched: one power, one chunk and one norm at a
-# time.  The batched code must reproduce them bit for bit.
+# The impulse-response march as it was written before its loop was batched:
+# one chunk and one tail bound at a time, with the weighted-norm tail of
+# linsys._contraction.  The batched code must reproduce it bit for bit.
 
-def _inf_norm(a):
-    if a.size == 0:
-        return 0.0
-    return float(np.max(np.sum(np.abs(a), axis=1)))
-
-
-def _sequential_decay_window(a, max_power=4096):
-    n = a.shape[0]
-    if n == 0:
-        return 1, 0.0, 1.0
-    power = np.eye(n)
-    norms = [1.0]
-    limit = max(4 * n, max_power)
-    for m in range(1, limit + 1):
-        power = power @ a
-        q = _inf_norm(power)
-        if q < 1.0:
-            return m, q, float(sum(norms)) / (1.0 - q)
-        norms.append(q)
-    raise NotSchurStable(f"no power contraction within {limit} steps")
+def _max_row_norm(a):
+    return float(np.max(np.linalg.norm(a, axis=1), initial=0.0))
 
 
 def _sequential_impulse_response(a, bc, cc, dc, eps_trunc=linsys.DEFAULT_EPS_TRUNC):
     a, bc, cc, dc = (np.asarray(v, dtype=float) for v in (a, bc, cc, dc))
-    if spectral_radius(a) >= 1.0 - linsys.SCHUR_MARGIN:
-        raise NotSchurStable("not Schur stable")
-    _, _, c_geo = _sequential_decay_window(a)
-    b_max = float(np.max(np.abs(bc))) if bc.size else 0.0
+    w, rho_w = linsys._contraction(a)
+    w_inv = np.linalg.inv(w)
+    wb_max = float(np.max(np.linalg.norm(w @ bc, axis=0), initial=0.0))
     chunk = 8
     ca = [cc]
     for _ in range(chunk - 1):
@@ -59,7 +40,7 @@ def _sequential_impulse_response(a, bc, cc, dc, eps_trunc=linsys.DEFAULT_EPS_TRU
     blocks = [dc[None, :, :]]
     x_state, z_state, total = bc, cc, 1
     while True:
-        tail = b_max * _inf_norm(z_state) * c_geo
+        tail = _max_row_norm(z_state @ w_inv) * wb_max / (1.0 - rho_w)
         if tail <= eps_trunc:
             break
         if total > linsys._MAX_TRUNC_TERMS:
@@ -73,6 +54,29 @@ def _sequential_impulse_response(a, bc, cc, dc, eps_trunc=linsys.DEFAULT_EPS_TRU
     while length > 1 and not impulse[length - 1].any():
         length -= 1
     return linsys.TruncatedTransferMatrix(impulse[:length], tail)
+
+
+def _random_systems(radius=None):
+    """240 seeded random systems (n 1-13, 1-13 outputs, 1-7 inputs, eps_trunc
+    1e-12-1e-3), a third made non-normal; spectral radius in [0.2, 0.97], or
+    ``radius`` for all of them when given."""
+    rng = np.random.default_rng(2024)
+    for i in range(240):
+        n, out, inp = (int(rng.integers(1, hi)) for hi in (14, 14, 8))
+        a = rng.normal(size=(n, n))
+        if i % 3 == 0:  # a diagonal similarity keeps the spectrum, adds non-normality
+            d = np.exp(1.5 * rng.normal(size=n))
+            a = a * d[:, None] / d[None, :]
+        target = rng.uniform(0.2, 0.97)
+        a = a * ((target if radius is None else radius) / max(spectral_radius(a), 1e-9))
+        bc = rng.normal(size=(n, inp))
+        cc = rng.normal(size=(out, n))
+        dc = rng.normal(size=(out, inp))
+        yield a, bc, cc, dc, 10.0 ** rng.uniform(-12, -3)
+
+
+def _jordan_chain(n, lam):
+    return lam * np.eye(n) + np.eye(n, k=1)
 
 
 def _assert_same_response(phi, ref):
@@ -139,19 +143,7 @@ class TestBatchedMarch:
     """The batched decay window and march against the sequential reference."""
 
     def test_matches_sequential_march_on_random_systems(self):
-        rng = np.random.default_rng(2024)
-        for i in range(240):
-            n, out, inp = (int(rng.integers(1, hi)) for hi in (14, 14, 8))
-            a = rng.normal(size=(n, n))
-            if i % 3 == 0:  # a diagonal similarity keeps the spectrum, adds non-normality
-                d = np.exp(1.5 * rng.normal(size=n))
-                a = a * d[:, None] / d[None, :]
-            a = a * (rng.uniform(0.2, 0.97) / max(spectral_radius(a), 1e-9))
-            bc = rng.normal(size=(n, inp))
-            cc = rng.normal(size=(out, n))
-            dc = rng.normal(size=(out, inp))
-            eps = 10.0 ** rng.uniform(-12, -3)
-            assert linsys._decay_window(a) == _sequential_decay_window(a)
+        for a, bc, cc, dc, eps in _random_systems():
             _assert_same_response(impulse_response(a, bc, cc, dc, eps),
                                   _sequential_impulse_response(a, bc, cc, dc, eps))
 
@@ -188,20 +180,57 @@ class TestBatchedMarch:
                 else:
                     assert march(*args).length == 1 + 8 * chunks
 
-    def test_decay_window_raises_without_contraction(self):
-        with pytest.raises(NotSchurStable):
-            linsys._decay_window(np.array([[1.0]]), max_power=50)
 
-    def test_decay_window_on_non_normal_jordan_blocks(self):
-        # ||A^m||_inf first drops below 1 at m = 10 and m = 80, past 4n = 8
-        for a in ([[0.5, 50.0], [0.0, 0.5]], [[0.9, 50.0], [0.0, 0.9]]):
-            a = np.array(a)
-            brute = next(m for m in range(1, 4097)
-                         if _inf_norm(np.linalg.matrix_power(a, m)) < 1.0)
-            assert brute > 4 * a.shape[0]
-            window = linsys._decay_window(a)
-            assert window[0] == brute
-            assert window == _sequential_decay_window(a)
+
+class TestContraction:
+    """The weighted-norm tail of ``linsys._contraction`` and its limits."""
+
+    def test_tail_bounds_brute_force_tail(self):
+        # the next 20,000 terms past T, summed; 1e-14 relative allows for the
+        # rounding of the brute-force sum, which meets the bound exactly
+        # wherever the bound is exact (a scalar A)
+        extra, block = 20_000, 250
+        for a, bc, cc, dc, eps in _random_systems():
+            phi = impulse_response(a, bc, cc, dc, eps)
+            powers = np.empty((block, *a.shape))
+            powers[0] = np.eye(a.shape[0])
+            for prev, cur in zip(powers, powers[1:]):
+                np.matmul(prev, a, out=cur)
+            a_block = powers[-1] @ a
+            x = np.linalg.matrix_power(a, phi.length - 1) @ bc  # Phi[T] = C x
+            brute = np.zeros(dc.shape)
+            for _ in range(extra // block):
+                brute += np.sum(np.abs(cc @ (powers @ x)), axis=0)
+                x = a_block @ x
+            assert np.all(brute <= phi.tail_bound * (1.0 + 1e-14))
+
+    def test_near_unit_radius_and_non_normal_chain_close(self):
+        # a search for a power with ||A^m||_inf < 1 within 4096 steps gives
+        # up on some of these and on the chain
+        for a, bc, cc, dc, eps in _random_systems(radius=0.999):
+            assert impulse_response(a, bc, cc, dc, eps).tail_bound <= eps
+        chain = _jordan_chain(8, 0.99)
+        phi = impulse_response(chain, np.eye(8)[:, -1:], np.eye(8)[:1], np.zeros((1, 1)))
+        assert phi.tail_bound <= linsys.DEFAULT_EPS_TRUNC
+
+    def test_uncertifiable_chain_raises_and_algorithm1_moves_on(self):
+        # a 30x30 Jordan chain at 0.95: its powers peak near 4e36 and the
+        # computed Stein solution (entries up to 1e93) is not positive
+        # definite in float64, so no weight exists and the loop is rejected
+        chain = _jordan_chain(30, 0.95)
+        with pytest.raises(NotSchurStable):
+            impulse_response(chain, np.eye(30), np.eye(30), np.zeros((30, 30)))
+        # a policy whose Jacobian closes the plant into that chain: the gain
+        # search skips it and takes the next candidate, k_d (a_cl = 0.3 I)
+        plant = make_plant(0.5 * np.eye(30), np.eye(30), x_lim=np.ones(30))
+        net = neural.mlp([(chain - 0.5 * np.eye(30), np.zeros(30))])
+        with pytest.raises(NotSchurStable):
+            close_loop(plant, neural.jacobian_at(net, np.zeros(30)))
+        k_d = -0.2 * np.eye(30)
+        np.testing.assert_array_equal(certify.extract_gain(plant, net, None, k_d), k_d)
+        result = certify.algorithm1(plant, net, k_d, w_inf=0.0)
+        assert result.success
+        np.testing.assert_array_equal(result.gain, k_d)
 
 
 class TestAbsTransferAndL1:

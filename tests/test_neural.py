@@ -14,9 +14,9 @@ from loopcert.neural import (
     jacobian_at,
     linear_relaxation,
     magnitude_bound,
-    quantized_concretize,
     residual_bounds,
 )
+from loopcert.certify import _certified_policy_bounds
 
 from conftest import random_relu_net, single_relu_policy
 
@@ -233,20 +233,24 @@ class TestJacobian:
 
 
 class TestQuantization:
+    """Output quantization widens the certified policy bounds by h/2."""
+
     def test_widening(self):
         net = single_relu_policy()
         box = Box.symmetric([1.0])
         lb = linear_relaxation(net, box)
-        u_min, u_max = quantized_concretize(lb, box, QuantizationSpec(0.1))
-        assert u_min == pytest.approx([-1.05])
-        assert u_max == pytest.approx([1.05])
+        u0_bar, u_bar = _certified_policy_bounds(net, box, lb, np.zeros((1, 1)),
+                                                 QuantizationSpec(0.1))
+        assert u0_bar == pytest.approx([1.05])
+        assert u_bar == pytest.approx([1.05])
 
     def test_vanishing_step_recovers_plain_bounds(self):
         net = single_relu_policy()
         box = Box.symmetric([1.0])
         lb = linear_relaxation(net, box)
-        plain = concretize(lb, box)
-        tiny = quantized_concretize(lb, box, QuantizationSpec(1e-15))
+        k = np.array([[0.5]])
+        plain = _certified_policy_bounds(net, box, lb, k, None)
+        tiny = _certified_policy_bounds(net, box, lb, k, QuantizationSpec(1e-15))
         np.testing.assert_allclose(tiny[0], plain[0], atol=1e-12)
         np.testing.assert_allclose(tiny[1], plain[1], atol=1e-12)
 
@@ -255,12 +259,14 @@ class TestQuantization:
         net = random_relu_net(rng, d_in=2, d_out=1)
         box = Box(np.zeros(2), rng.uniform(0.2, 1.0, size=2))
         spec = QuantizationSpec(0.1)
+        k = rng.normal(size=(1, 2))
         lb = linear_relaxation(net, box)
-        lo, hi = quantized_concretize(lb, box, spec)
+        u0_bar, u_bar = _certified_policy_bounds(net, box, lb, k, spec)
         ys = rng.uniform(box.center - box.radius, box.center + box.radius,
                          size=(10_000, 2))
         outs = spec.apply(evaluate(net, ys))
-        assert np.all(outs >= lo - 1e-12) and np.all(outs <= hi + 1e-12)
+        assert np.all(np.abs(outs) <= u_bar + 1e-12)
+        assert np.all(np.abs(outs - ys @ k.T) <= u0_bar + 1e-12)
 
     def test_rounding_error_bound(self):
         spec = QuantizationSpec(0.3)
