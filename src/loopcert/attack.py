@@ -13,7 +13,13 @@ linear), which is why the achieved deviation of a linear loop equals the
 absolute row sum of the impulse response times the amplitude.
 
 The simulator runs the exact recursion with ``u = pi(y)`` (quantized when
-configured) on either the linear plant or a nonlinear plant object.
+configured) on either the linear plant or a nonlinear plant object.  On a
+linear plant it also takes a batch of perturbations, shape (B, t_sim, p),
+and runs the B rollouts in one loop; every row is bit-identical to its own
+unbatched run.  :func:`violation_level` uses the batch axis to speculate:
+one rollout simulates a chunk of doubling amplitudes, or every midpoint the
+bisection can reach in its next few rounds, and the search then walks those
+results exactly as the one-rollout-per-amplitude search would.
 """
 
 from __future__ import annotations
@@ -43,6 +49,17 @@ __all__ = [
 ]
 
 _OVERFLOW = 1e12
+# a state whose sum of squares is at most this has every entry below
+# _OVERFLOW, with room to spare for rounding: one dot product per step
+_SAFE_SQUARES = 0.1 * _OVERFLOW**2
+# steps whose perturbation terms D_w w and B_w w one stacked product forms:
+# enough to take the products out of the loop, few enough to cost no memory
+_BLOCK = 256
+
+# violation_level's batches: doubling amplitudes per rollout, and the depth
+# of the bisection-midpoint tree per rollout (2**depth - 1 amplitudes)
+_DOUBLING_CHUNK = 8
+_TREE_DEPTH = 3
 
 
 @dataclass(frozen=True)
@@ -72,7 +89,10 @@ class AttackPlan:
 
 @dataclass(frozen=True)
 class SimTrace:
-    """Closed-loop time series; all arrays share the step count."""
+    """Closed-loop time series; all arrays share the step count.
+
+    A batched trace has a leading row axis: every series is (B, steps, .).
+    """
 
     x: np.ndarray
     y: np.ndarray
@@ -80,16 +100,17 @@ class SimTrace:
     w: np.ndarray
 
     def __post_init__(self):
-        lengths = {a.shape[0] for a in (self.x, self.y, self.u, self.w)}
+        lengths = {a.shape[:-1] for a in (self.x, self.y, self.u, self.w)}
         if len(lengths) != 1:
             raise ValueError("trace series must share their length")
 
     @property
     def steps(self) -> int:
-        return self.x.shape[0]
+        return self.x.shape[-2]
 
     def max_abs(self, signal: str) -> np.ndarray:
-        return np.max(np.abs(getattr(self, signal)), axis=0)
+        """Largest absolute value over the steps, per component (per row)."""
+        return np.max(np.abs(getattr(self, signal)), axis=-2)
 
 
 @dataclass(frozen=True)
@@ -107,12 +128,17 @@ class SignalStats:
 
 
 class DivergedAt(RuntimeError):
-    """Simulation overflowed; carries the step index and the partial trace."""
+    """Simulation overflowed; carries the step index and the partial trace.
 
-    def __init__(self, step: int, trace: SimTrace):
+    For a batched run ``rows`` holds each row's divergence step (-1 where
+    the row stayed finite); it is None for an unbatched run.
+    """
+
+    def __init__(self, step: int, trace: SimTrace, rows: np.ndarray | None = None):
         super().__init__(f"simulation diverged at step {step}")
         self.step = step
         self.trace = trace
+        self.rows = rows
 
 
 def design_attack(maps: ClosedLoopMaps, target: int, horizon: int,
@@ -133,11 +159,19 @@ def design_attack(maps: ClosedLoopMaps, target: int, horizon: int,
     return AttackPlan(signs=signs, w_inf=float(w_inf), target=target, horizon=horizon)
 
 
-def _plant_hooks(plant):
+def _plant_hooks(plant, batched: bool):
+    """(step, C, D_w, B_w); ``step`` maps stacked (B, 1, n) states and
+    (B, 1, m) inputs to the next stacked state, before ``B_w w``."""
     if isinstance(plant, StateSpacePlant):
-        return (lambda x, u: plant.a @ x + plant.b @ u), plant.c, plant.d_w, plant.b_w
+        a_t, b_t = plant.a.T, plant.b.T
+        return (lambda x, u: x @ a_t + u @ b_t), plant.c, plant.d_w, plant.b_w
     if isinstance(plant, NonlinearPlant):
-        return plant.step, plant.c, plant.d_w, plant.b_w
+        if batched:
+            raise ValueError("a batched w needs a StateSpacePlant; "
+                             "a NonlinearPlant steps one state at a time")
+        n = plant.n
+        return ((lambda x, u: np.reshape(plant.step(x[0, 0], u[0, 0]), (1, 1, n))),
+                plant.c, plant.d_w, plant.b_w)
     raise TypeError(f"cannot simulate {type(plant).__name__}")
 
 
@@ -145,17 +179,30 @@ def simulate(plant, net: ReluNetwork, w=None, t_sim: int = 1000, x0=None,
              quantization: QuantizationSpec | None = None) -> SimTrace:
     """Exact closed-loop recursion for ``t_sim`` steps.
 
-    ``w`` may be None (no perturbation), an :class:`AttackPlan`, or an array
-    of shape (t_sim, p).  ``x[t]`` is the state at which ``y[t]``/``u[t]``
-    are computed.  Uncertainty channels are not excited (delta = 0): the
-    nominal loop is a member of every admissible uncertainty family.
+    ``w`` may be None (no perturbation), an :class:`AttackPlan`, an array of
+    shape (t_sim, p), or a batch of shape (B, t_sim, p) for a
+    :class:`StateSpacePlant`.  A batch runs B rollouts in one loop and
+    returns a trace whose series have shape (B, t_sim, .); ``x0`` is then
+    one state for every row or one per row, (B, n).  Each row equals, bit
+    for bit, the unbatched run on its own ``w``: the state is held as a
+    (B, 1, n) stack, so every product is a per-row matrix-vector product,
+    the same one the unbatched run computes.
+
+    ``x[t]`` is the state at which ``y[t]``/``u[t]`` are computed.
+    Uncertainty channels are not excited (delta = 0): the nominal loop is a
+    member of every admissible uncertainty family.
 
     Raises
     ------
     DivergedAt
-        When the state overflows; the partial trace rides on the exception.
+        When the state overflows.  Unbatched, at the step it overflows, with
+        the partial trace.  Batched, after the other rows have run to the
+        end: ``rows`` gives each row's divergence step (-1 where it stayed
+        finite), ``step`` the first of them, and the trace holds every row in
+        full, NaN past the row's divergence step.
     """
-    step, c, d_w, b_w = _plant_hooks(plant)
+    batched = w is not None and not isinstance(w, AttackPlan) and np.ndim(w) == 3
+    step, c, d_w, b_w = _plant_hooks(plant, batched)
     n, p = c.shape[1], d_w.shape[1]
     if isinstance(w, AttackPlan):
         w = w.signal(t_sim)
@@ -163,26 +210,56 @@ def simulate(plant, net: ReluNetwork, w=None, t_sim: int = 1000, x0=None,
         w = np.zeros((t_sim, p))
     else:
         w = np.asarray(w, dtype=float)
-        if w.shape != (t_sim, p):
-            raise ValueError(f"w has shape {w.shape}, expected ({t_sim}, {p})")
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
+        expected = (len(w), t_sim, p) if batched else (t_sim, p)
+        if w.shape != expected:
+            raise ValueError(f"w has shape {w.shape}, expected {expected}")
+    w = w if batched else w[None]
+    rows = w.shape[0]
+    x = np.zeros((rows, 1, n))
+    if x0 is not None:
+        x[:, 0] = x0
 
-    xs = np.empty((t_sim, n))
-    ys = np.empty((t_sim, c.shape[0]))
-    us = np.empty((t_sim, net.output_dim))
+    # series as (B, t_sim, 1, .) so that a step's slice is a state stack
+    xs = np.empty((rows, t_sim, 1, n))
+    ys = np.empty((rows, t_sim, 1, c.shape[0]))
+    us = np.empty((rows, t_sim, 1, net.output_dim))
+    c_t, d_w_t, b_w_t = c.T, d_w.T, b_w.T
+    diverged = np.full(rows, -1)
     for t in range(t_sim):
-        xs[t] = x
-        y = c @ x + d_w @ w[t]
+        k = t % _BLOCK
+        if k == 0:  # the perturbation terms of the next block of steps
+            block = w[:, t:t + _BLOCK, None, :]
+            dw_w, bw_w = block @ d_w_t, block @ b_w_t
+        xs[:, t] = x
+        ys[:, t] = y = x @ c_t + dw_w[:, k]
         u = evaluate(net, y)
         if quantization is not None:
             u = quantization.apply(u)
-        ys[t] = y
-        us[t] = u
-        x = step(x, u) + b_w @ w[t]
-        if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > _OVERFLOW:
-            partial = SimTrace(xs[:t + 1], ys[:t + 1], us[:t + 1], w[:t + 1])
-            raise DivergedAt(t, partial)
-    return SimTrace(x=xs, y=ys, u=us, w=w)
+        us[:, t] = u
+        x = step(x, u) + bw_w[:, k]
+        flat = x.ravel()
+        if not flat @ flat <= _SAFE_SQUARES:  # also true on inf and NaN
+            bad = ~np.all(np.abs(x) <= _OVERFLOW, axis=(1, 2))
+            if not bad.any():
+                continue
+            if not batched:
+                partial = SimTrace(xs[0, :t + 1, 0], ys[0, :t + 1, 0], us[0, :t + 1, 0],
+                                   w[0, :t + 1])
+                raise DivergedAt(t, partial)
+            diverged[bad] = t
+            x[bad] = 0.0  # a dead row keeps stepping, harmlessly, from rest
+            if np.all(diverged >= 0):
+                break
+    xs, ys, us = (series[:, :, 0] for series in (xs, ys, us))
+    if not batched:
+        return SimTrace(x=xs[0], y=ys[0], u=us[0], w=w[0])
+    trace = SimTrace(x=xs, y=ys, u=us, w=w)
+    if np.any(diverged >= 0):
+        for row in np.flatnonzero(diverged >= 0):
+            for series in (xs, ys, us):
+                series[row, diverged[row] + 1:] = np.nan
+        raise DivergedAt(int(diverged[diverged >= 0].min()), trace, diverged)
+    return trace
 
 
 def monte_carlo_attack(plant, net: ReluNetwork, w_inf: float, t_sim: int,
@@ -194,7 +271,7 @@ def monte_carlo_attack(plant, net: ReluNetwork, w_inf: float, t_sim: int,
     [-w_inf, w_inf] per channel, or ``rademacher`` on the extreme points.
     Returns the trace and per-state deviation statistics.
     """
-    _, _, d_w, _ = _plant_hooks(plant)
+    _, _, d_w, _ = _plant_hooks(plant, batched=False)
     p = d_w.shape[1]
     rng = np.random.default_rng(seed)
     if mode == "uniform":
@@ -207,6 +284,15 @@ def monte_carlo_attack(plant, net: ReluNetwork, w_inf: float, t_sim: int,
     return trace, SignalStats.of(trace.x)
 
 
+def _midpoints(lo: float, hi: float, tol: float, depth: int) -> list[float]:
+    """Every midpoint the bisection of :func:`violation_level` can reach from
+    ``[lo, hi]`` within ``depth`` rounds, whichever way each round goes."""
+    if depth == 0 or hi - lo <= tol * hi:
+        return []
+    mid = (lo + hi) / 2.0
+    return [mid] + _midpoints(lo, mid, tol, depth - 1) + _midpoints(mid, hi, tol, depth - 1)
+
+
 def violation_level(plant, net: ReluNetwork, maps: ClosedLoopMaps, target: int,
                     horizon: int, x_limit: float, tol: float = 1e-3,
                     quantization: QuantizationSpec | None = None,
@@ -214,22 +300,43 @@ def violation_level(plant, net: ReluNetwork, maps: ClosedLoopMaps, target: int,
     """Smallest amplitude whose designed attack breaks ``|x_target| <= x_limit``.
 
     Bisection over the amplitude of the designed plan, simulated over its
-    horizon.  Returns ``inf`` when no tested amplitude (up to the doubling
-    cap) violates the limit.
-    """
-    plan = design_attack(maps, target, horizon)
+    horizon: doubling up from ``tol`` to the first violating amplitude
+    ``hi``, then halving ``[0, hi]`` until its width is at most ``tol * hi``.
+    Returns ``inf`` when no tested amplitude (up to the doubling cap)
+    violates the limit.  A diverging rollout counts as a violation.
 
-    def violates(w: float) -> bool:
-        scaled = AttackPlan(plan.signs, w, target, horizon)
+    The search is speculative: each batched :func:`simulate` call runs the
+    next ``_DOUBLING_CHUNK`` doubling amplitudes, or the full tree of the
+    next ``_TREE_DEPTH`` bisection midpoints, and the sequential search then
+    walks the results.  Its amplitudes are the exact floats the one-at-a-time
+    search computes, and each row is bit-identical to its own rollout, so
+    the returned level is the same bit for bit.
+    """
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
+    plan = design_attack(maps, target, horizon)
+    violates: dict[float, bool] = {}
+
+    def run(levels: list[float]) -> None:
+        w = np.multiply.outer(levels, plan.signs)
         try:
-            trace = simulate(plant, net, scaled, horizon, quantization=quantization)
-        except DivergedAt:
-            return True
-        return bool(trace.max_abs("x")[target] > x_limit)
+            x = simulate(plant, net, w, horizon, quantization=quantization).x
+            dead = np.zeros(len(levels), dtype=bool)
+        except DivergedAt as exc:
+            x, dead = exc.trace.x, exc.rows >= 0
+        peak = np.max(np.abs(x[:, :, target]), axis=1)
+        violates.update(zip(levels, (dead | (peak > x_limit)).tolist()))
 
     hi = tol
     doublings = 0
-    while not violates(hi):
+    while True:
+        if hi not in violates:
+            count = min(_DOUBLING_CHUNK, max(max_doublings, 0) - doublings + 1)
+            run([hi * 2.0**k for k in range(count)])
+        if violates[hi]:
+            break
         hi *= 2.0
         doublings += 1
         if doublings > max_doublings:
@@ -237,7 +344,9 @@ def violation_level(plant, net: ReluNetwork, maps: ClosedLoopMaps, target: int,
     lo = 0.0
     while hi - lo > tol * hi:
         mid = (lo + hi) / 2.0
-        if violates(mid):
+        if mid not in violates:
+            run([v for v in _midpoints(lo, hi, tol, _TREE_DEPTH) if v not in violates])
+        if violates[mid]:
             hi = mid
         else:
             lo = mid

@@ -58,6 +58,7 @@ __all__ = [
     "baseline_frontier",
     "sampled_linf_gain",
     "extract_gain",
+    "extract_loop",
     "CONSTRAINT_VIOLATED",
     "MAX_ITER_EXCEEDED",
     "NO_STABILIZING_GAIN",
@@ -293,10 +294,19 @@ def extract_gain(plant: StateSpacePlant, net: ReluNetwork, box: Box | None,
     NoStabilizingGain
         If no candidate stabilizes the loop.
     """
+    return extract_loop(plant, net, box, k_d)[0]
+
+
+def extract_loop(plant: StateSpacePlant, net: ReluNetwork, box: Box | None,
+                 k_d: np.ndarray | None,
+                 eps_trunc: float | None = None) -> tuple[np.ndarray, ClosedLoopMaps]:
+    """:func:`extract_gain` together with the loop it closes, at ``eps_trunc``
+    (default ``DEFAULT_EPS_TRUNC``); the winning closure is the only one built."""
     lb = None
     if box is not None and np.any(box.radius > 0):
         lb = neural.linear_relaxation(net, box)
-    return _pick_gain(plant, net, lb, k_d, DEFAULT_EPS_TRUNC)[0]
+    eps_trunc = DEFAULT_EPS_TRUNC if eps_trunc is None else eps_trunc
+    return _pick_gain(plant, net, lb, k_d, eps_trunc)
 
 
 def _pick_gain(plant: StateSpacePlant, net: ReluNetwork, lb: LinearBounds | None,

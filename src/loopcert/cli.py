@@ -156,8 +156,7 @@ def cmd_frontier(args) -> int:
             target = args.target_state if args.target_state is not None else 0
             limited = certify.with_state_limit(plant, args.target_state, value)
             try:
-                gain = certify.extract_gain(limited, net, None, k_d)
-                maps = linsys.close_loop(limited, gain)
+                _, maps = certify.extract_loop(limited, net, None, k_d, args.eps_trunc)
                 atk = attack_mod.violation_level(limited, net, maps, target,
                                                  args.horizon, value,
                                                  quantization=quant)
@@ -182,12 +181,10 @@ def cmd_attack(args) -> int:
     scale = _angle_scale(args)
     k_d = _load_gain(args.kd)
     try:
-        gain = certify.extract_gain(plant, net, None, k_d)
+        _, maps = certify.extract_loop(plant, net, None, k_d, args.eps_trunc)
     except certify.NoStabilizingGain:
         print("no stabilizing gain; cannot build closed-loop maps", file=sys.stderr)
         return EXIT_NEGATIVE
-    eps = args.eps_trunc if args.eps_trunc is not None else linsys.DEFAULT_EPS_TRUNC
-    maps = linsys.close_loop(plant, gain, eps)
     w_inf = (args.w_inf if args.w_inf is not None else plant.w_inf) * scale
     plan = attack_mod.design_attack(maps, args.target, args.horizon, w_inf)
     if args.out in (None, "-"):

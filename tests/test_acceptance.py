@@ -106,13 +106,14 @@ def test_criterion_2_certified_bounds_contain_all_attacks(certified_fixtures):
             assert np.all(trace.max_abs("x") <= quad.x_bar + slack), name
             assert np.all(trace.max_abs("y") <= quad.y_bar + slack), name
             assert np.all(trace.max_abs("u") <= quad.u_bar + slack), name
-            for seed in range(5):
-                rng = np.random.default_rng(seed)
-                w = rng.uniform(-w_inf, w_inf, size=(100_000, plant.p))
-                mc = attack.simulate(plant, net, w, 100_000, quantization=quant)
-                assert np.all(mc.max_abs("x") <= quad.x_bar + slack), name
-                assert np.all(mc.max_abs("y") <= quad.y_bar + slack), name
-                assert np.all(mc.max_abs("u") <= quad.u_bar + slack), name
+            # the five Monte-Carlo seeds run as one batch of five rollouts
+            w = np.stack([np.random.default_rng(seed).uniform(-w_inf, w_inf,
+                                                              size=(100_000, plant.p))
+                          for seed in range(5)])
+            mc = attack.simulate(plant, net, w, 100_000, quantization=quant)
+            assert np.all(mc.max_abs("x") <= quad.x_bar + slack), name
+            assert np.all(mc.max_abs("y") <= quad.y_bar + slack), name
+            assert np.all(mc.max_abs("u") <= quad.u_bar + slack), name
 
 
 def test_criterion_3_designed_attack_beats_monte_carlo(cartpole, cloned_policy):

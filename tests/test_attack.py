@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from loopcert import attack, linsys, neural
+from loopcert import attack, certify, linsys, neural
 from loopcert.attack import (
     AttackPlan,
     DivergedAt,
@@ -16,7 +16,76 @@ from loopcert.attack import (
 )
 from loopcert.plant import CartPoleParams, cartpole_linearized, cartpole_nonlinear
 
-from conftest import linear_policy, random_stable_plant, scalar_plant
+from conftest import linear_policy, random_relu_net, random_stable_plant, scalar_plant
+
+
+def _trace_or_partial(*args, **kwargs):
+    """simulate's trace, or the partial trace it diverged with."""
+    try:
+        return simulate(*args, **kwargs)
+    except DivergedAt as exc:
+        return exc.trace
+
+
+def _assert_row_matches(batch, row, single):
+    """Row ``row`` of a batched trace equals ``single`` bit for bit, and is
+    NaN past the steps ``single`` ran before diverging."""
+    k = single.steps
+    for signal in ("x", "y", "u"):
+        got = getattr(batch, signal)[row]
+        assert np.array_equal(got[:k], getattr(single, signal)), (row, signal)
+        assert np.all(np.isnan(got[k:])), (row, signal)
+    assert np.array_equal(batch.w[row, :k], single.w)
+
+
+def _sequential_violation_level(plant, net, maps, target, horizon, x_limit, tol=1e-3,
+                                quantization=None, max_doublings=24):
+    """The one-rollout-per-amplitude bisection violation_level reproduces.
+
+    Returns the level and the number of rollouts it took.
+    """
+    plan = design_attack(maps, target, horizon)
+    rollouts = 0
+
+    def violates(w):
+        nonlocal rollouts
+        rollouts += 1
+        scaled = AttackPlan(plan.signs, w, target, horizon)
+        try:
+            trace = simulate(plant, net, scaled, horizon, quantization=quantization)
+        except DivergedAt:
+            return True
+        return bool(trace.max_abs("x")[target] > x_limit)
+
+    hi = tol
+    doublings = 0
+    while not violates(hi):
+        hi *= 2.0
+        doublings += 1
+        if doublings > max_doublings:
+            return np.inf, rollouts
+    lo = 0.0
+    while hi - lo > tol * hi:
+        mid = (lo + hi) / 2.0
+        if violates(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi, rollouts
+
+
+@pytest.fixture()
+def count_simulations(monkeypatch):
+    """Counts the simulate calls made through the attack module."""
+    calls = []
+    real = attack.simulate
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(attack, "simulate", spy)
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +168,30 @@ class TestSimulate:
         t_li = simulate(lin, net, None, 100, x0=x0)
         assert np.max(np.abs(t_nl.x - t_li.x)) <= 1e-5
 
+    def test_matches_plain_recursion(self):
+        # the per-step recursion of the simulator, over enough steps to cross
+        # several blocks of precomputed perturbation terms
+        def plain(plant, net, w, quant):
+            x, xs = np.zeros(plant.n), []
+            for t in range(w.shape[0]):
+                xs.append(x)
+                u = neural.evaluate(net, plant.c @ x + plant.d_w @ w[t])
+                if quant is not None:
+                    u = quant.apply(u)
+                x = plant.a @ x + plant.b @ u + plant.b_w @ w[t]
+            return np.array(xs)
+
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            plant = random_stable_plant(rng)
+            net = random_relu_net(rng, d_in=plant.r, d_out=plant.m)
+            quant = neural.QuantizationSpec(0.05) if seed % 3 == 0 else None
+            w = rng.uniform(-1.0, 1.0, size=(700, plant.p))
+            trace = _trace_or_partial(plant, net, w, 700, quantization=quant)
+            with np.errstate(all="ignore"):
+                expected = plain(plant, net, w, quant)[:trace.steps]
+            assert np.array_equal(trace.x, expected), seed
+
     def test_divergence_carries_partial_trace(self):
         plant = linsys.make_plant([[2.0]], [[1.0]], b_w=[[1.0]])
         net = linear_policy(0.0)
@@ -114,6 +207,67 @@ class TestSimulate:
         trace = simulate(plant, net, w, 50, quantization=spec)
         steps = trace.u / spec.step
         np.testing.assert_allclose(steps, np.round(steps), atol=1e-9)
+
+
+class TestBatchedSimulate:
+    def test_rows_match_single_runs_on_corpus(self):
+        # 60 random loops, 4 rows each with their own w and x0; every third
+        # loop quantized; some rows diverge, and are then NaN past it
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            plant = random_stable_plant(rng)
+            net = random_relu_net(rng, d_in=plant.r, d_out=plant.m)
+            quant = neural.QuantizationSpec(0.05) if seed % 3 == 0 else None
+            w = rng.uniform(-1.0, 1.0, size=(4, 150, plant.p))
+            x0 = rng.normal(size=(4, plant.n))
+            batch = _trace_or_partial(plant, net, w, 150, x0=x0, quantization=quant)
+            assert batch.x.shape == (4, 150, plant.n)
+            for row in range(4):
+                single = _trace_or_partial(plant, net, w[row], 150, x0=x0[row],
+                                           quantization=quant)
+                _assert_row_matches(batch, row, single)
+
+    def test_diverging_row_leaves_the_others_alone(self, scalar_loop):
+        plant, net, _ = scalar_loop
+        rng = np.random.default_rng(5)
+        w = rng.uniform(-0.1, 0.1, size=(3, 60, 1))
+        w[1, 20] = 1e13  # row 1 overflows at step 20
+        with pytest.raises(DivergedAt) as err:
+            simulate(plant, net, w, 60)
+        assert err.value.step == 20
+        np.testing.assert_array_equal(err.value.rows, [-1, 20, -1])
+        for row in range(3):
+            _assert_row_matches(err.value.trace, row,
+                                _trace_or_partial(plant, net, w[row], 60))
+
+    def test_all_rows_diverging_stops_the_loop(self):
+        plant = linsys.make_plant([[2.0]], [[1.0]], b_w=[[1.0]])
+        with pytest.raises(DivergedAt) as err:
+            simulate(plant, linear_policy(0.0), np.zeros((2, 10_000, 1)), 10_000,
+                     x0=np.array([[1.0], [-4.0]]))
+        single = _trace_or_partial(plant, linear_policy(0.0), None, 10_000, x0=np.array([1.0]))
+        assert err.value.rows[0] == single.steps - 1
+        assert err.value.step == err.value.rows[1] < err.value.rows[0]
+
+    def test_unbatched_shapes_unchanged(self, scalar_loop):
+        plant, net, maps = scalar_loop
+        plan = design_attack(maps, 0, 30, w_inf=0.1)
+        for w in (None, plan, np.zeros((40, 1))):
+            trace = simulate(plant, net, w, 40)
+            assert trace.x.shape == (40, 1) and trace.w.shape == (40, 1)
+            assert trace.max_abs("x").shape == (1,)
+        batch = simulate(plant, net, np.zeros((2, 40, 1)), 40)
+        assert batch.steps == 40 and batch.max_abs("u").shape == (2, 1)
+
+    def test_rejects_batch_on_nonlinear_plant(self, kd):
+        net = neural.mlp([(kd, np.zeros(1))])
+        with pytest.raises(ValueError):
+            simulate(cartpole_nonlinear(), net, np.zeros((2, 10, 1)), 10)
+
+    def test_rejects_mismatched_batch(self, scalar_loop):
+        plant, net, _ = scalar_loop
+        with pytest.raises(ValueError):
+            simulate(plant, net, np.zeros((2, 9, 1)), 10)
 
 
 class TestMonteCarlo:
@@ -163,6 +317,51 @@ class TestViolationLevel:
         # violating amplitude for limit L approaches 0.7 L
         level = attack.violation_level(plant, net, maps, 0, 200, 0.1, tol=1e-4)
         assert level == pytest.approx(0.07, rel=1e-2)
+        reference, _ = _sequential_violation_level(plant, net, maps, 0, 200, 0.1, tol=1e-4)
+        assert level == reference
+
+    def test_cartpole_matches_sequential_with_fewer_rollouts(self, cartpole, cloned_policy,
+                                                             kd, count_simulations):
+        limited = certify.with_state_limit(cartpole, 2, 0.005)
+        _, maps = certify.extract_loop(limited, cloned_policy, None, kd)
+        level = attack.violation_level(limited, cloned_policy, maps, 2, 2500, 0.005)
+        batched = len(count_simulations)
+        reference, rollouts = _sequential_violation_level(limited, cloned_policy, maps,
+                                                          2, 2500, 0.005)
+        assert level == reference
+        assert rollouts == 13 and batched <= 5
+
+    def test_random_loops_match_sequential(self):
+        # random ReLU loops, some of whose rollouts diverge, with quantization
+        # on every third
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            plant = random_stable_plant(rng, with_uncertainty=False)
+            net = random_relu_net(rng, d_in=plant.r, d_out=plant.m)
+            quant = neural.QuantizationSpec(0.05) if seed % 3 == 0 else None
+            maps = linsys.close_loop(plant, np.zeros((plant.m, plant.r)))
+            target = int(rng.integers(plant.n))
+            x_limit = float(rng.uniform(0.5, 5.0))
+            tol = float(rng.choice([1e-3, 1e-2]))
+            args = (plant, net, maps, target, 50, x_limit, tol, quant)
+            assert attack.violation_level(*args) == _sequential_violation_level(*args)[0]
+
+    def test_no_violation_returns_inf(self, scalar_loop):
+        plant, net, maps = scalar_loop
+        args = (plant, net, maps, 0, 50, 1e3, 1e-3, None, 5)
+        assert attack.violation_level(*args) == np.inf
+        assert _sequential_violation_level(*args) == (np.inf, 6)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-3, np.nan])
+    def test_rejects_nonpositive_tol(self, scalar_loop, tol):
+        plant, net, maps = scalar_loop
+        with pytest.raises(ValueError, match="tol"):
+            attack.violation_level(plant, net, maps, 0, 50, 0.1, tol=tol)
+
+    def test_rejects_empty_horizon(self, scalar_loop):
+        plant, net, maps = scalar_loop
+        with pytest.raises(ValueError, match="horizon"):
+            attack.violation_level(plant, net, maps, 0, 0, 0.1)
 
 
 class TestFiles:

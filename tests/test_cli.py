@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from loopcert import attack, linsys, neural
+from loopcert import attack, certify, linsys, neural
 from loopcert.cli import EXIT_ERROR, EXIT_NEGATIVE, EXIT_OK, main
 
 from conftest import linear_policy, scalar_plant
@@ -97,6 +97,50 @@ class TestFrontier:
         cells = out.read_text().strip().splitlines()[-1].split(",")
         assert float(cells[2]) > 0  # baseline column filled
         assert float(cells[3]) == pytest.approx(0.35, rel=0.02)  # attack threshold
+
+
+@pytest.fixture()
+def closures(monkeypatch):
+    """(plant, gain, eps_trunc) of every loop closure, from a cold maps cache."""
+    calls = []
+    real = linsys.close_loop
+
+    def spy(plant, k0, eps_trunc=linsys.DEFAULT_EPS_TRUNC):
+        calls.append((certify._MapsCache._plant_key(plant),
+                      np.asarray(k0, dtype=float).tobytes(), eps_trunc))
+        return real(plant, k0, eps_trunc)
+
+    monkeypatch.setattr(linsys, "close_loop", spy)
+    monkeypatch.setattr(certify, "close_loop", spy)
+    monkeypatch.setattr(certify, "_maps_cache", certify._MapsCache())
+    return calls
+
+
+class TestLoopClosures:
+    @pytest.mark.parametrize("eps", [None, 1e-6])
+    def test_frontier_with_attack_closes_each_loop_once(self, scalar_files, tmp_path,
+                                                        closures, eps):
+        plant_path, policy_path = scalar_files
+        args = ["frontier", "--plant", plant_path, "--policy", policy_path,
+                "--x-lim-list", "0.5,1.0", "--target-state", "0", "--tol", "1e-3",
+                "--with-attack", "--horizon", "200", "--out", str(tmp_path / "f.csv")]
+        if eps is not None:
+            args += ["--eps-trunc", str(eps)]
+        assert main(args) == EXIT_OK
+        expected = linsys.DEFAULT_EPS_TRUNC if eps is None else eps
+        assert closures and all(e == expected for *_, e in closures)
+        assert len(set(closures)) == len(closures)
+
+    @pytest.mark.parametrize("eps", [None, 1e-6])
+    def test_attack_closes_one_loop(self, scalar_files, tmp_path, closures, eps):
+        plant_path, policy_path = scalar_files
+        args = ["attack", "--plant", plant_path, "--policy", policy_path, "--target", "0",
+                "--horizon", "40", "--out", str(tmp_path / "plan.json")]
+        if eps is not None:
+            args += ["--eps-trunc", str(eps)]
+        assert main(args) == EXIT_OK
+        expected = linsys.DEFAULT_EPS_TRUNC if eps is None else eps
+        assert [e for *_, e in closures] == [expected]
 
 
 class TestAttackSimulateRoundTrip:
