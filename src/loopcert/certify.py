@@ -549,21 +549,53 @@ def sampled_linf_gain(net: ReluNetwork, k0: np.ndarray, radius, n_samples: int =
     lower bound of the true local gain (it is an estimate, never a
     certificate).  Diverges as the box shrinks whenever the residual does
     not vanish at the origin, e.g. for quantized outputs.
+
+    The samples are ``low + (high - low) * U`` for the unit sample
+    ``U = default_rng(seed).random``, bit for bit what
+    ``default_rng(seed).uniform(-radius, radius)`` draws, so that
+    :func:`baseline_certify` can draw ``U`` once and rescale it per region.
+    The policy is evaluated into row buffers; the gain is bit-identical to
+    evaluating fresh draws on fresh arrays.
+    """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    return _gain_sampler(net, k0, n_samples, seed, quantization)(radius)
+
+
+def _gain_sampler(net: ReluNetwork, k0, n_samples: int, seed: int,
+                  quantization: QuantizationSpec | None) -> Callable[[object], float]:
+    """``radius -> sampled gain`` over one unit sample and one set of row buffers.
+
+    Every call rescales the same unit sample to its radius, so the sampler
+    of one seed returns what :func:`sampled_linf_gain` returns for that seed
+    at any radius.  The buffers belong to the returned function alone.
     """
     k0 = np.asarray(k0, dtype=float)
-    radius = np.broadcast_to(np.asarray(radius, dtype=float), (net.input_dim,))
-    rng = np.random.default_rng(seed)
-    ys = rng.uniform(-radius, radius, size=(n_samples, net.input_dim))
-    outs = neural.evaluate(net, ys)
-    if quantization is not None:
-        outs = quantization.apply(outs)
-    residual = outs - ys @ k0.T
-    norms_y = np.max(np.abs(ys), axis=1)
-    keep = norms_y > 0
-    if not np.any(keep):
-        return 0.0
-    ratios = np.max(np.abs(residual[keep]), axis=1) / norms_y[keep]
-    return float(np.max(ratios))
+    dim = net.input_dim
+    unit = np.random.default_rng(seed).random((n_samples, dim))
+    ys = np.empty_like(unit)
+    outs = [np.empty((n_samples, layer.weight.shape[0])) for layer in net.layers]
+
+    def gain(radius) -> float:
+        radius = np.broadcast_to(np.asarray(radius, dtype=float), (dim,))
+        if not np.all(np.isfinite(radius)) or np.any(radius < 0):
+            raise ValueError("radius must be finite and elementwise >= 0")
+        # Generator.uniform(low, high) draws low + (high - low) * U elementwise
+        low = -radius
+        np.multiply(radius - low, unit, out=ys)
+        np.add(ys, low, out=ys)
+        u = neural._forward_into(ys, net.layers, outs)
+        if quantization is not None:
+            u = quantization.apply(u)
+        residual = u - ys @ k0.T
+        norms_y = np.max(np.abs(ys), axis=1)
+        keep = norms_y > 0
+        if not np.any(keep):
+            return 0.0
+        ratios = np.max(np.abs(residual[keep]), axis=1) / norms_y[keep]
+        return float(np.max(ratios))
+
+    return gain
 
 
 def baseline_certify(plant: StateSpacePlant, net: ReluNetwork,
@@ -583,7 +615,13 @@ def baseline_certify(plant: StateSpacePlant, net: ReluNetwork,
     inside it (certified) or the conditions break.  On success the closed
     form quadruplet is returned as well; with ``check_limits`` the plant
     limits must also contain it.
+
+    The unit sample is drawn once per call and rescaled to each region, and
+    the policy is evaluated into row buffers held for the whole region loop;
+    every region's gain is bit-identical to :func:`sampled_linf_gain` there.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     eps_trunc = DEFAULT_EPS_TRUNC if eps_trunc is None else eps_trunc
     w_amp = plant.w_inf if w_inf is None else float(w_inf)
     gamma = 0.0
@@ -600,8 +638,9 @@ def baseline_certify(plant: StateSpacePlant, net: ReluNetwork,
     y_inf = max(maps.l1("yw") * w_amp, 1e-9)
     result = BaselineResult(np.inf, np.inf, False, np.inf)
     certified_result = None
+    sampled_gain = _gain_sampler(net, k0, n_samples, seed, quantization)
     for _ in range(max_region_iter):
-        gamma_pi = sampled_linf_gain(net, k0, y_inf, n_samples, seed, quantization)
+        gamma_pi = sampled_gain(y_inf)
         result = check_lemma1(maps, gamma_pi, gamma, w_amp, y_inf)
         if result.certified:
             certified_result = result

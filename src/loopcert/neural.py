@@ -164,15 +164,31 @@ class QuantizationSpec:
 def evaluate(net: ReluNetwork, y) -> np.ndarray:
     """Exact forward pass.
 
-    Accepts a single input vector or a batch with samples in rows.
+    Accepts a single input vector or a batch with samples in rows.  Each
+    layer makes one fresh array and adds its bias and applies its ReLU in
+    place; callers that evaluate many equal-sized batches reuse row buffers
+    through :func:`_forward_into` instead, with bit-identical results.
     """
     z = np.asarray(y, dtype=float)
     if z.shape[-1] != net.input_dim:
         raise ValueError(f"input has {z.shape[-1]} entries, network expects {net.input_dim}")
-    for layer in net.layers:
-        z = z @ layer.weight.T + layer.bias
+    return _forward_into(z, net.layers)
+
+
+def _forward_into(z: np.ndarray, layers, outs=None) -> np.ndarray:
+    """Forward pass of ``z`` through ``layers``, layer k written into ``outs[k]``.
+
+    Without ``outs`` each layer makes one fresh array.  A layer is
+    ``z @ weight.T``, then ``+= bias``, then ``maximum(., 0)`` in place for a
+    ReLU layer, so a buffer holds the same bits a fresh array would.
+    Returns the last layer's output.
+    """
+    for k, layer in enumerate(layers):
+        # the operator is the cheaper call on the simulator's one-row inputs
+        z = z @ layer.weight.T if outs is None else np.matmul(z, layer.weight.T, out=outs[k])
+        z += layer.bias
         if layer.activation == "relu":
-            z = np.maximum(z, 0.0)
+            np.maximum(z, 0.0, out=z)
     return z
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .neural import Layer, ReluNetwork, evaluate
+from .neural import Layer, ReluNetwork, _forward_into, evaluate
 
 __all__ = [
     "NoConvergence",
@@ -128,7 +128,10 @@ def behavior_clone(k, config: CloneConfig | None = None) -> CloneResult:
 
     Minimizes the mean squared error over a fixed sample of inputs drawn
     uniformly from the configured box, by full-batch gradient descent with
-    momentum.  Deterministic for a fixed config.
+    momentum.  Deterministic for a fixed config.  The row-sized activations
+    and gradients live in buffers allocated once per call; each step runs
+    the same products and ufuncs in the same order as on fresh arrays, so
+    the result is bit-identical to that.
     """
     config = config or CloneConfig()
     k = np.asarray(k, dtype=float)
@@ -149,28 +152,30 @@ def behavior_clone(k, config: CloneConfig | None = None) -> CloneResult:
     vel_b = [np.zeros_like(b) for b in biases]
     n_layers = len(weights)
     scale = 1.0 / (config.n_samples * m)
+    # The training layers share their arrays with weights and biases, which
+    # are updated in place.  Row buffers for every step: acts[i + 1] is
+    # layer i's output and grads[i] the gradient with respect to it.
+    train = [Layer(w, b, "relu" if i < n_layers - 1 else "linear")
+             for i, (w, b) in enumerate(zip(weights, biases))]
+    acts = [inputs] + [np.empty((config.n_samples, d)) for d in dims[1:]]
+    grads = [np.empty((config.n_samples, d)) for d in dims[1:]]
 
     for _ in range(config.steps):
-        acts = [inputs]
-        pres = []
-        z = inputs
-        for i in range(n_layers):
-            pre = z @ weights[i].T + biases[i]
-            pres.append(pre)
-            z = np.maximum(pre, 0.0) if i < n_layers - 1 else pre
-            acts.append(z)
-        grad = 2.0 * scale * (z - targets)
+        z = _forward_into(inputs, train, acts[1:])
+        grad = np.subtract(z, targets, out=grads[-1])
+        grad *= 2.0 * scale
         for i in range(n_layers - 1, -1, -1):
             if i < n_layers - 1:
-                grad = grad * (pres[i] > 0.0)
+                # relu(pre) > 0 exactly where pre > 0
+                grad *= acts[i + 1] > 0.0
             g_w = grad.T @ acts[i]
             g_b = grad.sum(axis=0)
             vel_w[i] = config.momentum * vel_w[i] - config.learning_rate * g_w
             vel_b[i] = config.momentum * vel_b[i] - config.learning_rate * g_b
             if i > 0:
-                grad = grad @ weights[i]
-            weights[i] = weights[i] + vel_w[i]
-            biases[i] = biases[i] + vel_b[i]
+                grad = np.matmul(grad, weights[i], out=grads[i - 1])
+            weights[i] += vel_w[i]
+            biases[i] += vel_b[i]
 
     layers = [Layer(w, b, "relu") for w, b in zip(weights[:-1], biases[:-1])]
     layers.append(Layer(weights[-1] * scale_out[:, None], biases[-1] * scale_out, "linear"))

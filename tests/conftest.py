@@ -1,5 +1,8 @@
 """Shared fixtures: the cart-pole stack and random-system generators."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -112,3 +115,32 @@ def valid_small_gains(maps, rng):
     else:
         gamma_pi = float(rng.uniform(0.1, 2.0))
     return gamma_pi, gamma_delta
+
+
+def run_in_threads(fn, n=4, timeout=300):
+    """``fn(i)`` from threads ``i = 0..n-1`` at once, switching every microsecond.
+
+    Asserts that every thread finished without raising and returns the
+    ``n`` results in thread order.
+    """
+    results, errors = [None] * n, []
+
+    def worker(i):
+        try:
+            results[i] = fn(i)
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(n)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=timeout)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    return results

@@ -1,8 +1,5 @@
 """Certification engine against hand-derived scalar closed forms."""
 
-import sys
-import threading
-
 import numpy as np
 import pytest
 
@@ -12,6 +9,7 @@ from loopcert.certify import (
     Quadruplet,
     algorithm1,
     baseline_certify,
+    baseline_frontier,
     check_lemma1,
     check_theorem1,
     constructive_quadruplet,
@@ -24,6 +22,7 @@ from conftest import (
     linear_policy,
     random_relu_net,
     random_stable_plant,
+    run_in_threads,
     scalar_plant,
     valid_small_gains,
 )
@@ -235,32 +234,18 @@ class TestMapsCache:
         gains = [np.array([[-0.1 * (i + 1)]]) for i in range(5)]
         expected = [linsys.close_loop(plant, k) for k in gains]
         cache = certify._MapsCache(maxsize=2)
-        errors, mismatches = [], []
 
-        def worker(offset):
-            try:
-                for i in range(100):
-                    j = (i + offset) % len(gains)
-                    maps = cache.get(plant, gains[j], linsys.DEFAULT_EPS_TRUNC)
-                    if not (np.array_equal(maps.a_cl, expected[j].a_cl)
-                            and np.array_equal(maps.abs_stack, expected[j].abs_stack)):
-                        mismatches.append(j)
-            except Exception as exc:
-                errors.append(exc)
+        def mismatches(offset):
+            bad = []
+            for i in range(100):
+                j = (i + offset) % len(gains)
+                maps = cache.get(plant, gains[j], linsys.DEFAULT_EPS_TRUNC)
+                if not (np.array_equal(maps.a_cl, expected[j].a_cl)
+                        and np.array_equal(maps.abs_stack, expected[j].abs_stack)):
+                    bad.append(j)
+            return bad
 
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert errors == []
-        assert mismatches == []
+        assert run_in_threads(mismatches, timeout=120) == [[]] * 4
         assert len(cache._store) <= 2
 
 
@@ -287,27 +272,7 @@ class TestFrontier:
         expected = run_all()
         assert all(w > 0 for points in expected for _, w in points)
         monkeypatch.setattr(certify, "_maps_cache", certify._MapsCache(maxsize=4))
-        results, errors = [None] * 4, []
-
-        def worker(i):
-            try:
-                results[i] = run_all()
-            except Exception as exc:
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=300)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert errors == []
-        assert results == [expected] * 4
+        assert run_in_threads(lambda i: run_all()) == [expected] * 4
 
     def test_zero_limit(self):
         points = frontier(scalar_plant(), linear_policy(-0.2),
@@ -350,6 +315,110 @@ class TestBaseline:
         obj = result.to_dict()
         assert "not a certificate" in obj["note"]
         assert obj["gamma_pi_sampled"] == 0.2
+
+
+def fresh_draw_gain(net, k0, radius, n_samples, seed, quantization=None):
+    """The sampled gain from fresh ``uniform`` draws and fresh arrays: the reference
+    that the shared unit sample and the row buffers must match bit for bit."""
+    radius = np.broadcast_to(np.asarray(radius, dtype=float), (net.input_dim,))
+    ys = np.random.default_rng(seed).uniform(-radius, radius, size=(n_samples, net.input_dim))
+    outs = ys
+    for layer in net.layers:
+        outs = outs @ layer.weight.T + layer.bias
+        if layer.activation == "relu":
+            outs = np.maximum(outs, 0.0)
+    if quantization is not None:
+        outs = quantization.apply(outs)
+    residual = outs - ys @ np.asarray(k0, dtype=float).T
+    norms_y = np.max(np.abs(ys), axis=1)
+    keep = norms_y > 0
+    if not np.any(keep):
+        return 0.0
+    return float(np.max(np.max(np.abs(residual[keep]), axis=1) / norms_y[keep]))
+
+
+def same_bits(a, b) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+class TestBaselineBuffers:
+    def test_sampled_gain_matches_fresh_draws(self):
+        for seed in range(40):
+            rng = np.random.default_rng(300 + seed)
+            net = random_relu_net(rng)
+            k0 = rng.normal(size=(net.output_dim, net.input_dim))
+            quant = neural.QuantizationSpec(0.05) if seed % 3 == 0 else None
+            n_samples = 4096 if seed % 5 == 0 else 257
+            radii = (0.3, rng.uniform(0.1, 2.0, size=net.input_dim), 1e-9, 0.0)
+            for radius in radii:
+                got = sampled_linf_gain(net, k0, radius, n_samples, seed, quant)
+                want = fresh_draw_gain(net, k0, radius, n_samples, seed, quant)
+                assert same_bits(got, want), (seed, radius)
+
+    def test_baseline_certify_matches_fresh_draws(self, monkeypatch):
+        cases = []
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            plant = random_stable_plant(rng, with_uncertainty=False)
+            net = random_relu_net(rng, d_in=plant.r, d_out=plant.m)
+            quant = neural.QuantizationSpec(0.01) if seed % 3 == 0 else None
+            for w in (0.01, 0.1, 1.0):
+                cases.append((plant, net, quant, w, seed))
+
+        def run(plant, net, quant, w, seed):
+            result, quad = baseline_certify(plant, net, w_inf=w, quantization=quant,
+                                            n_samples=300, seed=seed, check_limits=False)
+            arrays = () if quad is None else (quad.y_bar, quad.u_bar, quad.x_bar)
+            return repr(result), tuple(a.tobytes() for a in arrays)
+
+        got = [run(*case) for case in cases]
+        regions = []
+
+        def fresh_sampler(net, k0, n_samples, seed, quantization):
+            regions.append(0)
+
+            def gain(radius):
+                regions[-1] += 1
+                return fresh_draw_gain(net, k0, radius, n_samples, seed, quantization)
+            return gain
+
+        monkeypatch.setattr(certify, "_gain_sampler", fresh_sampler)
+        assert got == [run(*case) for case in cases]
+        # the shared sample and buffers served several regions of one call
+        assert max(regions) >= 3
+        assert sum("certified=True" in text for text, _ in got) >= 10
+
+    @pytest.mark.parametrize("n_samples", [0, -5])
+    def test_no_samples_rejected(self, n_samples):
+        net = linear_policy(0.3)
+        with pytest.raises(ValueError, match="n_samples"):
+            sampled_linf_gain(net, np.zeros((1, 1)), 1.0, n_samples)
+        with pytest.raises(ValueError, match="n_samples"):
+            baseline_certify(scalar_plant(w_inf=0.05), net, n_samples=n_samples)
+
+    @pytest.mark.parametrize("radius", [-1.0, np.inf, np.nan])
+    def test_bad_radius_rejected(self, radius):
+        with pytest.raises(ValueError, match="radius"):
+            sampled_linf_gain(linear_policy(0.3), np.zeros((1, 1)), radius, 16)
+
+    def test_concurrent_baseline_frontiers_match_sequential(self, monkeypatch):
+        # the buffers are per call, so threads sampling at once cannot mix them;
+        # random seeds 23 and 49 are corpus loops the baseline certifies
+        cases = [(scalar_plant(), linear_policy(-0.2), [0.5, 1.0, 2.0])]
+        for seed in (23, 49):
+            rng = np.random.default_rng(seed)
+            plant = random_stable_plant(rng, with_uncertainty=False)
+            cases.append((plant, random_relu_net(rng, d_in=plant.r, d_out=plant.m),
+                          [1.0, 2.0, 4.0]))
+
+        def run_all():
+            return [baseline_frontier(p, net, x_lim_values=limits, tol=1e-3, n_samples=1024)
+                    for p, net, limits in cases]
+
+        monkeypatch.setattr(certify, "_maps_cache", certify._MapsCache())
+        expected = run_all()
+        assert all(w > 0 for points in expected for _, w in points)
+        assert run_in_threads(lambda i: run_all()) == [expected] * 4
 
 
 class TestPolicyBoundsPath:

@@ -69,6 +69,20 @@ class TestBaseline:
                      "--x-lim", "1e-6", "--out", str(tmp_path / "b.json")])
         assert code == EXIT_NEGATIVE
 
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_no_samples_is_an_error(self, scalar_files, tmp_path, samples):
+        # no samples cannot certify anything, and used to report certified
+        plant_path, policy_path = scalar_files
+        out = tmp_path / "b.json"
+        code = main(["baseline", "--plant", plant_path, "--policy", policy_path,
+                     "--samples", samples, "--out", str(out)])
+        assert code == EXIT_ERROR
+        assert not out.exists()
+        code = main(["frontier", "--plant", plant_path, "--policy", policy_path,
+                     "--x-lim-list", "0.5", "--target-state", "0", "--with-baseline",
+                     "--samples", samples, "--out", str(tmp_path / "f.csv")])
+        assert code == EXIT_ERROR
+
 
 class TestFrontier:
     def test_scalar_line(self, scalar_files, tmp_path):

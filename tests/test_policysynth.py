@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 
 from loopcert import linsys, neural
-from loopcert.policysynth import CloneConfig, LqrSpec, NoConvergence, behavior_clone, dare_solve
+from loopcert.policysynth import (
+    CloneConfig,
+    LqrSpec,
+    NoConvergence,
+    _init_params,
+    behavior_clone,
+    dare_solve,
+)
+
+from conftest import run_in_threads
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -75,3 +84,97 @@ class TestBehaviorClone:
         assert np.max(rel_err) < 0.20
         rho = linsys.spectral_radius(cartpole.a + cartpole.b @ jac @ cartpole.c)
         assert rho < 1.0
+
+
+def _plain_forward(weights, biases, z):
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        z = z @ w.T + b
+        if i < len(weights) - 1:
+            z = np.maximum(z, 0.0)
+    return z
+
+
+def reference_clone(k, config):
+    """Behavior cloning on fresh arrays every step: the loop buffers must not change a bit."""
+    k = np.asarray(k, dtype=float)
+    m, n = k.shape
+    rng = np.random.default_rng(config.seed)
+    radius = np.broadcast_to(np.asarray(config.box_radius, dtype=float), (n,))
+    inputs = rng.uniform(-radius, radius, size=(config.n_samples, n))
+    raw_targets = inputs @ (-k.T)
+    scale_out = np.maximum(np.sqrt(np.mean(raw_targets**2, axis=0)), 1e-12)
+    targets = raw_targets / scale_out
+    weights, biases = _init_params([n, *config.hidden, m], rng)
+    vel_w = [np.zeros_like(w) for w in weights]
+    vel_b = [np.zeros_like(b) for b in biases]
+    n_layers = len(weights)
+    scale = 1.0 / (config.n_samples * m)
+    for _ in range(config.steps):
+        acts = [inputs]
+        pres = []
+        z = inputs
+        for i in range(n_layers):
+            pre = z @ weights[i].T + biases[i]
+            pres.append(pre)
+            z = np.maximum(pre, 0.0) if i < n_layers - 1 else pre
+            acts.append(z)
+        grad = 2.0 * scale * (z - targets)
+        for i in range(n_layers - 1, -1, -1):
+            if i < n_layers - 1:
+                grad = grad * (pres[i] > 0.0)
+            g_w = grad.T @ acts[i]
+            g_b = grad.sum(axis=0)
+            vel_w[i] = config.momentum * vel_w[i] - config.learning_rate * g_w
+            vel_b[i] = config.momentum * vel_b[i] - config.learning_rate * g_b
+            if i > 0:
+                grad = grad @ weights[i]
+            weights[i] = weights[i] + vel_w[i]
+            biases[i] = biases[i] + vel_b[i]
+    weights[-1] = weights[-1] * scale_out[:, None]
+    biases[-1] = biases[-1] * scale_out
+    biases[-1] = biases[-1] - _plain_forward(weights, biases, np.zeros(n))
+    mse = float(np.mean((_plain_forward(weights, biases, inputs) - raw_targets) ** 2))
+    return weights, biases, mse
+
+
+def assert_same_clone(result, weights, biases, mse):
+    assert len(result.net.layers) == len(weights)
+    for layer, w, b in zip(result.net.layers, weights, biases):
+        assert layer.weight.tobytes() == w.tobytes()
+        assert layer.bias.tobytes() == b.tobytes()
+    assert np.float64(result.mse).tobytes() == np.float64(mse).tobytes()
+
+
+class TestCloneBuffers:
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("hidden", [(3,), (8, 8), (16, 16, 16)])
+    def test_bit_identical_to_fresh_arrays(self, m, hidden):
+        for seed in (0, 4, 9):
+            k = np.random.default_rng(50 + seed).normal(size=(m, 3))
+            config = CloneConfig(hidden=hidden, box_radius=(1.0, 0.5, 2.0),
+                                 n_samples=300 + 37 * seed, steps=40, seed=seed)
+            assert_same_clone(behavior_clone(k, config), *reference_clone(k, config))
+
+    def test_bit_identical_at_reference_rows(self):
+        # 4000 rows as in the reference clone, where the products are row-blocked
+        k = np.array([[-1.0, -2.0, 30.0, 5.0]])
+        config = CloneConfig(hidden=(16, 16, 16), box_radius=(1.0, 1.0, 0.25, 0.6),
+                             n_samples=4000, steps=8, seed=7)
+        assert_same_clone(behavior_clone(k, config), *reference_clone(k, config))
+
+    def test_concurrent_clones_match_sequential(self):
+        # the buffers are per call, so threads cloning at once cannot mix them
+        cases = [(np.array([[0.6, -0.4]]), CloneConfig(hidden=(8, 8), n_samples=500,
+                                                        steps=60, seed=s)) for s in range(3)]
+        cases.append((np.array([[1.0, 0.5], [-0.3, 0.2]]),
+                      CloneConfig(hidden=(16, 16, 16), n_samples=700, steps=60, seed=3)))
+
+        def run_all():
+            return [behavior_clone(k, config) for k, config in cases]
+
+        def flat(results):
+            return [(tuple(layer.weight.tobytes() + layer.bias.tobytes()
+                           for layer in r.net.layers), r.mse) for r in results]
+
+        expected = flat(run_all())
+        assert run_in_threads(lambda i: flat(run_all())) == [expected] * 4
