@@ -346,6 +346,9 @@ def violation_level(plant, net: ReluNetwork, maps: ClosedLoopMaps, target: int,
         mid = (lo + hi) / 2.0
         if mid not in violates:
             run([v for v in _midpoints(lo, hi, tol, _TREE_DEPTH) if v not in violates])
+        # no float left strictly inside the bracket: mid is lo or hi itself
+        if mid == (hi if violates[mid] else lo):
+            break
         if violates[mid]:
             hi = mid
         else:

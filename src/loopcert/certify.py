@@ -326,38 +326,37 @@ def _pick_gain(plant: StateSpacePlant, net: ReluNetwork, lb: LinearBounds | None
     candidates.append(np.zeros((plant.m, plant.r)))
     for k in candidates:
         try:
-            return k, _maps_cache.get(plant, k, eps_trunc)
+            return k, _closed_loop(plant, k, eps_trunc)
         except NotSchurStable:
             pass
     raise NoStabilizingGain("no stabilizing candidate gain (midpoint, Jacobian, default)")
 
 
-class _MapsCache:
-    """Content-addressed, thread-safe cache of closed-loop maps (plant, gain, eps)."""
-
-    def __init__(self, maxsize: int = 64):
-        self.maxsize = maxsize
-        self._store: dict = {}
-        self._lock = threading.Lock()
-
-    @staticmethod
-    def _plant_key(plant: StateSpacePlant) -> bytes:
-        parts = [plant.a, plant.b, plant.b_w, plant.b_delta, plant.c, plant.d_w,
-                 plant.c_alpha, plant.d_alpha_u, plant.d_alpha_w]
-        return b"".join(np.ascontiguousarray(p).tobytes() for p in parts)
-
-    def get(self, plant: StateSpacePlant, k: np.ndarray, eps_trunc: float) -> ClosedLoopMaps:
-        key = (self._plant_key(plant), np.ascontiguousarray(k).tobytes(), eps_trunc)
-        with self._lock:
-            maps = self._store.get(key)
-            if maps is None:
-                if len(self._store) >= self.maxsize:
-                    self._store.pop(next(iter(self._store)))
-                maps = self._store[key] = close_loop(plant, k, eps_trunc)
-            return maps
+# Content-addressed memo of the closed-loop maps, evicting the oldest entry
+# first: an LRU of the same size held more maps at peak on the learned plant.
+_CLOSURES_MAX = 64
+_closures: dict = {}
+_closures_lock = threading.Lock()
 
 
-_maps_cache = _MapsCache()
+def _loop_key(plant: StateSpacePlant, k: np.ndarray, eps_trunc: float) -> tuple:
+    """The bytes of the plant's matrices and the gain, and ``eps_trunc``."""
+    parts = [plant.a, plant.b, plant.b_w, plant.b_delta, plant.c, plant.d_w,
+             plant.c_alpha, plant.d_alpha_u, plant.d_alpha_w, k]
+    return tuple(np.ascontiguousarray(p).tobytes() for p in parts) + (eps_trunc,)
+
+
+def _closed_loop(plant: StateSpacePlant, k: np.ndarray, eps_trunc: float) -> ClosedLoopMaps:
+    """:func:`close_loop` through the memo; the lock keeps its check-then-insert
+    and its eviction whole when threads share it."""
+    key = _loop_key(plant, k, eps_trunc)
+    with _closures_lock:
+        maps = _closures.get(key)
+        if maps is None:
+            if len(_closures) >= _CLOSURES_MAX:
+                _closures.pop(next(iter(_closures)))
+            maps = _closures[key] = close_loop(plant, k, eps_trunc)
+        return maps
 
 
 def _certified_policy_bounds(net: ReluNetwork, box: Box | None, lb: LinearBounds | None,

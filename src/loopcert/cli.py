@@ -6,11 +6,18 @@ train-policy, lqr.  Exit codes: 0 on success (or a positive certificate),
 violated), 1 on usage or file errors, so shell pipelines can distinguish
 falsification from failure.
 
-All randomness is driven by ``--seed`` and every float is written with 17
-significant digits, so identical invocations produce byte-identical outputs.
-Plant and policy JSON files always store radians; ``--degrees`` converts the
-scalar angle-valued options (attack level, state limits) and the matching
-output columns at the terminal, never the files.
+Each command takes only the flags it reads.  ``--seed`` drives the
+randomness of baseline, frontier, simulate, learn and train-policy, and
+every float is written with 17 significant digits, so identical invocations
+produce byte-identical outputs.  ``--eps-trunc`` (the impulse-response
+truncation) belongs to the commands that close the loop: certify, baseline,
+frontier and attack.  attack and simulate write files and require
+``--out PATH``; the other commands print to stdout without ``--out``.
+
+Plant and policy JSON files always store radians; ``--degrees`` (on certify,
+baseline, frontier, attack and simulate) converts the scalar angle-valued
+options (attack level, state limits) and the matching output columns at the
+terminal, never the files.
 """
 
 from __future__ import annotations
@@ -42,86 +49,82 @@ def _fmt(value: float) -> str:
     return f"{float(value):.17g}"
 
 
-def _write_json(path, obj) -> None:
-    text = json.dumps(obj, indent=1)
+def _write_text(path, text: str) -> None:
     if path in (None, "-"):
-        print(text)
+        print(text, end="")
     else:
         with open(path, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
+
+
+def _write_json(path, obj) -> None:
+    _write_text(path, json.dumps(obj, indent=1) + "\n")
+
+
+def _read(kind: str, load, spec: str):
+    """``load(spec)``, with a missing or malformed ``kind`` file as a CliError."""
+    try:
+        return load(spec)
+    except FileNotFoundError as exc:
+        raise CliError(f"{kind} file not found: {spec}") from exc
+    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+        raise CliError(f"cannot parse {kind} file {spec}: {exc}") from exc
 
 
 def _load_plant(spec: str):
     """Plant from a JSON path or the built-in name ``cartpole``."""
     if spec == "cartpole":
         return cartpole_linearized(), None
-    try:
-        return linsys.load_plant(spec)
-    except FileNotFoundError as exc:
-        raise CliError(f"plant file not found: {spec}") from exc
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
-        raise CliError(f"cannot parse plant file {spec}: {exc}") from exc
+    return _read("plant", linsys.load_plant, spec)
 
 
-def _load_policy(spec: str):
-    try:
-        return neural.load_policy(spec)
-    except FileNotFoundError as exc:
-        raise CliError(f"policy file not found: {spec}") from exc
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
-        raise CliError(f"cannot parse policy file {spec}: {exc}") from exc
-
-
-def _load_gain(spec: str | None):
-    if spec is None:
-        return None
-    try:
-        with open(spec) as fh:
-            obj = json.load(fh)
-    except FileNotFoundError as exc:
-        raise CliError(f"gain file not found: {spec}") from exc
-    except json.JSONDecodeError as exc:
-        raise CliError(f"cannot parse gain file {spec}: {exc}") from exc
+def _gain_from_file(path) -> np.ndarray:
+    with open(path) as fh:
+        obj = json.load(fh)
     key = "Kd" if "Kd" in obj else "K"
     if key not in obj:
-        raise CliError(f"gain file {spec} has neither 'Kd' nor 'K'")
+        raise ValueError("it has neither 'Kd' nor 'K'")
     return linsys.matrix_from_dict(obj[key], key)
 
 
 def _angle_scale(args) -> float:
     """Multiplier turning user-facing angle units into radians."""
-    return math.pi / 180.0 if getattr(args, "degrees", False) else 1.0
+    return math.pi / 180.0 if args.degrees else 1.0
 
 
-def _apply_limits(plant, args, scale: float):
-    if args.x_lim is not None:
-        plant = certify.with_state_limit(plant, args.target_state, args.x_lim * scale)
-    if args.w_inf is not None:
-        plant = replace(plant, w_inf=args.w_inf * scale)
-    return plant
+def _loop(args, x_lim: float | None = None, w_inf: float | None = None):
+    """``(plant, net, scale, lib)``: the inputs of a loop-closing command.
+
+    The plant carries ``x_lim`` (on ``--target-state``, every state when
+    None) and ``w_inf`` when given, both in user angle units; ``scale`` turns
+    those units into radians.  ``lib`` holds the keyword arguments every
+    certify call shares: the ``--kd`` gain, the plant's Gamma_Delta, the
+    policy's quantization and ``--eps-trunc``.
+    """
+    plant, gamma = _load_plant(args.plant)
+    net, quant = _read("policy", neural.load_policy, args.policy)
+    scale = _angle_scale(args)
+    if x_lim is not None:
+        plant = certify.with_state_limit(plant, args.target_state, x_lim * scale)
+    if w_inf is not None:
+        plant = replace(plant, w_inf=w_inf * scale)
+    k_d = None if args.kd is None else _read("gain", _gain_from_file, args.kd)
+    lib = dict(k_d=k_d, gamma_delta=gamma, quantization=quant,
+               eps_trunc=args.eps_trunc)
+    return plant, net, scale, lib
 
 
 def cmd_certify(args) -> int:
-    plant, gamma = _load_plant(args.plant)
-    net, quant = _load_policy(args.policy)
-    scale = _angle_scale(args)
-    plant = _apply_limits(plant, args, scale)
-    k_d = _load_gain(args.kd)
-    result = certify.algorithm1(plant, net, k_d, gamma, quantization=quant,
-                                eps_trunc=args.eps_trunc)
+    plant, net, _, lib = _loop(args, args.x_lim, args.w_inf)
+    result = certify.algorithm1(plant, net, **lib)
     _write_json(args.out, result.to_dict())
     return EXIT_OK if result.success else EXIT_NEGATIVE
 
 
 def cmd_baseline(args) -> int:
-    plant, gamma = _load_plant(args.plant)
-    net, quant = _load_policy(args.policy)
-    scale = _angle_scale(args)
-    plant = _apply_limits(plant, args, scale)
-    k_d = _load_gain(args.kd)
-    result, quad = certify.baseline_certify(plant, net, k_d, gamma, quantization=quant,
-                                            n_samples=args.samples, seed=args.seed,
-                                            eps_trunc=args.eps_trunc)
+    plant, net, _, lib = _loop(args, args.x_lim, args.w_inf)
+    result, quad = certify.baseline_certify(plant, net, **lib, n_samples=args.samples,
+                                            seed=args.seed)
     obj = result.to_dict()
     if quad is not None and quad.x_bar is not None:
         obj["x_bar"] = [float(v) for v in quad.x_bar]
@@ -130,66 +133,48 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_frontier(args) -> int:
-    plant, gamma = _load_plant(args.plant)
-    net, quant = _load_policy(args.policy)
-    scale = _angle_scale(args)
-    k_d = _load_gain(args.kd)
+    plant, net, scale, lib = _loop(args)
     try:
-        x_values = [float(v) * scale for v in args.x_lim_list.split(",")]
+        limits = [float(v) * scale for v in args.x_lim_list.split(",")]
     except ValueError as exc:
         raise CliError(f"bad --x-lim-list: {exc}") from exc
 
+    def attack_level(value: float) -> float:
+        limited = certify.with_state_limit(plant, args.target_state, value)
+        try:
+            _, maps = certify.extract_loop(limited, net, None, lib["k_d"], args.eps_trunc)
+        except certify.NoStabilizingGain:
+            return math.inf
+        target = args.target_state if args.target_state is not None else 0
+        return attack_mod.violation_level(limited, net, maps, target, args.horizon, value,
+                                          quantization=lib["quantization"])
+
+    sweep = dict(lib, x_lim_values=limits, tol=args.tol, target_state=args.target_state)
+    certified = [w for _, w in certify.frontier(plant, net, **sweep)]
+    baseline = attacked = [math.nan] * len(limits)  # nan and inf are written as empty cells
+    if args.with_baseline:
+        baseline = [w for _, w in certify.baseline_frontier(plant, net, **sweep,
+                                                            n_samples=args.samples,
+                                                            seed=args.seed)]
+    if args.with_attack:
+        attacked = [attack_level(v) for v in limits]
     unit = "degrees" if args.degrees else "radians"
     lines = [f"# angle unit: {unit}", "x_lim,w_certified,w_baseline,w_attack"]
-    for value in x_values:
-        certified = certify.frontier(plant, net, k_d, gamma, x_lim_values=[value],
-                                     tol=args.tol, target_state=args.target_state,
-                                     quantization=quant, eps_trunc=args.eps_trunc)[0][1]
-        base = ""
-        if args.with_baseline:
-            base = certify.baseline_frontier(plant, net, k_d, gamma, x_lim_values=[value],
-                                             tol=args.tol, target_state=args.target_state,
-                                             quantization=quant, n_samples=args.samples,
-                                             seed=args.seed, eps_trunc=args.eps_trunc)[0][1]
-        atk = ""
-        if args.with_attack:
-            target = args.target_state if args.target_state is not None else 0
-            limited = certify.with_state_limit(plant, args.target_state, value)
-            try:
-                _, maps = certify.extract_loop(limited, net, None, k_d, args.eps_trunc)
-                atk = attack_mod.violation_level(limited, net, maps, target,
-                                                 args.horizon, value,
-                                                 quantization=quant)
-            except certify.NoStabilizingGain:
-                atk = math.inf
-        cells = [_fmt(value / scale), _fmt(certified / scale)]
-        cells.append(_fmt(base / scale) if base != "" else "")
-        cells.append(_fmt(atk / scale) if atk != "" and math.isfinite(atk) else "")
-        lines.append(",".join(cells))
-    text = "\n".join(lines) + "\n"
-    if args.out in (None, "-"):
-        print(text, end="")
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+    lines += [",".join(_fmt(v / scale) if math.isfinite(v) else "" for v in row)
+              for row in zip(limits, certified, baseline, attacked)]
+    _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
 def cmd_attack(args) -> int:
-    plant, _ = _load_plant(args.plant)
-    net, _ = _load_policy(args.policy)
-    scale = _angle_scale(args)
-    k_d = _load_gain(args.kd)
+    plant, net, _, lib = _loop(args, w_inf=args.w_inf)
     try:
-        _, maps = certify.extract_loop(plant, net, None, k_d, args.eps_trunc)
+        _, maps = certify.extract_loop(plant, net, None, lib["k_d"], args.eps_trunc)
     except certify.NoStabilizingGain:
         print("no stabilizing gain; cannot build closed-loop maps", file=sys.stderr)
         return EXIT_NEGATIVE
-    w_inf = (args.w_inf if args.w_inf is not None else plant.w_inf) * scale
-    plan = attack_mod.design_attack(maps, args.target, args.horizon, w_inf)
-    if args.out in (None, "-"):
-        raise CliError("attack requires --out PATH for the plan file")
-    attack_mod.save_plan(args.out, plan)
+    attack_mod.save_plan(args.out, attack_mod.design_attack(maps, args.target, args.horizon,
+                                                            plant.w_inf))
     return EXIT_OK
 
 
@@ -198,12 +183,11 @@ def cmd_simulate(args) -> int:
         plant = cartpole_nonlinear()
     else:
         plant, _ = _load_plant(args.plant)
-    net, quant = _load_policy(args.policy)
-    scale = _angle_scale(args)
+    net, quant = _read("policy", neural.load_policy, args.policy)
     if args.plan is not None:
         w = attack_mod.load_plan(args.plan)
     elif args.random:
-        w_inf = (args.w_inf if args.w_inf is not None else 0.0) * scale
+        w_inf = (args.w_inf if args.w_inf is not None else 0.0) * _angle_scale(args)
         rng = np.random.default_rng(args.seed)
         p = plant.d_w.shape[1]
         w = rng.uniform(-w_inf, w_inf, size=(args.steps, p))
@@ -219,11 +203,8 @@ def cmd_simulate(args) -> int:
         trace = attack_mod.simulate(plant, net, w, args.steps, x0=x0, quantization=quant)
     except attack_mod.DivergedAt as exc:
         print(f"simulation diverged at step {exc.step}", file=sys.stderr)
-        if args.out not in (None, "-"):
-            attack_mod.save_trace(args.out, exc.trace, "diverged; partial trace, radians")
+        attack_mod.save_trace(args.out, exc.trace, "diverged; partial trace, radians")
         return EXIT_NEGATIVE
-    if args.out in (None, "-"):
-        raise CliError("simulate requires --out PATH for the trace CSV")
     attack_mod.save_trace(args.out, trace, "units: radians")
     return EXIT_OK
 
@@ -242,10 +223,7 @@ def cmd_learn(args) -> int:
         return EXIT_NEGATIVE
     learned = sysid.uncertain_plant(model, c=plant.c, d_w=plant.d_w, b_w=plant.b_w,
                                     w_inf=args.w_inf or 0.0)
-    if args.out in (None, "-"):
-        _write_json(None, linsys.plant_to_dict(learned, model.gamma_delta))
-    else:
-        linsys.save_plant(args.out, learned, model.gamma_delta)
+    _write_json(args.out, linsys.plant_to_dict(learned, model.gamma_delta))
     return EXIT_OK
 
 
@@ -281,10 +259,7 @@ def cmd_train_policy(args) -> int:
         "box_radius": radius if isinstance(radius, float) else list(radius),
         "steps": args.steps, "samples": args.samples, "seed": args.seed,
     }
-    if args.out in (None, "-"):
-        _write_json(None, neural.policy_to_dict(result.net, quant, metadata))
-    else:
-        neural.save_policy(args.out, result.net, quant, metadata)
+    _write_json(args.out, neural.policy_to_dict(result.net, quant, metadata))
     return EXIT_OK
 
 
@@ -304,103 +279,96 @@ def cmd_lqr(args) -> int:
     return EXIT_OK
 
 
+def _file_path(value: str) -> str:
+    if value == "-":
+        raise argparse.ArgumentTypeError("needs a file path, not '-'")
+    return value
+
+
+def _group(*flags) -> argparse.ArgumentParser:
+    """Parent parser holding ``(name, options)`` flags, for ``parents=``."""
+    group = argparse.ArgumentParser(add_help=False)
+    for name, options in flags:
+        group.add_argument(name, **options)
+    return group
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="loopcert",
         description="Certify and attack ReLU policies in discrete-time feedback loops.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, plant=True, policy=True):
-        if plant:
-            p.add_argument("--plant", required=True,
-                           help="plant JSON path or the built-in 'cartpole'")
-        if policy:
-            p.add_argument("--policy", required=True, help="policy JSON path")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--eps-trunc", dest="eps_trunc", type=float, default=None,
-                       help="impulse-response truncation tolerance")
-        p.add_argument("--degrees", action="store_true",
-                       help="angle-valued options and reports in degrees")
+    out = _group(("--out", dict(default=None, help="output path (default: stdout)")))
+    out_file = _group(("--out", dict(required=True, type=_file_path, help="output file path")))
+    seed = _group(("--seed", dict(type=int, default=0)))
+    plant = _group(("--plant", dict(required=True,
+                                    help="plant JSON path or the built-in 'cartpole'")))
+    policy = _group(("--policy", dict(required=True, help="policy JSON path")),
+                    ("--degrees", dict(action="store_true",
+                                       help="angle-valued options and reports in degrees")))
+    # --kd and --eps-trunc go with --plant and --policy wherever the loop is closed
+    loop = [plant, policy, _group(
+        ("--kd", dict(default=None, help="JSON file with a default gain (Kd or K)")),
+        ("--eps-trunc", dict(type=float, default=None,
+                             help="impulse-response truncation tolerance")))]
+    w_inf = _group(("--w-inf", dict(type=float, default=None)))
+    x_lim = _group(("--x-lim", dict(type=float, default=None)))
+    target = _group(("--target-state", dict(type=int, default=None)))
+    horizon = _group(("--horizon", dict(type=int, default=2500)))
+    samples = _group(("--samples", dict(type=int, default=4096)))
+    lqr = _group(("--q-diag", dict(default=None,
+                                   help="comma-separated diagonal of Q (default identity)")),
+                 ("--r", dict(type=float, default=1.0)))
 
-    p = sub.add_parser("certify", help="run the invariant-set certification")
-    common(p)
-    p.add_argument("--kd", default=None, help="JSON file with a default gain (Kd or K)")
-    p.add_argument("--w-inf", dest="w_inf", type=float, default=None)
-    p.add_argument("--x-lim", dest="x_lim", type=float, default=None)
-    p.add_argument("--target-state", dest="target_state", type=int, default=None)
-    p.set_defaults(func=cmd_certify)
+    def command(name, func, summary, parents):
+        p = sub.add_parser(name, help=summary, parents=parents)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("baseline", help="run the sampled small-gain baseline")
-    common(p)
-    p.add_argument("--kd", default=None)
-    p.add_argument("--w-inf", dest="w_inf", type=float, default=None)
-    p.add_argument("--x-lim", dest="x_lim", type=float, default=None)
-    p.add_argument("--target-state", dest="target_state", type=int, default=None)
-    p.add_argument("--samples", type=int, default=4096)
-    p.set_defaults(func=cmd_baseline)
+    command("certify", cmd_certify, "run the invariant-set certification",
+            loop + [w_inf, x_lim, target, out])
+    command("baseline", cmd_baseline, "run the sampled small-gain baseline",
+            loop + [w_inf, x_lim, target, samples, seed, out])
 
-    p = sub.add_parser("frontier", help="attack-level frontier over state limits")
-    common(p)
-    p.add_argument("--kd", default=None)
-    p.add_argument("--x-lim-list", dest="x_lim_list", required=True,
-                   help="comma-separated state limits")
-    p.add_argument("--target-state", dest="target_state", type=int, default=None)
+    p = command("frontier", cmd_frontier, "attack-level frontier over state limits",
+                loop + [target, horizon, samples, seed, out])
+    p.add_argument("--x-lim-list", required=True, help="comma-separated state limits")
     p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--with-baseline", dest="with_baseline", action="store_true")
-    p.add_argument("--with-attack", dest="with_attack", action="store_true")
-    p.add_argument("--horizon", type=int, default=2500)
-    p.add_argument("--samples", type=int, default=4096)
-    p.set_defaults(func=cmd_frontier)
+    p.add_argument("--with-baseline", action="store_true")
+    p.add_argument("--with-attack", action="store_true")
 
-    p = sub.add_parser("attack", help="design a worst-case sign sequence")
-    common(p)
-    p.add_argument("--kd", default=None)
+    p = command("attack", cmd_attack, "design a worst-case sign sequence",
+                loop + [w_inf, horizon, out_file])
     p.add_argument("--target", type=int, required=True, help="state index to excite")
-    p.add_argument("--horizon", type=int, default=2500)
-    p.add_argument("--w-inf", dest="w_inf", type=float, default=None)
-    p.set_defaults(func=cmd_attack)
 
-    p = sub.add_parser("simulate", help="closed-loop simulation to a trace CSV")
-    common(p)
+    p = command("simulate", cmd_simulate, "closed-loop simulation to a trace CSV",
+                [plant, policy, w_inf, seed, out_file])
     p.add_argument("--plan", default=None, help="attack plan JSON")
     p.add_argument("--random", action="store_true", help="random perturbation")
-    p.add_argument("--w-inf", dest="w_inf", type=float, default=None)
     p.add_argument("--steps", type=int, default=1000)
     p.add_argument("--x0", default=None, help="comma-separated initial state")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("learn", help="identify a cart-pole model with bootstrap boxes")
-    common(p, plant=False, policy=False)
+    p = command("learn", cmd_learn, "identify a cart-pole model with bootstrap boxes",
+                [w_inf, seed, out])
     p.add_argument("--episodes", type=int, default=100)
-    p.add_argument("--ep-len", dest="ep_len", type=int, default=30)
+    p.add_argument("--ep-len", type=int, default=30)
     p.add_argument("--amplitude", type=float, default=0.5)
-    p.add_argument("--n-boot", dest="n_boot", type=int, default=100)
-    p.add_argument("--w-inf", dest="w_inf", type=float, default=None)
+    p.add_argument("--n-boot", type=int, default=100)
     p.add_argument("--params", default=None, help="JSON overrides for cart-pole constants")
-    p.add_argument("--episodes-out", dest="episodes_out", default=None,
+    p.add_argument("--episodes-out", default=None,
                    help="also write the collected episodes as CSV")
-    p.set_defaults(func=cmd_learn)
 
-    p = sub.add_parser("train-policy", help="behavior-clone an LQR law into a ReLU net")
-    common(p, policy=False)
-    p.add_argument("--q-diag", dest="q_diag", default=None,
-                   help="comma-separated diagonal of Q (default identity)")
-    p.add_argument("--r", type=float, default=1.0)
+    p = command("train-policy", cmd_train_policy, "behavior-clone an LQR law into a ReLU net",
+                [plant, lqr, seed, out])
     p.add_argument("--hidden", default=None, help="comma-separated hidden widths")
     p.add_argument("--radius", default=None, help="sampling box radius (scalar or comma list)")
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--steps", type=int, default=10000)
     p.add_argument("--quantize", type=float, default=None,
                    help="attach an output quantization step to the policy file")
-    p.set_defaults(func=cmd_train_policy)
 
-    p = sub.add_parser("lqr", help="discrete LQR gain and value matrix")
-    common(p, policy=False)
-    p.add_argument("--q-diag", dest="q_diag", default=None)
-    p.add_argument("--r", type=float, default=1.0)
-    p.set_defaults(func=cmd_lqr)
-
+    command("lqr", cmd_lqr, "discrete LQR gain and value matrix", [plant, lqr, out])
     return parser
 
 

@@ -1,5 +1,7 @@
 """Attack synthesis and the simulation harness."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,16 @@ def _trace_or_partial(*args, **kwargs):
         return simulate(*args, **kwargs)
     except DivergedAt as exc:
         return exc.trace
+
+
+def _finishes(fn, timeout=30.0):
+    """``fn()`` run in a daemon thread, failing instead of hanging past ``timeout``."""
+    result = []
+    thread = threading.Thread(target=lambda: result.append(fn()), daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), f"still running after {timeout} s"
+    return result[0]
 
 
 def _assert_row_matches(batch, row, single):
@@ -351,6 +363,27 @@ class TestViolationLevel:
         args = (plant, net, maps, 0, 50, 1e3, 1e-3, None, 5)
         assert attack.violation_level(*args) == np.inf
         assert _sequential_violation_level(*args) == (np.inf, 6)
+
+    def test_bracket_of_adjacent_floats_ends(self, scalar_loop):
+        # tol far below one ulp: the bisection narrows to two adjacent floats,
+        # whose midpoint is one of them, and must stop there
+        plant, net, maps = scalar_loop
+        level = _finishes(lambda: attack.violation_level(plant, net, maps, 0, 200, 0.5,
+                                                         tol=1e-20, max_doublings=80))
+        assert level == pytest.approx(0.35, rel=1e-9)
+
+    def test_every_positive_amplitude_violating_ends(self):
+        # a deadzone loop: the quantizer holds u = 0 while |x| < 5e-13, so the
+        # open-loop growth 1e12 carries any positive amplitude past x_limit,
+        # while amplitude 0 stays at the origin; the bracket ends at [0, 5e-324]
+        gain = -(1e12 - 0.5)
+        plant = scalar_plant(a=1e12)
+        net = linear_policy(gain)
+        maps = linsys.close_loop(plant, np.array([[gain]]))
+        quant = neural.QuantizationSpec(1.0)
+        level = _finishes(lambda: attack.violation_level(plant, net, maps, 0, 50, 1e-13,
+                                                         quantization=quant))
+        assert level == 5e-324
 
     @pytest.mark.parametrize("tol", [0.0, -1e-3, np.nan])
     def test_rejects_nonpositive_tol(self, scalar_loop, tol):

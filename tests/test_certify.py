@@ -228,25 +228,31 @@ class TestSoundnessProperty:
         assert successes >= 10
 
 
+def _empty_memo(monkeypatch, size=64):
+    """Certify's closed-loop memo, emptied and holding at most ``size`` entries."""
+    monkeypatch.setattr(certify, "_closures", {})
+    monkeypatch.setattr(certify, "_CLOSURES_MAX", size)
+
+
 class TestMapsCache:
-    def test_concurrent_get_matches_close_loop(self):
+    def test_concurrent_get_matches_close_loop(self, monkeypatch):
         plant = scalar_plant()
         gains = [np.array([[-0.1 * (i + 1)]]) for i in range(5)]
         expected = [linsys.close_loop(plant, k) for k in gains]
-        cache = certify._MapsCache(maxsize=2)
+        _empty_memo(monkeypatch, size=2)
 
         def mismatches(offset):
             bad = []
             for i in range(100):
                 j = (i + offset) % len(gains)
-                maps = cache.get(plant, gains[j], linsys.DEFAULT_EPS_TRUNC)
+                maps = certify._closed_loop(plant, gains[j], linsys.DEFAULT_EPS_TRUNC)
                 if not (np.array_equal(maps.a_cl, expected[j].a_cl)
                         and np.array_equal(maps.abs_stack, expected[j].abs_stack)):
                     bad.append(j)
             return bad
 
         assert run_in_threads(mismatches, timeout=120) == [[]] * 4
-        assert len(cache._store) <= 2
+        assert len(certify._closures) <= 2
 
 
 class TestFrontier:
@@ -268,10 +274,10 @@ class TestFrontier:
         def run_all():
             return [frontier(p, net, x_lim_values=limits, tol=1e-3) for p, net, limits in cases]
 
-        monkeypatch.setattr(certify, "_maps_cache", certify._MapsCache())
+        _empty_memo(monkeypatch)
         expected = run_all()
         assert all(w > 0 for points in expected for _, w in points)
-        monkeypatch.setattr(certify, "_maps_cache", certify._MapsCache(maxsize=4))
+        _empty_memo(monkeypatch, size=4)
         assert run_in_threads(lambda i: run_all()) == [expected] * 4
 
     def test_zero_limit(self):
@@ -415,7 +421,7 @@ class TestBaselineBuffers:
             return [baseline_frontier(p, net, x_lim_values=limits, tol=1e-3, n_samples=1024)
                     for p, net, limits in cases]
 
-        monkeypatch.setattr(certify, "_maps_cache", certify._MapsCache())
+        _empty_memo(monkeypatch)
         expected = run_all()
         assert all(w > 0 for points in expected for _, w in points)
         assert run_in_threads(lambda i: run_all()) == [expected] * 4

@@ -100,6 +100,26 @@ class TestFrontier:
             assert float(cells[1]) == pytest.approx(0.7 * x_lim, rel=1e-3)
             assert cells[2] == "" and cells[3] == ""
 
+    def test_columns_equal_per_limit_library_calls(self, scalar_files, tmp_path):
+        plant_path, policy_path = scalar_files
+        out = tmp_path / "front.csv"
+        code = main(["frontier", "--plant", plant_path, "--policy", policy_path,
+                     "--x-lim-list", "0.5,1.0", "--target-state", "0", "--tol", "1e-3",
+                     "--with-baseline", "--with-attack", "--horizon", "200",
+                     "--out", str(out)])
+        assert code == EXIT_OK
+        plant, net = scalar_plant(), linear_policy(-0.2)
+        lines = ["# angle unit: radians", "x_lim,w_certified,w_baseline,w_attack"]
+        for x_lim in (0.5, 1.0):
+            sweep = dict(x_lim_values=[x_lim], tol=1e-3, target_state=0)
+            limited = certify.with_state_limit(plant, 0, x_lim)
+            _, maps = certify.extract_loop(limited, net, None, None)
+            levels = (x_lim, certify.frontier(plant, net, **sweep)[0][1],
+                      certify.baseline_frontier(plant, net, **sweep)[0][1],
+                      attack.violation_level(limited, net, maps, 0, 200, x_lim))
+            lines.append(",".join(f"{v:.17g}" for v in levels))
+        assert out.read_text() == "\n".join(lines) + "\n"
+
     def test_optional_columns(self, scalar_files, tmp_path):
         plant_path, policy_path = scalar_files
         out = tmp_path / "front.csv"
@@ -120,13 +140,12 @@ def closures(monkeypatch):
     real = linsys.close_loop
 
     def spy(plant, k0, eps_trunc=linsys.DEFAULT_EPS_TRUNC):
-        calls.append((certify._MapsCache._plant_key(plant),
-                      np.asarray(k0, dtype=float).tobytes(), eps_trunc))
+        calls.append(certify._loop_key(plant, np.asarray(k0, dtype=float), eps_trunc))
         return real(plant, k0, eps_trunc)
 
     monkeypatch.setattr(linsys, "close_loop", spy)
     monkeypatch.setattr(certify, "close_loop", spy)
-    monkeypatch.setattr(certify, "_maps_cache", certify._MapsCache())
+    monkeypatch.setattr(certify, "_closures", {})
     return calls
 
 
@@ -264,10 +283,55 @@ class TestDegrees:
         b = json.loads(out_rad.read_text())
         np.testing.assert_allclose(a["x_bar"], b["x_bar"], rtol=1e-12)
 
+    def test_attack_keeps_the_plant_amplitude(self, scalar_files, tmp_path):
+        # the plant file's w_inf is in radians already; only --w-inf is converted
+        plant_path, policy_path = scalar_files
+        plan_path = tmp_path / "plan.json"
+        args = ["attack", "--plant", plant_path, "--policy", policy_path, "--target", "0",
+                "--horizon", "40", "--degrees", "--out", str(plan_path)]
+        assert main(args) == EXIT_OK
+        assert attack.load_plan(plan_path).w_inf == 0.1
+        assert main(args + ["--w-inf", "2"]) == EXIT_OK
+        assert attack.load_plan(plan_path).w_inf == 2 * np.pi / 180.0
+
 
 class TestUsage:
     def test_unknown_command(self):
         assert main(["no-such-command"]) == EXIT_ERROR
+
+    @pytest.mark.parametrize("command,flag", [
+        ("certify", ["--seed", "3"]), ("attack", ["--seed", "3"]), ("lqr", ["--seed", "3"]),
+        ("simulate", ["--eps-trunc", "1e-6"]), ("learn", ["--eps-trunc", "1e-6"]),
+        ("train-policy", ["--eps-trunc", "1e-6"]), ("lqr", ["--eps-trunc", "1e-6"]),
+        ("learn", ["--degrees"]), ("train-policy", ["--degrees"]), ("lqr", ["--degrees"]),
+    ])
+    def test_flags_a_command_does_not_read_are_rejected(self, scalar_files, tmp_path,
+                                                         command, flag):
+        plant_path, policy_path = scalar_files
+        loop = ["--plant", plant_path, "--policy", policy_path]
+        argv = {
+            "certify": loop,
+            "attack": loop + ["--target", "0", "--horizon", "40"],
+            "simulate": loop + ["--steps", "5"],
+            "learn": ["--episodes", "4", "--ep-len", "6"],
+            "train-policy": ["--plant", "cartpole", "--hidden", "4", "--steps", "5",
+                             "--samples", "20"],
+            "lqr": ["--plant", "cartpole"],
+        }[command]
+        out = tmp_path / "out"
+        assert main([command, *argv, *flag, "--out", str(out)]) == EXIT_ERROR
+        assert not out.exists()
+        assert main([command, *argv, "--out", str(out)]) == EXIT_OK
+
+    @pytest.mark.parametrize("out", [[], ["--out", "-"]])
+    def test_simulate_requires_out_before_running(self, scalar_files, monkeypatch, out):
+        plant_path, policy_path = scalar_files
+        calls = []
+        monkeypatch.setattr(attack, "simulate", lambda *args, **kwargs: calls.append(args))
+        code = main(["simulate", "--plant", plant_path, "--policy", policy_path,
+                     "--steps", "10", *out])
+        assert code == EXIT_ERROR
+        assert calls == []
 
     def test_attack_requires_out(self, scalar_files):
         plant_path, policy_path = scalar_files
