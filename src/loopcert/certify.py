@@ -618,6 +618,8 @@ def baseline_certify(plant: StateSpacePlant, net: ReluNetwork,
     The unit sample is drawn once per call and rescaled to each region, and
     the policy is evaluated into row buffers held for the whole region loop;
     every region's gain is bit-identical to :func:`sampled_linf_gain` there.
+    When ``beta1 >= 1`` no region can certify, and only the region the scan
+    would end on is sampled.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
@@ -635,6 +637,15 @@ def baseline_certify(plant: StateSpacePlant, net: ReluNetwork,
     # policy offset at the origin dominates) and on huge ones (saturation),
     # so scan upward and keep the first region that closes all conditions.
     y_inf = max(maps.l1("yw") * w_amp, 1e-9)
+    if max_region_iter > 0 and gamma * maps.l1("alpha_delta") >= 1.0:
+        # beta1 (the expression check_lemma1 computes) depends on no region,
+        # so none certifies and the scan only doubles the region: sample just
+        # the one it would end on, whose gain the result reports
+        for _ in range(max_region_iter - 1):
+            if y_inf * 2.0 > 1e9:
+                break
+            y_inf *= 2.0
+        max_region_iter = 1
     result = BaselineResult(np.inf, np.inf, False, np.inf)
     certified_result = None
     sampled_gain = _gain_sampler(net, k0, n_samples, seed, quantization)

@@ -23,6 +23,7 @@ terminal, never the files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -140,14 +141,17 @@ def cmd_frontier(args) -> int:
         raise CliError(f"bad --x-lim-list: {exc}") from exc
 
     def attack_level(value: float) -> float:
+        # the smallest level that breaks the limit on the target state, or on
+        # any state when the limit is on all of them
         limited = certify.with_state_limit(plant, args.target_state, value)
         try:
             _, maps = certify.extract_loop(limited, net, None, lib["k_d"], args.eps_trunc)
         except certify.NoStabilizingGain:
             return math.inf
-        target = args.target_state if args.target_state is not None else 0
-        return attack_mod.violation_level(limited, net, maps, target, args.horizon, value,
-                                          quantization=lib["quantization"])
+        targets = range(plant.n) if args.target_state is None else [args.target_state]
+        return min(attack_mod.violation_level(limited, net, maps, target, args.horizon, value,
+                                              quantization=lib["quantization"])
+                   for target in targets)
 
     sweep = dict(lib, x_lim_values=limits, tol=args.tol, target_state=args.target_state)
     certified = [w for _, w in certify.frontier(plant, net, **sweep)]
@@ -372,10 +376,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` reads, built on its first call; parsing leaves
+    it unchanged, so every later call and thread shares it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
     try:

@@ -53,7 +53,8 @@ DEFAULT_EPS_TRUNC = 1e-9
 
 _MAX_TRUNC_TERMS = 2_000_000
 
-# Steps whose tail bounds the impulse-response march takes in one call.
+# Chunks of 8 terms that the impulse-response march advances per batched
+# product: the length of its stack of powers of A^8.
 _GROUP = 32
 
 # Cap on the doubling steps of the Stein solve in _contraction; step k sums
@@ -193,10 +194,19 @@ def impulse_response(a, bc, cc, dc, eps_trunc: float = DEFAULT_EPS_TRUNC) -> Tru
     a scalar A and loosens with the non-normality of A; a loop too
     non-normal for any weight to be found raises ``NotSchurStable``.
 
+    The terms come in chunks of 8, ``Phi[8k + r + 1] = (C A^r) X_k`` with
+    ``X_k = A^(8k) B``, and both ``Z_k`` and ``X_k`` advance a group of
+    ``_GROUP`` chunks per batched product against the stacked powers
+    ``(A^8)^j``.  Their last bits depend on that grouping (by about 1e-14
+    relative against stepping one chunk at a time), so T could move only
+    where a tail bound sits that close to ``eps_trunc``.
+
     Raises
     ------
     NotSchurStable
         If ``rho(A) >= 1 - SCHUR_MARGIN`` or no contracting weight is found.
+    RuntimeError
+        If the bound stays above ``eps_trunc`` past ``_MAX_TRUNC_TERMS`` terms.
     """
     a = _as_matrix(a, "a")
     bc = _as_matrix(bc, "bc")
@@ -215,32 +225,25 @@ def impulse_response(a, bc, cc, dc, eps_trunc: float = DEFAULT_EPS_TRUNC) -> Tru
     w_inv = np.linalg.inv(w)
     wb_max = float(np.max(np.linalg.norm(w @ bc, axis=0), initial=0.0))
 
-    # March in chunks of 8 terms: with CA_r = C A^r precomputed for r < 8,
-    # chunk k holds Phi[8k + r + 1] = CA_r X_k with X_k = (A^8)^k B, and the
-    # march stops at the first k whose tail bound (see the docstring),
-    # Z_k = C (A^8)^k, is at most eps_trunc.  Only the recursions
-    # Z_(k+1) = Z_k A^8 and X_(k+1) = A^8 X_k step in Python; the norms and
-    # tail tests of a group of Z_k are taken in one call (the products past
-    # the stop in the last group are thrown away), and the terms of all
-    # chunks come from one batched matmul written straight into the result.
-    # That matmul runs one (8 out, n) x (n, in) product per chunk, the same
-    # product as a chunk computed alone, so every term keeps its last bit.
-    # Neither a wider product (CA_r times all X_k side by side) nor a longer
-    # chunk is used: the first changes the last bits of the terms, the second
-    # moves the stopping horizon T.
+    # powers[j] = (A^8)^j for j < _GROUP, by doubling: each product fills
+    # the next block from the ones already there
     chunk = 8
-    ca = [cc]
-    for _ in range(chunk - 1):
-        ca.append(ca[-1] @ a)
-    ca_stack = np.vstack(ca)
     a_chunk = np.linalg.matrix_power(a, chunk)
+    powers = np.empty((_GROUP, n, n))
+    powers[0] = np.eye(n)
+    filled = 1
+    while filled < _GROUP:
+        step = min(filled, _GROUP - filled)
+        np.matmul(powers[:step], powers[filled - 1] @ a_chunk, out=powers[filled:filled + step])
+        filled += step
 
-    zs = np.empty((_GROUP, cc.shape[0], n))  # C A^(chunk*k) for a group of k
-    zs[0] = cc
-    chunks = 0
+    # A group starting at Z_k holds Z_(k+j) = Z_k powers[j]; the march stops
+    # at the first k whose tail bound (see the docstring) is at most
+    # eps_trunc, and the products past the stop in the last group are
+    # thrown away
+    z, chunks = cc, 0
     while True:
-        for prev, cur in zip(zs, zs[1:]):
-            np.matmul(prev, a_chunk, out=cur)
+        zs = z @ powers
         # each row norm is reduced on its own, so a group's bounds equal the
         # ones of its chunks computed alone bit for bit
         row_max = np.max(np.linalg.norm(zs @ w_inv, axis=2), axis=1, initial=0.0)
@@ -254,17 +257,27 @@ def impulse_response(a, bc, cc, dc, eps_trunc: float = DEFAULT_EPS_TRUNC) -> Tru
         if below.size:
             tail = float(tails[stop])
             break
-        np.matmul(zs[-1], a_chunk, out=zs[0])
+        z = zs[-1] @ a_chunk
 
+    # X_k = A^(8k) B the same way, a group per product, and then all terms in
+    # one batched product written straight into the result: row block r of
+    # C A^r against X_k, in time order.  Taking the terms as Z_k (A^r B)
+    # instead would need a transposed copy of all of them, which costs more
+    # than the X groups on wide maps.
     out_dim, in_dim = dc.shape
     impulse = np.empty((1 + chunk * chunks, out_dim, in_dim))
     impulse[0] = dc
     if chunks:
-        xs = np.empty((chunks, n, in_dim))  # A^(chunk*k) B
-        xs[0] = bc
-        for prev, cur in zip(xs, xs[1:]):
-            np.matmul(a_chunk, prev, out=cur)
-        np.matmul(ca_stack, xs, out=impulse[1:].reshape(chunks, chunk * out_dim, in_dim))
+        ca = [cc]
+        for _ in range(chunk - 1):
+            ca.append(ca[-1] @ a)
+        xs = np.empty((chunks, n, in_dim))
+        x = bc
+        for start in range(0, chunks, _GROUP):
+            group = xs[start:start + _GROUP]
+            np.matmul(powers[:len(group)], x, out=group)
+            x = a_chunk @ group[-1]
+        np.matmul(np.vstack(ca), xs, out=impulse[1:].reshape(chunks, chunk * out_dim, in_dim))
     # drop exactly-zero trailing terms (they contribute nothing to any sum
     # and the tail bound stays valid); keeps nilpotent responses minimal
     length = impulse.shape[0]

@@ -238,19 +238,18 @@ def _relu_lines(lo: np.ndarray, hi: np.ndarray, adaptive: bool):
     return up_slope, up_icept, lo_slope
 
 
-def _backward_bounds(layers: list[Layer], lines: list) -> LinearBounds:
-    """One backward pass over ``layers`` given per-ReLU envelope lines.
+def _backward_bounds(layers, lines: list, weight: np.ndarray, bias: np.ndarray) -> LinearBounds:
+    """One backward pass of the linear readout ``(weight, bias)`` over ``layers``.
 
     ``lines`` holds one (up_slope, up_icept, lo_slope) triple per ReLU layer
-    among ``layers[:-1]``; the last layer is treated as the linear readout.
+    among ``layers``, which feed the readout.
     """
-    last = layers[-1]
-    k_u = last.weight.copy()
-    b_u = last.bias.copy()
-    k_l = last.weight.copy()
-    b_l = last.bias.copy()
+    k_u = weight.copy()
+    b_u = bias.copy()
+    k_l = weight.copy()
+    b_l = bias.copy()
     relu_idx = len(lines) - 1
-    for layer in reversed(layers[:-1]):
+    for layer in reversed(layers):
         if layer.activation == "relu":
             up_slope, up_icept, lo_slope = lines[relu_idx]
             relu_idx -= 1
@@ -269,23 +268,26 @@ def _backward_bounds(layers: list[Layer], lines: list) -> LinearBounds:
     return LinearBounds(k_l=k_l, b_l=b_l, k_u=k_u, b_u=b_u)
 
 
-def _backward_pre_bounds(net: ReluNetwork, box: Box, adaptive: bool):
-    """Per-layer pre-activation bounds, each from its own backward pass.
+def _relu_envelopes(net: ReluNetwork, box: Box) -> tuple[list, list]:
+    """Envelope lines of every ReLU layer, adaptive and with zero lower slope.
 
-    Layer k's bounds are obtained by bounding the subnetwork that ends at
-    layer k (identity readout) with the envelope lines of the already-bounded
-    earlier layers, which is tighter than plain interval propagation.
+    A ReLU layer's pre-activation bounds come from a backward pass of the
+    subnetwork that ends at it (the layer as linear readout) with the
+    envelope lines of the earlier ReLU layers, which is tighter than plain
+    interval propagation.  Each variant uses its own earlier lines; before
+    the first ReLU layer there are none, so both share its bounds.
     """
-    pre = []
-    lines = []
+    adaptive, flat = [], []
     for idx, layer in enumerate(net.layers):
-        head = list(net.layers[:idx]) + [Layer(layer.weight, layer.bias, "linear")]
-        lb = _backward_bounds(head, lines)
-        lo, hi = concretize(lb, box)
-        pre.append((lo, hi))
-        if layer.activation == "relu":
-            lines.append(_relu_lines(lo, hi, adaptive))
-    return pre, lines
+        if layer.activation != "relu":
+            continue
+        head = net.layers[:idx]
+        bounds_a = concretize(_backward_bounds(head, adaptive, layer.weight, layer.bias), box)
+        bounds_f = (concretize(_backward_bounds(head, flat, layer.weight, layer.bias), box)
+                    if flat else bounds_a)
+        adaptive.append(_relu_lines(*bounds_a, True))
+        flat.append(_relu_lines(*bounds_f, False))
+    return adaptive, flat
 
 
 def linear_relaxation(net: ReluNetwork, box: Box) -> LinearBounds:
@@ -303,11 +305,10 @@ def linear_relaxation(net: ReluNetwork, box: Box) -> LinearBounds:
     lines.  The result is therefore elementwise at least as tight as plain
     interval propagation.
     """
-    layers = list(net.layers)
-    _, lines_a = _backward_pre_bounds(net, box, True)
-    adaptive = _backward_bounds(layers, lines_a)
-    _, lines_f = _backward_pre_bounds(net, box, False)
-    flat = _backward_bounds(layers, lines_f)
+    *hidden, last = net.layers
+    lines_a, lines_f = _relu_envelopes(net, box)
+    adaptive = _backward_bounds(hidden, lines_a, last.weight, last.bias)
+    flat = _backward_bounds(hidden, lines_f, last.weight, last.bias)
     mag_a = magnitude_bound(*concretize(adaptive, box))
     mag_f = magnitude_bound(*concretize(flat, box))
     use_flat = mag_f < mag_a

@@ -293,6 +293,17 @@ class TestFrontier:
         for lo, hi in zip(levels, levels[1:]):
             assert hi >= lo * (1.0 - 2e-3)
 
+    def test_cartpole_levels_match_fingerprint(self, cartpole, cloned_policy, kd):
+        # the cart-pole frontier fingerprint of perfbench/README.md, exactly:
+        # a change to the loop closure or the relaxation that moves a single
+        # bisection step shows here
+        values = [0.001, 0.002, 0.003, 0.005, 0.008]
+        points = frontier(cartpole, cloned_policy, kd, x_lim_values=values,
+                          tol=1e-3, target_state=2)
+        assert points == list(zip(values, [0.000268798828125, 0.0005341796875,
+                                           0.0007690429687500001, 0.0011777343750000002,
+                                           0.0017304687500000002]))
+
 
 class TestBaseline:
     def test_linear_policy_gain_recovered_exactly(self):
@@ -315,6 +326,48 @@ class TestBaseline:
         plant = scalar_plant(w_inf=0.1, x_lim=[0.01])
         result, _ = baseline_certify(plant, linear_policy(-0.2), n_samples=256, seed=0)
         assert not result.certified
+
+    def test_samples_one_region_when_beta1_is_at_least_one(self, monkeypatch):
+        # beta1 = gamma_delta ||Phi_alpha_delta|| depends on no region, so the
+        # call samples only the region the full scan (below) ends on
+        def full_scan(plant, net, gamma, w, n_samples, seed, max_region_iter):
+            k0, maps = certify.extract_loop(plant, net, None, None)
+            y_inf = max(maps.l1("yw") * w, 1e-9)
+            result = BaselineResult(np.inf, np.inf, False, np.inf)
+            for _ in range(max_region_iter):
+                gain = real_sampler(net, k0, n_samples, seed, None)(y_inf)
+                result = check_lemma1(maps, gain, gamma, w, y_inf)
+                assert result.beta1 >= 1.0 and not result.certified
+                y_inf *= 2.0
+                if y_inf > 1e9:
+                    break
+            return result
+
+        regions = []
+        real_sampler = certify._gain_sampler
+
+        def counting_sampler(*args):
+            gain = real_sampler(*args)
+            return lambda radius: regions.append(radius) or gain(radius)
+
+        monkeypatch.setattr(certify, "_gain_sampler", counting_sampler)
+        for seed in range(8):
+            rng = np.random.default_rng(600 + seed)
+            plant = random_stable_plant(rng)
+            net = random_relu_net(rng, d_in=plant.r, d_out=plant.m)
+            _, maps = certify.extract_loop(plant, net, None, None)
+            for factor in (1.5, 40.0):
+                gamma_delta = np.full((plant.q, plant.s), factor / maps.l1("alpha_delta") / plant.s)
+                gamma = float(np.max(np.sum(gamma_delta, axis=1)))
+                for w in (1e-3, 1.0, 3e8):
+                    for iters in (0, 1, 3, 40):
+                        regions.clear()
+                        result, quad = baseline_certify(plant, net, gamma_delta=gamma_delta,
+                                                        w_inf=w, n_samples=200, seed=seed,
+                                                        max_region_iter=iters)
+                        want = full_scan(plant, net, gamma, w, 200, seed, iters)
+                        assert repr(result) == repr(want) and quad is None
+                        assert len(regions) == min(iters, 1)
 
     def test_serialization_flags_estimate(self):
         result = BaselineResult(0.0, 0.5, True, 1.0, 0.2)

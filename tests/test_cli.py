@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from loopcert import attack, certify, linsys, neural
+from loopcert import attack, certify, cli, linsys, neural
 from loopcert.cli import EXIT_ERROR, EXIT_NEGATIVE, EXIT_OK, main
 
 from conftest import linear_policy, scalar_plant
@@ -131,6 +131,25 @@ class TestFrontier:
         cells = out.read_text().strip().splitlines()[-1].split(",")
         assert float(cells[2]) > 0  # baseline column filled
         assert float(cells[3]) == pytest.approx(0.35, rel=0.02)  # attack threshold
+
+    def test_attack_without_target_state_breaks_any_state(self, tmp_path):
+        # w drives state 1 ten times harder than state 0, so with the limit on
+        # both states state 1 breaks first, at a tenth of state 0's level
+        plant = linsys.make_plant(0.5 * np.eye(2), np.eye(2), b_w=[[0.1], [1.0]], w_inf=0.1)
+        net = neural.mlp([(-0.2 * np.eye(2), np.zeros(2))])
+        plant_path, policy_path = tmp_path / "plant.json", tmp_path / "policy.json"
+        linsys.save_plant(plant_path, plant)
+        neural.save_policy(policy_path, net)
+        out = tmp_path / "front.csv"
+        code = main(["frontier", "--plant", str(plant_path), "--policy", str(policy_path),
+                     "--x-lim-list", "0.5", "--tol", "1e-3", "--with-attack",
+                     "--horizon", "200", "--out", str(out)])
+        assert code == EXIT_OK
+        limited = certify.with_state_limit(plant, None, 0.5)
+        _, maps = certify.extract_loop(limited, net, None, None)
+        levels = [attack.violation_level(limited, net, maps, i, 200, 0.5) for i in range(2)]
+        assert levels[1] < levels[0] / 5
+        assert out.read_text().splitlines()[-1].split(",")[3] == f"{levels[1]:.17g}"
 
 
 @pytest.fixture()
@@ -332,6 +351,25 @@ class TestUsage:
                      "--steps", "10", *out])
         assert code == EXIT_ERROR
         assert calls == []
+
+    def test_main_builds_the_parser_once(self, scalar_files, tmp_path, monkeypatch, capsys):
+        plant_path, policy_path = scalar_files
+        built = []
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda build=cli.build_parser: built.append(1) or build())
+        cli._parser.cache_clear()
+        errors = []
+        try:
+            for _ in range(2):
+                assert main(["certify", "--plant", plant_path, "--policy", policy_path,
+                             "--out", str(tmp_path / "cert.json")]) == EXIT_OK
+                assert main(["certify", "--plant", plant_path, "--policy", policy_path,
+                             "--seed", "3"]) == EXIT_ERROR
+                errors.append(capsys.readouterr().err)
+        finally:
+            cli._parser.cache_clear()
+        assert built == [1]
+        assert errors[0] == errors[1] and "unrecognized arguments: --seed 3" in errors[0]
 
     def test_attack_requires_out(self, scalar_files):
         plant_path, policy_path = scalar_files

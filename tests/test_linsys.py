@@ -20,7 +20,8 @@ from conftest import random_stable_plant, scalar_plant
 
 # The impulse-response march as it was written before its loop was batched:
 # one chunk and one tail bound at a time, with the weighted-norm tail of
-# linsys._contraction.  The batched code must reproduce it bit for bit.
+# linsys._contraction.  The batched code groups its products differently, so
+# it must reproduce the horizon exactly and the values to 1e-12 relative.
 
 def _max_row_norm(a):
     return float(np.max(np.linalg.norm(a, axis=1), initial=0.0))
@@ -79,11 +80,15 @@ def _jordan_chain(n, lam):
     return lam * np.eye(n) + np.eye(n, k=1)
 
 
-def _assert_same_response(phi, ref):
+def _assert_close_response(phi, ref, rel=1e-12):
+    """Same horizon; every term within ``rel`` of the largest, and the tail
+    bound and every entry of the absolute sum within ``rel`` relative."""
     assert phi.length == ref.length
     assert phi.impulse.shape == ref.impulse.shape
-    assert np.array_equal(phi.impulse, ref.impulse)
-    assert phi.tail_bound == ref.tail_bound
+    scale = np.max(np.abs(ref.impulse), initial=0.0)
+    assert np.all(np.abs(phi.impulse - ref.impulse) <= rel * scale)
+    assert abs(phi.tail_bound - ref.tail_bound) <= rel * ref.tail_bound
+    np.testing.assert_allclose(abs_transfer(phi), abs_transfer(ref), rtol=rel, atol=0.0)
 
 
 class TestSpectralRadius:
@@ -144,8 +149,8 @@ class TestBatchedMarch:
 
     def test_matches_sequential_march_on_random_systems(self):
         for a, bc, cc, dc, eps in _random_systems():
-            _assert_same_response(impulse_response(a, bc, cc, dc, eps),
-                                  _sequential_impulse_response(a, bc, cc, dc, eps))
+            _assert_close_response(impulse_response(a, bc, cc, dc, eps),
+                                   _sequential_impulse_response(a, bc, cc, dc, eps))
 
     def test_close_loop_matches_sequential_march(self, cartpole, lqr_gain, monkeypatch):
         rng = np.random.default_rng(31)
@@ -160,9 +165,9 @@ class TestBatchedMarch:
         monkeypatch.setattr(linsys, "impulse_response", _sequential_impulse_response)
         for maps, (plant, gain) in zip(batched, cases):
             ref = close_loop(plant, gain)
-            assert np.array_equal(maps.abs_stack, ref.abs_stack)
+            np.testing.assert_allclose(maps.abs_stack, ref.abs_stack, rtol=1e-12, atol=0.0)
             for name in linsys._MAP_BLOCKS:
-                _assert_same_response(getattr(maps, name), getattr(ref, name))
+                _assert_close_response(getattr(maps, name), getattr(ref, name))
 
     def test_term_cap_boundary_matches_sequential_rule(self, monkeypatch):
         # chunk k is marched only while 1 + 8k <= _MAX_TRUNC_TERMS, so a

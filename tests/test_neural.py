@@ -35,6 +35,48 @@ def _loop_forward(net, y):
     return np.array(z)
 
 
+def _reference_relaxation(net, box):
+    """linear_relaxation as first written: one validated linear Layer per
+    head, every layer's pre-activation bounds recomputed for each lower-slope
+    variant, and the readout passed as the last layer of the backward pass."""
+    def backward(layers, lines):
+        last = layers[-1]
+        k_u, b_u = last.weight.copy(), last.bias.copy()
+        k_l, b_l = last.weight.copy(), last.bias.copy()
+        relu_idx = len(lines) - 1
+        for layer in reversed(layers[:-1]):
+            if layer.activation == "relu":
+                up_slope, up_icept, lo_slope = lines[relu_idx]
+                relu_idx -= 1
+                pos_u, neg_u = np.maximum(k_u, 0.0), np.minimum(k_u, 0.0)
+                b_u = b_u + pos_u @ up_icept
+                k_u = pos_u * up_slope + neg_u * lo_slope
+                pos_l, neg_l = np.maximum(k_l, 0.0), np.minimum(k_l, 0.0)
+                b_l = b_l + neg_l @ up_icept
+                k_l = pos_l * lo_slope + neg_l * up_slope
+            b_u, k_u = b_u + k_u @ layer.bias, k_u @ layer.weight
+            b_l, k_l = b_l + k_l @ layer.bias, k_l @ layer.weight
+        return neural.LinearBounds(k_l=k_l, b_l=b_l, k_u=k_u, b_u=b_u)
+
+    def variant(adaptive):
+        lines = []
+        for idx, layer in enumerate(net.layers):
+            head = list(net.layers[:idx]) + [neural.Layer(layer.weight, layer.bias, "linear")]
+            lo, hi = concretize(backward(head, lines), box)
+            if layer.activation == "relu":
+                lines.append(neural._relu_lines(lo, hi, adaptive))
+        return backward(list(net.layers), lines)
+
+    adaptive, flat = variant(True), variant(False)
+    use_flat = (magnitude_bound(*concretize(flat, box))
+                < magnitude_bound(*concretize(adaptive, box)))
+    if not np.any(use_flat):
+        return adaptive
+    pick = lambda a, f: np.where(use_flat[:, None] if a.ndim == 2 else use_flat, f, a)
+    return neural.LinearBounds(k_l=pick(adaptive.k_l, flat.k_l), b_l=pick(adaptive.b_l, flat.b_l),
+                               k_u=pick(adaptive.k_u, flat.k_u), b_u=pick(adaptive.b_u, flat.b_u))
+
+
 class TestEvaluate:
     def test_single_linear_layer(self):
         net = neural.mlp([(np.array([[2.0]]), np.array([1.0]))])
@@ -134,6 +176,25 @@ class TestLinearRelaxation:
             outs = evaluate(net, ys)
             assert np.all(outs <= ys @ lb.k_u.T + lb.b_u + 1e-9)
             assert np.all(outs >= ys @ lb.k_l.T + lb.b_l - 1e-9)
+
+    def test_matches_reference_bit_for_bit(self):
+        # the random_relu_net corpus, plus nets with a linear hidden layer
+        # (whose bounds no envelope needs) and nets whose first layer is linear
+        rng = np.random.default_rng(12)
+        nets = [random_relu_net(rng, max_hidden_layers=4) for _ in range(60)]
+        for first in ("relu", "linear"):
+            dims = [3, 5, 4, 6, 2]
+            acts = [first, "linear" if first == "relu" else "relu", "relu", "linear"]
+            nets.append(neural.ReluNetwork(tuple(
+                neural.Layer(rng.normal(size=(b, a)), rng.normal(size=b) * 0.5, act)
+                for a, b, act in zip(dims, dims[1:], acts))))
+        for net in nets:
+            d = net.input_dim
+            for scale in (0.05, 1.0, 4.0):
+                box = Box(rng.normal(size=d) * 0.5, scale * rng.uniform(0.1, 1.5, size=d))
+                got, want = linear_relaxation(net, box), _reference_relaxation(net, box)
+                for name in ("k_l", "b_l", "k_u", "b_u"):
+                    assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 class TestConcretize:
