@@ -151,7 +151,7 @@ def design_attack(maps: ClosedLoopMaps, target: int, horizon: int,
     n, _, p, _, _, _ = maps.dims
     if not 0 <= target < n:
         raise IndexError(f"target state {target} out of range for n={n}")
-    phi = maps.xw.impulse
+    phi = maps.xw.impulse  # marches the loop once (ClosedLoopMaps.response)
     signs = np.zeros((horizon, p))
     lags = np.arange(horizon, 0, -1)  # step t sees Phi_xw at lag horizon - t
     kept = lags < phi.shape[0]

@@ -17,6 +17,11 @@ which one step of A shrinks every vector by ``rho_w < 1``
 (:func:`_contraction`), so the tail is a geometric series in the weighted
 norm.  A strongly non-normal A for which no such weight is found in float64
 is rejected as not Schur stable.  See :func:`impulse_response`.
+
+A closed loop (:class:`ClosedLoopMaps`) is held as its realization and its
+absolute sums only.  :func:`close_loop` adds the terms up as the march makes
+them, and the impulse response, whose size grows with the horizon, is
+marched again from the realization whenever a caller reads it.
 """
 
 from __future__ import annotations
@@ -56,6 +61,9 @@ _MAX_TRUNC_TERMS = 2_000_000
 # Chunks of 8 terms that the impulse-response march advances per batched
 # product: the length of its stack of powers of A^8.
 _GROUP = 32
+
+# Groups of the march that _abs_response adds into its running sum at once.
+_FLUSH = 4
 
 # Cap on the doubling steps of the Stein solve in _contraction; step k sums
 # 2^k powers, far more than any decay float64 can resolve.
@@ -199,7 +207,8 @@ def impulse_response(a, bc, cc, dc, eps_trunc: float = DEFAULT_EPS_TRUNC) -> Tru
     ``_GROUP`` chunks per batched product against the stacked powers
     ``(A^8)^j``.  Their last bits depend on that grouping (by about 1e-14
     relative against stepping one chunk at a time), so T could move only
-    where a tail bound sits that close to ``eps_trunc``.
+    where a tail bound sits that close to ``eps_trunc``.  The march is
+    :func:`_march`, which :func:`close_loop` shares.
 
     Raises
     ------
@@ -219,8 +228,33 @@ def impulse_response(a, bc, cc, dc, eps_trunc: float = DEFAULT_EPS_TRUNC) -> Tru
         raise ValueError("b/c dimensions do not match a")
     if dc.shape != (cc.shape[0], bc.shape[1]):
         raise ValueError("d dimensions do not match b/c")
+    chunks, tail, groups = _march(a, bc, cc, dc, eps_trunc)
+    impulse = np.empty((1 + 8 * chunks, *dc.shape))
+    impulse[0] = dc
+    filled = 1
+    for terms in groups:
+        impulse[filled:filled + len(terms)] = terms
+        filled += len(terms)
+    # drop exactly-zero trailing terms (they contribute nothing to any sum
+    # and the tail bound stays valid); keeps nilpotent responses minimal
+    length = impulse.shape[0]
+    while length > 1 and not impulse[length - 1].any():
+        length -= 1
+    return TruncatedTransferMatrix(impulse[:length], tail)
+
+
+def _march(a: np.ndarray, bc: np.ndarray, cc: np.ndarray, dc: np.ndarray, eps_trunc: float):
+    """``(chunks, tail, groups)`` of the impulse response of a checked realization.
+
+    The response is cut after ``1 + 8 chunks`` terms with tail bound
+    ``tail`` (see :func:`impulse_response`).  ``groups`` yields the terms
+    ``Phi[1:]`` in time order, a group of ``_GROUP`` chunks (fewer in the
+    last) at a time, as a ``(8 g, out, in)`` view of one buffer that the
+    next group overwrites.
+    """
     if not eps_trunc > 0:
         raise ValueError("eps_trunc must be positive")
+    n = a.shape[0]
     w, rho_w = _contraction(a)
     w_inv = np.linalg.inv(w)
     wb_max = float(np.max(np.linalg.norm(w @ bc, axis=0), initial=0.0))
@@ -238,7 +272,7 @@ def impulse_response(a, bc, cc, dc, eps_trunc: float = DEFAULT_EPS_TRUNC) -> Tru
         filled += step
 
     # A group starting at Z_k holds Z_(k+j) = Z_k powers[j]; the march stops
-    # at the first k whose tail bound (see the docstring) is at most
+    # at the first k whose tail bound (see impulse_response) is at most
     # eps_trunc, and the products past the stop in the last group are
     # thrown away
     z, chunks = cc, 0
@@ -259,31 +293,41 @@ def impulse_response(a, bc, cc, dc, eps_trunc: float = DEFAULT_EPS_TRUNC) -> Tru
             break
         z = zs[-1] @ a_chunk
 
-    # X_k = A^(8k) B the same way, a group per product, and then all terms in
-    # one batched product written straight into the result: row block r of
-    # C A^r against X_k, in time order.  Taking the terms as Z_k (A^r B)
-    # instead would need a transposed copy of all of them, which costs more
-    # than the X groups on wide maps.
-    out_dim, in_dim = dc.shape
-    impulse = np.empty((1 + chunk * chunks, out_dim, in_dim))
-    impulse[0] = dc
-    if chunks:
+    def groups():
+        # X_k = A^(8k) B the same way, a group per product, and then the
+        # group's terms in one batched product: row block r of C A^r against
+        # X_k, in time order.  Taking the terms as Z_k (A^r B) instead would
+        # need a transposed copy of all of them, which costs more than the
+        # X groups on wide maps.
+        out_dim, in_dim = dc.shape
         ca = [cc]
         for _ in range(chunk - 1):
             ca.append(ca[-1] @ a)
-        xs = np.empty((chunks, n, in_dim))
+        ca = np.vstack(ca)
+        size = min(chunks, _GROUP)
+        xs = np.empty((size, n, in_dim))
+        terms = np.empty((size, chunk * out_dim, in_dim))
         x = bc
         for start in range(0, chunks, _GROUP):
-            group = xs[start:start + _GROUP]
-            np.matmul(powers[:len(group)], x, out=group)
-            x = a_chunk @ group[-1]
-        np.matmul(np.vstack(ca), xs, out=impulse[1:].reshape(chunks, chunk * out_dim, in_dim))
-    # drop exactly-zero trailing terms (they contribute nothing to any sum
-    # and the tail bound stays valid); keeps nilpotent responses minimal
-    length = impulse.shape[0]
-    while length > 1 and not impulse[length - 1].any():
-        length -= 1
-    return TruncatedTransferMatrix(impulse[:length], tail)
+            g = min(_GROUP, chunks - start)
+            np.matmul(powers[:g], x, out=xs[:g])
+            x = a_chunk @ xs[g - 1]
+            np.matmul(ca, xs[:g], out=terms[:g])
+            yield terms[:g].reshape(chunk * g, out_dim, in_dim)
+
+    return chunks, tail, groups()
+
+
+def _time_sum(terms: np.ndarray) -> np.ndarray:
+    """``terms.sum(axis=0)``, added in time order for every shape.
+
+    ``np.sum`` adds along axis 0 one row after the other, except on a
+    single-entry stack, which it adds pairwise; a cumulative sum keeps that
+    case in time order too.
+    """
+    if terms.shape[1:] == (1, 1) and len(terms) > 1:
+        return np.cumsum(terms, axis=0)[-1]
+    return np.sum(terms, axis=0)
 
 
 def abs_transfer(phi: TruncatedTransferMatrix) -> np.ndarray:
@@ -293,11 +337,30 @@ def abs_transfer(phi: TruncatedTransferMatrix) -> np.ndarray:
     are added in time order for every shape, so a sub-map's sum equals the
     matching slice of the sum over the whole map bit for bit.
     """
-    terms = np.abs(phi.impulse)
-    if phi.dims == (1, 1) and phi.length > 1:
-        # np.sum adds a single-entry stack pairwise, not in time order
-        return np.cumsum(terms, axis=0)[-1] + phi.tail_bound
-    return np.sum(terms, axis=0) + phi.tail_bound
+    return _time_sum(np.abs(phi.impulse)) + phi.tail_bound
+
+
+def _abs_response(a: np.ndarray, bc: np.ndarray, cc: np.ndarray, dc: np.ndarray,
+                  eps_trunc: float) -> tuple[np.ndarray, float]:
+    """``abs_transfer(impulse_response(...))`` and the tail bound of a checked
+    realization, bit for bit, without holding the response.
+
+    ``|Phi[t]|`` goes into one buffer whose row 0 carries the running sum,
+    and every ``_FLUSH`` groups of the march the buffer is added up into row
+    0.  So each flush adds its terms after all earlier ones, in the time
+    order of :func:`abs_transfer`.
+    """
+    chunks, tail, groups = _march(a, bc, cc, dc, eps_trunc)
+    sums = np.empty((1 + 8 * min(chunks, _FLUSH * _GROUP), *dc.shape))
+    np.abs(dc, out=sums[0])
+    filled = 1
+    for terms in groups:
+        if filled + len(terms) > len(sums):
+            sums[0] = _time_sum(sums[:filled])
+            filled = 1
+        np.abs(terms, out=sums[filled:filled + len(terms)])
+        filled += len(terms)
+    return _time_sum(sums[:filled]) + tail, tail
 
 
 def l1_norm(phi: TruncatedTransferMatrix) -> float:
@@ -519,23 +582,29 @@ class ClosedLoopMaps:
     ``D_alpha_u K0`` terms.  All nine loop maps share ``A_cl``, so they are
     kept as one realization ``(a_cl, bc, cc, dc)`` whose outputs stack
     ``(x, y, alpha)`` as rows and whose inputs stack ``(u0, w, delta)`` as
-    columns.  ``phi`` is its truncated impulse response (one uniform tail
-    bound) and ``abs_stack`` its :func:`abs_transfer`.  ``dims`` is
-    ``(n, m, p, q, r, s)``, which fixes where each block sits
-    (:func:`_block_slices`).
+    columns.  ``abs_stack`` is the :func:`abs_transfer` of its truncated
+    impulse response at ``eps_trunc``, whose uniform tail bound is
+    ``tail_bound``.  ``dims`` is ``(n, m, p, q, r, s)``, which fixes where
+    each block sits (:func:`_block_slices`).
+
+    The impulse response itself is not held: its size grows with the
+    horizon, and certification reads only ``abs_stack``.  :meth:`response`
+    marches it again from the realization, bit for bit the same.
 
     Maps are named output-input: ``xu`` sends the residual control ``u0`` to
     the state, ``yw`` the perturbation to the measurement, and so on.  Each
-    name reads as an attribute (``maps.xw``), a view of its block of
-    ``phi``; :meth:`abs_block`, :meth:`l1`, :meth:`realization` and
-    :meth:`hinf` take the name as an argument.
+    name reads as an attribute (``maps.xw``), the block of :meth:`response`,
+    so every such read marches the loop once; :meth:`abs_block`,
+    :meth:`l1`, :meth:`realization` and :meth:`hinf` take the name as an
+    argument and march nothing.
     """
 
     a_cl: np.ndarray
     bc: np.ndarray
     cc: np.ndarray
     dc: np.ndarray
-    phi: TruncatedTransferMatrix
+    eps_trunc: float
+    tail_bound: float
     abs_stack: np.ndarray
     dims: tuple[int, int, int, int, int, int]
 
@@ -546,7 +615,11 @@ class ClosedLoopMaps:
         # only reached when normal lookup fails, i.e. for the nine map names
         if name not in _MAP_BLOCKS:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        return self.phi.block(*self._slices(name))
+        return self.response().block(*self._slices(name))
+
+    def response(self) -> TruncatedTransferMatrix:
+        """The stacked truncated impulse response, marched again on each call."""
+        return impulse_response(self.a_cl, self.bc, self.cc, self.dc, self.eps_trunc)
 
     def abs_block(self, which: str) -> np.ndarray:
         """``abs_transfer`` of one of the nine maps, as a block of ``abs_stack``."""
@@ -570,8 +643,10 @@ def close_loop(plant: StateSpacePlant, k0, eps_trunc: float = DEFAULT_EPS_TRUNC)
     """Close the measurement loop with a static gain and build all nine maps.
 
     ``k0`` may be zero for an open-loop-stable plant, which reproduces the
-    open-loop maps.  All nine impulse responses share one stacked computation
-    (same A_cl) and therefore one uniform tail bound.
+    open-loop maps.  All nine impulse responses share one stacked march
+    (same A_cl) and therefore one uniform tail bound.  The march's terms go
+    straight into ``abs_stack`` as they come, so the response is never
+    held whole (see :class:`ClosedLoopMaps`).
 
     Raises
     ------
@@ -592,9 +667,9 @@ def close_loop(plant: StateSpacePlant, k0, eps_trunc: float = DEFAULT_EPS_TRUNC)
     dc[blocks["alpha_u"]] = plant.d_alpha_u
     dc[blocks["alpha_w"]] = plant.d_alpha_u @ k0 @ plant.d_w + plant.d_alpha_w
 
-    # impulse_response raises NotSchurStable for an unstable a_cl
-    phi = impulse_response(a_cl, bc, cc, dc, eps_trunc)
-    return ClosedLoopMaps(a_cl, bc, cc, dc, phi, abs_transfer(phi), dims)
+    # _abs_response raises NotSchurStable for an unstable a_cl
+    abs_stack, tail = _abs_response(a_cl, bc, cc, dc, eps_trunc)
+    return ClosedLoopMaps(a_cl, bc, cc, dc, eps_trunc, tail, abs_stack, dims)
 
 
 # ---------------------------------------------------------------------------

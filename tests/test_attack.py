@@ -157,6 +157,24 @@ class TestDesignAttack:
                     np.testing.assert_array_equal(plan.signs,
                                                   loop_signs(maps, target, horizon))
 
+    def test_signs_match_the_stacked_impulse_response(self, cartpole, kd, cloned_policy):
+        # the maps hold no impulse response; design_attack marches it again
+        # from the realization, which must give the same signs as a response
+        # built directly from impulse_response, on the LQR and the clone loops
+        clone_gain = certify.extract_gain(cartpole, cloned_policy, None, kd)
+        for gain in (kd, clone_gain):
+            maps = linsys.close_loop(cartpole, gain)
+            n, m, p, *_ = maps.dims
+            phi = linsys.impulse_response(maps.a_cl, maps.bc, maps.cc, maps.dc,
+                                          maps.eps_trunc).impulse[:, :n, m:m + p]
+            for horizon in (2500, phi.shape[0] - 1, phi.shape[0] + 3):
+                for target in range(n):
+                    expected = np.zeros((horizon, p))
+                    for t in range(max(horizon - phi.shape[0] + 1, 0), horizon):
+                        expected[t] = np.sign(phi[horizon - t, target])
+                    np.testing.assert_array_equal(
+                        design_attack(maps, target, horizon).signs, expected)
+
     def test_bad_index(self, scalar_loop):
         _, _, maps = scalar_loop
         with pytest.raises(IndexError):

@@ -150,6 +150,20 @@ class TestAlgorithm1:
         # a_cl = 0.3, residual 0: y_bar = w/(1-0.3)
         assert result.quadruplet.y_bar == pytest.approx([0.1 / 0.7], rel=1e-5)
 
+    def test_overflowing_bounds_return_a_verdict(self):
+        # a policy gain of 1e30 multiplies the y bound by about 1e30 a pass,
+        # so the bounds overflow long before the stall exit could fire at
+        # pass 15: behind a ReLU the relaxation over the box overflows first
+        # (pass 7), a linear policy's reference box itself (pass 12)
+        plant = linsys.make_plant([[0.5]], [[1.0]], b_w=[[1.0]], w_inf=0.1)
+        for layers, passes in (([([[1e30]], [0.0]), ([[1.0]], [0.0])], 7),
+                               ([([[1e30]], [0.0])], 12)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                result = algorithm1(plant, neural.mlp(layers))
+            assert not result.success and result.quadruplet is None
+            assert result.failure_reason == certify.NON_FINITE_BOUNDS
+            assert result.iterations == passes
+
     def test_uncertainty_feedback(self):
         # scalar with alpha = x, delta feeding the state: gamma scales the box
         plant = linsys.make_plant([[0.5]], [[1.0]], b_w=[[1.0]], b_delta=[[1.0]],
@@ -253,6 +267,23 @@ class TestMapsCache:
 
         assert run_in_threads(mismatches, timeout=120) == [[]] * 4
         assert len(certify._closures) <= 2
+
+
+    def test_entries_hold_no_impulse_response(self, cartpole, cloned_policy, kd,
+                                              monkeypatch):
+        # after a cart-pole sweep every entry holds a few arrays of the
+        # loop's dimensions, none as long as the horizon T (1,601-1,993 here)
+        _empty_memo(monkeypatch)
+        frontier(cartpole, cloned_policy, kd, x_lim_values=[0.001, 0.002, 0.003, 0.005, 0.008],
+                 tol=1e-3, target_state=2)
+        assert len(certify._closures) == 64
+        for maps in certify._closures.values():
+            arrays = [value for value in vars(maps).values() if isinstance(value, np.ndarray)]
+            assert len(arrays) == 5
+            assert all(max(a.shape) <= sum(maps.dims) for a in arrays)
+            assert not any(isinstance(value, linsys.TruncatedTransferMatrix)
+                           for value in vars(maps).values())
+            assert sum(a.nbytes for a in arrays) < 64 * 1024
 
 
 class TestFrontier:

@@ -1,10 +1,14 @@
 """Command-line workflows: exit codes, files, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import loopcert
 from loopcert import attack, certify, cli, linsys, neural
 from loopcert.cli import EXIT_ERROR, EXIT_NEGATIVE, EXIT_OK, main
 
@@ -38,6 +42,21 @@ class TestCertify:
                      "--x-lim", "0", "--out", str(out)])
         assert code == EXIT_NEGATIVE
         assert json.loads(out.read_text())["failure_reason"] == "ConstraintViolated"
+
+    def test_overflowing_bounds_exit_negative(self, tmp_path):
+        # a policy gain of 1e30 overflows the implied bound within a few passes
+        plant_path, policy_path = tmp_path / "plant.json", tmp_path / "policy.json"
+        linsys.save_plant(plant_path, linsys.make_plant([[0.5]], [[1.0]], b_w=[[1.0]],
+                                                        w_inf=0.1))
+        neural.save_policy(policy_path, neural.mlp([([[1e30]], [0.0]), ([[1.0]], [0.0])]))
+        out = tmp_path / "cert.json"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["certify", "--plant", str(plant_path), "--policy", str(policy_path),
+                         "--out", str(out)])
+        assert code == EXIT_NEGATIVE
+        result = json.loads(out.read_text())
+        assert result["success"] is False
+        assert result["failure_reason"] == certify.NON_FINITE_BOUNDS == "NonFiniteBounds"
 
     def test_malformed_plant_file(self, tmp_path, scalar_files):
         bad = tmp_path / "bad.json"
@@ -376,3 +395,13 @@ class TestUsage:
         code = main(["attack", "--plant", plant_path, "--policy", policy_path,
                      "--target", "0"])
         assert code == EXIT_ERROR
+
+    def test_runs_as_a_module(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(loopcert.__file__)))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+        out = tmp_path / "lqr.json"
+        done = subprocess.run([sys.executable, "-m", "loopcert", "lqr", "--plant", "cartpole",
+                               "--out", str(out)], env=env, capture_output=True, timeout=120)
+        assert done.returncode == EXIT_OK, done.stderr
+        assert json.loads(out.read_text())["closed_loop_spectral_radius"] < 1.0

@@ -1,5 +1,7 @@
 """Transfer-matrix algebra against closed-form geometric-series oracles."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,16 @@ def _assert_close_response(phi, ref, rel=1e-12):
     np.testing.assert_allclose(abs_transfer(phi), abs_transfer(ref), rtol=rel, atol=0.0)
 
 
+def _assert_streamed_sums_exact(a, bc, cc, dc, eps):
+    """``linsys._abs_response`` equals ``abs_transfer(impulse_response(...))``
+    and its tail bound bit for bit; returns the response."""
+    phi = impulse_response(a, bc, cc, dc, eps)
+    got, tail = linsys._abs_response(*(np.asarray(v, dtype=float) for v in (a, bc, cc, dc)), eps)
+    assert np.array_equal(got, abs_transfer(phi))
+    assert tail == phi.tail_bound
+    return phi
+
+
 class TestSpectralRadius:
     def test_diagonal(self):
         assert spectral_radius(np.diag([0.3, -0.9])) == pytest.approx(0.9, rel=1e-10)
@@ -152,7 +164,7 @@ class TestBatchedMarch:
             _assert_close_response(impulse_response(a, bc, cc, dc, eps),
                                    _sequential_impulse_response(a, bc, cc, dc, eps))
 
-    def test_close_loop_matches_sequential_march(self, cartpole, lqr_gain, monkeypatch):
+    def test_close_loop_matches_sequential_march(self, cartpole, lqr_gain):
         rng = np.random.default_rng(31)
         cases = [(cartpole, -lqr_gain)]
         for _ in range(30):
@@ -161,13 +173,54 @@ class TestBatchedMarch:
             if spectral_radius(plant.a + plant.b @ gain @ plant.c) >= 0.99:
                 gain = np.zeros_like(gain)
             cases.append((plant, gain))
-        batched = [close_loop(plant, gain) for plant, gain in cases]
-        monkeypatch.setattr(linsys, "impulse_response", _sequential_impulse_response)
-        for maps, (plant, gain) in zip(batched, cases):
-            ref = close_loop(plant, gain)
-            np.testing.assert_allclose(maps.abs_stack, ref.abs_stack, rtol=1e-12, atol=0.0)
+        for plant, gain in cases:
+            maps = close_loop(plant, gain)
+            ref = _sequential_impulse_response(maps.a_cl, maps.bc, maps.cc, maps.dc)
+            np.testing.assert_allclose(maps.abs_stack, abs_transfer(ref), rtol=1e-12, atol=0.0)
+            assert abs(maps.tail_bound - ref.tail_bound) <= 1e-12 * ref.tail_bound
             for name in linsys._MAP_BLOCKS:
-                _assert_close_response(getattr(maps, name), getattr(ref, name))
+                _assert_close_response(getattr(maps, name), ref.block(*maps._slices(name)))
+
+    def test_streamed_sums_equal_abs_transfer_on_random_systems(self):
+        # close_loop's sums never hold the response, yet equal the absolute
+        # sum over the whole of it bit for bit; the (1, 1) cut of each system
+        # takes the time-ordered path of a single-entry stack
+        for a, bc, cc, dc, eps in _random_systems():
+            for args in ((a, bc, cc, dc), (a, bc[:, :1], cc[:1], dc[:1, :1])):
+                _assert_streamed_sums_exact(*args, eps)
+
+    def test_streamed_sums_on_short_and_trimmed_responses(self):
+        # chunks == 0: nothing enters the loop, the sum is |D|
+        got, tail = linsys._abs_response(np.array([[0.5]]), np.zeros((1, 2)),
+                                         np.array([[1.0]]), np.array([[1.0, -2.0]]), 1e-9)
+        assert np.array_equal(got, [[1.0, 2.0]]) and tail == 0.0
+        # a nilpotent loop (A^5 = 0): the one chunk runs three terms past the
+        # last nonzero one, which impulse_response trims and the sums add
+        shift = np.eye(5, k=1)
+        for bc, cc in ((np.eye(5), np.eye(5)), (np.eye(5)[:, -1:], np.eye(5)[:1])):
+            dc = np.zeros((cc.shape[0], bc.shape[1]))
+            phi = _assert_streamed_sums_exact(shift, bc, cc, dc, 1e-9)
+            assert phi.length == 6 and phi.tail_bound == 0.0
+            assert np.array_equal(abs_transfer(phi), np.triu(np.ones((5, 5)))[:len(cc), -bc.shape[1]:])
+
+    @pytest.mark.parametrize("chunks", [128, 129])
+    def test_streamed_sums_on_both_sides_of_a_flush(self, chunks):
+        # 128 chunks fill the buffer of _abs_response exactly; the 129th
+        # flushes it first.  For a scalar A the tail of chunk k is
+        # max|C| max|B| a^(8k) / (1 - a), so an eps between the tails of
+        # chunks - 1 and chunks cuts the march at exactly ``chunks``.
+        assert 8 * linsys._FLUSH * linsys._GROUP == 8 * 128
+        a = 0.97
+        for bc, cc in (([[1.0]], [[1.0]]), ([[1.0, -0.5]], [[1.0], [0.3], [-2.0]])):
+            bc, cc = np.array(bc), np.array(cc)
+            dc = np.arange(cc.shape[0] * bc.shape[1], dtype=float).reshape(-1, bc.shape[1])
+            scale = np.max(np.abs(cc)) * np.max(np.abs(bc))
+            eps = scale * a ** (8 * (chunks - 0.5)) / (1.0 - a)
+            phi = _assert_streamed_sums_exact(np.array([[a]]), bc, cc, dc, eps)
+            assert phi.length == 1 + 8 * chunks
+            # and both add in time order, one term after the other
+            in_order = functools.reduce(np.add, np.abs(phi.impulse)) + phi.tail_bound
+            assert np.array_equal(abs_transfer(phi), in_order)
 
     def test_term_cap_boundary_matches_sequential_rule(self, monkeypatch):
         # chunk k is marched only while 1 + 8k <= _MAX_TRUNC_TERMS, so a
@@ -327,6 +380,8 @@ class TestCloseLoop:
         for plant, gain in ((scalar, np.array([[-0.2]])),
                             (mixed, 0.3 * rng.normal(size=(mixed.m, mixed.r)))):
             maps = close_loop(plant, gain)
+            response = maps.response()
+            assert response.tail_bound == maps.tail_bound
             n, m, p, q, r, s = maps.dims
             assert q > 0 and s > 0
             assert maps.abs_stack.shape == (n + r + s, m + p + q)
@@ -350,7 +405,7 @@ class TestCloseLoop:
                     assert maps.l1(name) == l1_norm(getattr(maps, name))
                     np.testing.assert_array_equal(
                         getattr(maps, name).impulse,
-                        maps.phi.impulse[:, rows[out_name], cols[in_name]])
+                        response.impulse[:, rows[out_name], cols[in_name]])
                     c_out, b_in = outputs[out_name], inputs[in_name]
                     d = feedthrough.get(name, np.zeros((c_out.shape[0], b_in.shape[1])))
                     for got, want in zip(maps.realization(name), (a_cl, b_in, c_out, d)):
