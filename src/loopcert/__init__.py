@@ -15,10 +15,12 @@ attack       designed and Monte-Carlo attacks, simulation harness
 plant        nonlinear cart-pole and its analytic linearization
 sysid        least-squares identification with bootstrap error boxes
 policysynth  discrete LQR and behavior cloning of linear laws
-cli          command-line front end
+cli          command-line front end (imported on first use, not with the package)
 """
 
-from . import attack, certify, cli, linsys, neural, plant, policysynth, sysid
+# cli is not imported here: ``python -m loopcert.cli`` must find it unimported,
+# or runpy warns and runs a second copy of the module
+from . import attack, certify, linsys, neural, plant, policysynth, sysid
 
 __all__ = ["attack", "certify", "cli", "linsys", "neural", "plant",
            "policysynth", "sysid"]

@@ -399,6 +399,14 @@ def algorithm1(plant: StateSpacePlant, net: ReluNetwork,
     box or a relaxation that overflows ends the search with
     ``NON_FINITE_BOUNDS``.
 
+    A search that stalls also stops before ``max_iter``, reported as
+    ``MAX_ITER_EXCEEDED``: from pass 15 on, once the relative growth of the
+    implied box has stayed above 1e-5 and shrunk by less than 1.5 % per pass
+    over the last six passes.  This stall exit is a heuristic and can cost a
+    certificate: a slowly converging search it stops at pass 17-18 may
+    certify around pass 150 if run on.  It bounds the cost of failing
+    searches, which otherwise mostly run on until their bounds overflow.
+
     ``u_bar`` in the result bounds the full policy output (for checking
     ``u_lim``); the residual bound is what feeds the transfer matrices.  The
     gain candidate and both policy bounds come from one relaxation per pass.
@@ -451,12 +459,12 @@ def algorithm1(plant: StateSpacePlant, net: ReluNetwork,
         # an overflowed bound leaves no box to relax the policy over next pass
         if not np.all(np.isfinite(y_ref)):
             return CertResult(False, None, iterations, NON_FINITE_BOUNDS)
-        # Verdict-preserving early exit.  Below the fixed point the per-pass
-        # growth factor exceeds 1 with an excess that decays like the slope
-        # of the bound map; once the excess stops decaying (ratio near or
-        # above 1 for several passes) the slope is so close to or above 1
-        # that the remaining budget cannot close the gap, so the verdict
-        # equals exhausting max_iter.
+        # Stall exit, a heuristic that can change the verdict.  Below the
+        # fixed point the per-pass growth factor exceeds 1 with an excess
+        # that decays like the slope of the bound map; once the excess stops
+        # decaying (ratio near or above 1 for several passes) the slope is
+        # close to or above 1, and the search gives up.  A slope just below
+        # 1 still converges, but only after about a hundred more passes.
         scale = float(np.max(y_bar, initial=0.0))
         if prev_scale is not None and prev_scale > 0.0:
             growth.append(scale / prev_scale - 1.0)

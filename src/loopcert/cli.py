@@ -232,10 +232,10 @@ def cmd_learn(args) -> int:
 
 
 def _lqr_design(args, plant):
-    """LQR ``(P, K)`` for ``Q = diag(--q-diag)`` (default I), ``R = --r``; None on failure."""
+    """LQR ``(P, K)`` for ``Q = diag(--q-diag)`` (default I), ``R = --r * I``; None on failure."""
     q = np.diag([float(v) for v in args.q_diag.split(",")]) if args.q_diag else np.eye(plant.n)
     try:
-        return policysynth.dare_solve(plant.a, plant.b, q, np.array([[args.r]]))
+        return policysynth.dare_solve(plant.a, plant.b, q, args.r * np.eye(plant.m))
     except policysynth.NoConvergence as exc:
         print(f"LQR design failed: {exc}", file=sys.stderr)
         return None

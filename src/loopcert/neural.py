@@ -11,9 +11,12 @@ final layer is always linear).  For a box of inputs the module produces:
 
 Relaxation rules for a neuron with pre-activation range ``l < 0 < u``: the
 upper envelope is the chord (slope ``u/(u-l)``, intercept ``-u*l/(u-l)``);
-the lower envelope passes through the origin with slope 1 when ``u >= |l|``
-and slope 0 otherwise (ties go to slope 1).  Neurons whose range does not
-straddle zero use the exact identity/zero lines.
+the lower envelope passes through the origin.  Two lower slopes are carried
+side by side on a leading axis of size 2 through one backward pass: the
+adaptive one (index 0; slope 1 when ``u >= |l|`` and 0 otherwise, ties to 1,
+as in CROWN) and the flat one (index 1; slope 0).  Each output row keeps the
+variant with the smaller concretized magnitude.  Neurons whose range does
+not straddle zero use the exact identity/zero lines.
 """
 
 from __future__ import annotations
@@ -215,51 +218,56 @@ def interval_bounds(net: ReluNetwork, box: Box):
     return pre, pre[-1]
 
 
-def _relu_lines(lo: np.ndarray, hi: np.ndarray, adaptive: bool):
+def _relu_lines(lo: np.ndarray, hi: np.ndarray):
     """Per-neuron envelope lines (upper slope/intercept, lower slope).
 
-    The upper line is the chord over [lo, hi].  The lower line runs through
-    the origin; with ``adaptive`` its slope is 1 when hi >= |lo| and 0
-    otherwise (tightest area, ties to 1), without it the slope is always 0,
-    which keeps the envelope inside the interval-arithmetic constants.
+    ``lo`` and ``hi`` are stacked ``(2, width)`` pre-activation bounds, row 0
+    for the adaptive variant and row 1 for the flat one.  The upper line is
+    the chord over [lo, hi].  The lower line runs through the origin; in row
+    0 its slope is 1 when hi >= |lo| and 0 otherwise (tightest area, ties to
+    1), in row 1 it is always 0, which keeps the envelope inside the
+    interval-arithmetic constants.
     """
     dead = hi <= 0.0
     active = lo >= 0.0
     unstable = ~(dead | active)
     up_slope = np.where(dead, 0.0, np.where(active, 1.0, 0.0))
     up_icept = np.zeros_like(lo)
+    lo_slope = up_slope.copy()
     if np.any(unstable):
         span = hi[unstable] - lo[unstable]
         up_slope[unstable] = hi[unstable] / span
         up_icept[unstable] = -hi[unstable] * lo[unstable] / span
-    lo_slope = np.where(dead, 0.0, np.where(active, 1.0, 0.0))
-    if adaptive and np.any(unstable):
-        lo_slope[unstable] = (hi[unstable] >= -lo[unstable]).astype(float)
+        lo_slope[0, unstable[0]] = hi[0, unstable[0]] >= -lo[0, unstable[0]]
     return up_slope, up_icept, lo_slope
 
 
 def _backward_bounds(layers, lines: list, weight: np.ndarray, bias: np.ndarray) -> LinearBounds:
     """One backward pass of the linear readout ``(weight, bias)`` over ``layers``.
 
-    ``lines`` holds one (up_slope, up_icept, lo_slope) triple per ReLU layer
-    among ``layers``, which feed the readout.
+    ``lines`` holds one stacked (up_slope, up_icept, lo_slope) triple per
+    ReLU layer among ``layers``, which feed the readout.  Both variants run
+    at once: the returned slopes are ``(2, rows, in)`` and the intercepts
+    ``(2, rows)``, index 0 adaptive and index 1 flat.
     """
-    k_u = weight.copy()
-    b_u = bias.copy()
-    k_l = weight.copy()
-    b_l = bias.copy()
+    k_u = np.stack((weight, weight))
+    b_u = np.stack((bias, bias))
+    k_l = k_u.copy()
+    b_l = b_u.copy()
     relu_idx = len(lines) - 1
     for layer in reversed(layers):
         if layer.activation == "relu":
             up_slope, up_icept, lo_slope = lines[relu_idx]
             relu_idx -= 1
+            up_slope, lo_slope = up_slope[:, None], lo_slope[:, None]
+            up_icept = up_icept[..., None]
             # positive coefficients take the upper line, negative the lower;
             # the lower line has zero intercept so only up_icept contributes.
             pos_u, neg_u = np.maximum(k_u, 0.0), np.minimum(k_u, 0.0)
-            b_u = b_u + pos_u @ up_icept
+            b_u = b_u + (pos_u @ up_icept)[..., 0]
             k_u = pos_u * up_slope + neg_u * lo_slope
             pos_l, neg_l = np.maximum(k_l, 0.0), np.minimum(k_l, 0.0)
-            b_l = b_l + neg_l @ up_icept
+            b_l = b_l + (neg_l @ up_icept)[..., 0]
             k_l = pos_l * lo_slope + neg_l * up_slope
         b_u = b_u + k_u @ layer.bias
         k_u = k_u @ layer.weight
@@ -268,57 +276,37 @@ def _backward_bounds(layers, lines: list, weight: np.ndarray, bias: np.ndarray) 
     return LinearBounds(k_l=k_l, b_l=b_l, k_u=k_u, b_u=b_u)
 
 
-def _relu_envelopes(net: ReluNetwork, box: Box) -> tuple[list, list]:
-    """Envelope lines of every ReLU layer, adaptive and with zero lower slope.
-
-    A ReLU layer's pre-activation bounds come from a backward pass of the
-    subnetwork that ends at it (the layer as linear readout) with the
-    envelope lines of the earlier ReLU layers, which is tighter than plain
-    interval propagation.  Each variant uses its own earlier lines; before
-    the first ReLU layer there are none, so both share its bounds.
-    """
-    adaptive, flat = [], []
-    for idx, layer in enumerate(net.layers):
-        if layer.activation != "relu":
-            continue
-        head = net.layers[:idx]
-        bounds_a = concretize(_backward_bounds(head, adaptive, layer.weight, layer.bias), box)
-        bounds_f = (concretize(_backward_bounds(head, flat, layer.weight, layer.bias), box)
-                    if flat else bounds_a)
-        adaptive.append(_relu_lines(*bounds_a, True))
-        flat.append(_relu_lines(*bounds_f, False))
-    return adaptive, flat
-
-
 def linear_relaxation(net: ReluNetwork, box: Box) -> LinearBounds:
     """Backward propagation of affine output envelopes over the box.
 
     Intermediate pre-activation ranges come from layer-by-layer backward
-    bounding (tighter than plain interval propagation); each ReLU is replaced
-    by its envelope lines and the output row coefficients select the upper or
+    bounding (tighter than plain interval propagation): a ReLU layer's
+    bounds come from a backward pass of the subnetwork that ends at it, with
+    the envelope lines of the earlier ReLU layers.  Each ReLU is replaced by
+    its envelope lines and the output row coefficients select the upper or
     lower line by sign while walking back to the input.
 
-    Two sound variants are formed: the adaptive lower slope (tightest area
-    per neuron) and the zero lower slope, whose concretization provably never
-    exceeds the interval-arithmetic output bounds.  Per output row the pair
-    with the smaller concretized magnitude wins; ties keep the adaptive
+    Two sound variants run through one stacked pass per ReLU layer and one
+    final pass: the adaptive lower slope (tightest area per neuron) and the
+    zero lower slope, whose concretization provably never exceeds the
+    interval-arithmetic output bounds.  Each variant bounds every layer with
+    its own earlier lines.  Per output row the flat variant wins only when
+    its concretized magnitude is strictly smaller, so ties keep the adaptive
     lines.  The result is therefore elementwise at least as tight as plain
     interval propagation.
     """
     *hidden, last = net.layers
-    lines_a, lines_f = _relu_envelopes(net, box)
-    adaptive = _backward_bounds(hidden, lines_a, last.weight, last.bias)
-    flat = _backward_bounds(hidden, lines_f, last.weight, last.bias)
-    mag_a = magnitude_bound(*concretize(adaptive, box))
-    mag_f = magnitude_bound(*concretize(flat, box))
-    use_flat = mag_f < mag_a
-    if not np.any(use_flat):
-        return adaptive
-    pick = lambda a, f: np.where(use_flat[:, None] if a.ndim == 2 else use_flat, f, a)
-    return LinearBounds(
-        k_l=pick(adaptive.k_l, flat.k_l), b_l=pick(adaptive.b_l, flat.b_l),
-        k_u=pick(adaptive.k_u, flat.k_u), b_u=pick(adaptive.b_u, flat.b_u),
-    )
+    lines = []
+    for idx, layer in enumerate(hidden):
+        if layer.activation == "relu":
+            head = _backward_bounds(hidden[:idx], lines, layer.weight, layer.bias)
+            lines.append(_relu_lines(*concretize(head, box)))
+    both = _backward_bounds(hidden, lines, last.weight, last.bias)
+    mag = magnitude_bound(*concretize(both, box))
+    pick = (mag[1] < mag[0]).astype(int)
+    rows = np.arange(pick.size)
+    return LinearBounds(k_l=both.k_l[pick, rows], b_l=both.b_l[pick, rows],
+                        k_u=both.k_u[pick, rows], b_u=both.b_u[pick, rows])
 
 
 def concretize(lb: LinearBounds, box: Box) -> tuple[np.ndarray, np.ndarray]:

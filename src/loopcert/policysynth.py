@@ -61,12 +61,18 @@ def dare_solve(a, b, q, r, tol: float = 1e-12, max_iter: int = 100_000):
     """Solve the discrete algebraic Riccati equation by fixed-point iteration.
 
     Returns ``(P, K)`` with ``u = -K x`` the optimal law,
-    ``K = (R + B'PB)^-1 B'PA``.  Requires a stabilizable pair; divergence or
-    stagnation past ``max_iter`` raises :exc:`NoConvergence`.
+    ``K = (R + B'PB)^-1 B'PA``.  ``Q`` must be ``(n, n)`` and ``R``
+    ``(m, m)`` for an ``(n, m)`` input matrix ``B``, else :exc:`ValueError`.
+    Requires a stabilizable pair; divergence or stagnation past ``max_iter``
+    raises :exc:`NoConvergence`.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     spec = LqrSpec(q, r)
+    n, m = b.shape
+    if spec.q.shape != (n, n) or spec.r.shape != (m, m):
+        raise ValueError(f"q is {spec.q.shape} and r is {spec.r.shape}; "
+                         f"a plant with {n} states and {m} inputs needs ({n}, {n}) and ({m}, {m})")
     p = spec.q.copy()
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is detected below
         for _ in range(max_iter):

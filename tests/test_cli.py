@@ -284,6 +284,23 @@ class TestTrainPolicyAndLqr:
         kd = linsys.matrix_from_dict(obj["Kd"])
         np.testing.assert_array_equal(kd, -k)
 
+    def test_lqr_weights_every_input(self, tmp_path):
+        # R = --r * I on a two-input plant: the gain satisfies the Riccati
+        # fixed point for that R, not for r * ones((2, 2))
+        a, b = np.array([[1.0, 0.1], [0.0, 1.0]]), np.array([[0.5, 0.0], [0.1, 1.0]])
+        linsys.save_plant(tmp_path / "plant.json", linsys.make_plant(a, b))
+        out = tmp_path / "lqr.json"
+        assert main(["lqr", "--plant", str(tmp_path / "plant.json"), "--r", "2",
+                     "--out", str(out)]) == EXIT_OK
+        obj = json.loads(out.read_text())
+        p, k = linsys.matrix_from_dict(obj["P"]), linsys.matrix_from_dict(obj["K"])
+        assert k.shape == (2, 2)
+        r = 2.0 * np.eye(2)
+        np.testing.assert_allclose(k, np.linalg.solve(r + b.T @ p @ b, b.T @ p @ a),
+                                   rtol=0, atol=1e-10)
+        residual = p - (np.eye(2) + a.T @ p @ (a - b @ k))
+        assert np.max(np.abs(residual)) < 1e-10
+
     def test_trained_policy_loads_and_quantizes(self, tmp_path):
         out = tmp_path / "pol.json"
         code = main(["train-policy", "--plant", "cartpole", "--hidden", "8",
@@ -405,3 +422,8 @@ class TestUsage:
                                "--out", str(out)], env=env, capture_output=True, timeout=120)
         assert done.returncode == EXIT_OK, done.stderr
         assert json.loads(out.read_text())["closed_loop_spectral_radius"] < 1.0
+        # the module itself runs too, without runpy's found-in-sys.modules warning
+        done = subprocess.run([sys.executable, "-W", "error", "-m", "loopcert.cli", "--help"],
+                              env=env, capture_output=True, timeout=120)
+        assert done.returncode == EXIT_OK, done.stderr
+        assert b"usage: loopcert" in done.stdout

@@ -35,10 +35,31 @@ def _loop_forward(net, y):
     return np.array(z)
 
 
+def _reference_lines(lo, hi, adaptive):
+    """Envelope lines of one variant, as first written: the chord above and,
+    below, a line through the origin with slope 1 when ``adaptive`` and
+    hi >= |lo|, slope 0 otherwise."""
+    dead = hi <= 0.0
+    active = lo >= 0.0
+    unstable = ~(dead | active)
+    up_slope = np.where(dead, 0.0, np.where(active, 1.0, 0.0))
+    up_icept = np.zeros_like(lo)
+    if np.any(unstable):
+        span = hi[unstable] - lo[unstable]
+        up_slope[unstable] = hi[unstable] / span
+        up_icept[unstable] = -hi[unstable] * lo[unstable] / span
+    lo_slope = np.where(dead, 0.0, np.where(active, 1.0, 0.0))
+    if adaptive and np.any(unstable):
+        lo_slope[unstable] = (hi[unstable] >= -lo[unstable]).astype(float)
+    return up_slope, up_icept, lo_slope
+
+
 def _reference_relaxation(net, box):
     """linear_relaxation as first written: one validated linear Layer per
     head, every layer's pre-activation bounds recomputed for each lower-slope
-    variant, and the readout passed as the last layer of the backward pass."""
+    variant, and the readout passed as the last layer of the backward pass.
+
+    Returns the bounds and, per output row, whether the flat variant won."""
     def backward(layers, lines):
         last = layers[-1]
         k_u, b_u = last.weight.copy(), last.bias.copy()
@@ -64,17 +85,18 @@ def _reference_relaxation(net, box):
             head = list(net.layers[:idx]) + [neural.Layer(layer.weight, layer.bias, "linear")]
             lo, hi = concretize(backward(head, lines), box)
             if layer.activation == "relu":
-                lines.append(neural._relu_lines(lo, hi, adaptive))
+                lines.append(_reference_lines(lo, hi, adaptive))
         return backward(list(net.layers), lines)
 
     adaptive, flat = variant(True), variant(False)
     use_flat = (magnitude_bound(*concretize(flat, box))
                 < magnitude_bound(*concretize(adaptive, box)))
     if not np.any(use_flat):
-        return adaptive
+        return adaptive, use_flat
     pick = lambda a, f: np.where(use_flat[:, None] if a.ndim == 2 else use_flat, f, a)
     return neural.LinearBounds(k_l=pick(adaptive.k_l, flat.k_l), b_l=pick(adaptive.b_l, flat.b_l),
-                               k_u=pick(adaptive.k_u, flat.k_u), b_u=pick(adaptive.b_u, flat.b_u))
+                               k_u=pick(adaptive.k_u, flat.k_u),
+                               b_u=pick(adaptive.b_u, flat.b_u)), use_flat
 
 
 class TestEvaluate:
@@ -188,13 +210,19 @@ class TestLinearRelaxation:
             nets.append(neural.ReluNetwork(tuple(
                 neural.Layer(rng.normal(size=(b, a)), rng.normal(size=b) * 0.5, act)
                 for a, b, act in zip(dims, dims[1:], acts))))
+        patterns = set()
         for net in nets:
             d = net.input_dim
             for scale in (0.05, 1.0, 4.0):
                 box = Box(rng.normal(size=d) * 0.5, scale * rng.uniform(0.1, 1.5, size=d))
-                got, want = linear_relaxation(net, box), _reference_relaxation(net, box)
+                got = linear_relaxation(net, box)
+                want, use_flat = _reference_relaxation(net, box)
                 for name in ("k_l", "b_l", "k_u", "b_u"):
                     assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+                patterns.add("flat" if use_flat.all() else "mixed" if use_flat.any()
+                             else "adaptive")
+        # the corpus picks every row adaptive, every row flat, and a mix
+        assert patterns == {"adaptive", "flat", "mixed"}
 
 
 class TestConcretize:

@@ -43,6 +43,14 @@ class TestDare:
         with pytest.raises(NoConvergence):
             dare_solve([[2.0]], [[0.0]], [[1.0]], [[1.0]], max_iter=2000)
 
+    def test_weights_must_match_the_plant(self):
+        # a 1x1 R would broadcast to r * ones((2, 2)) on a two-input plant
+        a, b = np.array([[1.0, 0.1], [0.0, 1.0]]), np.array([[0.5, 0.0], [0.1, 1.0]])
+        with pytest.raises(ValueError, match=r"r is \(1, 1\)"):
+            dare_solve(a, b, np.eye(2), [[1.0]])
+        with pytest.raises(ValueError, match=r"q is \(3, 3\)"):
+            dare_solve(a, b, np.eye(3), np.eye(2))
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             LqrSpec(q=[[1.0, 0.1], [0.0, 1.0]], r=[[1.0]])  # asymmetric
