@@ -38,6 +38,7 @@ from .linsys import (
     NotSchurStable,
     StateSpacePlant,
     close_loop,
+    hinf_norm,
 )
 from .neural import Box, LinearBounds, QuantizationSpec, ReluNetwork
 
@@ -63,12 +64,14 @@ __all__ = [
     "MAX_ITER_EXCEEDED",
     "NO_STABILIZING_GAIN",
     "NON_FINITE_BOUNDS",
+    "STALLED",
 ]
 
 CONSTRAINT_VIOLATED = "ConstraintViolated"
 MAX_ITER_EXCEEDED = "MaxIterExceeded"
 NO_STABILIZING_GAIN = "NoStabilizingGain"
 NON_FINITE_BOUNDS = "NonFiniteBounds"
+STALLED = "Stalled"
 
 # Relative inflation applied to constructed quadruplets so that downstream
 # elementwise checks are robust to the last-ulp rounding of equality cases.
@@ -185,18 +188,30 @@ def _implied_bounds(maps: ClosedLoopMaps, w_bar, u_bar, delta_bar):
                  + maps.abs_block(d) @ delta_bar for w, u, d in rows)
 
 
-def _l1_norms(maps: ClosedLoopMaps) -> dict:
-    return {name: maps.l1(name)
-            for name in ("yu", "yw", "ydelta", "alpha_u", "alpha_w", "alpha_delta")}
+def _betas(norm: Callable[[str], float], gamma_pi: float,
+           gamma_delta: float) -> tuple[float, float]:
+    """``(beta1, beta2)`` of the small-gain conditions under the map norm ``norm``.
+
+    ``beta1 = gamma_delta norm(alpha_delta)`` closes the uncertainty loop and
+
+        beta2 = gamma_pi (norm(yu) + gamma_delta/(1-beta1) norm(ydelta) norm(alpha_u))
+
+    the policy loop.  When ``beta1 < 1`` fails, ``beta2`` is ``inf`` and no
+    other norm is asked for.
+    """
+    beta1 = gamma_delta * norm("alpha_delta")
+    if not beta1 < 1.0:
+        return beta1, np.inf
+    return beta1, gamma_pi * (norm("yu") + gamma_delta / (1.0 - beta1) * norm("ydelta")
+                              * norm("alpha_u"))
 
 
 def check_lemma1(maps: ClosedLoopMaps, gamma_pi: float, gamma_delta: float,
                  w_inf: float, y_inf: float) -> BaselineResult:
     """Small-gain baseline on L1 norms.
 
-    ``beta1 = gamma_delta ||Phi_ad||`` closes the uncertainty loop and
-    ``beta2`` the policy loop; when both are below one the implied
-    measurement bound is
+    With ``(beta1, beta2)`` of :func:`_betas` on the L1 norms, when both are
+    below one the implied measurement bound is
 
         y_implied = (||Phi_yw|| + gamma_delta/(1-beta1) ||Phi_yd|| ||Phi_aw||)
                     * w_inf / (1 - beta2)
@@ -204,16 +219,10 @@ def check_lemma1(maps: ClosedLoopMaps, gamma_pi: float, gamma_delta: float,
     and the configuration is certified iff additionally
     ``y_implied <= y_inf`` (the region where ``gamma_pi`` is valid).
     """
-    norms = _l1_norms(maps)
-    beta1 = gamma_delta * norms["alpha_delta"]
-    if beta1 < 1.0:
-        beta2 = gamma_pi * (norms["yu"]
-                            + gamma_delta / (1.0 - beta1) * norms["ydelta"] * norms["alpha_u"])
-    else:
-        beta2 = np.inf
+    l1 = maps.l1
+    beta1, beta2 = _betas(l1, gamma_pi, gamma_delta)
     if beta1 < 1.0 and beta2 < 1.0:
-        y_implied = (norms["yw"]
-                     + gamma_delta / (1.0 - beta1) * norms["ydelta"] * norms["alpha_w"]
+        y_implied = (l1("yw") + gamma_delta / (1.0 - beta1) * l1("ydelta") * l1("alpha_w")
                      ) * w_inf / (1.0 - beta2)
     else:
         y_implied = np.inf
@@ -228,17 +237,14 @@ def hinf_corollary(maps: ClosedLoopMaps, gamma_pi: float, gamma_delta: float,
                    grid: int = 512) -> bool:
     """Two-norm variant of the small-gain conditions; advisory only.
 
-    Uses the grid-estimated peak gains, so this check is indicative rather
-    than certified.
+    :func:`_betas` on the grid-estimated peak gains, so this check is
+    indicative rather than certified.
     """
-    h_ad = maps.hinf("alpha_delta", grid)
-    beta1 = gamma_delta * h_ad
-    if beta1 >= 1.0:
-        return False
-    beta2 = gamma_pi * (maps.hinf("yu", grid)
-                        + gamma_delta / (1.0 - beta1) * maps.hinf("ydelta", grid)
-                        * maps.hinf("alpha_u", grid))
-    return beta2 < 1.0
+    def peak(which: str) -> float:
+        return hinf_norm(*maps.realization(which), grid=grid)
+
+    beta1, beta2 = _betas(peak, gamma_pi, gamma_delta)
+    return beta1 < 1.0 and beta2 < 1.0
 
 
 def constructive_quadruplet(maps: ClosedLoopMaps, gamma_pi: float, gamma_delta: float,
@@ -255,20 +261,18 @@ def constructive_quadruplet(maps: ClosedLoopMaps, gamma_pi: float, gamma_delta: 
     :func:`check_theorem1` (a tiny relative inflation absorbs rounding of
     the equality rows).  Requires ``beta1 < 1`` and ``beta2 < 1``.
     """
-    norms = _l1_norms(maps)
-    result = check_lemma1(maps, gamma_pi, gamma_delta, w_inf, np.inf)
-    if not (result.beta1 < 1.0 and result.beta2 < 1.0):
+    l1 = maps.l1
+    beta1, beta2 = _betas(l1, gamma_pi, gamma_delta)
+    if not (beta1 < 1.0 and beta2 < 1.0):
         raise ValueError("small-gain conditions do not hold; no constructive box exists")
-    scale = w_inf / ((1.0 - result.beta1) * (1.0 - result.beta2))
+    scale = w_inf / ((1.0 - beta1) * (1.0 - beta2))
     adj = np.array([
-        [1.0 - gamma_delta * norms["alpha_delta"], gamma_delta * norms["ydelta"]],
-        [gamma_pi * norms["alpha_u"], 1.0 - gamma_pi * norms["yu"]],
+        [1.0 - beta1, gamma_delta * l1("ydelta")],
+        [gamma_pi * l1("alpha_u"), 1.0 - gamma_pi * l1("yu")],
     ])
-    rhs = np.array([norms["yw"], norms["alpha_w"]])
-    y_ref, alpha_ref = scale * (adj @ rhs)
+    y_ref, alpha_ref = scale * (adj @ np.array([l1("yw"), l1("alpha_w")]))
     grow = 1.0 + _QUAD_INFLATION
-    _, _, _, q, r, s = maps.dims
-    m = maps.dims[1]
+    _, m, _, q, r, s = maps.dims
     return Quadruplet(
         y_bar=np.full(r, grow * y_ref),
         u_bar=np.full(m, grow * gamma_pi * y_ref),
@@ -301,13 +305,12 @@ def extract_gain(plant: StateSpacePlant, net: ReluNetwork, box: Box | None,
 
 def extract_loop(plant: StateSpacePlant, net: ReluNetwork, box: Box | None,
                  k_d: np.ndarray | None,
-                 eps_trunc: float | None = None) -> tuple[np.ndarray, ClosedLoopMaps]:
-    """:func:`extract_gain` together with the loop it closes, at ``eps_trunc``
-    (default ``DEFAULT_EPS_TRUNC``); the winning closure is the only one built."""
+                 eps_trunc: float = DEFAULT_EPS_TRUNC) -> tuple[np.ndarray, ClosedLoopMaps]:
+    """:func:`extract_gain` together with the loop it closes, at ``eps_trunc``;
+    the winning closure is the only one built."""
     lb = None
     if box is not None and np.any(box.radius > 0):
         lb = neural.linear_relaxation(net, box)
-    eps_trunc = DEFAULT_EPS_TRUNC if eps_trunc is None else eps_trunc
     return _pick_gain(plant, net, lb, k_d, eps_trunc)
 
 
@@ -363,6 +366,25 @@ def _closed_loop(plant: StateSpacePlant, k: np.ndarray, eps_trunc: float) -> Clo
         return maps
 
 
+def _uncertainty_gain(plant: StateSpacePlant, gamma_delta) -> np.ndarray:
+    """``gamma_delta`` as a nonnegative ``(q, s)`` matrix; zero when None."""
+    q, s = plant.q, plant.s
+    if gamma_delta is None:
+        return np.zeros((q, s))
+    gamma_delta = np.asarray(gamma_delta, dtype=float)
+    if gamma_delta.shape != (q, s):
+        raise ValueError(f"gamma_delta has shape {gamma_delta.shape}, expected ({q}, {s})")
+    if np.any(gamma_delta < 0):
+        raise ValueError("gamma_delta must be nonnegative")
+    return gamma_delta
+
+
+def _outside_limits(plant: StateSpacePlant, x_bar, y_bar, u_bar) -> bool:
+    """Whether a bound on x, y or u exceeds the plant's limit anywhere."""
+    return bool(np.any(x_bar > plant.x_lim) or np.any(y_bar > plant.y_lim)
+                or np.any(u_bar > plant.u_lim))
+
+
 def _certified_policy_bounds(net: ReluNetwork, box: Box | None, lb: LinearBounds | None,
                              k: np.ndarray, quantization: QuantizationSpec | None):
     """(u0_bar, u_bar) over ``box`` for the residual and full policy.
@@ -372,10 +394,11 @@ def _certified_policy_bounds(net: ReluNetwork, box: Box | None, lb: LinearBounds
     both bounds by half a step.
     """
     if box is None:
-        u0 = np.abs(neural.evaluate(net, np.zeros(net.input_dim)))
-        u0_bar, u_bar = u0.copy(), u0.copy()
+        u0_bar = u_bar = np.abs(neural.evaluate(net, np.zeros(net.input_dim)))
     else:
-        u0_bar, u_bar = neural.residual_magnitudes(lb, box, k)
+        # overflow leaves an infinite bound, which algorithm1 reports
+        with np.errstate(over="ignore", invalid="ignore"):
+            u0_bar, u_bar = neural.residual_magnitudes(lb, box, k)
     if quantization is not None:
         u0_bar = u0_bar + quantization.step / 2.0
         u_bar = u_bar + quantization.step / 2.0
@@ -386,7 +409,7 @@ def algorithm1(plant: StateSpacePlant, net: ReluNetwork,
                k_d: np.ndarray | None = None, gamma_delta: np.ndarray | None = None,
                *, quantization: QuantizationSpec | None = None,
                w_inf: float | None = None, eps: float = 1e-6, max_iter: int = 200,
-               eps_trunc: float | None = None) -> CertResult:
+               eps_trunc: float = DEFAULT_EPS_TRUNC) -> CertResult:
     """Iterative search for a certified invariant box.
 
     Starting from the degenerate box, each pass (1) bounds the residual
@@ -397,37 +420,32 @@ def algorithm1(plant: StateSpacePlant, net: ReluNetwork,
     violated, success if the implied box sits inside the reference box, and
     otherwise inflates the reference by ``1 + eps`` and repeats.  A reference
     box or a relaxation that overflows ends the search with
-    ``NON_FINITE_BOUNDS``.
+    ``NON_FINITE_BOUNDS``; numpy's overflow warnings from the relaxation and
+    its policy bounds are silenced, since the verdict reports the overflow.
+    A search that reaches ``max_iter`` passes ends with ``MAX_ITER_EXCEEDED``.
 
-    A search that stalls also stops before ``max_iter``, reported as
-    ``MAX_ITER_EXCEEDED``: from pass 15 on, once the relative growth of the
-    implied box has stayed above 1e-5 and shrunk by less than 1.5 % per pass
-    over the last six passes.  This stall exit is a heuristic and can cost a
-    certificate: a slowly converging search it stops at pass 17-18 may
-    certify around pass 150 if run on.  It bounds the cost of failing
-    searches, which otherwise mostly run on until their bounds overflow.
+    A search that stalls stops earlier, reported as ``STALLED``: from pass
+    15 on, once the relative growth of the implied box has stayed above
+    1e-5 and shrunk by less than 1.5 % per pass over the last six passes.
+    This stall exit is a heuristic and can cost a certificate: a slowly
+    converging search it stops at pass 17-18 may certify around pass 150 if
+    run on.  It bounds the cost of failing searches, which otherwise mostly
+    run on until their bounds overflow.
 
     ``u_bar`` in the result bounds the full policy output (for checking
     ``u_lim``); the residual bound is what feeds the transfer matrices.  The
     gain candidate and both policy bounds come from one relaxation per pass.
     """
-    eps_trunc = DEFAULT_EPS_TRUNC if eps_trunc is None else eps_trunc
     w_amp = plant.w_inf if w_inf is None else float(w_inf)
-    m, p, q, r, s = plant.m, plant.p, plant.q, plant.r, plant.s
+    m, r = plant.m, plant.r
     if net.input_dim != r or net.output_dim != m:
         raise ValueError(f"policy maps {net.input_dim}->{net.output_dim}, "
                          f"plant needs {r}->{m}")
-    if gamma_delta is None:
-        gamma_delta = np.zeros((q, s))
-    gamma_delta = np.asarray(gamma_delta, dtype=float)
-    if gamma_delta.shape != (q, s):
-        raise ValueError(f"gamma_delta has shape {gamma_delta.shape}, expected ({q}, {s})")
-    if np.any(gamma_delta < 0):
-        raise ValueError("gamma_delta must be nonnegative")
-    w_bar = np.full(p, w_amp)
+    gamma_delta = _uncertainty_gain(plant, gamma_delta)
+    w_bar = np.full(plant.p, w_amp)
 
     y_ref = np.zeros(r)
-    alpha_ref = np.zeros(s)
+    alpha_ref = np.zeros(plant.s)
     iterations = 0
     growth: list[float] = []
     prev_scale = None
@@ -436,7 +454,8 @@ def algorithm1(plant: StateSpacePlant, net: ReluNetwork,
         box = lb = None
         if np.any(y_ref != 0.0):
             box = Box(np.zeros(r), y_ref)
-            lb = neural.linear_relaxation(net, box)
+            with np.errstate(over="ignore", invalid="ignore"):
+                lb = neural.linear_relaxation(net, box)
             # a box near 1e154 overflows the relaxation's products
             if not all(np.all(np.isfinite(v)) for v in (lb.k_l, lb.b_l, lb.k_u, lb.b_u)):
                 return CertResult(False, None, iterations, NON_FINITE_BOUNDS)
@@ -447,8 +466,7 @@ def algorithm1(plant: StateSpacePlant, net: ReluNetwork,
         u0_bar, u_bar = _certified_policy_bounds(net, box, lb, k, quantization)
         delta_bar = gamma_delta @ alpha_ref
         x_bar, y_bar, alpha_bar = _implied_bounds(maps, w_bar, u0_bar, delta_bar)
-        if (np.any(x_bar > plant.x_lim) or np.any(y_bar > plant.y_lim)
-                or np.any(u_bar > plant.u_lim)):
+        if _outside_limits(plant, x_bar, y_bar, u_bar):
             return CertResult(False, None, iterations, CONSTRAINT_VIOLATED, gain=k)
         if np.all(y_bar <= y_ref) and np.all(alpha_bar <= alpha_ref):
             quad = Quadruplet(y_bar=y_bar, u_bar=u_bar, alpha_bar=alpha_bar,
@@ -471,10 +489,9 @@ def algorithm1(plant: StateSpacePlant, net: ReluNetwork,
         prev_scale = scale
         if iterations >= 15 and len(growth) >= 6:
             recent = growth[-6:]
-            stalled = (all(e > 1e-5 for e in recent)
-                       and all(nxt > 0.985 * cur for cur, nxt in zip(recent, recent[1:])))
-            if stalled:
-                return CertResult(False, None, iterations, MAX_ITER_EXCEEDED)
+            if (all(e > 1e-5 for e in recent)
+                    and all(nxt > 0.985 * cur for cur, nxt in zip(recent, recent[1:]))):
+                return CertResult(False, None, iterations, STALLED)
     return CertResult(False, None, iterations, MAX_ITER_EXCEEDED)
 
 
@@ -530,7 +547,7 @@ def frontier(plant: StateSpacePlant, net: ReluNetwork,
              k_d: np.ndarray | None = None, gamma_delta: np.ndarray | None = None,
              x_lim_values=(), tol: float = 1e-4, *, target_state: int | None = None,
              quantization: QuantizationSpec | None = None,
-             eps_trunc: float | None = None) -> list[tuple[float, float]]:
+             eps_trunc: float = DEFAULT_EPS_TRUNC) -> list[tuple[float, float]]:
     """Largest certifiable attack level per state-deviation limit.
 
     For each limit the attack amplitude is bisected (relative tolerance
@@ -576,8 +593,6 @@ def sampled_linf_gain(net: ReluNetwork, k0: np.ndarray, radius, n_samples: int =
     The policy is evaluated into row buffers; the gain is bit-identical to
     evaluating fresh draws on fresh arrays.
     """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     return _gain_sampler(net, k0, n_samples, seed, quantization)(radius)
 
 
@@ -589,6 +604,8 @@ def _gain_sampler(net: ReluNetwork, k0, n_samples: int, seed: int,
     of one seed returns what :func:`sampled_linf_gain` returns for that seed
     at any radius.  The buffers belong to the returned function alone.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     k0 = np.asarray(k0, dtype=float)
     dim = net.input_dim
     unit = np.random.default_rng(seed).random((n_samples, dim))
@@ -624,7 +641,7 @@ def baseline_certify(plant: StateSpacePlant, net: ReluNetwork,
                      quantization: QuantizationSpec | None = None,
                      n_samples: int = 4096, seed: int = 0,
                      max_region_iter: int = 40,
-                     eps_trunc: float | None = None,
+                     eps_trunc: float = DEFAULT_EPS_TRUNC,
                      check_limits: bool = True) -> tuple[BaselineResult, Quadruplet | None]:
     """Small-gain baseline with an iteratively grown validity region.
 
@@ -640,14 +657,12 @@ def baseline_certify(plant: StateSpacePlant, net: ReluNetwork,
     every region's gain is bit-identical to :func:`sampled_linf_gain` there.
     When ``beta1 >= 1`` no region can certify, and only the region the scan
     would end on is sampled.
+
+    ``gamma_delta`` is checked as :func:`algorithm1` checks it and enters the
+    small-gain conditions as its largest row sum.
     """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    eps_trunc = DEFAULT_EPS_TRUNC if eps_trunc is None else eps_trunc
     w_amp = plant.w_inf if w_inf is None else float(w_inf)
-    gamma = 0.0
-    if gamma_delta is not None and np.asarray(gamma_delta).size:
-        gamma = float(np.max(np.sum(np.asarray(gamma_delta, dtype=float), axis=1)))
+    gamma = float(np.max(np.sum(_uncertainty_gain(plant, gamma_delta), axis=1), initial=0.0))
     try:
         k0, maps = _pick_gain(plant, net, None, k_d, eps_trunc)
     except NoStabilizingGain:
@@ -657,23 +672,20 @@ def baseline_certify(plant: StateSpacePlant, net: ReluNetwork,
     # policy offset at the origin dominates) and on huge ones (saturation),
     # so scan upward and keep the first region that closes all conditions.
     y_inf = max(maps.l1("yw") * w_amp, 1e-9)
-    if max_region_iter > 0 and gamma * maps.l1("alpha_delta") >= 1.0:
-        # beta1 (the expression check_lemma1 computes) depends on no region,
-        # so none certifies and the scan only doubles the region: sample just
-        # the one it would end on, whose gain the result reports
+    if max_region_iter > 0 and _betas(maps.l1, 0.0, gamma)[0] >= 1.0:
+        # beta1 depends on no region, so none certifies and the scan only
+        # doubles the region: sample just the one it would end on, whose
+        # gain the result reports
         for _ in range(max_region_iter - 1):
             if y_inf * 2.0 > 1e9:
                 break
             y_inf *= 2.0
         max_region_iter = 1
     result = BaselineResult(np.inf, np.inf, False, np.inf)
-    certified_result = None
     sampled_gain = _gain_sampler(net, k0, n_samples, seed, quantization)
     for _ in range(max_region_iter):
-        gamma_pi = sampled_gain(y_inf)
-        result = check_lemma1(maps, gamma_pi, gamma, w_amp, y_inf)
+        result = check_lemma1(maps, sampled_gain(y_inf), gamma, w_amp, y_inf)
         if result.certified:
-            certified_result = result
             break
         if (result.beta1 < 1.0 and result.beta2 < 1.0
                 and np.isfinite(result.y_inf_implied) and result.y_inf_implied > y_inf):
@@ -682,18 +694,14 @@ def baseline_certify(plant: StateSpacePlant, net: ReluNetwork,
             y_inf *= 2.0
         if y_inf > 1e9:
             break
-    if certified_result is None:
-        return BaselineResult(result.beta1, result.beta2, False,
-                              result.y_inf_implied, result.gamma_pi), None
-    result = certified_result
+    if not result.certified:
+        return result, None
 
     quad = constructive_quadruplet(maps, result.gamma_pi, gamma, w_amp)
-    _, x_bar = check_theorem1(maps, quad, np.full(plant.p, w_amp))
-    quad = Quadruplet(quad.y_bar, quad.u_bar, quad.alpha_bar, quad.delta_bar, x_bar)
-    if check_limits and (np.any(x_bar > plant.x_lim) or np.any(quad.y_bar > plant.y_lim)
-                         or np.any(quad.u_bar > plant.u_lim)):
-        return BaselineResult(result.beta1, result.beta2, False,
-                              result.y_inf_implied, result.gamma_pi), quad
+    x_bar, _, _ = _implied_bounds(maps, np.full(plant.p, w_amp), quad.u_bar, quad.delta_bar)
+    quad = replace(quad, x_bar=x_bar)
+    if check_limits and _outside_limits(plant, x_bar, quad.y_bar, quad.u_bar):
+        return replace(result, certified=False), quad
     return result, quad
 
 
@@ -703,7 +711,7 @@ def baseline_frontier(plant: StateSpacePlant, net: ReluNetwork,
                       tol: float = 1e-4, *, target_state: int | None = None,
                       quantization: QuantizationSpec | None = None,
                       n_samples: int = 4096, seed: int = 0,
-                      eps_trunc: float | None = None) -> list[tuple[float, float]]:
+                      eps_trunc: float = DEFAULT_EPS_TRUNC) -> list[tuple[float, float]]:
     """Largest attack level the small-gain baseline accepts, per limit."""
     def certifies(limited: StateSpacePlant, w: float) -> bool:
         result, _ = baseline_certify(limited, net, k_d, gamma_delta, w_inf=w,

@@ -314,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     # --kd and --eps-trunc go with --plant and --policy wherever the loop is closed
     loop = [plant, policy, _group(
         ("--kd", dict(default=None, help="JSON file with a default gain (Kd or K)")),
-        ("--eps-trunc", dict(type=float, default=None,
+        ("--eps-trunc", dict(type=float, default=linsys.DEFAULT_EPS_TRUNC,
                              help="impulse-response truncation tolerance")))]
     w_inf = _group(("--w-inf", dict(type=float, default=None)))
     x_lim = _group(("--x-lim", dict(type=float, default=None)))

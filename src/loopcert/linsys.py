@@ -129,17 +129,13 @@ class TruncatedTransferMatrix:
     def length(self) -> int:
         return self.impulse.shape[0]
 
-    @property
-    def dims(self) -> tuple[int, int]:
-        return (self.impulse.shape[1], self.impulse.shape[2])
-
     def block(self, rows: slice, cols: slice) -> "TruncatedTransferMatrix":
         """Sub-map on a row/column slice; the uniform tail bound carries over."""
         return TruncatedTransferMatrix(self.impulse[:, rows, cols], self.tail_bound)
 
 
-def _contraction(a: np.ndarray) -> tuple[np.ndarray, float]:
-    """Lyapunov weight ``W`` of a Schur-stable A and its contraction ``rho_w``.
+def _contraction(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Lyapunov weight ``W`` of a Schur-stable A, ``W^-1`` and the contraction ``rho_w``.
 
     With ``r = (1 + rho(A)) / 2`` and ``S = A / r``, ``P = W^T W`` (W upper
     triangular, the Cholesky factor) solves the Stein equation
@@ -176,7 +172,8 @@ def _contraction(a: np.ndarray) -> tuple[np.ndarray, float]:
         if np.all(np.isfinite(p)):
             try:
                 w = np.linalg.cholesky(p).T
-                rho_w = float(np.linalg.norm(w @ a @ np.linalg.inv(w), 2))
+                w_inv = np.linalg.inv(w)
+                rho_w = float(np.linalg.norm(w @ a @ w_inv, 2))
             except np.linalg.LinAlgError:
                 pass
     if not rho_w < 1.0:
@@ -184,7 +181,7 @@ def _contraction(a: np.ndarray) -> tuple[np.ndarray, float]:
             f"no Lyapunov weight certifies the decay (spectral radius {rho:.12g}); "
             "the matrix is too non-normal to be treated as Schur stable"
         )
-    return w, rho_w
+    return w, w_inv, rho_w
 
 
 def impulse_response(a, bc, cc, dc, eps_trunc: float = DEFAULT_EPS_TRUNC) -> TruncatedTransferMatrix:
@@ -255,8 +252,7 @@ def _march(a: np.ndarray, bc: np.ndarray, cc: np.ndarray, dc: np.ndarray, eps_tr
     if not eps_trunc > 0:
         raise ValueError("eps_trunc must be positive")
     n = a.shape[0]
-    w, rho_w = _contraction(a)
-    w_inv = np.linalg.inv(w)
+    w, w_inv, rho_w = _contraction(a)
     wb_max = float(np.max(np.linalg.norm(w @ bc, axis=0), initial=0.0))
 
     # powers[j] = (A^8)^j for j < _GROUP, by doubling: each product fills
@@ -595,8 +591,8 @@ class ClosedLoopMaps:
     the state, ``yw`` the perturbation to the measurement, and so on.  Each
     name reads as an attribute (``maps.xw``), the block of :meth:`response`,
     so every such read marches the loop once; :meth:`abs_block`,
-    :meth:`l1`, :meth:`realization` and :meth:`hinf` take the name as an
-    argument and march nothing.
+    :meth:`l1` and :meth:`realization` take the name as an argument and
+    march nothing.
     """
 
     a_cl: np.ndarray
@@ -633,10 +629,6 @@ class ClosedLoopMaps:
         """State-space quadruple (A, B, C, D) of one of the nine maps."""
         rows, cols = self._slices(which)
         return self.a_cl, self.bc[:, cols], self.cc[rows], self.dc[rows, cols]
-
-    def hinf(self, which: str, grid: int = 512) -> float:
-        a, bc, cc, dc = self.realization(which)
-        return hinf_norm(a, bc, cc, dc, grid=grid)
 
 
 def close_loop(plant: StateSpacePlant, k0, eps_trunc: float = DEFAULT_EPS_TRUNC) -> ClosedLoopMaps:

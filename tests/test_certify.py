@@ -1,5 +1,7 @@
 """Certification engine against hand-derived scalar closed forms."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -154,15 +156,35 @@ class TestAlgorithm1:
         # a policy gain of 1e30 multiplies the y bound by about 1e30 a pass,
         # so the bounds overflow long before the stall exit could fire at
         # pass 15: behind a ReLU the relaxation over the box overflows first
-        # (pass 7), a linear policy's reference box itself (pass 12)
+        # (pass 7), a linear policy's reference box itself (pass 12); the
+        # verdict reports the overflow, so numpy warns about none of it
         plant = linsys.make_plant([[0.5]], [[1.0]], b_w=[[1.0]], w_inf=0.1)
         for layers, passes in (([([[1e30]], [0.0]), ([[1.0]], [0.0])], 7),
                                ([([[1e30]], [0.0])], 12)):
-            with np.errstate(over="ignore", invalid="ignore"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
                 result = algorithm1(plant, neural.mlp(layers))
+            assert caught == []
             assert not result.success and result.quadruplet is None
             assert result.failure_reason == certify.NON_FINITE_BOUNDS
             assert result.iterations == passes
+
+    def test_stall_exit_reports_stalled(self):
+        # seed 77 of the random corpus: the stall exit stops every amplitude
+        # at pass 17-18 (run on, each certifies near pass 150), so the
+        # verdict says the search stalled, not that the budget was spent
+        rng = np.random.default_rng(77)
+        plant = random_stable_plant(rng, with_uncertainty=True)
+        net = random_relu_net(rng, d_in=plant.r, d_out=plant.m)
+        gamma_delta = 0.1 * np.abs(rng.normal(size=(plant.q, plant.s)))
+        for w in (0.01, 0.05, 0.2, 1.0, 5.0):
+            result = algorithm1(plant, net, gamma_delta=gamma_delta, w_inf=w)
+            assert not result.success and result.quadruplet is None
+            assert result.failure_reason == certify.STALLED == "Stalled"
+            assert result.iterations in (17, 18)
+        short = algorithm1(plant, net, gamma_delta=gamma_delta, w_inf=0.01, max_iter=10)
+        assert short.failure_reason == certify.MAX_ITER_EXCEEDED
+        assert short.iterations == 10
 
     def test_uncertainty_feedback(self):
         # scalar with alpha = x, delta feeding the state: gamma scales the box
@@ -399,6 +421,18 @@ class TestBaseline:
                         want = full_scan(plant, net, gamma, w, 200, seed, iters)
                         assert repr(result) == repr(want) and quad is None
                         assert len(regions) == min(iters, 1)
+
+    @pytest.mark.parametrize("gamma_delta", [[[0.1, 0.1]], np.zeros((3, 3)), [[-0.1]]])
+    def test_baseline_checks_gamma_delta_as_algorithm1_does(self, gamma_delta):
+        # Gamma_Delta must be a nonnegative (q, s) matrix on both routes
+        plant = linsys.make_plant([[0.5]], [[1.0]], b_w=[[1.0]], b_delta=[[1.0]],
+                                  c_alpha=[[1.0]], w_inf=0.1)
+        with pytest.raises(ValueError) as want:
+            algorithm1(plant, linear_policy(-0.2), gamma_delta=gamma_delta)
+        with pytest.raises(ValueError) as got:
+            baseline_certify(plant, linear_policy(-0.2), gamma_delta=gamma_delta,
+                             n_samples=64)
+        assert str(got.value) == str(want.value)
 
     def test_serialization_flags_estimate(self):
         result = BaselineResult(0.0, 0.5, True, 1.0, 0.2)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import loopcert
 from loopcert import attack, certify, cli, linsys, neural
 from loopcert.cli import EXIT_ERROR, EXIT_NEGATIVE, EXIT_OK, main
 
-from conftest import linear_policy, scalar_plant
+from conftest import linear_policy, random_relu_net, random_stable_plant, scalar_plant
 
 
 @pytest.fixture()
@@ -50,13 +51,32 @@ class TestCertify:
                                                         w_inf=0.1))
         neural.save_policy(policy_path, neural.mlp([([[1e30]], [0.0]), ([[1.0]], [0.0])]))
         out = tmp_path / "cert.json"
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main(["certify", "--plant", str(plant_path), "--policy", str(policy_path),
                          "--out", str(out)])
+        assert caught == []
         assert code == EXIT_NEGATIVE
         result = json.loads(out.read_text())
         assert result["success"] is False
         assert result["failure_reason"] == certify.NON_FINITE_BOUNDS == "NonFiniteBounds"
+
+    def test_stalled_search_exits_negative(self, tmp_path):
+        # the seed-77 loop of the random corpus stalls at pass 17
+        rng = np.random.default_rng(77)
+        plant = random_stable_plant(rng, with_uncertainty=True)
+        net = random_relu_net(rng, d_in=plant.r, d_out=plant.m)
+        gamma_delta = 0.1 * np.abs(rng.normal(size=(plant.q, plant.s)))
+        plant_path, policy_path = tmp_path / "plant.json", tmp_path / "policy.json"
+        linsys.save_plant(plant_path, plant, gamma_delta)
+        neural.save_policy(policy_path, net)
+        out = tmp_path / "cert.json"
+        code = main(["certify", "--plant", str(plant_path), "--policy", str(policy_path),
+                     "--w-inf", "0.01", "--out", str(out)])
+        assert code == EXIT_NEGATIVE
+        result = json.loads(out.read_text())
+        assert result["failure_reason"] == certify.STALLED
+        assert result["iterations"] == 17
 
     def test_malformed_plant_file(self, tmp_path, scalar_files):
         bad = tmp_path / "bad.json"

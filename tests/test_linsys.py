@@ -31,8 +31,7 @@ def _max_row_norm(a):
 
 def _sequential_impulse_response(a, bc, cc, dc, eps_trunc=linsys.DEFAULT_EPS_TRUNC):
     a, bc, cc, dc = (np.asarray(v, dtype=float) for v in (a, bc, cc, dc))
-    w, rho_w = linsys._contraction(a)
-    w_inv = np.linalg.inv(w)
+    w, w_inv, rho_w = linsys._contraction(a)
     wb_max = float(np.max(np.linalg.norm(w @ bc, axis=0), initial=0.0))
     chunk = 8
     ca = [cc]
