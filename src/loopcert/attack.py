@@ -303,7 +303,11 @@ def violation_level(plant, net: ReluNetwork, maps: ClosedLoopMaps, target: int,
     horizon: doubling up from ``tol`` to the first violating amplitude
     ``hi``, then halving ``[0, hi]`` until its width is at most ``tol * hi``.
     Returns ``inf`` when no tested amplitude (up to the doubling cap)
-    violates the limit.  A diverging rollout counts as a violation.
+    violates the limit.  A diverging rollout counts as a violation.  When
+    ``tol`` itself violates, amplitude 0 is tried too, and if the unforced
+    loop already breaks the limit the level is 0.0 (for a loop that is not
+    monotone in the amplitude, even where some amplitude in ``(0, tol)``
+    would not violate).
 
     The search is speculative: each batched :func:`simulate` call runs the
     next ``_DOUBLING_CHUNK`` doubling amplitudes, or the full tree of the
@@ -341,6 +345,12 @@ def violation_level(plant, net: ReluNetwork, maps: ClosedLoopMaps, target: int,
         doublings += 1
         if doublings > max_doublings:
             return np.inf
+    if hi == tol:
+        # the first amplitude violates: amplitude 0 rides with the first
+        # bisection batch, and an unforced loop that violates ends the search
+        run([0.0] + _midpoints(0.0, hi, tol, _TREE_DEPTH))
+        if violates[0.0]:
+            return 0.0
     lo = 0.0
     while hi - lo > tol * hi:
         mid = (lo + hi) / 2.0

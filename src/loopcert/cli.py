@@ -63,12 +63,13 @@ def _write_json(path, obj) -> None:
 
 
 def _read(kind: str, load, spec: str):
-    """``load(spec)``, with a missing or malformed ``kind`` file as a CliError."""
+    """``load(spec)``, with a missing ``kind`` file, or one whose JSON does
+    not parse or holds a missing key or a wrong type or value, as a CliError."""
     try:
         return load(spec)
     except FileNotFoundError as exc:
         raise CliError(f"{kind} file not found: {spec}") from exc
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
         raise CliError(f"cannot parse {kind} file {spec}: {exc}") from exc
 
 
@@ -140,18 +141,18 @@ def cmd_frontier(args) -> int:
     except ValueError as exc:
         raise CliError(f"bad --x-lim-list: {exc}") from exc
 
-    def attack_level(value: float) -> float:
-        # the smallest level that breaks the limit on the target state, or on
-        # any state when the limit is on all of them
-        limited = certify.with_state_limit(plant, args.target_state, value)
+    def attack_levels() -> list[float]:
+        # the smallest level that breaks each limit on the target state, or
+        # on any state when the limit is on all of them; a limit changes
+        # neither the gain nor the maps, so the loop is closed once
         try:
-            _, maps = certify.extract_loop(limited, net, None, lib["k_d"], args.eps_trunc)
+            _, maps = certify.extract_loop(plant, net, None, lib["k_d"], args.eps_trunc)
         except certify.NoStabilizingGain:
-            return math.inf
+            return [math.inf] * len(limits)
         targets = range(plant.n) if args.target_state is None else [args.target_state]
-        return min(attack_mod.violation_level(limited, net, maps, target, args.horizon, value,
-                                              quantization=lib["quantization"])
-                   for target in targets)
+        return [min(attack_mod.violation_level(plant, net, maps, target, args.horizon, value,
+                                               quantization=lib["quantization"])
+                    for target in targets) for value in limits]
 
     sweep = dict(lib, x_lim_values=limits, tol=args.tol, target_state=args.target_state)
     certified = [w for _, w in certify.frontier(plant, net, **sweep)]
@@ -161,7 +162,7 @@ def cmd_frontier(args) -> int:
                                                             n_samples=args.samples,
                                                             seed=args.seed)]
     if args.with_attack:
-        attacked = [attack_level(v) for v in limits]
+        attacked = attack_levels()
     unit = "degrees" if args.degrees else "radians"
     lines = [f"# angle unit: {unit}", "x_lim,w_certified,w_baseline,w_attack"]
     lines += [",".join(_fmt(v / scale) if math.isfinite(v) else "" for v in row)

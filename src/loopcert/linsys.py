@@ -420,6 +420,21 @@ def hinf_norm(a, bc, cc, dc, grid: int = 512) -> float:
     return max(float(values[k]), _golden_section_max(peak, lo, hi))
 
 
+# The plant's realization: each matrix in field order with its plant-file key
+# and its shape in the sizes n (states), m (controls), p (perturbations),
+# q (uncertainty outputs), r (measurements) and s (uncertainty inputs).
+_REALIZATION = (
+    ("a", "A", "nn"), ("b", "B", "nm"), ("b_w", "Bw", "np"), ("b_delta", "Bdelta", "nq"),
+    ("c", "C", "rn"), ("d_w", "Dw", "rp"),
+    ("c_alpha", "Calpha", "sn"), ("d_alpha_u", "Dalpha_u", "sm"),
+    ("d_alpha_w", "Dalpha_w", "sp"),
+)
+
+# The magnitude limits, each a vector over one of those sizes; the field is
+# also the plant-file key.
+_LIMITS = (("x_lim", "n"), ("y_lim", "r"), ("u_lim", "m"))
+
+
 @dataclass(frozen=True)
 class StateSpacePlant:
     """Discrete-time uncertain plant with a measurement and an uncertainty tap.
@@ -452,43 +467,27 @@ class StateSpacePlant:
     w_inf: float
 
     def __post_init__(self):
-        fields = {
-            "a": _as_matrix(self.a, "a"),
-            "b": _as_matrix(self.b, "b"),
-            "b_w": _as_matrix(self.b_w, "b_w"),
-            "b_delta": _as_matrix(self.b_delta, "b_delta"),
-            "c": _as_matrix(self.c, "c"),
-            "d_w": _as_matrix(self.d_w, "d_w"),
-            "c_alpha": _as_matrix(self.c_alpha, "c_alpha"),
-            "d_alpha_u": _as_matrix(self.d_alpha_u, "d_alpha_u"),
-            "d_alpha_w": _as_matrix(self.d_alpha_w, "d_alpha_w"),
-        }
-        for name, arr in fields.items():
-            object.__setattr__(self, name, arr)
-        n, m, p, q = self.n, self.m, self.p, self.q
-        r, s = self.r, self.s
-        checks = [
-            ("a", (n, n)), ("b", (n, m)), ("b_w", (n, p)), ("b_delta", (n, q)),
-            ("c", (r, n)), ("d_w", (r, p)),
-            ("c_alpha", (s, n)), ("d_alpha_u", (s, m)), ("d_alpha_w", (s, p)),
-        ]
-        for name, shape in checks:
-            if fields[name].shape != shape:
-                raise ValueError(f"{name} has shape {fields[name].shape}, expected {shape}")
-        limits = {
-            "x_lim": (_as_vector(self.x_lim, "x_lim"), n),
-            "y_lim": (_as_vector(self.y_lim, "y_lim"), r),
-            "u_lim": (_as_vector(self.u_lim, "u_lim"), m),
-        }
-        for name, (vec, dim) in limits.items():
-            if vec.shape != (dim,):
-                raise ValueError(f"{name} has shape {vec.shape}, expected ({dim},)")
+        for name, _, _ in _REALIZATION:
+            object.__setattr__(self, name, _as_matrix(getattr(self, name), name))
+        sizes = dict(zip("nmpqrs", (self.n, self.m, self.p, self.q, self.r, self.s)))
+        for name, _, dims in _REALIZATION:
+            shape, expected = getattr(self, name).shape, tuple(sizes[d] for d in dims)
+            if shape != expected:
+                raise ValueError(f"{name} has shape {shape}, expected {expected}")
+        for name, dim in _LIMITS:
+            vec = _as_vector(getattr(self, name), name)
+            if vec.shape != (sizes[dim],):
+                raise ValueError(f"{name} has shape {vec.shape}, expected ({sizes[dim]},)")
             if np.any(vec < 0) or np.any(np.isnan(vec)):
                 raise ValueError(f"{name} must be elementwise >= 0")
             object.__setattr__(self, name, vec)
         if not (self.w_inf >= 0 and not np.isnan(self.w_inf)):
             raise ValueError("w_inf must be >= 0")
         object.__setattr__(self, "w_inf", float(self.w_inf))
+
+    def matrices(self) -> tuple[np.ndarray, ...]:
+        """The nine realization matrices, in the order of :data:`_REALIZATION`."""
+        return tuple(getattr(self, name) for name, _, _ in _REALIZATION)
 
     @property
     def n(self) -> int:
@@ -525,27 +524,23 @@ def make_plant(a, b, *, b_w=None, b_delta=None, c=None, d_w=None, c_alpha=None,
     infinite limits.  The perturbation width is taken from ``b_w`` or ``d_w``
     (1 if both are absent).
     """
-    a = _as_matrix(a, "a")
-    b = _as_matrix(b, "b")
-    n, m = a.shape[0], b.shape[1]
-    c = np.eye(n) if c is None else _as_matrix(c, "c")
-    r = c.shape[0]
-    if b_w is None and d_w is None:
-        p = 1
-    else:
-        p = _as_matrix(b_w, "b_w").shape[1] if b_w is not None else _as_matrix(d_w, "d_w").shape[1]
-    b_w = np.zeros((n, p)) if b_w is None else _as_matrix(b_w, "b_w")
-    d_w = np.zeros((r, p)) if d_w is None else _as_matrix(d_w, "d_w")
-    b_delta = np.zeros((n, 0)) if b_delta is None else _as_matrix(b_delta, "b_delta")
-    c_alpha = np.zeros((0, n)) if c_alpha is None else _as_matrix(c_alpha, "c_alpha")
-    s = c_alpha.shape[0]
-    d_alpha_u = np.zeros((s, m)) if d_alpha_u is None else _as_matrix(d_alpha_u, "d_alpha_u")
-    d_alpha_w = np.zeros((s, p)) if d_alpha_w is None else _as_matrix(d_alpha_w, "d_alpha_w")
-    x_lim = np.full(n, np.inf) if x_lim is None else np.asarray(x_lim, dtype=float)
-    y_lim = np.full(r, np.inf) if y_lim is None else np.asarray(y_lim, dtype=float)
-    u_lim = np.full(m, np.inf) if u_lim is None else np.asarray(u_lim, dtype=float)
-    return StateSpacePlant(a, b, b_w, b_delta, c, d_w, c_alpha, d_alpha_u, d_alpha_w,
-                           x_lim, y_lim, u_lim, w_inf)
+    given = dict(a=a, b=b, b_w=b_w, b_delta=b_delta, c=c, d_w=d_w, c_alpha=c_alpha,
+                 d_alpha_u=d_alpha_u, d_alpha_w=d_alpha_w)
+    mats = {name: None if value is None else _as_matrix(value, name)
+            for name, value in given.items()}
+    n = mats["a"].shape[0]
+    if mats["c"] is None:
+        mats["c"] = np.eye(n)
+    sizes = dict(n=n, m=mats["b"].shape[1], q=0, r=mats["c"].shape[0],
+                 p=next((mats[k].shape[1] for k in ("b_w", "d_w") if mats[k] is not None), 1),
+                 s=0 if mats["c_alpha"] is None else mats["c_alpha"].shape[0])
+    for name, _, dims in _REALIZATION:
+        if mats[name] is None:
+            mats[name] = np.zeros(tuple(sizes[d] for d in dims))
+    limits = {name: np.full(sizes[dim], np.inf) if value is None
+              else np.asarray(value, dtype=float)
+              for (name, dim), value in zip(_LIMITS, (x_lim, y_lim, u_lim))}
+    return StateSpacePlant(**mats, **limits, w_inf=w_inf)
 
 
 # The nine loop maps by name, as (output, input) blocks of the stacked map.
@@ -667,13 +662,14 @@ def close_loop(plant: StateSpacePlant, k0, eps_trunc: float = DEFAULT_EPS_TRUNC)
 # ---------------------------------------------------------------------------
 # Plant file format.
 #
-# JSON object with named matrix fields "A","B","Bw","Bdelta","C","Dw",
-# "Calpha","Dalpha_u","Dalpha_w", each {"rows": int, "cols": int,
-# "data": [row-major floats]}, plus "x_lim"/"y_lim"/"u_lim" arrays (null
-# entries mean unconstrained) and a scalar "w_inf".  Missing uncertainty
-# matrices default to zero.  An optional "Gamma_Delta" matrix carries the
-# learned uncertainty gain.  Angles and every other quantity are in the
-# plant's native units (radians for the bundled cart-pole).
+# JSON object with one field per realization matrix, keyed as _REALIZATION
+# lists them ("A", "B", "Bw", "Bdelta", "C", "Dw", "Calpha", "Dalpha_u",
+# "Dalpha_w"), each {"rows": int, "cols": int, "data": [row-major floats]},
+# plus the _LIMITS arrays "x_lim"/"y_lim"/"u_lim" (null entries mean
+# unconstrained) and a scalar "w_inf".  Only "A" and "B" are required; the
+# other matrices default as in make_plant.  An optional "Gamma_Delta" matrix
+# carries the learned uncertainty gain.  Angles and every other quantity are
+# in the plant's native units (radians for the bundled cart-pole).
 # ---------------------------------------------------------------------------
 
 
@@ -690,35 +686,11 @@ def matrix_from_dict(obj: dict, name: str = "matrix") -> np.ndarray:
     return data.reshape(rows, cols)
 
 
-def _limits_to_list(vec: np.ndarray) -> list:
-    return [None if np.isinf(v) else float(v) for v in vec]
-
-
-def _limits_from_list(values, dim: int, name: str) -> np.ndarray:
-    if values is None:
-        return np.full(dim, np.inf)
-    vec = np.array([np.inf if v is None else float(v) for v in values])
-    if vec.shape != (dim,):
-        raise ValueError(f"{name} has length {vec.shape[0]}, expected {dim}")
-    return vec
-
-
 def plant_to_dict(plant: StateSpacePlant, gamma_delta: np.ndarray | None = None) -> dict:
-    obj = {
-        "A": matrix_to_dict(plant.a),
-        "B": matrix_to_dict(plant.b),
-        "Bw": matrix_to_dict(plant.b_w),
-        "Bdelta": matrix_to_dict(plant.b_delta),
-        "C": matrix_to_dict(plant.c),
-        "Dw": matrix_to_dict(plant.d_w),
-        "Calpha": matrix_to_dict(plant.c_alpha),
-        "Dalpha_u": matrix_to_dict(plant.d_alpha_u),
-        "Dalpha_w": matrix_to_dict(plant.d_alpha_w),
-        "x_lim": _limits_to_list(plant.x_lim),
-        "y_lim": _limits_to_list(plant.y_lim),
-        "u_lim": _limits_to_list(plant.u_lim),
-        "w_inf": float(plant.w_inf),
-    }
+    obj = {key: matrix_to_dict(arr) for (_, key, _), arr in zip(_REALIZATION, plant.matrices())}
+    for name, _ in _LIMITS:
+        obj[name] = [None if np.isinf(v) else float(v) for v in getattr(plant, name)]
+    obj["w_inf"] = float(plant.w_inf)
     if gamma_delta is not None:
         obj["Gamma_Delta"] = matrix_to_dict(gamma_delta)
     return obj
@@ -726,24 +698,20 @@ def plant_to_dict(plant: StateSpacePlant, gamma_delta: np.ndarray | None = None)
 
 def plant_from_dict(obj: dict) -> tuple[StateSpacePlant, np.ndarray | None]:
     """Plant plus the optional uncertainty gain ``Gamma_Delta`` (may be None)."""
-    a = matrix_from_dict(obj["A"], "A")
-    b = matrix_from_dict(obj["B"], "B")
+    def matrix(key):
+        # "A" and "B" are required; any other matrix may be absent or null
+        if key in ("A", "B") or obj.get(key) is not None:
+            return matrix_from_dict(obj[key], key)
+        return None
 
-    def opt(name):
-        return matrix_from_dict(obj[name], name) if name in obj and obj[name] is not None else None
+    def limits(name):
+        values = obj.get(name)
+        return None if values is None else [np.inf if v is None else float(v) for v in values]
 
-    c = opt("C")
-    n, m = a.shape[0], b.shape[1]
-    r = n if c is None else c.shape[0]
-    plant = make_plant(
-        a, b, b_w=opt("Bw"), b_delta=opt("Bdelta"), c=c, d_w=opt("Dw"),
-        c_alpha=opt("Calpha"), d_alpha_u=opt("Dalpha_u"), d_alpha_w=opt("Dalpha_w"),
-        x_lim=_limits_from_list(obj.get("x_lim"), n, "x_lim"),
-        y_lim=_limits_from_list(obj.get("y_lim"), r, "y_lim"),
-        u_lim=_limits_from_list(obj.get("u_lim"), m, "u_lim"),
-        w_inf=float(obj.get("w_inf", 0.0)),
-    )
-    return plant, opt("Gamma_Delta")
+    plant = make_plant(**{name: matrix(key) for name, key, _ in _REALIZATION},
+                       **{name: limits(name) for name, _ in _LIMITS},
+                       w_inf=float(obj.get("w_inf", 0.0)))
+    return plant, matrix("Gamma_Delta")
 
 
 def save_plant(path, plant: StateSpacePlant, gamma_delta: np.ndarray | None = None) -> None:

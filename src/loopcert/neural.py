@@ -101,10 +101,10 @@ class ReluNetwork:
         return self.layers[-1].weight.shape[0]
 
 
-def mlp(weights_and_biases, hidden_activation: str = "relu") -> ReluNetwork:
+def mlp(weights_and_biases) -> ReluNetwork:
     """Network from a [(W, b), ...] list; all but the last layer get ReLU."""
     pairs = list(weights_and_biases)
-    layers = [Layer(w, b, hidden_activation) for w, b in pairs[:-1]]
+    layers = [Layer(w, b, "relu") for w, b in pairs[:-1]]
     layers.append(Layer(pairs[-1][0], pairs[-1][1], "linear"))
     return ReluNetwork(tuple(layers))
 
@@ -346,13 +346,13 @@ def residual_magnitudes(lb: LinearBounds, box: Box, k0) -> tuple[np.ndarray, np.
     return u0_bar, u_bar
 
 
-def jacobian_at(net: ReluNetwork, y0, kink_tol: float = KINK_TOL) -> np.ndarray:
+def jacobian_at(net: ReluNetwork, y0) -> np.ndarray:
     """Exact Jacobian at a point via the activation-pattern chain product.
 
     Raises
     ------
     OnKink
-        If any pre-activation magnitude is within ``kink_tol`` of zero, where
+        If any pre-activation magnitude is within ``KINK_TOL`` of zero, where
         the ReLU pattern (and hence the Jacobian) is ill-defined.
     """
     z = np.asarray(y0, dtype=float)
@@ -363,7 +363,7 @@ def jacobian_at(net: ReluNetwork, y0, kink_tol: float = KINK_TOL) -> np.ndarray:
         pre = layer.weight @ z + layer.bias
         jac = layer.weight @ jac
         if layer.activation == "relu":
-            if np.any(np.abs(pre) <= kink_tol):
+            if np.any(np.abs(pre) <= KINK_TOL):
                 raise OnKink("pre-activation exactly on a ReLU kink")
             mask = pre > 0.0
             jac = jac * mask[:, None]

@@ -109,14 +109,14 @@ def cartpole_nonlinear(params: CartPoleParams | None = None) -> NonlinearPlant:
                           c=c, d_w=d_w, b_w=np.zeros((4, 1)))
 
 
-def cartpole_linearized(params: CartPoleParams | None = None, *,
-                        x_lim=None, y_lim=None, u_lim=None,
-                        w_inf: float = 0.0) -> StateSpacePlant:
+def cartpole_linearized(params: CartPoleParams | None = None) -> StateSpacePlant:
     """Linearization of the cart-pole around the upright equilibrium.
 
     The returned plant measures the full state with the perturbation entering
     the angle measurement only; open loop it is unstable (the upright pole
     falls), so certification must close the loop with a stabilizing gain.
+    Its limits are infinite and its ``w_inf`` is 0; set them with
+    :func:`loopcert.certify.with_state_limit` or ``dataclasses.replace``.
     """
     params = params or CartPoleParams()
     g, big_m, m = params.g, params.masscart, params.masspole
@@ -133,8 +133,7 @@ def cartpole_linearized(params: CartPoleParams | None = None, *,
                   [0.0],
                   [-3.0 * tau / (denom * l)]])
     c, d_w = _angle_measurement()
-    return make_plant(a, b, c=c, d_w=d_w, x_lim=x_lim, y_lim=y_lim,
-                      u_lim=u_lim, w_inf=w_inf)
+    return make_plant(a, b, c=c, d_w=d_w)
 
 
 def linearization_consistency(params: CartPoleParams, radius: float,

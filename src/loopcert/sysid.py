@@ -183,7 +183,6 @@ def load_episodes(path) -> list[Episode]:
 
 
 def uncertain_plant(model: LearnedModel, *, c=None, d_w=None, b_w=None,
-                    x_lim=None, y_lim=None, u_lim=None,
                     w_inf: float = 0.0) -> StateSpacePlant:
     """Wrap a learned model as an uncertain plant.
 
@@ -191,10 +190,11 @@ def uncertain_plant(model: LearnedModel, *, c=None, d_w=None, b_w=None,
     its input stacks state over control (``alpha = (x, u)``), so
     ``|delta| <= [Delta_A  Delta_B] |alpha|`` covers every linear model inside
     the learned box.  Pair with ``model.gamma_delta`` for certification.
+    Its limits are infinite; set them with
+    :func:`loopcert.certify.with_state_limit` or ``dataclasses.replace``.
     """
     n, m = model.a0.shape[0], model.b0.shape[1]
     c_alpha = np.vstack([np.eye(n), np.zeros((m, n))])
     d_alpha_u = np.vstack([np.zeros((n, m)), np.eye(m)])
     return make_plant(model.a0, model.b0, b_w=b_w, b_delta=np.eye(n), c=c, d_w=d_w,
-                      c_alpha=c_alpha, d_alpha_u=d_alpha_u,
-                      x_lim=x_lim, y_lim=y_lim, u_lim=u_lim, w_inf=w_inf)
+                      c_alpha=c_alpha, d_alpha_u=d_alpha_u, w_inf=w_inf)

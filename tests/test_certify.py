@@ -1,5 +1,6 @@
 """Certification engine against hand-derived scalar closed forms."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -290,6 +291,27 @@ class TestMapsCache:
         assert run_in_threads(mismatches, timeout=120) == [[]] * 4
         assert len(certify._closures) <= 2
 
+
+    def test_key_covers_the_whole_realization(self, monkeypatch):
+        # one changed entry in any of the nine matrices is another loop: its
+        # key differs and the memo closes it afresh instead of handing back
+        # the cached maps
+        plant = random_stable_plant(np.random.default_rng(5), with_uncertainty=True)
+        k, eps = np.zeros((plant.m, plant.r)), linsys.DEFAULT_EPS_TRUNC
+        fields = ("a_cl", "bc", "cc", "dc", "abs_stack")
+        _empty_memo(monkeypatch)
+        cached = certify._closed_loop(plant, k, eps)
+        for name in ("a", "b", "b_w", "b_delta", "c", "d_w", "c_alpha", "d_alpha_u",
+                     "d_alpha_w"):
+            matrix = getattr(plant, name).copy()
+            matrix[-1, -1] += 1e-3
+            perturbed = dataclasses.replace(plant, **{name: matrix})
+            assert certify._loop_key(perturbed, k, eps) != certify._loop_key(plant, k, eps), name
+            maps = certify._closed_loop(perturbed, k, eps)
+            fresh = linsys.close_loop(perturbed, k, eps)
+            assert all(np.array_equal(getattr(maps, f), getattr(fresh, f)) for f in fields), name
+            assert not all(np.array_equal(getattr(maps, f), getattr(cached, f))
+                           for f in fields), name
 
     def test_entries_hold_no_impulse_response(self, cartpole, cloned_policy, kd,
                                               monkeypatch):

@@ -89,6 +89,29 @@ class TestCertify:
                      "--policy", scalar_files[1]])
         assert code == EXIT_ERROR
 
+    @pytest.mark.parametrize("flag, key, value", [
+        ("--plant", "w_inf", None), ("--plant", "A", [[0.5]]),
+        ("--policy", "quantization", 0.1), ("--kd", "Kd", 5),
+    ])
+    def test_wrong_json_shapes_exit_cleanly(self, scalar_files, tmp_path, capsys,
+                                            flag, key, value):
+        # JSON that parses but holds a value of the wrong type under ``key``
+        files = dict(zip(("--plant", "--policy"), scalar_files))
+        files["--kd"] = str(tmp_path / "gain.json")
+        (tmp_path / "gain.json").write_text(json.dumps({"Kd": linsys.matrix_to_dict([[-0.2]])}))
+        with open(files[flag]) as fh:
+            obj = json.load(fh)
+        obj[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        files[flag] = str(bad)
+        out = tmp_path / "cert.json"
+        code = main(["certify", *(v for pair in files.items() for v in pair), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR
+        assert "cannot parse" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestBaseline:
     def test_scalar_certified(self, scalar_files, tmp_path):
