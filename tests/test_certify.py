@@ -456,6 +456,17 @@ class TestBaseline:
                              n_samples=64)
         assert str(got.value) == str(want.value)
 
+    def test_cartpole_baseline_levels_match_fingerprint(self, cartpole, cloned_policy, kd):
+        # the w_baseline levels of the cart-pole fingerprint of perfbench/README.md,
+        # exactly: a change to the region scan or the sampled gain that moves a
+        # single bisection step shows here
+        values = [0.001, 0.002, 0.003, 0.005, 0.008]
+        points = baseline_frontier(cartpole, cloned_policy, kd, x_lim_values=values,
+                                   tol=1e-3, target_state=2, seed=11)
+        assert points == list(zip(values, [0.000268798828125, 0.00044946289062499994,
+                                           0.0005625000000000001, 0.0007885742187500001,
+                                           0.0008623046875000001]))
+
     def test_serialization_flags_estimate(self):
         result = BaselineResult(0.0, 0.5, True, 1.0, 0.2)
         obj = result.to_dict()
