@@ -614,6 +614,12 @@ def _gain_sampler(net: ReluNetwork, k0, n_samples: int, seed: int,
     Every call rescales the same unit sample to its radius, so the sampler
     of one seed returns what :func:`sampled_linf_gain` returns for that seed
     at any radius.  The buffers belong to the returned function alone.
+
+    The row norms ``max_j |ys_j|`` and ``max_j |residual_j|`` are taken
+    column by column into buffers (``np.maximum(..., out=)``) instead of
+    reducing each short row; a maximum does not round, so they are the
+    row-wise maxima bit for bit.  Samples with ``ys = 0`` are selected out
+    only when there is one.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
@@ -622,6 +628,15 @@ def _gain_sampler(net: ReluNetwork, k0, n_samples: int, seed: int,
     unit = np.random.default_rng(seed).random((n_samples, dim))
     ys = np.empty_like(unit)
     outs = [np.empty((n_samples, layer.weight.shape[0])) for layer in net.layers]
+    linear = np.empty_like(outs[-1])
+    abs_ys = np.empty_like(unit)
+    norms_y, norms_r = np.empty(n_samples), np.empty(n_samples)
+
+    def row_max(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+        np.copyto(out, rows[:, 0])
+        for j in range(1, rows.shape[1]):
+            np.maximum(out, rows[:, j], out=out)
+        return out
 
     def gain(radius) -> float:
         radius = np.broadcast_to(np.asarray(radius, dtype=float), (dim,))
@@ -634,13 +649,16 @@ def _gain_sampler(net: ReluNetwork, k0, n_samples: int, seed: int,
         u = neural._forward_into(ys, net.layers, outs)
         if quantization is not None:
             u = quantization.apply(u)
-        residual = u - ys @ k0.T
-        norms_y = np.max(np.abs(ys), axis=1)
+        # u is the last row buffer, or the quantizer's fresh array: free to overwrite
+        residual = np.abs(np.subtract(u, np.matmul(ys, k0.T, out=linear), out=u), out=u)
+        row_max(np.abs(ys, out=abs_ys), norms_y)
+        row_max(residual, norms_r)
+        if np.all(norms_y > 0):
+            return float(np.max(np.divide(norms_r, norms_y, out=norms_r)))
         keep = norms_y > 0
         if not np.any(keep):
             return 0.0
-        ratios = np.max(np.abs(residual[keep]), axis=1) / norms_y[keep]
-        return float(np.max(ratios))
+        return float(np.max(norms_r[keep] / norms_y[keep]))
 
     return gain
 
@@ -661,11 +679,14 @@ def baseline_certify(plant: StateSpacePlant, net: ReluNetwork,
     conditions and grows the region until the implied measurement bound fits
     inside it (certified) or the conditions break.  On success the closed
     form quadruplet is returned as well; with ``check_limits`` the plant
-    limits must also contain it.
+    limits must also contain it.  Nothing before that check reads the
+    plant's limits, so :func:`baseline_frontier` scans once per level with
+    ``check_limits=False`` and checks each limit itself.
 
     The unit sample is drawn once per call and rescaled to each region, and
-    the policy is evaluated into row buffers held for the whole region loop;
-    every region's gain is bit-identical to :func:`sampled_linf_gain` there.
+    the policy and the row norms are evaluated into buffers held for the
+    whole region loop (:func:`_gain_sampler`); every region's gain is
+    bit-identical to :func:`sampled_linf_gain` there.
     When ``beta1 >= 1`` no region can certify, and only the region the scan
     would end on is sampled.
 
@@ -723,11 +744,25 @@ def baseline_frontier(plant: StateSpacePlant, net: ReluNetwork,
                       quantization: QuantizationSpec | None = None,
                       n_samples: int = 4096, seed: int = 0,
                       eps_trunc: float = DEFAULT_EPS_TRUNC) -> list[tuple[float, float]]:
-    """Largest attack level the small-gain baseline accepts, per limit."""
+    """Largest attack level the small-gain baseline accepts, per limit.
+
+    The region scan of :func:`baseline_certify` reads none of the plant's
+    limits, so each distinct level ``w`` is scanned once per call (without
+    the limit check) and every limit only checks the scan's quadruplet
+    against its own limits.  The levels are those of calling
+    :func:`baseline_certify` on each limited plant; the bisections of
+    different limits share their doubling probes.
+    """
+    scans: dict[float, tuple[BaselineResult, Quadruplet | None]] = {}
+
     def certifies(limited: StateSpacePlant, w: float) -> bool:
-        result, _ = baseline_certify(limited, net, k_d, gamma_delta, w_inf=w,
-                                     quantization=quantization, n_samples=n_samples,
-                                     seed=seed, eps_trunc=eps_trunc)
-        return result.certified
+        scan = scans.get(w)
+        if scan is None:
+            scan = scans[w] = baseline_certify(
+                limited, net, k_d, gamma_delta, w_inf=w, quantization=quantization,
+                n_samples=n_samples, seed=seed, eps_trunc=eps_trunc, check_limits=False)
+        result, quad = scan
+        return result.certified and not _outside_limits(limited, quad.x_bar, quad.y_bar,
+                                                        quad.u_bar)
 
     return _frontier(plant, x_lim_values, tol, target_state, certifies)

@@ -27,7 +27,7 @@ marched again from the realization whenever a caller reads it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -587,7 +587,8 @@ class ClosedLoopMaps:
     name reads as an attribute (``maps.xw``), the block of :meth:`response`,
     so every such read marches the loop once; :meth:`abs_block`,
     :meth:`l1` and :meth:`realization` take the name as an argument and
-    march nothing.
+    march nothing.  The block slices are built once per closure, and each
+    L1 norm is summed on its first read.
     """
 
     a_cl: np.ndarray
@@ -598,9 +599,15 @@ class ClosedLoopMaps:
     tail_bound: float
     abs_stack: np.ndarray
     dims: tuple[int, int, int, int, int, int]
+    _blocks: dict = field(init=False, repr=False, compare=False)
+    _l1: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_blocks", _block_slices(*self.dims))
+        object.__setattr__(self, "_l1", {})
 
     def _slices(self, which: str) -> tuple[slice, slice]:
-        return _block_slices(*self.dims)[which]
+        return self._blocks[which]
 
     def __getattr__(self, name: str) -> TruncatedTransferMatrix:
         # only reached when normal lookup fails, i.e. for the nine map names
@@ -617,8 +624,17 @@ class ClosedLoopMaps:
         return self.abs_stack[self._slices(which)]
 
     def l1(self, which: str) -> float:
-        """:func:`l1_norm` of one of the nine maps, read from ``abs_stack``."""
-        return float(np.max(np.sum(self.abs_block(which), axis=1), initial=0.0))
+        """:func:`l1_norm` of one of the nine maps, read from ``abs_stack``.
+
+        The norm is summed on the first read of ``which`` and held with the
+        maps; later reads return it without touching ``abs_stack``.
+        """
+        norm = self._l1.get(which)
+        if norm is None:
+            # threads that share the maps may both sum it; they store the same float
+            norm = self._l1[which] = float(np.max(np.sum(self.abs_block(which), axis=1),
+                                                  initial=0.0))
+        return norm
 
     def realization(self, which: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """State-space quadruple (A, B, C, D) of one of the nine maps."""

@@ -404,9 +404,16 @@ def policy_to_dict(net: ReluNetwork, quantization: QuantizationSpec | None = Non
 
 def policy_from_dict(obj: dict) -> tuple[ReluNetwork, QuantizationSpec | None]:
     layers = []
-    for entry in obj["layers"]:
+    for index, entry in enumerate(obj["layers"]):
         rows, cols = int(entry["rows"]), int(entry["cols"])
-        w = np.asarray(entry["weights"], dtype=float).reshape(rows, cols)
+        w = np.asarray(entry["weights"], dtype=float)
+        # reshape would infer a -1 and accept the layer
+        if rows < 1 or cols < 1:
+            raise ValueError(f"layer {index}: rows and cols must be >= 1, got {rows} x {cols}")
+        if w.size != rows * cols:
+            raise ValueError(f"layer {index}: {w.size} weights, expected rows*cols = "
+                             f"{rows * cols}")
+        w = w.reshape(rows, cols)
         b = np.asarray(entry["bias"], dtype=float)
         layers.append(Layer(w, b, entry.get("activation", "relu")))
     net = ReluNetwork(tuple(layers))

@@ -467,6 +467,50 @@ class TestBaseline:
                                            0.0005625000000000001, 0.0007885742187500001,
                                            0.0008623046875000001]))
 
+    def test_one_scan_per_level_matches_per_limit_bisection(self, monkeypatch):
+        # the region scan reads no limit, so the frontier scans each level once
+        # and checks every limit against the scan's quadruplet; its levels are
+        # those of one full baseline_certify call per limited plant, including
+        # when a limit on another state, on y or on u binds
+        def per_limit_frontier(plant, net, values, **kwargs):
+            out = []
+            for value in values:
+                limited = certify.with_state_limit(plant, 0, value)
+                out.append((value, certify.bisect_max_level(
+                    lambda w: real_certify(limited, net, w_inf=w, **kwargs)[0].certified,
+                    tol=1e-2)))
+            return out
+
+        real_certify = certify.baseline_certify
+        levels_scanned = []
+
+        def spy(*args, **kwargs):
+            levels_scanned.append(kwargs["w_inf"])
+            return real_certify(*args, **kwargs)
+
+        monkeypatch.setattr(certify, "baseline_certify", spy)
+        values = [0.25, 1.0, 4.0]
+        for seed in (2, 12, 36):
+            rng = np.random.default_rng(seed)
+            plant = random_stable_plant(rng, with_uncertainty=False)
+            net = random_relu_net(rng, d_in=plant.r, d_out=plant.m)
+            variants = (plant,
+                        dataclasses.replace(plant, x_lim=np.r_[np.inf, np.full(plant.n - 1, 0.3)]),
+                        dataclasses.replace(plant, y_lim=np.full(plant.r, 0.5)),
+                        dataclasses.replace(plant, u_lim=np.full(plant.m, 0.1)))
+            for quant in (None, neural.QuantizationSpec(1e-3)):
+                kwargs = dict(quantization=quant, n_samples=256, seed=seed)
+                got = []
+                for limited in variants:
+                    levels_scanned.clear()
+                    got.append(baseline_frontier(limited, net, x_lim_values=values, tol=1e-2,
+                                                 target_state=0, **kwargs))
+                    assert sorted(levels_scanned) == sorted(set(levels_scanned))
+                    assert got[-1] == per_limit_frontier(limited, net, values, **kwargs)
+                # every extra limit lowers some level, so each check is exercised
+                assert all(points != got[0] for points in got[1:]), seed
+                assert all(w > 0 for points in got for _, w in points), seed
+
     def test_serialization_flags_estimate(self):
         result = BaselineResult(0.0, 0.5, True, 1.0, 0.2)
         obj = result.to_dict()
@@ -511,6 +555,22 @@ class TestBaselineBuffers:
                 got = sampled_linf_gain(net, k0, radius, n_samples, seed, quant)
                 want = fresh_draw_gain(net, k0, radius, n_samples, seed, quant)
                 assert same_bits(got, want), (seed, radius)
+        # some samples but not all exactly zero: a one-input net at the smallest
+        # subnormal radius, where about half the unit draws round to 0
+        for seed in range(6):
+            rng = np.random.default_rng(700 + seed)
+            net = (linear_policy(2.0) if seed == 0 else
+                   neural.mlp([(layer.weight, np.zeros_like(layer.bias))
+                               for layer in random_relu_net(rng, d_in=1).layers]))
+            k0 = np.zeros((net.output_dim, 1)) if seed < 2 else rng.normal(size=(net.output_dim, 1))
+            quant = neural.QuantizationSpec(0.05) if seed == 5 else None
+            draws = np.random.default_rng(seed).uniform(-5e-324, 5e-324, size=1000)
+            assert 0 < np.count_nonzero(draws == 0.0) < draws.size
+            got = sampled_linf_gain(net, k0, 5e-324, 1000, seed, quant)
+            want = fresh_draw_gain(net, k0, 5e-324, 1000, seed, quant)
+            assert same_bits(got, want), seed
+            if seed == 0:
+                assert got == 2.0
 
     def test_baseline_certify_matches_fresh_draws(self, monkeypatch):
         cases = []

@@ -112,6 +112,21 @@ class TestCertify:
         assert "cannot parse" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_negative_layer_size_exits_cleanly(self, scalar_files, tmp_path, capsys):
+        # reshape would infer rows = -1 from the weights and load the policy
+        plant_path, policy_path = scalar_files
+        with open(policy_path) as fh:
+            obj = json.load(fh)
+        obj["layers"][0]["rows"] = -1
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        out = tmp_path / "cert.json"
+        code = main(["certify", "--plant", plant_path, "--policy", str(bad), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR
+        assert "layer 0: rows and cols must be >= 1, got -1 x 1" in err
+        assert not out.exists()
+
 
 class TestBaseline:
     def test_scalar_certified(self, scalar_files, tmp_path):

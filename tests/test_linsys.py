@@ -414,6 +414,20 @@ class TestCloseLoop:
             with pytest.raises(AttributeError):
                 maps.uy
 
+    def test_held_l1_norms_equal_the_row_sums(self):
+        # a norm is summed on its first read and held; the first and every
+        # later read equal the largest row sum of the map's block, bit for bit
+        for seed in range(20):
+            rng = np.random.default_rng(900 + seed)
+            plant = random_stable_plant(rng, with_uncertainty=seed % 2 == 0)
+            maps = close_loop(plant, np.zeros((plant.m, plant.r)))
+            for _ in range(2):
+                for name in linsys._MAP_BLOCKS:
+                    want = np.max(np.sum(maps.abs_block(name), axis=1), initial=0.0)
+                    got = maps.l1(name)
+                    assert type(got) is float, name
+                    assert np.float64(got).tobytes() == np.float64(want).tobytes(), (seed, name)
+
     def test_rejects_unstable_closure(self):
         plant = make_plant([[1.2]], [[1.0]], b_w=[[1.0]])
         with pytest.raises(NotSchurStable):

@@ -410,3 +410,17 @@ class TestPolicyFiles:
         neural.save_policy(path, single_relu_policy())
         _, quant = neural.load_policy(path)
         assert quant is None
+
+    @pytest.mark.parametrize("rows, cols, weights, message", [
+        (-1, 1, [1.0], "layer 1: rows and cols must be >= 1, got -1 x 1"),
+        (1, -1, [1.0], "layer 1: rows and cols must be >= 1, got 1 x -1"),
+        (0, 0, [], "layer 1: rows and cols must be >= 1, got 0 x 0"),
+        (1, 1, [1.0, 2.0], "layer 1: 2 weights, expected rows*cols = 1"),
+    ])
+    def test_rejects_bad_layer_sizes(self, rows, cols, weights, message):
+        # a -1 would otherwise be inferred by reshape and the net would load
+        obj = neural.policy_to_dict(single_relu_policy())
+        obj["layers"][1].update(rows=rows, cols=cols, weights=weights)
+        with pytest.raises(ValueError) as err:
+            neural.policy_from_dict(obj)
+        assert str(err.value) == message
