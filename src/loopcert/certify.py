@@ -653,9 +653,9 @@ def _gain_sampler(net: ReluNetwork, k0, n_samples: int, seed: int,
         residual = np.abs(np.subtract(u, np.matmul(ys, k0.T, out=linear), out=u), out=u)
         row_max(np.abs(ys, out=abs_ys), norms_y)
         row_max(residual, norms_r)
-        if np.all(norms_y > 0):
-            return float(np.max(np.divide(norms_r, norms_y, out=norms_r)))
         keep = norms_y > 0
+        if np.all(keep):
+            return float(np.max(np.divide(norms_r, norms_y, out=norms_r)))
         if not np.any(keep):
             return 0.0
         return float(np.max(norms_r[keep] / norms_y[keep]))
