@@ -16,10 +16,8 @@ The simulator runs the exact recursion with ``u = pi(y)`` (quantized when
 configured) on either the linear plant or a nonlinear plant object.  On a
 linear plant it also takes a batch of perturbations, shape (B, t_sim, p),
 and runs the B rollouts in one loop; every row is bit-identical to its own
-unbatched run.  :func:`violation_level` uses the batch axis to speculate:
-one rollout simulates a chunk of doubling amplitudes, or every midpoint the
-bisection can reach in its next few rounds, and the search then walks those
-results exactly as the one-rollout-per-amplitude search would.
+unbatched run.  :func:`violation_level` runs each batch of its bisection's
+amplitudes as one batched rollout.
 """
 
 from __future__ import annotations
@@ -30,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .certify import _bisect_bracket
 from .linsys import ClosedLoopMaps, StateSpacePlant
 from .neural import QuantizationSpec, ReluNetwork, evaluate
 from .plant import NonlinearPlant
@@ -56,10 +55,9 @@ _SAFE_SQUARES = 0.1 * _OVERFLOW**2
 # enough to take the products out of the loop, few enough to cost no memory
 _BLOCK = 256
 
-# violation_level's batches: doubling amplitudes per rollout, and the depth
-# of the bisection-midpoint tree per rollout (2**depth - 1 amplitudes)
-_DOUBLING_CHUNK = 8
-_TREE_DEPTH = 3
+# amplitudes per violation_level rollout: a doubling chunk of 8, then a
+# depth-3 tree of 7 bisection midpoints
+_BATCH = 8
 
 
 @dataclass(frozen=True)
@@ -284,46 +282,24 @@ def monte_carlo_attack(plant, net: ReluNetwork, w_inf: float, t_sim: int,
     return trace, SignalStats.of(trace.x)
 
 
-def _midpoints(lo: float, hi: float, tol: float, depth: int) -> list[float]:
-    """Every midpoint the bisection of :func:`violation_level` can reach from
-    ``[lo, hi]`` within ``depth`` rounds, whichever way each round goes."""
-    if depth == 0 or hi - lo <= tol * hi:
-        return []
-    mid = (lo + hi) / 2.0
-    return [mid] + _midpoints(lo, mid, tol, depth - 1) + _midpoints(mid, hi, tol, depth - 1)
-
-
 def violation_level(plant, net: ReluNetwork, maps: ClosedLoopMaps, target: int,
                     horizon: int, x_limit: float, tol: float = 1e-3,
                     quantization: QuantizationSpec | None = None,
                     max_doublings: int = 24) -> float:
     """Smallest amplitude whose designed attack breaks ``|x_target| <= x_limit``.
 
-    Bisection over the amplitude of the designed plan, simulated over its
-    horizon: doubling up from ``tol`` to the first violating amplitude
-    ``hi``, then halving ``[0, hi]`` until its width is at most ``tol * hi``.
-    Returns ``inf`` when no tested amplitude (up to the doubling cap)
-    violates the limit.  A diverging rollout counts as a violation.  When
-    ``tol`` itself violates, amplitude 0 is tried too, and if the unforced
-    loop already breaks the limit the level is 0.0 (for a loop that is not
-    monotone in the amplitude, even where some amplitude in ``(0, tol)``
-    would not violate).
-
-    The search is speculative: each batched :func:`simulate` call runs the
-    next ``_DOUBLING_CHUNK`` doubling amplitudes, or the full tree of the
-    next ``_TREE_DEPTH`` bisection midpoints, and the sequential search then
-    walks the results.  Its amplitudes are the exact floats the one-at-a-time
-    search computes, and each row is bit-identical to its own rollout, so
-    the returned level is the same bit for bit.
+    The ``hi`` end of :func:`loopcert.certify._bisect_bracket` on the
+    designed plan simulated over its horizon, with the doubling cap
+    ``max_doublings`` and ``_BATCH`` amplitudes per :func:`simulate` call;
+    ``inf`` when no amplitude up to the cap violates.  A diverging rollout
+    counts as a violation.  Each row is bit-identical to its own rollout, so
+    the level is that of one rollout per amplitude, bit for bit.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     plan = design_attack(maps, target, horizon)
-    violates: dict[float, bool] = {}
 
-    def run(levels: list[float]) -> None:
+    def violates(levels: list[float]) -> list[bool]:
         w = np.multiply.outer(levels, plan.signs)
         try:
             x = simulate(plant, net, w, horizon, quantization=quantization).x
@@ -331,39 +307,9 @@ def violation_level(plant, net: ReluNetwork, maps: ClosedLoopMaps, target: int,
         except DivergedAt as exc:
             x, dead = exc.trace.x, exc.rows >= 0
         peak = np.max(np.abs(x[:, :, target]), axis=1)
-        violates.update(zip(levels, (dead | (peak > x_limit)).tolist()))
+        return (dead | (peak > x_limit)).tolist()
 
-    hi = tol
-    doublings = 0
-    while True:
-        if hi not in violates:
-            count = min(_DOUBLING_CHUNK, max(max_doublings, 0) - doublings + 1)
-            run([hi * 2.0**k for k in range(count)])
-        if violates[hi]:
-            break
-        hi *= 2.0
-        doublings += 1
-        if doublings > max_doublings:
-            return np.inf
-    if hi == tol:
-        # the first amplitude violates: amplitude 0 rides with the first
-        # bisection batch, and an unforced loop that violates ends the search
-        run([0.0] + _midpoints(0.0, hi, tol, _TREE_DEPTH))
-        if violates[0.0]:
-            return 0.0
-    lo = 0.0
-    while hi - lo > tol * hi:
-        mid = (lo + hi) / 2.0
-        if mid not in violates:
-            run([v for v in _midpoints(lo, hi, tol, _TREE_DEPTH) if v not in violates])
-        # no float left strictly inside the bracket: mid is lo or hi itself
-        if mid == (hi if violates[mid] else lo):
-            break
-        if violates[mid]:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _bisect_bracket(violates, tol, max_doublings, _BATCH)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -78,9 +78,11 @@ STALLED = "Stalled"
 _QUAD_INFLATION = 1e-9
 
 # Relative inflation of algorithm1's reference box from one pass to the next,
-# and the doublings after which bisect_max_level stops at its cap.
+# the doublings after which bisect_max_level stops at its cap, and the
+# regions the baseline's scan tries at most.
 _BOX_INFLATION = 1e-6
 _CAP_DOUBLINGS = 20
+_REGION_ITER = 40
 
 
 class NoStabilizingGain(RuntimeError):
@@ -508,44 +510,88 @@ def algorithm1(plant: StateSpacePlant, net: ReluNetwork,
 
 def with_state_limit(plant: StateSpacePlant, target_state: int | None,
                       value: float) -> StateSpacePlant:
-    """Plant with the state limit of ``target_state`` (or all states) set."""
+    """Plant with the state limit of ``target_state`` (or all states) set.
+
+    Raises ``ValueError`` for an index outside ``[0, n)``, negative included.
+    """
     x_lim = plant.x_lim.copy()
     if target_state is None:
         x_lim[:] = value
-    else:
+    elif 0 <= target_state < plant.n:
         x_lim[target_state] = value
+    else:
+        raise ValueError(f"target state {target_state} out of range for n={plant.n}")
     return replace(plant, x_lim=x_lim)
 
 
-def bisect_max_level(certifies: Callable[[float], bool], tol: float = 1e-4) -> float:
-    """Largest level certified by a monotone predicate, to relative tol.
+def _midpoints(lo: float, hi: float, tol: float, depth: int) -> list[float]:
+    """Every midpoint the bisection of :func:`_bisect_bracket` can reach from
+    ``[lo, hi]`` within ``depth`` rounds, whichever way each round goes."""
+    if depth == 0 or hi - lo <= tol * hi:
+        return []
+    mid = (lo + hi) / 2.0
+    return [mid] + _midpoints(lo, mid, tol, depth - 1) + _midpoints(mid, hi, tol, depth - 1)
 
-    Doubles upward from ``tol`` until the predicate fails (or the cap
-    ``2**_CAP_DOUBLINGS * tol`` certifies, which is then returned), then
-    bisects.  Returns 0 when even level 0 fails.
+
+def _bisect_bracket(fails: Callable[[list[float]], list[bool]], tol: float, cap: int,
+                    width: int = 1) -> tuple[float, float]:
+    """Bracket ``(lo, hi)`` of the least failing level of a monotone batch
+    predicate: ``lo`` passes (or is 0) and ``hi`` fails (or is inf).
+
+    ``fails(levels)`` gives one verdict per level, for at most ``width``
+    levels per call.  The verdicts are held, so no level is asked twice.
+
+    * Doubling: ``tol * 2**k`` for ``k = 0 .. max(cap, 0)``, ``width`` per
+      batch.  ``hi`` is the first that fails, ``lo`` the one before; when
+      none fails, the bracket is ``(tol * 2**cap, inf)``.
+    * Zero: 0 is asked only when ``tol`` fails, with the first bisection
+      batch.  When 0 fails too, the bracket is ``(0, 0)``.
+    * Stop: bisect while ``hi - lo > tol * hi``; stop when the midpoint is
+      ``lo`` or ``hi`` itself (no float lies between them).
+    * Batch: a bisection batch is every midpoint the next ``d`` rounds can
+      reach, for the deepest tree of ``2**d - 1`` midpoints within ``width``.
+      Width 1 asks one midpoint per round; width 8 doubles in chunks of 8,
+      then asks trees of 7.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    if not certifies(0.0):
-        return 0.0
-    lo, hi = 0.0, tol
-    cap = tol * 2.0**_CAP_DOUBLINGS
-    while certifies(hi):
-        lo = hi
-        if hi >= cap:
-            return hi
-        hi = min(2.0 * hi, cap)
-    # the halving count is capped so a certified level of exactly zero
-    # (lo never moves) terminates too
-    for _ in range(200):
-        if hi - lo <= tol * hi:
+    verdicts: dict[float, bool] = {}
+
+    def ask(levels: list[float]) -> None:
+        levels = [v for v in dict.fromkeys(levels) if v not in verdicts]
+        verdicts.update(zip(levels, fails(levels)))
+
+    cap = max(cap, 0)
+    lo = 0.0
+    for k in range(cap + 1):
+        hi = tol * 2.0**k
+        if hi not in verdicts:
+            ask([tol * 2.0**j for j in range(k, min(k + width, cap + 1))])
+        if verdicts[hi]:
             break
+        lo = hi
+    else:
+        return lo, np.inf
+    depth = (width + 1).bit_length() - 1
+    if lo == 0.0:
+        ask([0.0] + _midpoints(lo, hi, tol, depth))
+        if verdicts[0.0]:
+            return 0.0, 0.0
+    while hi - lo > tol * hi:
         mid = (lo + hi) / 2.0
-        if certifies(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+        if mid in (lo, hi):
+            break
+        if mid not in verdicts:
+            ask(_midpoints(lo, hi, tol, depth))
+        lo, hi = (lo, mid) if verdicts[mid] else (mid, hi)
+    return lo, hi
+
+
+def bisect_max_level(certifies: Callable[[float], bool], tol: float = 1e-4) -> float:
+    """Largest level certified by a monotone predicate, to relative tol: the ``lo``
+    end of :func:`_bisect_bracket`, one level at a time, capped at ``_CAP_DOUBLINGS``."""
+    return _bisect_bracket(lambda levels: [not certifies(w) for w in levels], tol,
+                           _CAP_DOUBLINGS)[0]
 
 
 def frontier(plant: StateSpacePlant, net: ReluNetwork,
@@ -555,9 +601,9 @@ def frontier(plant: StateSpacePlant, net: ReluNetwork,
              eps_trunc: float = DEFAULT_EPS_TRUNC) -> list[tuple[float, float]]:
     """Largest certifiable attack level per state-deviation limit.
 
-    For each limit the attack amplitude is bisected (relative tolerance
-    ``tol``) on the success of :func:`algorithm1` with that limit installed
-    on ``target_state`` (every state when None).  The resulting curve is
+    For each limit, :func:`bisect_max_level` (relative tolerance ``tol``)
+    on the success of :func:`algorithm1` with that limit installed on
+    ``target_state`` (every state when None).  The resulting curve is
     nondecreasing in the limit up to the bisection tolerance.
     """
     def certifies(limited: StateSpacePlant, w: float) -> bool:
@@ -669,7 +715,7 @@ def baseline_certify(plant: StateSpacePlant, net: ReluNetwork,
                      w_inf: float | None = None,
                      quantization: QuantizationSpec | None = None,
                      n_samples: int = 4096, seed: int = 0,
-                     max_region_iter: int = 40,
+                     max_region_iter: int = _REGION_ITER,
                      eps_trunc: float = DEFAULT_EPS_TRUNC,
                      check_limits: bool = True) -> tuple[BaselineResult, Quadruplet | None]:
     """Small-gain baseline with an iteratively grown validity region.
@@ -677,18 +723,14 @@ def baseline_certify(plant: StateSpacePlant, net: ReluNetwork,
     Extracts a fixed gain (Jacobian at the origin, else ``k_d``), samples the
     residual infinity-gain over the current region, evaluates the small-gain
     conditions and grows the region until the implied measurement bound fits
-    inside it (certified) or the conditions break.  On success the closed
-    form quadruplet is returned as well; with ``check_limits`` the plant
-    limits must also contain it.  Nothing before that check reads the
-    plant's limits, so :func:`baseline_frontier` scans once per level with
-    ``check_limits=False`` and checks each limit itself.
+    inside it (certified) or the conditions break (:func:`_region_scan`).
+    On success the closed form quadruplet is returned as well; with
+    ``check_limits`` the plant limits must also contain it.
 
     The unit sample is drawn once per call and rescaled to each region, and
     the policy and the row norms are evaluated into buffers held for the
     whole region loop (:func:`_gain_sampler`); every region's gain is
     bit-identical to :func:`sampled_linf_gain` there.
-    When ``beta1 >= 1`` no region can certify, and only the region the scan
-    would end on is sampled.
 
     ``gamma_delta`` is checked as :func:`algorithm1` checks it and enters the
     small-gain conditions as its largest row sum.
@@ -699,7 +741,20 @@ def baseline_certify(plant: StateSpacePlant, net: ReluNetwork,
         k0, maps = _pick_gain(plant, net, None, k_d, eps_trunc)
     except NoStabilizingGain:
         return BaselineResult(np.inf, np.inf, False, np.inf), None
+    sampler = _gain_sampler(net, k0, n_samples, seed, quantization)
+    result, quad = _region_scan(maps, sampler, gamma, w_amp, max_region_iter)
+    if check_limits and quad is not None and _outside_limits(plant, quad.x_bar, quad.y_bar,
+                                                              quad.u_bar):
+        return replace(result, certified=False), quad
+    return result, quad
 
+
+def _region_scan(maps: ClosedLoopMaps, sampled_gain: Callable[[object], float],
+                 gamma: float, w_amp: float,
+                 max_region_iter: int) -> tuple[BaselineResult, Quadruplet | None]:
+    """The region loop of :func:`baseline_certify`, which reads no plant limit:
+    the last region's result, and the quadruplet with ``x_bar`` if it certified.
+    When ``beta1 >= 1`` only the region the scan would end on is sampled."""
     # Region search: the sampled gain is large both on tiny regions (any
     # policy offset at the origin dominates) and on huge ones (saturation),
     # so scan upward and keep the first region that closes all conditions.
@@ -714,7 +769,6 @@ def baseline_certify(plant: StateSpacePlant, net: ReluNetwork,
             y_inf *= 2.0
         max_region_iter = 1
     result = BaselineResult(np.inf, np.inf, False, np.inf)
-    sampled_gain = _gain_sampler(net, k0, n_samples, seed, quantization)
     for _ in range(max_region_iter):
         result = check_lemma1(maps, sampled_gain(y_inf), gamma, w_amp, y_inf)
         if result.certified:
@@ -730,11 +784,8 @@ def baseline_certify(plant: StateSpacePlant, net: ReluNetwork,
         return result, None
 
     quad = constructive_quadruplet(maps, result.gamma_pi, gamma, w_amp)
-    x_bar, _, _ = _implied_bounds(maps, np.full(plant.p, w_amp), quad.u_bar, quad.delta_bar)
-    quad = replace(quad, x_bar=x_bar)
-    if check_limits and _outside_limits(plant, x_bar, quad.y_bar, quad.u_bar):
-        return replace(result, certified=False), quad
-    return result, quad
+    x_bar = _implied_bounds(maps, np.full(maps.dims[2], w_amp), quad.u_bar, quad.delta_bar)[0]
+    return result, replace(quad, x_bar=x_bar)
 
 
 def baseline_frontier(plant: StateSpacePlant, net: ReluNetwork,
@@ -746,21 +797,24 @@ def baseline_frontier(plant: StateSpacePlant, net: ReluNetwork,
                       eps_trunc: float = DEFAULT_EPS_TRUNC) -> list[tuple[float, float]]:
     """Largest attack level the small-gain baseline accepts, per limit.
 
-    The region scan of :func:`baseline_certify` reads none of the plant's
-    limits, so each distinct level ``w`` is scanned once per call (without
-    the limit check) and every limit only checks the scan's quadruplet
-    against its own limits.  The levels are those of calling
-    :func:`baseline_certify` on each limited plant; the bisections of
-    different limits share their doubling probes.
+    For each limit, :func:`bisect_max_level` on :func:`baseline_certify`
+    with that limit installed.  Neither the gain nor the region scan reads a
+    limit, so the gain, its loop and its sampler are built once per call,
+    each distinct level ``w`` is scanned once (:func:`_region_scan`), and
+    each limit checks the scan's quadruplet against itself.
     """
+    gamma = float(np.max(np.sum(_uncertainty_gain(plant, gamma_delta), axis=1), initial=0.0))
+    try:
+        k0, maps = _pick_gain(plant, net, None, k_d, eps_trunc)
+    except NoStabilizingGain:
+        return _frontier(plant, x_lim_values, tol, target_state, lambda limited, w: False)
+    sampler = _gain_sampler(net, k0, n_samples, seed, quantization)
     scans: dict[float, tuple[BaselineResult, Quadruplet | None]] = {}
 
     def certifies(limited: StateSpacePlant, w: float) -> bool:
         scan = scans.get(w)
         if scan is None:
-            scan = scans[w] = baseline_certify(
-                limited, net, k_d, gamma_delta, w_inf=w, quantization=quantization,
-                n_samples=n_samples, seed=seed, eps_trunc=eps_trunc, check_limits=False)
+            scan = scans[w] = _region_scan(maps, sampler, gamma, w, _REGION_ITER)
         result, quad = scan
         return result.certified and not _outside_limits(limited, quad.x_bar, quad.y_bar,
                                                         quad.u_bar)

@@ -173,6 +173,8 @@ def cmd_frontier(args) -> int:
 
 def cmd_attack(args) -> int:
     plant, net, _, lib = _loop(args, w_inf=args.w_inf)
+    if not 0 <= args.target < plant.n:
+        raise CliError(f"target state {args.target} out of range for n={plant.n}")
     try:
         _, maps = certify.extract_loop(plant, net, None, lib["k_d"], args.eps_trunc)
     except certify.NoStabilizingGain:

@@ -144,3 +144,20 @@ def run_in_threads(fn, n=4, timeout=300):
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
     return results
+
+
+def threshold_cases(count, seed=0):
+    """``(threshold, strict, tol)`` for monotone threshold predicates.
+
+    Thresholds are log-uniform over 1e-60 .. 1e5, with 0 and inf mixed in;
+    a strict case fails above the threshold, the others at it and above.
+    ``tol`` is one of 1e-20, 1e-4, 1e-3 and 0.3.
+    """
+    rng = np.random.default_rng(seed)
+    cases = []
+    for i in range(count):
+        kind = i % 20
+        threshold = 0.0 if kind == 0 else np.inf if kind == 1 else 10.0 ** rng.uniform(-60, 5)
+        cases.append((float(threshold), bool(rng.integers(2)),
+                      float(rng.choice([1e-20, 1e-4, 1e-3, 0.3]))))
+    return cases

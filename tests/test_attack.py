@@ -1,5 +1,6 @@
 """Attack synthesis and the simulation harness."""
 
+import collections
 import threading
 
 import numpy as np
@@ -9,6 +10,7 @@ from loopcert import attack, certify, linsys, neural
 from loopcert.attack import (
     AttackPlan,
     DivergedAt,
+    SimTrace,
     design_attack,
     load_plan,
     monte_carlo_attack,
@@ -18,7 +20,13 @@ from loopcert.attack import (
 )
 from loopcert.plant import CartPoleParams, cartpole_linearized, cartpole_nonlinear
 
-from conftest import linear_policy, random_relu_net, random_stable_plant, scalar_plant
+from conftest import (
+    linear_policy,
+    random_relu_net,
+    random_stable_plant,
+    scalar_plant,
+    threshold_cases,
+)
 
 
 def _trace_or_partial(*args, **kwargs):
@@ -384,6 +392,47 @@ class TestViolationLevel:
             assert level == reference
             if seed in (4, 5, 8):
                 assert (level, rollouts, len(count_simulations)) == (0.0, 2, 2), seed
+
+    def test_threshold_amplitudes_match_sequential(self, scalar_loop, monkeypatch):
+        # a stand-in simulator whose every state is the amplitude of its row
+        # (its largest |w|), so a limit on x is a threshold on the amplitude;
+        # a non-strict case puts the limit one float below the threshold
+        plant, net, maps = scalar_loop
+        asked = collections.Counter()
+
+        class AskedForever(Exception):
+            pass
+
+        def amplitude_trace(plant, net, w, t_sim, quantization=None):
+            w = w.signal(t_sim) if isinstance(w, AttackPlan) else np.asarray(w)
+            level = np.max(np.abs(w), axis=(-2, -1))
+            for v in np.ravel(level).tolist():
+                asked[v] += 1
+                if asked[v] > 2:
+                    raise AskedForever
+            x = np.broadcast_to(level[..., None, None], w.shape[:-1] + (plant.n,))
+            return SimTrace(x, x, x, w)
+
+        monkeypatch.setattr(attack, "simulate", amplitude_trace)
+        monkeypatch.setitem(globals(), "simulate", amplitude_trace)
+        # 500 cases: the sequential reference takes about 8 ms per case
+        for threshold, strict, tol in threshold_cases(500, seed=2):
+            x_limit = threshold if strict else np.nextafter(threshold, -np.inf)
+            args = (plant, net, maps, 0, 4, x_limit, tol)
+            case = (threshold, strict, tol)
+            asked.clear()
+            level = attack.violation_level(*args)
+            assert max(asked.values()) == 1, case
+            asked.clear()
+            try:
+                reference = _sequential_violation_level(*args)[0]
+            except AskedForever:
+                # the sequential search bisects [0, hi] and so asks the last
+                # doubling twice; it asks a third time only once no float lies
+                # inside its bracket, and would then ask forever, with hi the
+                # least violating amplitude asked
+                reference = min(v for v in asked if v > x_limit)
+            assert level == reference, case
 
     def test_no_violation_returns_inf(self, scalar_loop):
         plant, net, maps = scalar_loop

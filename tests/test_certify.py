@@ -27,6 +27,7 @@ from conftest import (
     random_stable_plant,
     run_in_threads,
     scalar_plant,
+    threshold_cases,
     valid_small_gains,
 )
 
@@ -380,6 +381,130 @@ class TestFrontier:
                                            0.0017304687500000002]))
 
 
+def _sequential_bisect_max_level(certifies, tol=1e-4):
+    """The one-level-at-a-time search bisect_max_level ran before the shared
+    driver: level 0 first, doubling up to the cap, then at most 200 halvings."""
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    if not certifies(0.0):
+        return 0.0
+    lo, hi = 0.0, tol
+    cap = tol * 2.0**certify._CAP_DOUBLINGS
+    while certifies(hi):
+        lo = hi
+        if hi >= cap:
+            return hi
+        hi = min(2.0 * hi, cap)
+    for _ in range(200):
+        if hi - lo <= tol * hi:
+            break
+        mid = (lo + hi) / 2.0
+        if certifies(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _recorded(certifies):
+    """``certifies`` and the list of the levels it is asked, in order."""
+    asked = []
+
+    def spy(w):
+        asked.append(w)
+        return certifies(w)
+    return spy, asked
+
+
+class TestBisectMaxLevel:
+    def test_threshold_predicates_match_sequential(self):
+        for threshold, strict, tol in threshold_cases(2000, seed=1):
+            def passes(w):
+                return w <= threshold if strict else w < threshold
+
+            certifies, asked = _recorded(passes)
+            level = certify.bisect_max_level(certifies, tol)
+            case = (threshold, strict, tol)
+            assert level == _sequential_bisect_max_level(passes, tol), case
+            assert len(asked) == len(set(asked)), case
+
+    def test_zero_is_asked_only_when_tol_fails(self):
+        # a predicate that is not monotone at 0: the sequential search asked 0
+        # first and gave up there; the driver asks 0 only when tol fails
+        def certifies(w):
+            return 0.0 < w <= 0.5
+
+        assert _sequential_bisect_max_level(certifies, 1e-3) == 0.0
+        level = certify.bisect_max_level(certifies, 1e-3)
+        assert certifies(level) and level == pytest.approx(0.5, rel=1e-3)
+        certifies, asked = _recorded(lambda w: w <= 0.5)
+        certify.bisect_max_level(certifies, 1e-3)
+        assert 0.0 not in asked
+        certifies, asked = _recorded(lambda w: w <= 1e-4)
+        assert certify.bisect_max_level(certifies, 1e-3) == pytest.approx(1e-4, rel=1e-3, abs=0)
+        assert asked[:2] == [1e-3, 0.0]
+
+    def test_level_below_the_old_halving_cap(self):
+        # 200 halvings from tol = 1e-3 reach 1e-3 * 2**-200 (6e-64) at best, so
+        # the sequential search returned 0.0 for a level of 1e-70; the driver
+        # bisects until the bracket is within tol
+        def certifies(w):
+            return w <= 1e-70
+
+        assert _sequential_bisect_max_level(certifies, 1e-3) == 0.0
+        level = certify.bisect_max_level(certifies, 1e-3)
+        assert certifies(level) and level == pytest.approx(1e-70, rel=1e-3, abs=0)
+
+    def test_bracket_of_adjacent_floats_ends(self):
+        # tol far below one ulp: the bracket narrows to 3.5e-15 and the next
+        # float, whose midpoint is one of them, and the search stops there
+        # where the sequential search asked the same floats until its cap
+        certifies, asked = _recorded(lambda w: w <= 3.5e-15)
+        assert certify.bisect_max_level(certifies, 1e-20) == 3.5e-15
+        assert len(asked) == len(set(asked))
+        old, old_asked = _recorded(lambda w: w <= 3.5e-15)
+        assert _sequential_bisect_max_level(old, 1e-20) == 3.5e-15
+        assert set(old_asked) == set(asked) | {0.0}
+        assert len(old_asked) > 2 * len(asked)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-3, np.nan])
+    def test_rejects_nonpositive_tol(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            certify.bisect_max_level(lambda w: True, tol)
+
+    def test_cartpole_sweep_visits_only_levels_the_sequential_search_visits(
+            self, cartpole, cloned_policy, kd, monkeypatch):
+        # the perfbench cart-pole sweep: the sequential search asked level 0 on
+        # each of the five limits; the driver skips it where tol certifies
+        real = certify.algorithm1
+        visits = []
+
+        def spy(plant, *args, **kwargs):
+            visits.append((float(plant.x_lim[2]), kwargs["w_inf"]))
+            return real(plant, *args, **kwargs)
+
+        monkeypatch.setattr(certify, "algorithm1", spy)
+        values = [0.001, 0.002, 0.003, 0.005, 0.008]
+        sweep = dict(x_lim_values=values, tol=1e-3, target_state=2)
+        points = frontier(cartpole, cloned_policy, kd, **sweep)
+        driver, visits[:] = list(visits), []
+        monkeypatch.setattr(certify, "bisect_max_level", _sequential_bisect_max_level)
+        assert frontier(cartpole, cloned_policy, kd, **sweep) == points
+        assert (len(driver), len(visits)) == (64, 66)
+        assert len(set(driver)) == len(driver) and set(driver) <= set(visits)
+
+
+class TestWithStateLimit:
+    @pytest.mark.parametrize("index", [4, 9, -1, -5])
+    def test_rejects_an_index_outside_the_states(self, cartpole, index):
+        with pytest.raises(ValueError, match=f"target state {index} out of range for n=4"):
+            certify.with_state_limit(cartpole, index, 0.01)
+
+    def test_sets_one_state_or_all(self, cartpole):
+        assert list(certify.with_state_limit(cartpole, 3, 0.01).x_lim[3:]) == [0.01]
+        assert np.all(certify.with_state_limit(cartpole, None, 0.01).x_lim == 0.01)
+
+
 class TestBaseline:
     def test_linear_policy_gain_recovered_exactly(self):
         net = linear_policy(0.3)
@@ -510,6 +635,29 @@ class TestBaseline:
                 # every extra limit lowers some level, so each check is exercised
                 assert all(points != got[0] for points in got[1:]), seed
                 assert all(w > 0 for points in got for _, w in points), seed
+
+    def test_one_sampler_per_frontier_and_one_scan_per_level(self, monkeypatch):
+        # neither the gain nor the region scan reads a limit: a sweep picks the
+        # gain and builds its sampler once, and scans each distinct level once
+        samplers, scanned = [], []
+        real_sampler, real_scan = certify._gain_sampler, certify._region_scan
+
+        def sampler_spy(*args):
+            samplers.append(args)
+            return real_sampler(*args)
+
+        def scan_spy(maps, sampled_gain, gamma, w_amp, max_region_iter):
+            scanned.append(w_amp)
+            return real_scan(maps, sampled_gain, gamma, w_amp, max_region_iter)
+
+        monkeypatch.setattr(certify, "_gain_sampler", sampler_spy)
+        monkeypatch.setattr(certify, "_region_scan", scan_spy)
+        points = baseline_frontier(scalar_plant(), linear_policy(-0.2),
+                                   x_lim_values=[0.5, 1.0, 2.0], tol=1e-3, target_state=0,
+                                   n_samples=256)
+        assert len(samplers) == 1
+        assert len(scanned) > 3 and len(scanned) == len(set(scanned))
+        assert all(w > 0 for _, w in points)
 
     def test_serialization_flags_estimate(self):
         result = BaselineResult(0.0, 0.5, True, 1.0, 0.2)

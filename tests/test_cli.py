@@ -408,6 +408,29 @@ class TestDegrees:
         assert attack.load_plan(plan_path).w_inf == 2 * np.pi / 180.0
 
 
+class TestStateIndex:
+    @pytest.mark.parametrize("command, flags", [
+        ("certify", ["--target-state", "9", "--x-lim", "0.5"]),
+        ("baseline", ["--target-state", "9", "--x-lim", "0.5"]),
+        ("frontier", ["--target-state", "9", "--x-lim-list", "0.5", "--with-attack"]),
+        ("frontier", ["--target-state", "-1", "--x-lim-list", "0.5", "--with-attack"]),
+        ("attack", ["--target", "9"]),
+        ("attack", ["--target", "-1"]),
+    ])
+    def test_out_of_range_index_exits_cleanly(self, scalar_files, tmp_path, capsys,
+                                              command, flags):
+        # the scalar plant has one state; an index past it raised IndexError,
+        # and -1 silently limited the last state
+        plant_path, policy_path = scalar_files
+        out = tmp_path / "out"
+        code = main([command, "--plant", plant_path, "--policy", policy_path, *flags,
+                     "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert not out.exists() and captured.out == ""
+        assert f"target state {flags[1]} out of range for n=1" in captured.err
+
+
 class TestUsage:
     def test_unknown_command(self):
         assert main(["no-such-command"]) == EXIT_ERROR
