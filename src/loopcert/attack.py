@@ -56,8 +56,10 @@ _SAFE_SQUARES = 0.1 * _OVERFLOW**2
 _BLOCK = 256
 
 # amplitudes per violation_level rollout: a doubling chunk of 8, then a
-# depth-3 tree of 7 bisection midpoints
+# depth-3 tree of 7 bisection midpoints; and the doublings after which
+# violation_level stops at its cap
 _BATCH = 8
+_CAP_DOUBLINGS = 24
 
 
 @dataclass(frozen=True)
@@ -284,13 +286,12 @@ def monte_carlo_attack(plant, net: ReluNetwork, w_inf: float, t_sim: int,
 
 def violation_level(plant, net: ReluNetwork, maps: ClosedLoopMaps, target: int,
                     horizon: int, x_limit: float, tol: float = 1e-3,
-                    quantization: QuantizationSpec | None = None,
-                    max_doublings: int = 24) -> float:
+                    quantization: QuantizationSpec | None = None) -> float:
     """Smallest amplitude whose designed attack breaks ``|x_target| <= x_limit``.
 
     The ``hi`` end of :func:`loopcert.certify._bisect_bracket` on the
     designed plan simulated over its horizon, with the doubling cap
-    ``max_doublings`` and ``_BATCH`` amplitudes per :func:`simulate` call;
+    ``_CAP_DOUBLINGS`` and ``_BATCH`` amplitudes per :func:`simulate` call;
     ``inf`` when no amplitude up to the cap violates.  A diverging rollout
     counts as a violation.  Each row is bit-identical to its own rollout, so
     the level is that of one rollout per amplitude, bit for bit.
@@ -309,7 +310,7 @@ def violation_level(plant, net: ReluNetwork, maps: ClosedLoopMaps, target: int,
         peak = np.max(np.abs(x[:, :, target]), axis=1)
         return (dead | (peak > x_limit)).tolist()
 
-    return _bisect_bracket(violates, tol, max_doublings, _BATCH)[1]
+    return _bisect_bracket(violates, tol, _CAP_DOUBLINGS, _BATCH)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -64,23 +64,22 @@ __all__ = [
     "MAX_ITER_EXCEEDED",
     "NO_STABILIZING_GAIN",
     "NON_FINITE_BOUNDS",
-    "STALLED",
 ]
 
 CONSTRAINT_VIOLATED = "ConstraintViolated"
 MAX_ITER_EXCEEDED = "MaxIterExceeded"
 NO_STABILIZING_GAIN = "NoStabilizingGain"
 NON_FINITE_BOUNDS = "NonFiniteBounds"
-STALLED = "Stalled"
 
 # Relative inflation applied to constructed quadruplets so that downstream
 # elementwise checks are robust to the last-ulp rounding of equality cases.
 _QUAD_INFLATION = 1e-9
 
 # Relative inflation of algorithm1's reference box from one pass to the next,
-# the doublings after which bisect_max_level stops at its cap, and the
-# regions the baseline's scan tries at most.
+# the passes it makes at most, the doublings after which bisect_max_level
+# stops at its cap, and the regions the baseline's scan tries at most.
 _BOX_INFLATION = 1e-6
+_MAX_PASSES = 200
 _CAP_DOUBLINGS = 20
 _REGION_ITER = 40
 
@@ -242,15 +241,14 @@ def check_lemma1(maps: ClosedLoopMaps, gamma_pi: float, gamma_delta: float,
                           gamma_pi=float(gamma_pi))
 
 
-def hinf_corollary(maps: ClosedLoopMaps, gamma_pi: float, gamma_delta: float,
-                   grid: int = 512) -> bool:
+def hinf_corollary(maps: ClosedLoopMaps, gamma_pi: float, gamma_delta: float) -> bool:
     """Two-norm variant of the small-gain conditions; advisory only.
 
     :func:`_betas` on the grid-estimated peak gains, so this check is
     indicative rather than certified.
     """
     def peak(which: str) -> float:
-        return hinf_norm(*maps.realization(which), grid=grid)
+        return hinf_norm(*maps.realization(which))
 
     beta1, beta2 = _betas(peak, gamma_pi, gamma_delta)
     return beta1 < 1.0 and beta2 < 1.0
@@ -416,7 +414,7 @@ def _certified_policy_bounds(net: ReluNetwork, box: Box | None, lb: LinearBounds
 def algorithm1(plant: StateSpacePlant, net: ReluNetwork,
                k_d: np.ndarray | None = None, gamma_delta: np.ndarray | None = None,
                *, quantization: QuantizationSpec | None = None,
-               w_inf: float | None = None, max_iter: int = 200,
+               w_inf: float | None = None,
                eps_trunc: float = DEFAULT_EPS_TRUNC) -> CertResult:
     """Iterative search for a certified invariant box.
 
@@ -430,15 +428,10 @@ def algorithm1(plant: StateSpacePlant, net: ReluNetwork,
     repeats.  A reference box or a relaxation that overflows ends the search
     with ``NON_FINITE_BOUNDS``; numpy's overflow warnings from the relaxation
     and its policy bounds are silenced, since the verdict reports the overflow.
-    A search that reaches ``max_iter`` passes ends with ``MAX_ITER_EXCEEDED``.
-
-    A search that stalls stops earlier, reported as ``STALLED``: from pass
-    15 on, once the relative growth of the implied box has stayed above
-    1e-5 and shrunk by less than 1.5 % per pass over the last six passes.
-    This stall exit is a heuristic and can cost a certificate: a slowly
-    converging search it stops at pass 17-18 may certify around pass 150 if
-    run on.  It bounds the cost of failing searches, which otherwise mostly
-    run on until their bounds overflow.
+    A loop with no stabilizing gain ends with ``NO_STABILIZING_GAIN``, and a
+    search that makes ``_MAX_PASSES`` (200) passes without another verdict
+    ends with ``MAX_ITER_EXCEEDED``.  No other rule stops a search early: a
+    slowly converging one may certify after 150 passes.
 
     ``u_bar`` in the result bounds the full policy output (for checking
     ``u_lim``); the residual bound is what feeds the transfer matrices.  The
@@ -454,11 +447,7 @@ def algorithm1(plant: StateSpacePlant, net: ReluNetwork,
 
     y_ref = np.zeros(r)
     alpha_ref = np.zeros(plant.s)
-    iterations = 0
-    growth: list[float] = []
-    prev_scale = None
-    while iterations < max_iter:
-        iterations += 1
+    for iterations in range(1, _MAX_PASSES + 1):
         box = lb = None
         if np.any(y_ref != 0.0):
             box = Box(np.zeros(r), y_ref)
@@ -485,22 +474,7 @@ def algorithm1(plant: StateSpacePlant, net: ReluNetwork,
         # an overflowed bound leaves no box to relax the policy over next pass
         if not np.all(np.isfinite(y_ref)):
             return CertResult(False, None, iterations, NON_FINITE_BOUNDS)
-        # Stall exit, a heuristic that can change the verdict.  Below the
-        # fixed point the per-pass growth factor exceeds 1 with an excess
-        # that decays like the slope of the bound map; once the excess stops
-        # decaying (ratio near or above 1 for several passes) the slope is
-        # close to or above 1, and the search gives up.  A slope just below
-        # 1 still converges, but only after about a hundred more passes.
-        scale = float(np.max(y_bar, initial=0.0))
-        if prev_scale is not None and prev_scale > 0.0:
-            growth.append(scale / prev_scale - 1.0)
-        prev_scale = scale
-        if iterations >= 15 and len(growth) >= 6:
-            recent = growth[-6:]
-            if (all(e > 1e-5 for e in recent)
-                    and all(nxt > 0.985 * cur for cur, nxt in zip(recent, recent[1:]))):
-                return CertResult(False, None, iterations, STALLED)
-    return CertResult(False, None, iterations, MAX_ITER_EXCEEDED)
+    return CertResult(False, None, _MAX_PASSES, MAX_ITER_EXCEEDED)
 
 
 # ---------------------------------------------------------------------------
@@ -714,18 +688,16 @@ def baseline_certify(plant: StateSpacePlant, net: ReluNetwork,
                      gamma_delta: np.ndarray | None = None, *,
                      w_inf: float | None = None,
                      quantization: QuantizationSpec | None = None,
-                     n_samples: int = 4096, seed: int = 0,
-                     max_region_iter: int = _REGION_ITER,
-                     eps_trunc: float = DEFAULT_EPS_TRUNC,
-                     check_limits: bool = True) -> tuple[BaselineResult, Quadruplet | None]:
+                     n_samples: int = 4096, seed: int = 0, eps_trunc: float = DEFAULT_EPS_TRUNC
+                     ) -> tuple[BaselineResult, Quadruplet | None]:
     """Small-gain baseline with an iteratively grown validity region.
 
     Extracts a fixed gain (Jacobian at the origin, else ``k_d``), samples the
     residual infinity-gain over the current region, evaluates the small-gain
     conditions and grows the region until the implied measurement bound fits
     inside it (certified) or the conditions break (:func:`_region_scan`).
-    On success the closed form quadruplet is returned as well; with
-    ``check_limits`` the plant limits must also contain it.
+    On success the closed form quadruplet is returned as well, and the plant
+    limits must also contain it.
 
     The unit sample is drawn once per call and rescaled to each region, and
     the policy and the row norms are evaluated into buffers held for the
@@ -742,34 +714,34 @@ def baseline_certify(plant: StateSpacePlant, net: ReluNetwork,
     except NoStabilizingGain:
         return BaselineResult(np.inf, np.inf, False, np.inf), None
     sampler = _gain_sampler(net, k0, n_samples, seed, quantization)
-    result, quad = _region_scan(maps, sampler, gamma, w_amp, max_region_iter)
-    if check_limits and quad is not None and _outside_limits(plant, quad.x_bar, quad.y_bar,
-                                                              quad.u_bar):
+    result, quad = _region_scan(maps, sampler, gamma, w_amp)
+    if quad is not None and _outside_limits(plant, quad.x_bar, quad.y_bar, quad.u_bar):
         return replace(result, certified=False), quad
     return result, quad
 
 
 def _region_scan(maps: ClosedLoopMaps, sampled_gain: Callable[[object], float],
-                 gamma: float, w_amp: float,
-                 max_region_iter: int) -> tuple[BaselineResult, Quadruplet | None]:
+                 gamma: float, w_amp: float) -> tuple[BaselineResult, Quadruplet | None]:
     """The region loop of :func:`baseline_certify`, which reads no plant limit:
     the last region's result, and the quadruplet with ``x_bar`` if it certified.
-    When ``beta1 >= 1`` only the region the scan would end on is sampled."""
+    At most ``_REGION_ITER`` regions are tried; when ``beta1 >= 1`` only the
+    region the scan would end on is sampled."""
     # Region search: the sampled gain is large both on tiny regions (any
     # policy offset at the origin dominates) and on huge ones (saturation),
     # so scan upward and keep the first region that closes all conditions.
     y_inf = max(maps.l1("yw") * w_amp, 1e-9)
-    if max_region_iter > 0 and _betas(maps.l1, 0.0, gamma)[0] >= 1.0:
+    regions = _REGION_ITER
+    if _betas(maps.l1, 0.0, gamma)[0] >= 1.0:
         # beta1 depends on no region, so none certifies and the scan only
         # doubles the region: sample just the one it would end on, whose
         # gain the result reports
-        for _ in range(max_region_iter - 1):
+        for _ in range(regions - 1):
             if y_inf * 2.0 > 1e9:
                 break
             y_inf *= 2.0
-        max_region_iter = 1
+        regions = 1
     result = BaselineResult(np.inf, np.inf, False, np.inf)
-    for _ in range(max_region_iter):
+    for _ in range(regions):
         result = check_lemma1(maps, sampled_gain(y_inf), gamma, w_amp, y_inf)
         if result.certified:
             break
@@ -814,7 +786,7 @@ def baseline_frontier(plant: StateSpacePlant, net: ReluNetwork,
     def certifies(limited: StateSpacePlant, w: float) -> bool:
         scan = scans.get(w)
         if scan is None:
-            scan = scans[w] = _region_scan(maps, sampler, gamma, w, _REGION_ITER)
+            scan = scans[w] = _region_scan(maps, sampler, gamma, w)
         result, quad = scan
         return result.certified and not _outside_limits(limited, quad.x_bar, quad.y_bar,
                                                         quad.u_bar)

@@ -89,6 +89,15 @@ def _gain_from_file(path) -> np.ndarray:
     return linsys.matrix_from_dict(obj[key], key)
 
 
+def _amplitude(flag: str, value: float) -> float:
+    """``value`` of ``flag`` as the bound w of a uniform draw on [-w, w], whose
+    width 2|w| must be a finite float; a CliError otherwise."""
+    if not abs(value) <= sys.float_info.max / 2.0:
+        raise CliError(f"{flag} must be finite and at most half the largest float, "
+                       f"got {value}")
+    return value
+
+
 def _angle_scale(args) -> float:
     """Multiplier turning user-facing angle units into radians."""
     return math.pi / 180.0 if args.degrees else 1.0
@@ -151,7 +160,7 @@ def cmd_frontier(args) -> int:
             return [math.inf] * len(limits)
         targets = range(plant.n) if args.target_state is None else [args.target_state]
         return [min(attack_mod.violation_level(plant, net, maps, target, args.horizon, value,
-                                               quantization=lib["quantization"])
+                                               tol=args.tol, quantization=lib["quantization"])
                     for target in targets) for value in limits]
 
     sweep = dict(lib, x_lim_values=limits, tol=args.tol, target_state=args.target_state)
@@ -194,7 +203,7 @@ def cmd_simulate(args) -> int:
     if args.plan is not None:
         w = attack_mod.load_plan(args.plan)
     elif args.random:
-        w_inf = (args.w_inf if args.w_inf is not None else 0.0) * _angle_scale(args)
+        w_inf = _amplitude("--w-inf", args.w_inf or 0.0) * _angle_scale(args)
         rng = np.random.default_rng(args.seed)
         p = plant.d_w.shape[1]
         w = rng.uniform(-w_inf, w_inf, size=(args.steps, p))
@@ -217,10 +226,16 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_learn(args) -> int:
-    params = CartPoleParams(**json.loads(args.params)) if args.params else CartPoleParams()
-    plant = cartpole_nonlinear(params)
+    try:
+        params = json.loads(args.params) if args.params else {}
+        if not isinstance(params, dict):
+            raise TypeError(f"expected a JSON object, got {args.params}")
+        plant = cartpole_nonlinear(CartPoleParams(**params))
+    except (ValueError, TypeError) as exc:
+        raise CliError(f"bad --params: {exc}") from exc
     episodes = sysid.collect(plant, args.episodes, ep_len=args.ep_len,
-                             u_amplitude=args.amplitude, seed=args.seed)
+                             u_amplitude=_amplitude("--amplitude", args.amplitude),
+                             seed=args.seed)
     if args.episodes_out:
         sysid.save_episodes(args.episodes_out, episodes)
     try:

@@ -69,6 +69,10 @@ _FLUSH = 4
 # 2^k powers, far more than any decay float64 can resolve.
 _SMITH_STEPS = 64
 
+# Frequencies on [0, pi] at which hinf_norm evaluates the peak gain before
+# refining around the largest.
+_HINF_GRID = 512
+
 
 class NotSchurStable(ValueError):
     """A matrix that must be Schur stable (spectral radius < 1) is not."""
@@ -385,20 +389,19 @@ def _golden_section_max(f, lo: float, hi: float, iters: int = 80) -> float:
     return max(f1, f2)
 
 
-def hinf_norm(a, bc, cc, dc, grid: int = 512) -> float:
+def hinf_norm(a, bc, cc, dc) -> float:
     """Peak singular value of ``C (e^{jw} I - A)^-1 B + D`` over the unit circle.
 
-    Grid search over ``w in [0, pi]`` followed by one local golden-section
-    refinement around the grid maximizer.  This is an estimator (a lower bound
-    of the true peak up to grid resolution), not a certified norm; it only
-    feeds the advisory small-gain check based on the 2-norm.
+    Grid search over ``_HINF_GRID`` points of ``w in [0, pi]`` followed by one
+    local golden-section refinement around the grid maximizer.  This is an
+    estimator (a lower bound of the true peak up to grid resolution), not a
+    certified norm; it only feeds the advisory small-gain check based on the
+    2-norm.
     """
     a = _as_matrix(a, "a")
     bc = _as_matrix(bc, "bc")
     cc = _as_matrix(cc, "cc")
     dc = _as_matrix(dc, "dc")
-    if grid < 64:
-        raise ValueError("grid must be at least 64")
     n = a.shape[0]
     if n and spectral_radius(a) >= 1.0 - SCHUR_MARGIN:
         raise NotSchurStable("hinf_norm requires a Schur stable matrix")
@@ -412,11 +415,11 @@ def hinf_norm(a, bc, cc, dc, grid: int = 512) -> float:
         h = cc @ np.linalg.solve(np.exp(1j * omega) * eye - a, bc) + dc
         return float(np.linalg.svd(h, compute_uv=False)[0])
 
-    omegas = np.linspace(0.0, np.pi, grid)
+    omegas = np.linspace(0.0, np.pi, _HINF_GRID)
     values = np.array([peak(w) for w in omegas])
     k = int(np.argmax(values))
     lo = omegas[max(k - 1, 0)]
-    hi = omegas[min(k + 1, grid - 1)]
+    hi = omegas[min(k + 1, _HINF_GRID - 1)]
     return max(float(values[k]), _golden_section_max(peak, lo, hi))
 
 

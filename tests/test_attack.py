@@ -434,18 +434,20 @@ class TestViolationLevel:
                 reference = min(v for v in asked if v > x_limit)
             assert level == reference, case
 
-    def test_no_violation_returns_inf(self, scalar_loop):
+    def test_no_violation_returns_inf(self, scalar_loop, monkeypatch):
         plant, net, maps = scalar_loop
-        args = (plant, net, maps, 0, 50, 1e3, 1e-3, None, 5)
+        args = (plant, net, maps, 0, 50, 1e3, 1e-3, None)
+        monkeypatch.setattr(attack, "_CAP_DOUBLINGS", 5)
         assert attack.violation_level(*args) == np.inf
-        assert _sequential_violation_level(*args) == (np.inf, 6)
+        assert _sequential_violation_level(*args, max_doublings=5) == (np.inf, 6)
 
-    def test_bracket_of_adjacent_floats_ends(self, scalar_loop):
+    def test_bracket_of_adjacent_floats_ends(self, scalar_loop, monkeypatch):
         # tol far below one ulp: the bisection narrows to two adjacent floats,
         # whose midpoint is one of them, and must stop there
         plant, net, maps = scalar_loop
+        monkeypatch.setattr(attack, "_CAP_DOUBLINGS", 80)
         level = _finishes(lambda: attack.violation_level(plant, net, maps, 0, 200, 0.5,
-                                                         tol=1e-20, max_doublings=80))
+                                                         tol=1e-20))
         assert level == pytest.approx(0.35, rel=1e-9)
 
     def test_every_positive_amplitude_violating_ends(self):

@@ -156,10 +156,10 @@ class TestAlgorithm1:
 
     def test_overflowing_bounds_return_a_verdict(self):
         # a policy gain of 1e30 multiplies the y bound by about 1e30 a pass,
-        # so the bounds overflow long before the stall exit could fire at
-        # pass 15: behind a ReLU the relaxation over the box overflows first
-        # (pass 7), a linear policy's reference box itself (pass 12); the
-        # verdict reports the overflow, so numpy warns about none of it
+        # so the bounds overflow long before the 200-pass budget is spent:
+        # behind a ReLU the relaxation over the box overflows first (pass 7),
+        # a linear policy's reference box itself (pass 12); the verdict
+        # reports the overflow, so numpy warns about none of it
         plant = linsys.make_plant([[0.5]], [[1.0]], b_w=[[1.0]], w_inf=0.1)
         for layers, passes in (([([[1e30]], [0.0]), ([[1.0]], [0.0])], 7),
                                ([([[1e30]], [0.0])], 12)):
@@ -171,21 +171,40 @@ class TestAlgorithm1:
             assert result.failure_reason == certify.NON_FINITE_BOUNDS
             assert result.iterations == passes
 
-    def test_stall_exit_reports_stalled(self):
-        # seed 77 of the random corpus: the stall exit stops every amplitude
-        # at pass 17-18 (run on, each certifies near pass 150), so the
-        # verdict says the search stalled, not that the budget was spent
+    def test_slow_search_runs_on_to_a_certificate(self):
+        # seed 77 of the random corpus converges slowly: every amplitude
+        # certifies only after 135-155 passes, so no early exit may stop it.
+        # The box is invariant: with the residual policy bound over y_bar
+        # (what feeds the maps; the result's u_bar bounds the full policy)
+        # it passes the feedback check on the loop closed at the result's gain
         rng = np.random.default_rng(77)
         plant = random_stable_plant(rng, with_uncertainty=True)
         net = random_relu_net(rng, d_in=plant.r, d_out=plant.m)
         gamma_delta = 0.1 * np.abs(rng.normal(size=(plant.q, plant.s)))
-        for w in (0.01, 0.05, 0.2, 1.0, 5.0):
+        for w, passes in zip((0.01, 0.05, 0.2, 1.0, 5.0), (155, 153, 149, 142, 135)):
             result = algorithm1(plant, net, gamma_delta=gamma_delta, w_inf=w)
-            assert not result.success and result.quadruplet is None
-            assert result.failure_reason == certify.STALLED == "Stalled"
-            assert result.iterations in (17, 18)
-        short = algorithm1(plant, net, gamma_delta=gamma_delta, w_inf=0.01, max_iter=10)
-        assert short.failure_reason == certify.MAX_ITER_EXCEEDED
+            assert result.success and result.failure_reason is None
+            assert result.iterations == passes
+            quad = result.quadruplet
+            box = neural.Box(np.zeros(plant.r), quad.y_bar)
+            u0_bar, _ = neural.residual_magnitudes(neural.linear_relaxation(net, box), box,
+                                                   result.gain)
+            holds, x_bar = check_theorem1(linsys.close_loop(plant, result.gain),
+                                          dataclasses.replace(quad, u_bar=u0_bar),
+                                          np.full(plant.p, w))
+            assert holds and np.all(x_bar <= quad.x_bar)
+
+    def test_pass_budget_reports_max_iter_exceeded(self, monkeypatch):
+        # the seed-77 search needs 155 passes at w 0.01; a budget of 10 ends
+        # it with the budget verdict after exactly 10 passes
+        rng = np.random.default_rng(77)
+        plant = random_stable_plant(rng, with_uncertainty=True)
+        net = random_relu_net(rng, d_in=plant.r, d_out=plant.m)
+        gamma_delta = 0.1 * np.abs(rng.normal(size=(plant.q, plant.s)))
+        monkeypatch.setattr(certify, "_MAX_PASSES", 10)
+        short = algorithm1(plant, net, gamma_delta=gamma_delta, w_inf=0.01)
+        assert not short.success and short.quadruplet is None
+        assert short.failure_reason == certify.MAX_ITER_EXCEEDED == "MaxIterExceeded"
         assert short.iterations == 10
 
     def test_uncertainty_feedback(self):
@@ -560,14 +579,14 @@ class TestBaseline:
                 gamma_delta = np.full((plant.q, plant.s), factor / maps.l1("alpha_delta") / plant.s)
                 gamma = float(np.max(np.sum(gamma_delta, axis=1)))
                 for w in (1e-3, 1.0, 3e8):
-                    for iters in (0, 1, 3, 40):
+                    for iters in (1, 3, 40):
                         regions.clear()
+                        monkeypatch.setattr(certify, "_REGION_ITER", iters)
                         result, quad = baseline_certify(plant, net, gamma_delta=gamma_delta,
-                                                        w_inf=w, n_samples=200, seed=seed,
-                                                        max_region_iter=iters)
+                                                        w_inf=w, n_samples=200, seed=seed)
                         want = full_scan(plant, net, gamma, w, 200, seed, iters)
                         assert repr(result) == repr(want) and quad is None
-                        assert len(regions) == min(iters, 1)
+                        assert len(regions) == 1
 
     @pytest.mark.parametrize("gamma_delta", [[[0.1, 0.1]], np.zeros((3, 3)), [[-0.1]]])
     def test_baseline_checks_gamma_delta_as_algorithm1_does(self, gamma_delta):
@@ -646,9 +665,9 @@ class TestBaseline:
             samplers.append(args)
             return real_sampler(*args)
 
-        def scan_spy(maps, sampled_gain, gamma, w_amp, max_region_iter):
+        def scan_spy(maps, sampled_gain, gamma, w_amp):
             scanned.append(w_amp)
-            return real_scan(maps, sampled_gain, gamma, w_amp, max_region_iter)
+            return real_scan(maps, sampled_gain, gamma, w_amp)
 
         monkeypatch.setattr(certify, "_gain_sampler", sampler_spy)
         monkeypatch.setattr(certify, "_region_scan", scan_spy)
@@ -732,7 +751,7 @@ class TestBaselineBuffers:
 
         def run(plant, net, quant, w, seed):
             result, quad = baseline_certify(plant, net, w_inf=w, quantization=quant,
-                                            n_samples=300, seed=seed, check_limits=False)
+                                            n_samples=300, seed=seed)
             arrays = () if quad is None else (quad.y_bar, quad.u_bar, quad.x_bar)
             return repr(result), tuple(a.tobytes() for a in arrays)
 

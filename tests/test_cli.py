@@ -61,8 +61,8 @@ class TestCertify:
         assert result["success"] is False
         assert result["failure_reason"] == certify.NON_FINITE_BOUNDS == "NonFiniteBounds"
 
-    def test_stalled_search_exits_negative(self, tmp_path):
-        # the seed-77 loop of the random corpus stalls at pass 17
+    def test_slow_search_certifies(self, tmp_path):
+        # the seed-77 loop of the random corpus certifies at pass 155
         rng = np.random.default_rng(77)
         plant = random_stable_plant(rng, with_uncertainty=True)
         net = random_relu_net(rng, d_in=plant.r, d_out=plant.m)
@@ -73,10 +73,10 @@ class TestCertify:
         out = tmp_path / "cert.json"
         code = main(["certify", "--plant", str(plant_path), "--policy", str(policy_path),
                      "--w-inf", "0.01", "--out", str(out)])
-        assert code == EXIT_NEGATIVE
+        assert code == EXIT_OK
         result = json.loads(out.read_text())
-        assert result["failure_reason"] == certify.STALLED
-        assert result["iterations"] == 17
+        assert result["success"] is True and result["failure_reason"] is None
+        assert result["iterations"] == 155
 
     def test_malformed_plant_file(self, tmp_path, scalar_files):
         bad = tmp_path / "bad.json"
@@ -209,6 +209,22 @@ class TestFrontier:
         assert float(cells[2]) > 0  # baseline column filled
         assert float(cells[3]) == pytest.approx(0.35, rel=0.02)  # attack threshold
 
+    def test_tol_reaches_the_attack_column(self, scalar_files, tmp_path):
+        # w_attack is bisected to --tol, as w_certified is, not to
+        # violation_level's own default of 1e-3
+        plant_path, policy_path = scalar_files
+        out = tmp_path / "front.csv"
+        code = main(["frontier", "--plant", plant_path, "--policy", policy_path,
+                     "--x-lim-list", "0.5", "--target-state", "0", "--tol", "1e-2",
+                     "--with-attack", "--horizon", "200", "--out", str(out)])
+        assert code == EXIT_OK
+        plant, net = scalar_plant(), linear_policy(-0.2)
+        limited = certify.with_state_limit(plant, 0, 0.5)
+        _, maps = certify.extract_loop(limited, net, None, None)
+        coarse = attack.violation_level(limited, net, maps, 0, 200, 0.5, tol=1e-2)
+        assert coarse != attack.violation_level(limited, net, maps, 0, 200, 0.5)
+        assert out.read_text().splitlines()[-1].split(",")[3] == f"{coarse:.17g}"
+
     def test_attack_without_target_state_breaks_any_state(self, tmp_path):
         # w drives state 1 ten times harder than state 0, so with the limit on
         # both states state 1 breaks first, at a tenth of state 0's level
@@ -303,6 +319,18 @@ class TestAttackSimulateRoundTrip:
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "1e308"])
+    def test_random_amplitude_that_cannot_be_drawn_exits_cleanly(self, scalar_files, tmp_path,
+                                                                capsys, value):
+        plant_path, policy_path = scalar_files
+        out = tmp_path / "trace.csv"
+        code = main(["simulate", "--plant", plant_path, "--policy", policy_path, "--random",
+                     "--w-inf", value, "--steps", "10", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR
+        assert err.startswith("--w-inf must be finite") and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestLearn:
     def test_seeded_learned_model_reproducible(self, tmp_path):
@@ -329,6 +357,24 @@ class TestLearn:
         episodes = sysid.load_episodes(episodes_path)
         assert len(episodes) == 4
         assert episodes[0].inputs.shape == (6, 1)
+
+    @pytest.mark.parametrize("params", ['{"gravity": 1}', "[1]", "null", '{"g": "x"}'])
+    def test_bad_params_exit_cleanly(self, tmp_path, capsys, params):
+        out = tmp_path / "model.json"
+        code = main(["learn", "--episodes", "4", "--params", params, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR
+        assert err.startswith("bad --params: ") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "1e308"])
+    def test_amplitude_that_cannot_be_drawn_exits_cleanly(self, tmp_path, capsys, value):
+        out = tmp_path / "model.json"
+        code = main(["learn", "--episodes", "4", "--amplitude", value, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR
+        assert err.startswith("--amplitude must be finite") and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestTrainPolicyAndLqr:

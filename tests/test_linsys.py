@@ -354,10 +354,6 @@ class TestHinfNorm:
         assert l1_norm(phi) == pytest.approx(2.0, abs=1e-6)
         assert hinf_norm([[0.5]], [[1.0]], [[1.0]], [[0.0]]) == pytest.approx(2.0, abs=1e-6)
 
-    def test_grid_floor(self):
-        with pytest.raises(ValueError):
-            hinf_norm([[0.5]], [[1.0]], [[1.0]], [[0.0]], grid=32)
-
 
 class TestCloseLoop:
     def test_open_loop_scalar_norms(self):
