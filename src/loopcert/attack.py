@@ -325,9 +325,9 @@ def save_plan(path, plan: AttackPlan) -> None:
         "w_inf": float(plan.w_inf),
         "signs": [[int(v) for v in row] for row in plan.signs],
     }
+    text = json.dumps(obj, allow_nan=False) + "\n"
     with open(path, "w") as fh:
-        json.dump(obj, fh)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_plan(path) -> AttackPlan:

@@ -33,7 +33,6 @@ import numpy as np
 
 from . import neural
 from .linsys import (
-    DEFAULT_EPS_TRUNC,
     ClosedLoopMaps,
     NotSchurStable,
     StateSpacePlant,
@@ -153,12 +152,16 @@ class BaselineResult:
     gamma_pi: float = float("nan")
 
     def to_dict(self) -> dict:
+        """The result as strict JSON values: a non-finite number is None (null)."""
+        def number(v):
+            return float(v) if np.isfinite(v) else None
+
         return {
-            "beta1": float(self.beta1),
-            "beta2": float(self.beta2),
+            "beta1": number(self.beta1),
+            "beta2": number(self.beta2),
             "certified": bool(self.certified),
-            "y_inf_implied": float(self.y_inf_implied),
-            "gamma_pi_sampled": float(self.gamma_pi),
+            "y_inf_implied": number(self.y_inf_implied),
+            "gamma_pi_sampled": number(self.gamma_pi),
             "note": "gamma_pi is a sampled lower bound; a positive result is not a certificate",
         }
 
@@ -311,18 +314,17 @@ def extract_gain(plant: StateSpacePlant, net: ReluNetwork, box: Box | None,
 
 
 def extract_loop(plant: StateSpacePlant, net: ReluNetwork, box: Box | None,
-                 k_d: np.ndarray | None,
-                 eps_trunc: float = DEFAULT_EPS_TRUNC) -> tuple[np.ndarray, ClosedLoopMaps]:
-    """:func:`extract_gain` together with the loop it closes, at ``eps_trunc``;
-    the winning closure is the only one built."""
+                 k_d: np.ndarray | None) -> tuple[np.ndarray, ClosedLoopMaps]:
+    """:func:`extract_gain` together with the loop it closes; the winning
+    closure is the only one built."""
     lb = None
     if box is not None and np.any(box.radius > 0):
         lb = neural.linear_relaxation(net, box)
-    return _pick_gain(plant, net, lb, k_d, eps_trunc)
+    return _pick_gain(plant, net, lb, k_d)
 
 
 def _pick_gain(plant: StateSpacePlant, net: ReluNetwork, lb: LinearBounds | None,
-               k_d: np.ndarray | None, eps_trunc: float) -> tuple[np.ndarray, ClosedLoopMaps]:
+               k_d: np.ndarray | None) -> tuple[np.ndarray, ClosedLoopMaps]:
     """:func:`extract_gain` with the relaxation ``lb`` over the box given,
     returning the winning gain together with its closed-loop maps."""
     candidates = []
@@ -338,7 +340,7 @@ def _pick_gain(plant: StateSpacePlant, net: ReluNetwork, lb: LinearBounds | None
     candidates.append(np.zeros((plant.m, plant.r)))
     for k in candidates:
         try:
-            return k, _closed_loop(plant, k, eps_trunc)
+            return k, _closed_loop(plant, k)
         except NotSchurStable:
             pass
     raise NoStabilizingGain("no stabilizing candidate gain (midpoint, Jacobian, default)")
@@ -353,22 +355,22 @@ _closures: dict = {}
 _closures_lock = threading.Lock()
 
 
-def _loop_key(plant: StateSpacePlant, k: np.ndarray, eps_trunc: float) -> tuple:
-    """The bytes of the plant's realization matrices and the gain, and ``eps_trunc``."""
+def _loop_key(plant: StateSpacePlant, k: np.ndarray) -> tuple:
+    """The bytes of the plant's realization matrices and the gain."""
     parts = plant.matrices() + (k,)
-    return tuple(np.ascontiguousarray(p).tobytes() for p in parts) + (eps_trunc,)
+    return tuple(np.ascontiguousarray(p).tobytes() for p in parts)
 
 
-def _closed_loop(plant: StateSpacePlant, k: np.ndarray, eps_trunc: float) -> ClosedLoopMaps:
+def _closed_loop(plant: StateSpacePlant, k: np.ndarray) -> ClosedLoopMaps:
     """:func:`close_loop` through the memo; the lock keeps its check-then-insert
     and its eviction whole when threads share it."""
-    key = _loop_key(plant, k, eps_trunc)
+    key = _loop_key(plant, k)
     with _closures_lock:
         maps = _closures.get(key)
         if maps is None:
             if len(_closures) >= _CLOSURES_MAX:
                 _closures.pop(next(iter(_closures)))
-            maps = _closures[key] = close_loop(plant, k, eps_trunc)
+            maps = _closures[key] = close_loop(plant, k)
         return maps
 
 
@@ -414,8 +416,7 @@ def _certified_policy_bounds(net: ReluNetwork, box: Box | None, lb: LinearBounds
 def algorithm1(plant: StateSpacePlant, net: ReluNetwork,
                k_d: np.ndarray | None = None, gamma_delta: np.ndarray | None = None,
                *, quantization: QuantizationSpec | None = None,
-               w_inf: float | None = None,
-               eps_trunc: float = DEFAULT_EPS_TRUNC) -> CertResult:
+               w_inf: float | None = None) -> CertResult:
     """Iterative search for a certified invariant box.
 
     Starting from the degenerate box, each pass (1) bounds the residual
@@ -457,7 +458,7 @@ def algorithm1(plant: StateSpacePlant, net: ReluNetwork,
             if not all(np.all(np.isfinite(v)) for v in (lb.k_l, lb.b_l, lb.k_u, lb.b_u)):
                 return CertResult(False, None, iterations, NON_FINITE_BOUNDS)
         try:
-            k, maps = _pick_gain(plant, net, lb, k_d, eps_trunc)
+            k, maps = _pick_gain(plant, net, lb, k_d)
         except NoStabilizingGain:
             return CertResult(False, None, iterations, NO_STABILIZING_GAIN)
         u0_bar, u_bar = _certified_policy_bounds(net, box, lb, k, quantization)
@@ -571,8 +572,7 @@ def bisect_max_level(certifies: Callable[[float], bool], tol: float = 1e-4) -> f
 def frontier(plant: StateSpacePlant, net: ReluNetwork,
              k_d: np.ndarray | None = None, gamma_delta: np.ndarray | None = None,
              x_lim_values=(), tol: float = 1e-4, *, target_state: int | None = None,
-             quantization: QuantizationSpec | None = None,
-             eps_trunc: float = DEFAULT_EPS_TRUNC) -> list[tuple[float, float]]:
+             quantization: QuantizationSpec | None = None) -> list[tuple[float, float]]:
     """Largest certifiable attack level per state-deviation limit.
 
     For each limit, :func:`bisect_max_level` (relative tolerance ``tol``)
@@ -582,7 +582,7 @@ def frontier(plant: StateSpacePlant, net: ReluNetwork,
     """
     def certifies(limited: StateSpacePlant, w: float) -> bool:
         return algorithm1(limited, net, k_d, gamma_delta, quantization=quantization,
-                          w_inf=w, eps_trunc=eps_trunc).success
+                          w_inf=w).success
 
     return _frontier(plant, x_lim_values, tol, target_state, certifies)
 
@@ -688,7 +688,7 @@ def baseline_certify(plant: StateSpacePlant, net: ReluNetwork,
                      gamma_delta: np.ndarray | None = None, *,
                      w_inf: float | None = None,
                      quantization: QuantizationSpec | None = None,
-                     n_samples: int = 4096, seed: int = 0, eps_trunc: float = DEFAULT_EPS_TRUNC
+                     n_samples: int = 4096, seed: int = 0
                      ) -> tuple[BaselineResult, Quadruplet | None]:
     """Small-gain baseline with an iteratively grown validity region.
 
@@ -710,7 +710,7 @@ def baseline_certify(plant: StateSpacePlant, net: ReluNetwork,
     w_amp = plant.w_inf if w_inf is None else float(w_inf)
     gamma = float(np.max(np.sum(_uncertainty_gain(plant, gamma_delta), axis=1), initial=0.0))
     try:
-        k0, maps = _pick_gain(plant, net, None, k_d, eps_trunc)
+        k0, maps = _pick_gain(plant, net, None, k_d)
     except NoStabilizingGain:
         return BaselineResult(np.inf, np.inf, False, np.inf), None
     sampler = _gain_sampler(net, k0, n_samples, seed, quantization)
@@ -765,8 +765,7 @@ def baseline_frontier(plant: StateSpacePlant, net: ReluNetwork,
                       gamma_delta: np.ndarray | None = None, x_lim_values=(),
                       tol: float = 1e-4, *, target_state: int | None = None,
                       quantization: QuantizationSpec | None = None,
-                      n_samples: int = 4096, seed: int = 0,
-                      eps_trunc: float = DEFAULT_EPS_TRUNC) -> list[tuple[float, float]]:
+                      n_samples: int = 4096, seed: int = 0) -> list[tuple[float, float]]:
     """Largest attack level the small-gain baseline accepts, per limit.
 
     For each limit, :func:`bisect_max_level` on :func:`baseline_certify`
@@ -777,7 +776,7 @@ def baseline_frontier(plant: StateSpacePlant, net: ReluNetwork,
     """
     gamma = float(np.max(np.sum(_uncertainty_gain(plant, gamma_delta), axis=1), initial=0.0))
     try:
-        k0, maps = _pick_gain(plant, net, None, k_d, eps_trunc)
+        k0, maps = _pick_gain(plant, net, None, k_d)
     except NoStabilizingGain:
         return _frontier(plant, x_lim_values, tol, target_state, lambda limited, w: False)
     sampler = _gain_sampler(net, k0, n_samples, seed, quantization)

@@ -9,10 +9,10 @@ falsification from failure.
 Each command takes only the flags it reads.  ``--seed`` drives the
 randomness of baseline, frontier, simulate, learn and train-policy, and
 every float is written with 17 significant digits, so identical invocations
-produce byte-identical outputs.  ``--eps-trunc`` (the impulse-response
-truncation) belongs to the commands that close the loop: certify, baseline,
-frontier and attack.  attack and simulate write files and require
-``--out PATH``; the other commands print to stdout without ``--out``.
+produce byte-identical outputs.  Every JSON file written is strict JSON
+(the baseline writes a non-finite number as null).  attack and simulate
+write files and require ``--out PATH``; the other commands print to stdout
+without ``--out``.
 
 Plant and policy JSON files always store radians; ``--degrees`` (on certify,
 baseline, frontier, attack and simulate) converts the scalar angle-valued
@@ -59,7 +59,7 @@ def _write_text(path, text: str) -> None:
 
 
 def _write_json(path, obj) -> None:
-    _write_text(path, json.dumps(obj, indent=1) + "\n")
+    _write_text(path, json.dumps(obj, indent=1, allow_nan=False) + "\n")
 
 
 def _read(kind: str, load, spec: str):
@@ -90,8 +90,8 @@ def _gain_from_file(path) -> np.ndarray:
 
 
 def _amplitude(flag: str, value: float) -> float:
-    """``value`` of ``flag`` as the bound w of a uniform draw on [-w, w], whose
-    width 2|w| must be a finite float; a CliError otherwise."""
+    """``value`` of ``flag`` as a perturbation bound w, whose uniform draw on
+    [-w, w] must have a finite float width 2|w|; a CliError otherwise."""
     if not abs(value) <= sys.float_info.max / 2.0:
         raise CliError(f"{flag} must be finite and at most half the largest float, "
                        f"got {value}")
@@ -103,37 +103,41 @@ def _angle_scale(args) -> float:
     return math.pi / 180.0 if args.degrees else 1.0
 
 
-def _loop(args, x_lim: float | None = None, w_inf: float | None = None):
+def _loop(args, x_lim: float | None = None, w_inf: float | None = None,
+          state: int | None = None):
     """``(plant, net, scale, lib)``: the inputs of a loop-closing command.
 
-    The plant carries ``x_lim`` (on ``--target-state``, every state when
-    None) and ``w_inf`` when given, both in user angle units; ``scale`` turns
-    those units into radians.  ``lib`` holds the keyword arguments every
-    certify call shares: the ``--kd`` gain, the plant's Gamma_Delta, the
-    policy's quantization and ``--eps-trunc``.
+    ``state`` (``--target-state``, or attack's ``--target``) must index a
+    state of the plant when given, with or without ``x_lim``.  The plant
+    carries ``x_lim`` (on ``state``, every state when None) and ``w_inf``
+    (checked by :func:`_amplitude`) when given, both in user angle units;
+    ``scale`` turns those units into radians.  ``lib`` holds the keyword
+    arguments every certify call shares: the ``--kd`` gain, the plant's
+    Gamma_Delta and the policy's quantization.
     """
     plant, gamma = _load_plant(args.plant)
     net, quant = _read("policy", neural.load_policy, args.policy)
+    if state is not None and not 0 <= state < plant.n:
+        raise CliError(f"target state {state} out of range for n={plant.n}")
     scale = _angle_scale(args)
     if x_lim is not None:
-        plant = certify.with_state_limit(plant, args.target_state, x_lim * scale)
+        plant = certify.with_state_limit(plant, state, x_lim * scale)
     if w_inf is not None:
-        plant = replace(plant, w_inf=w_inf * scale)
+        plant = replace(plant, w_inf=_amplitude("--w-inf", w_inf) * scale)
     k_d = None if args.kd is None else _read("gain", _gain_from_file, args.kd)
-    lib = dict(k_d=k_d, gamma_delta=gamma, quantization=quant,
-               eps_trunc=args.eps_trunc)
+    lib = dict(k_d=k_d, gamma_delta=gamma, quantization=quant)
     return plant, net, scale, lib
 
 
 def cmd_certify(args) -> int:
-    plant, net, _, lib = _loop(args, args.x_lim, args.w_inf)
+    plant, net, _, lib = _loop(args, args.x_lim, args.w_inf, args.target_state)
     result = certify.algorithm1(plant, net, **lib)
     _write_json(args.out, result.to_dict())
     return EXIT_OK if result.success else EXIT_NEGATIVE
 
 
 def cmd_baseline(args) -> int:
-    plant, net, _, lib = _loop(args, args.x_lim, args.w_inf)
+    plant, net, _, lib = _loop(args, args.x_lim, args.w_inf, args.target_state)
     result, quad = certify.baseline_certify(plant, net, **lib, n_samples=args.samples,
                                             seed=args.seed)
     obj = result.to_dict()
@@ -144,7 +148,7 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_frontier(args) -> int:
-    plant, net, scale, lib = _loop(args)
+    plant, net, scale, lib = _loop(args, state=args.target_state)
     try:
         limits = [float(v) * scale for v in args.x_lim_list.split(",")]
     except ValueError as exc:
@@ -155,7 +159,7 @@ def cmd_frontier(args) -> int:
         # on any state when the limit is on all of them; a limit changes
         # neither the gain nor the maps, so the loop is closed once
         try:
-            _, maps = certify.extract_loop(plant, net, None, lib["k_d"], args.eps_trunc)
+            _, maps = certify.extract_loop(plant, net, None, lib["k_d"])
         except certify.NoStabilizingGain:
             return [math.inf] * len(limits)
         targets = range(plant.n) if args.target_state is None else [args.target_state]
@@ -181,11 +185,9 @@ def cmd_frontier(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    plant, net, _, lib = _loop(args, w_inf=args.w_inf)
-    if not 0 <= args.target < plant.n:
-        raise CliError(f"target state {args.target} out of range for n={plant.n}")
+    plant, net, _, lib = _loop(args, w_inf=args.w_inf, state=args.target)
     try:
-        _, maps = certify.extract_loop(plant, net, None, lib["k_d"], args.eps_trunc)
+        _, maps = certify.extract_loop(plant, net, None, lib["k_d"])
     except certify.NoStabilizingGain:
         print("no stabilizing gain; cannot build closed-loop maps", file=sys.stderr)
         return EXIT_NEGATIVE
@@ -233,6 +235,7 @@ def cmd_learn(args) -> int:
         plant = cartpole_nonlinear(CartPoleParams(**params))
     except (ValueError, TypeError) as exc:
         raise CliError(f"bad --params: {exc}") from exc
+    w_inf = _amplitude("--w-inf", args.w_inf or 0.0)
     episodes = sysid.collect(plant, args.episodes, ep_len=args.ep_len,
                              u_amplitude=_amplitude("--amplitude", args.amplitude),
                              seed=args.seed)
@@ -244,7 +247,7 @@ def cmd_learn(args) -> int:
         print(f"identification failed: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
     learned = sysid.uncertain_plant(model, c=plant.c, d_w=plant.d_w, b_w=plant.b_w,
-                                    w_inf=args.w_inf or 0.0)
+                                    w_inf=w_inf)
     _write_json(args.out, linsys.plant_to_dict(learned, model.gamma_delta))
     return EXIT_OK
 
@@ -329,11 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
     policy = _group(("--policy", dict(required=True, help="policy JSON path")),
                     ("--degrees", dict(action="store_true",
                                        help="angle-valued options and reports in degrees")))
-    # --kd and --eps-trunc go with --plant and --policy wherever the loop is closed
+    # --kd goes with --plant and --policy wherever the loop is closed
     loop = [plant, policy, _group(
-        ("--kd", dict(default=None, help="JSON file with a default gain (Kd or K)")),
-        ("--eps-trunc", dict(type=float, default=linsys.DEFAULT_EPS_TRUNC,
-                             help="impulse-response truncation tolerance")))]
+        ("--kd", dict(default=None, help="JSON file with a default gain (Kd or K)")))]
     w_inf = _group(("--w-inf", dict(type=float, default=None)))
     x_lim = _group(("--x-lim", dict(type=float, default=None)))
     target = _group(("--target-state", dict(type=int, default=None)))

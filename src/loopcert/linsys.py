@@ -52,9 +52,9 @@ __all__ = [
 # Matrices with spectral radius above 1 - SCHUR_MARGIN are treated as unstable.
 SCHUR_MARGIN = 1e-9
 
-# Default per-entry truncation error; far below every certification tolerance
-# used downstream.
-DEFAULT_EPS_TRUNC = 1e-9
+# Per-entry truncation error of every impulse response; far below every
+# certification tolerance used downstream.  Read at call time.
+EPS_TRUNC = 1e-9
 
 _MAX_TRUNC_TERMS = 2_000_000
 
@@ -188,11 +188,11 @@ def _contraction(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     return w, w_inv, rho_w
 
 
-def impulse_response(a, bc, cc, dc, eps_trunc: float = DEFAULT_EPS_TRUNC) -> TruncatedTransferMatrix:
+def impulse_response(a, bc, cc, dc) -> TruncatedTransferMatrix:
     """Truncated impulse response of ``C (zI - A)^-1 B + D``.
 
     The response is cut at the first horizon T = 1 + 8k whose tail bound
-    drops below ``eps_trunc``; that bound is recorded on the result so
+    drops below ``EPS_TRUNC``; that bound is recorded on the result so
     downstream sums stay sound.  With the weight W and contraction
     ``rho_w`` of :func:`_contraction` and ``Z_k = C A^(8k)``, every entry of
     ``sum_{t >= T} |Phi[t]|`` is at most
@@ -208,7 +208,7 @@ def impulse_response(a, bc, cc, dc, eps_trunc: float = DEFAULT_EPS_TRUNC) -> Tru
     ``_GROUP`` chunks per batched product against the stacked powers
     ``(A^8)^j``.  Their last bits depend on that grouping (by about 1e-14
     relative against stepping one chunk at a time), so T could move only
-    where a tail bound sits that close to ``eps_trunc``.  The march is
+    where a tail bound sits that close to ``EPS_TRUNC``.  The march is
     :func:`_march`, which :func:`close_loop` shares.
 
     Raises
@@ -216,7 +216,7 @@ def impulse_response(a, bc, cc, dc, eps_trunc: float = DEFAULT_EPS_TRUNC) -> Tru
     NotSchurStable
         If ``rho(A) >= 1 - SCHUR_MARGIN`` or no contracting weight is found.
     RuntimeError
-        If the bound stays above ``eps_trunc`` past ``_MAX_TRUNC_TERMS`` terms.
+        If the bound stays above ``EPS_TRUNC`` past ``_MAX_TRUNC_TERMS`` terms.
     """
     a = _as_matrix(a, "a")
     bc = _as_matrix(bc, "bc")
@@ -229,7 +229,7 @@ def impulse_response(a, bc, cc, dc, eps_trunc: float = DEFAULT_EPS_TRUNC) -> Tru
         raise ValueError("b/c dimensions do not match a")
     if dc.shape != (cc.shape[0], bc.shape[1]):
         raise ValueError("d dimensions do not match b/c")
-    chunks, tail, groups = _march(a, bc, cc, dc, eps_trunc)
+    chunks, tail, groups = _march(a, bc, cc, dc)
     impulse = np.empty((1 + 8 * chunks, *dc.shape))
     impulse[0] = dc
     filled = 1
@@ -244,7 +244,7 @@ def impulse_response(a, bc, cc, dc, eps_trunc: float = DEFAULT_EPS_TRUNC) -> Tru
     return TruncatedTransferMatrix(impulse[:length], tail)
 
 
-def _march(a: np.ndarray, bc: np.ndarray, cc: np.ndarray, dc: np.ndarray, eps_trunc: float):
+def _march(a: np.ndarray, bc: np.ndarray, cc: np.ndarray, dc: np.ndarray):
     """``(chunks, tail, groups)`` of the impulse response of a checked realization.
 
     The response is cut after ``1 + 8 chunks`` terms with tail bound
@@ -253,8 +253,6 @@ def _march(a: np.ndarray, bc: np.ndarray, cc: np.ndarray, dc: np.ndarray, eps_tr
     last) at a time, as a ``(8 g, out, in)`` view of one buffer that the
     next group overwrites.
     """
-    if not eps_trunc > 0:
-        raise ValueError("eps_trunc must be positive")
     n = a.shape[0]
     w, w_inv, rho_w = _contraction(a)
     wb_max = float(np.max(np.linalg.norm(w @ bc, axis=0), initial=0.0))
@@ -273,7 +271,7 @@ def _march(a: np.ndarray, bc: np.ndarray, cc: np.ndarray, dc: np.ndarray, eps_tr
 
     # A group starting at Z_k holds Z_(k+j) = Z_k powers[j]; the march stops
     # at the first k whose tail bound (see impulse_response) is at most
-    # eps_trunc, and the products past the stop in the last group are
+    # EPS_TRUNC, and the products past the stop in the last group are
     # thrown away
     z, chunks = cc, 0
     while True:
@@ -282,11 +280,11 @@ def _march(a: np.ndarray, bc: np.ndarray, cc: np.ndarray, dc: np.ndarray, eps_tr
         # ones of its chunks computed alone bit for bit
         row_max = np.max(np.linalg.norm(zs @ w_inv, axis=2), axis=1, initial=0.0)
         tails = row_max * wb_max / (1.0 - rho_w)
-        below = np.flatnonzero(tails <= eps_trunc)
+        below = np.flatnonzero(tails <= EPS_TRUNC)
         stop = int(below[0]) if below.size else len(zs)
         # chunk k is added only while 1 + chunk*k terms stay within the cap
         if stop and 1 + chunk * (chunks + stop - 1) > _MAX_TRUNC_TERMS:
-            raise RuntimeError("impulse response did not decay below eps_trunc")
+            raise RuntimeError("impulse response did not decay below EPS_TRUNC")
         chunks += stop
         if below.size:
             tail = float(tails[stop])
@@ -340,8 +338,8 @@ def abs_transfer(phi: TruncatedTransferMatrix) -> np.ndarray:
     return _time_sum(np.abs(phi.impulse)) + phi.tail_bound
 
 
-def _abs_response(a: np.ndarray, bc: np.ndarray, cc: np.ndarray, dc: np.ndarray,
-                  eps_trunc: float) -> tuple[np.ndarray, float]:
+def _abs_response(a: np.ndarray, bc: np.ndarray, cc: np.ndarray,
+                  dc: np.ndarray) -> tuple[np.ndarray, float]:
     """``abs_transfer(impulse_response(...))`` and the tail bound of a checked
     realization, bit for bit, without holding the response.
 
@@ -350,7 +348,7 @@ def _abs_response(a: np.ndarray, bc: np.ndarray, cc: np.ndarray, dc: np.ndarray,
     0.  So each flush adds its terms after all earlier ones, in the time
     order of :func:`abs_transfer`.
     """
-    chunks, tail, groups = _march(a, bc, cc, dc, eps_trunc)
+    chunks, tail, groups = _march(a, bc, cc, dc)
     sums = np.empty((1 + 8 * min(chunks, _FLUSH * _GROUP), *dc.shape))
     np.abs(dc, out=sums[0])
     filled = 1
@@ -577,7 +575,7 @@ class ClosedLoopMaps:
     kept as one realization ``(a_cl, bc, cc, dc)`` whose outputs stack
     ``(x, y, alpha)`` as rows and whose inputs stack ``(u0, w, delta)`` as
     columns.  ``abs_stack`` is the :func:`abs_transfer` of its truncated
-    impulse response at ``eps_trunc``, whose uniform tail bound is
+    impulse response at ``EPS_TRUNC``, whose uniform tail bound is
     ``tail_bound``.  ``dims`` is ``(n, m, p, q, r, s)``, which fixes where
     each block sits (:func:`_block_slices`).
 
@@ -598,7 +596,6 @@ class ClosedLoopMaps:
     bc: np.ndarray
     cc: np.ndarray
     dc: np.ndarray
-    eps_trunc: float
     tail_bound: float
     abs_stack: np.ndarray
     dims: tuple[int, int, int, int, int, int]
@@ -620,7 +617,7 @@ class ClosedLoopMaps:
 
     def response(self) -> TruncatedTransferMatrix:
         """The stacked truncated impulse response, marched again on each call."""
-        return impulse_response(self.a_cl, self.bc, self.cc, self.dc, self.eps_trunc)
+        return impulse_response(self.a_cl, self.bc, self.cc, self.dc)
 
     def abs_block(self, which: str) -> np.ndarray:
         """``abs_transfer`` of one of the nine maps, as a block of ``abs_stack``."""
@@ -645,7 +642,7 @@ class ClosedLoopMaps:
         return self.a_cl, self.bc[:, cols], self.cc[rows], self.dc[rows, cols]
 
 
-def close_loop(plant: StateSpacePlant, k0, eps_trunc: float = DEFAULT_EPS_TRUNC) -> ClosedLoopMaps:
+def close_loop(plant: StateSpacePlant, k0) -> ClosedLoopMaps:
     """Close the measurement loop with a static gain and build all nine maps.
 
     ``k0`` may be zero for an open-loop-stable plant, which reproduces the
@@ -674,8 +671,8 @@ def close_loop(plant: StateSpacePlant, k0, eps_trunc: float = DEFAULT_EPS_TRUNC)
     dc[blocks["alpha_w"]] = plant.d_alpha_u @ k0 @ plant.d_w + plant.d_alpha_w
 
     # _abs_response raises NotSchurStable for an unstable a_cl
-    abs_stack, tail = _abs_response(a_cl, bc, cc, dc, eps_trunc)
-    return ClosedLoopMaps(a_cl, bc, cc, dc, eps_trunc, tail, abs_stack, dims)
+    abs_stack, tail = _abs_response(a_cl, bc, cc, dc)
+    return ClosedLoopMaps(a_cl, bc, cc, dc, tail, abs_stack, dims)
 
 
 # ---------------------------------------------------------------------------

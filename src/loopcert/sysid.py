@@ -81,6 +81,8 @@ def collect(plant: NonlinearPlant, n_episodes: int, ep_len: int = 30,
     """Roll out ``n_episodes`` from the origin under i.i.d. uniform inputs."""
     if n_episodes < 1:
         raise ValueError("need at least one episode")
+    if ep_len < 1:
+        raise ValueError("need at least one step per episode")
     rng = np.random.default_rng(seed)
     n = plant.n
     episodes = []

@@ -175,8 +175,8 @@ class TestDesignAttack:
         for gain in (kd, clone_gain):
             maps = linsys.close_loop(cartpole, gain)
             n, m, p, *_ = maps.dims
-            phi = linsys.impulse_response(maps.a_cl, maps.bc, maps.cc, maps.dc,
-                                          maps.eps_trunc).impulse[:, :n, m:m + p]
+            phi = linsys.impulse_response(maps.a_cl, maps.bc, maps.cc,
+                                          maps.dc).impulse[:, :n, m:m + p]
             for horizon in (2500, phi.shape[0] - 1, phi.shape[0] + 3):
                 for target in range(n):
                     expected = np.zeros((horizon, p))
@@ -486,6 +486,14 @@ class TestFiles:
         assert loaded.horizon == plan.horizon
         assert loaded.w_inf == plan.w_inf
         np.testing.assert_array_equal(loaded.signs, plan.signs)
+
+    def test_non_finite_plan_is_not_written(self, tmp_path, scalar_loop):
+        # strict JSON has no Infinity; the plan is refused before the file opens
+        _, _, maps = scalar_loop
+        path = tmp_path / "plan.json"
+        with pytest.raises(ValueError):
+            save_plan(path, design_attack(maps, 0, 25, w_inf=np.inf))
+        assert not path.exists()
 
     def test_trace_csv(self, tmp_path, scalar_loop):
         plant, net, _ = scalar_loop

@@ -302,7 +302,7 @@ class TestMapsCache:
             bad = []
             for i in range(100):
                 j = (i + offset) % len(gains)
-                maps = certify._closed_loop(plant, gains[j], linsys.DEFAULT_EPS_TRUNC)
+                maps = certify._closed_loop(plant, gains[j])
                 if not (np.array_equal(maps.a_cl, expected[j].a_cl)
                         and np.array_equal(maps.abs_stack, expected[j].abs_stack)):
                     bad.append(j)
@@ -317,18 +317,18 @@ class TestMapsCache:
         # key differs and the memo closes it afresh instead of handing back
         # the cached maps
         plant = random_stable_plant(np.random.default_rng(5), with_uncertainty=True)
-        k, eps = np.zeros((plant.m, plant.r)), linsys.DEFAULT_EPS_TRUNC
+        k = np.zeros((plant.m, plant.r))
         fields = ("a_cl", "bc", "cc", "dc", "abs_stack")
         _empty_memo(monkeypatch)
-        cached = certify._closed_loop(plant, k, eps)
+        cached = certify._closed_loop(plant, k)
         for name in ("a", "b", "b_w", "b_delta", "c", "d_w", "c_alpha", "d_alpha_u",
                      "d_alpha_w"):
             matrix = getattr(plant, name).copy()
             matrix[-1, -1] += 1e-3
             perturbed = dataclasses.replace(plant, **{name: matrix})
-            assert certify._loop_key(perturbed, k, eps) != certify._loop_key(plant, k, eps), name
-            maps = certify._closed_loop(perturbed, k, eps)
-            fresh = linsys.close_loop(perturbed, k, eps)
+            assert certify._loop_key(perturbed, k) != certify._loop_key(plant, k), name
+            maps = certify._closed_loop(perturbed, k)
+            fresh = linsys.close_loop(perturbed, k)
             assert all(np.array_equal(getattr(maps, f), getattr(fresh, f)) for f in fields), name
             assert not all(np.array_equal(getattr(maps, f), getattr(cached, f))
                            for f in fields), name

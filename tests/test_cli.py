@@ -146,6 +146,25 @@ class TestBaseline:
                      "--x-lim", "1e-6", "--out", str(tmp_path / "b.json")])
         assert code == EXIT_NEGATIVE
 
+    def test_non_finite_numbers_are_written_as_null(self, tmp_path):
+        # no gain stabilizes x+ = 1.5 x + u under a zero policy, so beta1,
+        # beta2 and the implied bound are infinite and the gain never sampled
+        plant_path, policy_path = tmp_path / "plant.json", tmp_path / "policy.json"
+        linsys.save_plant(plant_path, scalar_plant(a=1.5))
+        neural.save_policy(policy_path, linear_policy(0.0))
+        out = tmp_path / "base.json"
+        code = main(["baseline", "--plant", str(plant_path), "--policy", str(policy_path),
+                     "--out", str(out)])
+        assert code == EXIT_NEGATIVE
+
+        def refuse(constant):
+            raise AssertionError(f"{constant} is not JSON")
+
+        result = json.loads(out.read_text(), parse_constant=refuse)
+        assert result["certified"] is False
+        assert all(result[key] is None
+                   for key in ("beta1", "beta2", "y_inf_implied", "gamma_pi_sampled"))
+
     @pytest.mark.parametrize("samples", ["0", "-5"])
     def test_no_samples_is_an_error(self, scalar_files, tmp_path, samples):
         # no samples cannot certify anything, and used to report certified
@@ -247,13 +266,13 @@ class TestFrontier:
 
 @pytest.fixture()
 def closures(monkeypatch):
-    """(plant, gain, eps_trunc) of every loop closure, from a cold maps cache."""
+    """The memo key of every loop closure, from a cold maps cache."""
     calls = []
     real = linsys.close_loop
 
-    def spy(plant, k0, eps_trunc=linsys.DEFAULT_EPS_TRUNC):
-        calls.append(certify._loop_key(plant, np.asarray(k0, dtype=float), eps_trunc))
-        return real(plant, k0, eps_trunc)
+    def spy(plant, k0):
+        calls.append(certify._loop_key(plant, np.asarray(k0, dtype=float)))
+        return real(plant, k0)
 
     monkeypatch.setattr(linsys, "close_loop", spy)
     monkeypatch.setattr(certify, "close_loop", spy)
@@ -262,30 +281,21 @@ def closures(monkeypatch):
 
 
 class TestLoopClosures:
-    @pytest.mark.parametrize("eps", [None, 1e-6])
     def test_frontier_with_attack_closes_each_loop_once(self, scalar_files, tmp_path,
-                                                        closures, eps):
+                                                        closures):
         plant_path, policy_path = scalar_files
         args = ["frontier", "--plant", plant_path, "--policy", policy_path,
                 "--x-lim-list", "0.5,1.0", "--target-state", "0", "--tol", "1e-3",
                 "--with-attack", "--horizon", "200", "--out", str(tmp_path / "f.csv")]
-        if eps is not None:
-            args += ["--eps-trunc", str(eps)]
         assert main(args) == EXIT_OK
-        expected = linsys.DEFAULT_EPS_TRUNC if eps is None else eps
-        assert closures and all(e == expected for *_, e in closures)
-        assert len(set(closures)) == len(closures)
+        assert closures and len(set(closures)) == len(closures)
 
-    @pytest.mark.parametrize("eps", [None, 1e-6])
-    def test_attack_closes_one_loop(self, scalar_files, tmp_path, closures, eps):
+    def test_attack_closes_one_loop(self, scalar_files, tmp_path, closures):
         plant_path, policy_path = scalar_files
         args = ["attack", "--plant", plant_path, "--policy", policy_path, "--target", "0",
                 "--horizon", "40", "--out", str(tmp_path / "plan.json")]
-        if eps is not None:
-            args += ["--eps-trunc", str(eps)]
         assert main(args) == EXIT_OK
-        expected = linsys.DEFAULT_EPS_TRUNC if eps is None else eps
-        assert [e for *_, e in closures] == [expected]
+        assert len(closures) == 1
 
 
 class TestAttackSimulateRoundTrip:
@@ -365,6 +375,15 @@ class TestLearn:
         err = capsys.readouterr().err
         assert code == EXIT_ERROR
         assert err.startswith("bad --params: ") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ep_len", ["0", "-3"])
+    def test_empty_episodes_are_a_usage_error(self, tmp_path, capsys, ep_len):
+        out = tmp_path / "model.json"
+        code = main(["learn", "--episodes", "4", "--ep-len", ep_len, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR
+        assert "need at least one step per episode" in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["inf", "nan", "1e308"])
@@ -462,6 +481,8 @@ class TestStateIndex:
         ("frontier", ["--target-state", "-1", "--x-lim-list", "0.5", "--with-attack"]),
         ("attack", ["--target", "9"]),
         ("attack", ["--target", "-1"]),
+        ("certify", ["--target-state", "9"]),
+        ("baseline", ["--target-state", "-1"]),
     ])
     def test_out_of_range_index_exits_cleanly(self, scalar_files, tmp_path, capsys,
                                               command, flags):
@@ -477,6 +498,22 @@ class TestStateIndex:
         assert f"target state {flags[1]} out of range for n=1" in captured.err
 
 
+def _runnable_argv(command, plant_path, policy_path):
+    """Arguments, besides ``--out``, on which ``command`` exits 0 quickly."""
+    loop = ["--plant", plant_path, "--policy", policy_path]
+    return {
+        "certify": loop,
+        "baseline": loop + ["--samples", "64"],
+        "frontier": loop + ["--x-lim-list", "0.5", "--tol", "1e-2"],
+        "attack": loop + ["--target", "0", "--horizon", "40"],
+        "simulate": loop + ["--steps", "5"],
+        "learn": ["--episodes", "4", "--ep-len", "6"],
+        "train-policy": ["--plant", "cartpole", "--hidden", "4", "--steps", "5",
+                         "--samples", "20"],
+        "lqr": ["--plant", "cartpole"],
+    }[command]
+
+
 class TestUsage:
     def test_unknown_command(self):
         assert main(["no-such-command"]) == EXIT_ERROR
@@ -486,24 +523,29 @@ class TestUsage:
         ("simulate", ["--eps-trunc", "1e-6"]), ("learn", ["--eps-trunc", "1e-6"]),
         ("train-policy", ["--eps-trunc", "1e-6"]), ("lqr", ["--eps-trunc", "1e-6"]),
         ("learn", ["--degrees"]), ("train-policy", ["--degrees"]), ("lqr", ["--degrees"]),
+        ("certify", ["--eps-trunc", "1e-6"]), ("baseline", ["--eps-trunc", "1e-6"]),
+        ("frontier", ["--eps-trunc", "1e-6"]), ("attack", ["--eps-trunc", "1e-6"]),
     ])
     def test_flags_a_command_does_not_read_are_rejected(self, scalar_files, tmp_path,
                                                          command, flag):
-        plant_path, policy_path = scalar_files
-        loop = ["--plant", plant_path, "--policy", policy_path]
-        argv = {
-            "certify": loop,
-            "attack": loop + ["--target", "0", "--horizon", "40"],
-            "simulate": loop + ["--steps", "5"],
-            "learn": ["--episodes", "4", "--ep-len", "6"],
-            "train-policy": ["--plant", "cartpole", "--hidden", "4", "--steps", "5",
-                             "--samples", "20"],
-            "lqr": ["--plant", "cartpole"],
-        }[command]
+        argv = _runnable_argv(command, *scalar_files)
         out = tmp_path / "out"
         assert main([command, *argv, *flag, "--out", str(out)]) == EXIT_ERROR
         assert not out.exists()
         assert main([command, *argv, "--out", str(out)]) == EXIT_OK
+
+    @pytest.mark.parametrize("command", ["certify", "baseline", "attack", "learn"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_w_inf_is_rejected(self, scalar_files, tmp_path, capsys, command,
+                                          value):
+        # the level would reach the JSON written as Infinity or NaN
+        out = tmp_path / "out"
+        code = main([command, *_runnable_argv(command, *scalar_files), f"--w-inf={value}",
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR
+        assert err.startswith("--w-inf must be finite") and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("out", [[], ["--out", "-"]])
     def test_simulate_requires_out_before_running(self, scalar_files, monkeypatch, out):

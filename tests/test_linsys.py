@@ -29,7 +29,7 @@ def _max_row_norm(a):
     return float(np.max(np.linalg.norm(a, axis=1), initial=0.0))
 
 
-def _sequential_impulse_response(a, bc, cc, dc, eps_trunc=linsys.DEFAULT_EPS_TRUNC):
+def _sequential_impulse_response(a, bc, cc, dc):
     a, bc, cc, dc = (np.asarray(v, dtype=float) for v in (a, bc, cc, dc))
     w, w_inv, rho_w = linsys._contraction(a)
     wb_max = float(np.max(np.linalg.norm(w @ bc, axis=0), initial=0.0))
@@ -43,10 +43,10 @@ def _sequential_impulse_response(a, bc, cc, dc, eps_trunc=linsys.DEFAULT_EPS_TRU
     x_state, z_state, total = bc, cc, 1
     while True:
         tail = _max_row_norm(z_state @ w_inv) * wb_max / (1.0 - rho_w)
-        if tail <= eps_trunc:
+        if tail <= linsys.EPS_TRUNC:
             break
         if total > linsys._MAX_TRUNC_TERMS:
-            raise RuntimeError("impulse response did not decay below eps_trunc")
+            raise RuntimeError("impulse response did not decay below EPS_TRUNC")
         blocks.append((ca_stack @ x_state).reshape(chunk, cc.shape[0], bc.shape[1]))
         x_state = a_chunk @ x_state
         z_state = z_state @ a_chunk
@@ -59,9 +59,10 @@ def _sequential_impulse_response(a, bc, cc, dc, eps_trunc=linsys.DEFAULT_EPS_TRU
 
 
 def _random_systems(radius=None):
-    """240 seeded random systems (n 1-13, 1-13 outputs, 1-7 inputs, eps_trunc
-    1e-12-1e-3), a third made non-normal; spectral radius in [0.2, 0.97], or
-    ``radius`` for all of them when given."""
+    """240 seeded random systems (n 1-13, 1-13 outputs, 1-7 inputs), each with a
+    truncation tolerance in 1e-12-1e-3 for ``linsys.EPS_TRUNC``, a third made
+    non-normal; spectral radius in [0.2, 0.97], or ``radius`` for all of them
+    when given."""
     rng = np.random.default_rng(2024)
     for i in range(240):
         n, out, inp = (int(rng.integers(1, hi)) for hi in (14, 14, 8))
@@ -92,11 +93,11 @@ def _assert_close_response(phi, ref, rel=1e-12):
     np.testing.assert_allclose(abs_transfer(phi), abs_transfer(ref), rtol=rel, atol=0.0)
 
 
-def _assert_streamed_sums_exact(a, bc, cc, dc, eps):
+def _assert_streamed_sums_exact(a, bc, cc, dc):
     """``linsys._abs_response`` equals ``abs_transfer(impulse_response(...))``
     and its tail bound bit for bit; returns the response."""
-    phi = impulse_response(a, bc, cc, dc, eps)
-    got, tail = linsys._abs_response(*(np.asarray(v, dtype=float) for v in (a, bc, cc, dc)), eps)
+    phi = impulse_response(a, bc, cc, dc)
+    got, tail = linsys._abs_response(*(np.asarray(v, dtype=float) for v in (a, bc, cc, dc)))
     assert np.array_equal(got, abs_transfer(phi))
     assert tail == phi.tail_bound
     return phi
@@ -124,7 +125,7 @@ class TestSpectralRadius:
 
 class TestImpulseResponse:
     def test_scalar_geometric(self):
-        phi = impulse_response([[0.5]], [[1.0]], [[1.0]], [[0.0]], eps_trunc=1e-9)
+        phi = impulse_response([[0.5]], [[1.0]], [[1.0]], [[0.0]])
         assert phi.impulse[0, 0, 0] == 0.0
         for t in range(1, 6):
             assert phi.impulse[t, 0, 0] == pytest.approx(0.5 ** (t - 1))
@@ -132,12 +133,22 @@ class TestImpulseResponse:
         total = abs_transfer(phi)[0, 0]
         assert 2.0 <= total <= 2.0 + 1e-9
 
-    def test_tightening_eps_never_decreases_below_exact(self):
+    def test_tightening_eps_never_decreases_below_exact(self, monkeypatch):
         previous = np.inf
         for eps in (1e-3, 1e-6, 1e-9, 1e-12):
-            total = abs_transfer(impulse_response([[0.5]], [[1.0]], [[1.0]], [[0.0]], eps))[0, 0]
+            monkeypatch.setattr(linsys, "EPS_TRUNC", eps)
+            total = abs_transfer(impulse_response([[0.5]], [[1.0]], [[1.0]], [[0.0]]))[0, 0]
             assert 2.0 <= total <= previous + 1e-15
             previous = total
+
+    def test_tolerance_is_read_at_call_time(self, monkeypatch, cartpole, lqr_gain):
+        # the truncation tests above and below set linsys.EPS_TRUNC per case,
+        # so the march must not bind it when the module loads
+        full = close_loop(cartpole, -lqr_gain).xw.length
+        monkeypatch.setattr(linsys, "EPS_TRUNC", 1e-6)
+        cut = close_loop(cartpole, -lqr_gain)
+        assert cut.xw.length < full
+        assert cut.tail_bound <= 1e-6 and cut.xw.tail_bound <= 1e-6
 
     def test_deadbeat_exact(self):
         phi = impulse_response(np.zeros((2, 2)), np.eye(2), np.eye(2), np.zeros((2, 2)))
@@ -158,10 +169,11 @@ class TestImpulseResponse:
 class TestBatchedMarch:
     """The batched decay window and march against the sequential reference."""
 
-    def test_matches_sequential_march_on_random_systems(self):
+    def test_matches_sequential_march_on_random_systems(self, monkeypatch):
         for a, bc, cc, dc, eps in _random_systems():
-            _assert_close_response(impulse_response(a, bc, cc, dc, eps),
-                                   _sequential_impulse_response(a, bc, cc, dc, eps))
+            monkeypatch.setattr(linsys, "EPS_TRUNC", eps)
+            _assert_close_response(impulse_response(a, bc, cc, dc),
+                                   _sequential_impulse_response(a, bc, cc, dc))
 
     def test_close_loop_matches_sequential_march(self, cartpole, lqr_gain):
         rng = np.random.default_rng(31)
@@ -180,30 +192,31 @@ class TestBatchedMarch:
             for name in linsys._MAP_BLOCKS:
                 _assert_close_response(getattr(maps, name), ref.block(*maps._slices(name)))
 
-    def test_streamed_sums_equal_abs_transfer_on_random_systems(self):
+    def test_streamed_sums_equal_abs_transfer_on_random_systems(self, monkeypatch):
         # close_loop's sums never hold the response, yet equal the absolute
         # sum over the whole of it bit for bit; the (1, 1) cut of each system
         # takes the time-ordered path of a single-entry stack
         for a, bc, cc, dc, eps in _random_systems():
+            monkeypatch.setattr(linsys, "EPS_TRUNC", eps)
             for args in ((a, bc, cc, dc), (a, bc[:, :1], cc[:1], dc[:1, :1])):
-                _assert_streamed_sums_exact(*args, eps)
+                _assert_streamed_sums_exact(*args)
 
     def test_streamed_sums_on_short_and_trimmed_responses(self):
         # chunks == 0: nothing enters the loop, the sum is |D|
         got, tail = linsys._abs_response(np.array([[0.5]]), np.zeros((1, 2)),
-                                         np.array([[1.0]]), np.array([[1.0, -2.0]]), 1e-9)
+                                         np.array([[1.0]]), np.array([[1.0, -2.0]]))
         assert np.array_equal(got, [[1.0, 2.0]]) and tail == 0.0
         # a nilpotent loop (A^5 = 0): the one chunk runs three terms past the
         # last nonzero one, which impulse_response trims and the sums add
         shift = np.eye(5, k=1)
         for bc, cc in ((np.eye(5), np.eye(5)), (np.eye(5)[:, -1:], np.eye(5)[:1])):
             dc = np.zeros((cc.shape[0], bc.shape[1]))
-            phi = _assert_streamed_sums_exact(shift, bc, cc, dc, 1e-9)
+            phi = _assert_streamed_sums_exact(shift, bc, cc, dc)
             assert phi.length == 6 and phi.tail_bound == 0.0
             assert np.array_equal(abs_transfer(phi), np.triu(np.ones((5, 5)))[:len(cc), -bc.shape[1]:])
 
     @pytest.mark.parametrize("chunks", [128, 129])
-    def test_streamed_sums_on_both_sides_of_a_flush(self, chunks):
+    def test_streamed_sums_on_both_sides_of_a_flush(self, monkeypatch, chunks):
         # 128 chunks fill the buffer of _abs_response exactly; the 129th
         # flushes it first.  For a scalar A the tail of chunk k is
         # max|C| max|B| a^(8k) / (1 - a), so an eps between the tails of
@@ -215,7 +228,8 @@ class TestBatchedMarch:
             dc = np.arange(cc.shape[0] * bc.shape[1], dtype=float).reshape(-1, bc.shape[1])
             scale = np.max(np.abs(cc)) * np.max(np.abs(bc))
             eps = scale * a ** (8 * (chunks - 0.5)) / (1.0 - a)
-            phi = _assert_streamed_sums_exact(np.array([[a]]), bc, cc, dc, eps)
+            monkeypatch.setattr(linsys, "EPS_TRUNC", eps)
+            phi = _assert_streamed_sums_exact(np.array([[a]]), bc, cc, dc)
             assert phi.length == 1 + 8 * chunks
             # and both add in time order, one term after the other
             in_order = functools.reduce(np.add, np.abs(phi.impulse)) + phi.tail_bound
@@ -242,13 +256,14 @@ class TestBatchedMarch:
 class TestContraction:
     """The weighted-norm tail of ``linsys._contraction`` and its limits."""
 
-    def test_tail_bounds_brute_force_tail(self):
+    def test_tail_bounds_brute_force_tail(self, monkeypatch):
         # the next 20,000 terms past T, summed; 1e-14 relative allows for the
         # rounding of the brute-force sum, which meets the bound exactly
         # wherever the bound is exact (a scalar A)
         extra, block = 20_000, 250
         for a, bc, cc, dc, eps in _random_systems():
-            phi = impulse_response(a, bc, cc, dc, eps)
+            monkeypatch.setattr(linsys, "EPS_TRUNC", eps)
+            phi = impulse_response(a, bc, cc, dc)
             powers = np.empty((block, *a.shape))
             powers[0] = np.eye(a.shape[0])
             for prev, cur in zip(powers, powers[1:]):
@@ -261,14 +276,15 @@ class TestContraction:
                 x = a_block @ x
             assert np.all(brute <= phi.tail_bound * (1.0 + 1e-14))
 
-    def test_near_unit_radius_and_non_normal_chain_close(self):
+    def test_near_unit_radius_and_non_normal_chain_close(self, monkeypatch):
         # a search for a power with ||A^m||_inf < 1 within 4096 steps gives
         # up on some of these and on the chain
-        for a, bc, cc, dc, eps in _random_systems(radius=0.999):
-            assert impulse_response(a, bc, cc, dc, eps).tail_bound <= eps
         chain = _jordan_chain(8, 0.99)
         phi = impulse_response(chain, np.eye(8)[:, -1:], np.eye(8)[:1], np.zeros((1, 1)))
-        assert phi.tail_bound <= linsys.DEFAULT_EPS_TRUNC
+        assert phi.tail_bound <= linsys.EPS_TRUNC
+        for a, bc, cc, dc, eps in _random_systems(radius=0.999):
+            monkeypatch.setattr(linsys, "EPS_TRUNC", eps)
+            assert impulse_response(a, bc, cc, dc).tail_bound <= eps
 
     def test_uncertifiable_chain_raises_and_algorithm1_moves_on(self):
         # a 30x30 Jordan chain at 0.95: its powers peak near 4e36 and the

@@ -27,6 +27,11 @@ class TestCollect:
         assert episodes[0].states.shape == (2, 1)
         assert episodes[0].inputs.shape == (1, 1)
 
+    @pytest.mark.parametrize("ep_len", [0, -1])
+    def test_rejects_empty_episodes(self, ep_len):
+        with pytest.raises(ValueError, match="at least one step"):
+            collect(linear_test_plant(), 1, ep_len=ep_len)
+
     def test_seeded_determinism(self):
         a = collect(linear_test_plant(), 3, ep_len=5, seed=9)
         b = collect(linear_test_plant(), 3, ep_len=5, seed=9)
