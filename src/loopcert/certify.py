@@ -25,6 +25,7 @@ sequence; we keep the literal transcription.
 
 from __future__ import annotations
 
+import functools
 import threading
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -36,7 +37,8 @@ from .linsys import (
     ClosedLoopMaps,
     NotSchurStable,
     StateSpacePlant,
-    close_loop,
+    _block_slices,
+    close_loops,
     hinf_norm,
 )
 from .neural import Box, LinearBounds, QuantizationSpec, ReluNetwork
@@ -183,20 +185,29 @@ def check_theorem1(maps: ClosedLoopMaps, quad: Quadruplet, w_bar) -> tuple[bool,
         raise ValueError("quadruplet dimensions do not match the maps")
     if (quad.y_bar.shape, quad.alpha_bar.shape) != ((r,), (s,)):
         raise ValueError("quadruplet dimensions do not match the maps")
-    x_bar, y_out, a_out = _implied_bounds(maps, w_bar, quad.u_bar, quad.delta_bar)
+    x_bar, y_out, a_out = _implied_bounds(maps.abs_stack, maps.dims, w_bar, quad.u_bar,
+                                          quad.delta_bar)
     holds = bool(np.all(y_out <= quad.y_bar) and np.all(a_out <= quad.alpha_bar))
     return holds, x_bar
 
 
-def _implied_bounds(maps: ClosedLoopMaps, w_bar, u_bar, delta_bar):
+def _implied_bounds(abs_stack: np.ndarray, dims: tuple, w_bar, u_bar, delta_bar):
     """``(x_bar, y_bar, alpha_bar)`` implied by bounds on ``(w, u0, delta)``.
 
-    Each is ``|Phi_w| w_bar + |Phi_u| u_bar + |Phi_delta| delta_bar``.
+    Each is ``|Phi_w| w_bar + |Phi_u| u_bar + |Phi_delta| delta_bar``, read
+    from the blocks of a loop's ``abs_stack`` (``dims`` as in
+    :class:`ClosedLoopMaps`).  A ``(B, rows, cols)`` stack of B loops takes
+    ``(B, ·)`` bounds, a row per loop, and gives each loop's bounds as it
+    alone would.
     """
+    blocks = _block_slices(*dims)
+
+    def apply(name: str, bar) -> np.ndarray:
+        return (abs_stack[(..., *blocks[name])] @ bar[..., None])[..., 0]
+
     rows = (("xw", "xu", "xdelta"), ("yw", "yu", "ydelta"),
             ("alpha_w", "alpha_u", "alpha_delta"))
-    return tuple(maps.abs_block(w) @ w_bar + maps.abs_block(u) @ u_bar
-                 + maps.abs_block(d) @ delta_bar for w, u, d in rows)
+    return tuple(apply(w, w_bar) + apply(u, u_bar) + apply(d, delta_bar) for w, u, d in rows)
 
 
 def _betas(norm: Callable[[str], float], gamma_pi: float,
@@ -327,23 +338,10 @@ def _pick_gain(plant: StateSpacePlant, net: ReluNetwork, lb: LinearBounds | None
                k_d: np.ndarray | None) -> tuple[np.ndarray, ClosedLoopMaps]:
     """:func:`extract_gain` with the relaxation ``lb`` over the box given,
     returning the winning gain together with its closed-loop maps."""
-    candidates = []
-    if lb is not None:
-        candidates.append((lb.k_u + lb.k_l) / 2.0)
-    try:
-        candidates.append(neural.jacobian_at(net, np.zeros(net.input_dim)))
-    except neural.OnKink:
-        pass
-    if k_d is not None:
-        candidates.append(np.asarray(k_d, dtype=float))
-    # zero gain closes nothing; valid whenever the plant is open-loop stable
-    candidates.append(np.zeros((plant.m, plant.r)))
-    for k in candidates:
-        try:
-            return k, _closed_loop(plant, k)
-        except NotSchurStable:
-            pass
-    raise NoStabilizingGain("no stabilizing candidate gain (midpoint, Jacobian, default)")
+    picked = _Loop(plant, net, k_d).gains([None if lb is None else (lb.k_u + lb.k_l) / 2.0])[0]
+    if picked is None:
+        raise NoStabilizingGain("no stabilizing candidate gain (midpoint, Jacobian, default)")
+    return picked
 
 
 # Content-addressed memo of the closed-loop maps, evicting the oldest entry
@@ -355,23 +353,31 @@ _closures: dict = {}
 _closures_lock = threading.Lock()
 
 
-def _loop_key(plant: StateSpacePlant, k: np.ndarray) -> tuple:
-    """The bytes of the plant's realization matrices and the gain."""
-    parts = plant.matrices() + (k,)
-    return tuple(np.ascontiguousarray(p).tobytes() for p in parts)
+def _loop_keys(plant: StateSpacePlant, gains: list) -> list:
+    """Per gain, the bytes of the plant's realization matrices and the gain."""
+    head = tuple(np.ascontiguousarray(p).tobytes() for p in plant.matrices())
+    return [head + (np.ascontiguousarray(k).tobytes(),) for k in gains]
 
 
-def _closed_loop(plant: StateSpacePlant, k: np.ndarray) -> ClosedLoopMaps:
-    """:func:`close_loop` through the memo; the lock keeps its check-then-insert
-    and its eviction whole when threads share it."""
-    key = _loop_key(plant, k)
+def _closed_loops(plant: StateSpacePlant, gains: list) -> list:
+    """:func:`close_loops` of the gains through the memo: each gain is looked
+    up, the loops missing from it are closed in one stack (a gain given
+    twice once), and each of them that closes is inserted in the order of
+    the gains.  The lock keeps the lookups, the inserts and the evictions
+    whole when threads share the memo."""
+    keys = _loop_keys(plant, gains)
     with _closures_lock:
-        maps = _closures.get(key)
-        if maps is None:
-            if len(_closures) >= _CLOSURES_MAX:
-                _closures.pop(next(iter(_closures)))
-            maps = _closures[key] = close_loop(plant, k)
-        return maps
+        found = {key: _closures[key] for key in keys if key in _closures}
+        missing = {key: k for key, k in zip(keys, gains) if key not in found}
+        if missing:
+            fresh = close_loops(plant, np.stack(list(missing.values())))
+            for key, maps in zip(missing, fresh):
+                found[key] = maps
+                if not isinstance(maps, NotSchurStable):
+                    if len(_closures) >= _CLOSURES_MAX:
+                        _closures.pop(next(iter(_closures)))
+                    _closures[key] = maps
+    return [found[key] for key in keys]
 
 
 def _uncertainty_gain(plant: StateSpacePlant, gamma_delta) -> np.ndarray:
@@ -389,8 +395,8 @@ def _uncertainty_gain(plant: StateSpacePlant, gamma_delta) -> np.ndarray:
 
 def _outside_limits(plant: StateSpacePlant, x_bar, y_bar, u_bar) -> bool:
     """Whether a bound on x, y or u exceeds the plant's limit anywhere."""
-    return bool(np.any(x_bar > plant.x_lim) or np.any(y_bar > plant.y_lim)
-                or np.any(u_bar > plant.u_lim))
+    return bool((x_bar > plant.x_lim).any() or (y_bar > plant.y_lim).any()
+                or (u_bar > plant.u_lim).any())
 
 
 def _certified_policy_bounds(net: ReluNetwork, box: Box | None, lb: LinearBounds | None,
@@ -399,7 +405,8 @@ def _certified_policy_bounds(net: ReluNetwork, box: Box | None, lb: LinearBounds
 
     ``lb`` is the relaxation over ``box``.  On the degenerate box (None) the
     bounds are the exact values at the origin.  Output quantization widens
-    both bounds by half a step.
+    both bounds by half a step.  A stack of boxes, with their relaxations
+    and gains, gives a row of bounds per box.
     """
     if box is None:
         u0_bar = u_bar = np.abs(neural.evaluate(net, np.zeros(net.input_dim)))
@@ -411,6 +418,164 @@ def _certified_policy_bounds(net: ReluNetwork, box: Box | None, lb: LinearBounds
         u0_bar = u0_bar + quantization.step / 2.0
         u_bar = u_bar + quantization.step / 2.0
     return u0_bar, u_bar
+
+
+@dataclass(eq=False)
+class _Search:
+    """One search of :func:`algorithm1`: the plant with its limits, the
+    perturbation bound, and the reference boxes after ``passes`` passes.
+    ``result`` is set on the pass that ends it."""
+
+    plant: StateSpacePlant
+    w_bar: np.ndarray
+    y_ref: np.ndarray
+    alpha_ref: np.ndarray
+    passes: int = 0
+    result: CertResult | None = None
+
+    def verdict(self, k, x_bar, y_bar, alpha_bar, u_bar, delta_bar) -> CertResult | None:
+        """The end of a pass with gain ``k`` and the bounds it implies: a
+        verdict, or None after the reference boxes have grown for the next
+        pass."""
+        if _outside_limits(self.plant, x_bar, y_bar, u_bar):
+            return CertResult(False, None, self.passes, CONSTRAINT_VIOLATED, gain=k)
+        if (y_bar <= self.y_ref).all() and (alpha_bar <= self.alpha_ref).all():
+            quad = Quadruplet(y_bar=y_bar, u_bar=u_bar, alpha_bar=alpha_bar,
+                              delta_bar=delta_bar, x_bar=x_bar)
+            return CertResult(True, quad, self.passes, None, gain=k)
+        self.y_ref = (1.0 + _BOX_INFLATION) * y_bar
+        self.alpha_ref = (1.0 + _BOX_INFLATION) * alpha_bar
+        # an overflowed bound leaves no box to relax the policy over next pass
+        if not np.isfinite(self.y_ref).all():
+            return CertResult(False, None, self.passes, NON_FINITE_BOUNDS)
+        if self.passes == _MAX_PASSES:
+            return CertResult(False, None, self.passes, MAX_ITER_EXCEEDED)
+        return None
+
+
+class _Loop:
+    """A plant realization with a policy, a default gain ``k_d``, the
+    uncertainty gain and the output quantization: what the passes of
+    :func:`algorithm1` share across searches that differ only in the plant's
+    limits and the perturbation level.
+
+    :meth:`step` makes one pass of any number of such searches at once, and
+    :meth:`gains` picks their gains.  The policy's Jacobian at the origin is
+    computed on first use and held.
+    """
+
+    def __init__(self, plant: StateSpacePlant, net: ReluNetwork, k_d=None, gamma_delta=None,
+                 quantization: QuantizationSpec | None = None):
+        if net.input_dim != plant.r or net.output_dim != plant.m:
+            raise ValueError(f"policy maps {net.input_dim}->{net.output_dim}, "
+                             f"plant needs {plant.r}->{plant.m}")
+        self.plant, self.net, self.quantization = plant, net, quantization
+        self.k_d = None if k_d is None else np.asarray(k_d, dtype=float)
+        self.gamma_delta = _uncertainty_gain(plant, gamma_delta)
+
+    @functools.cached_property
+    def jacobian(self) -> np.ndarray | None:
+        """The policy's Jacobian at the origin, or None where it has a kink."""
+        try:
+            return neural.jacobian_at(self.net, np.zeros(self.net.input_dim))
+        except neural.OnKink:
+            return None
+
+    def _candidates(self, midpoint):
+        if midpoint is not None:
+            yield midpoint
+        if self.jacobian is not None:
+            yield self.jacobian
+        if self.k_d is not None:
+            yield self.k_d
+        # zero gain closes nothing; valid whenever the plant is open-loop stable
+        yield np.zeros((self.plant.m, self.plant.r))
+
+    def gains(self, midpoints: list) -> list:
+        """Per midpoint gain (None where there is no box), the first candidate
+        whose loop closes, with its maps, or None when none closes.
+
+        The candidates are tried in order and only as far as needed: the
+        midpoint, the Jacobian at the origin (when it exists), ``k_d``, and
+        zero.  Each round of tries asks the memo for all searches still open
+        at once (:func:`_closed_loops`), so it closes its new loops in one
+        stack.
+        """
+        tries = [self._candidates(mid) for mid in midpoints]
+        picked = [None] * len(tries)
+        open_ = range(len(tries))
+        while open_:
+            trial = {i: k for i in open_ if (k := next(tries[i], None)) is not None}
+            for (i, k), maps in zip(trial.items(), _closed_loops(self.plant, list(trial.values()))):
+                if not isinstance(maps, NotSchurStable):
+                    picked[i] = k, maps
+            open_ = [i for i in trial if picked[i] is None]
+        return picked
+
+    def search(self, plant: StateSpacePlant, w_amp: float) -> _Search:
+        """A new search on ``plant`` (this realization with its own limits)
+        at perturbation level ``w_amp``, from the degenerate box."""
+        return _Search(plant, np.full(plant.p, float(w_amp)), np.zeros(plant.r),
+                       np.zeros(plant.s))
+
+    def step(self, searches: list) -> None:
+        """One pass of :func:`algorithm1` for each of the searches, none of
+        which has ended: their boxes relaxed in one stack, their loops closed
+        in one stack, and each search's verdict set on the pass that ends it.
+
+        Every stacked product acts on one search's vectors and matrices, so
+        each search's pass is bit for bit the pass it makes alone.
+        """
+        for s in searches:
+            s.passes += 1
+        boxed = [s for s in searches if s.y_ref.any()]
+        plain = [s for s in searches if s not in boxed]
+        midpoints = []
+        if boxed:
+            radius = np.array([s.y_ref for s in boxed])
+            box = Box(np.zeros_like(radius), radius)
+            with np.errstate(over="ignore", invalid="ignore"):
+                lb = neural.linear_relaxation(self.net, box)
+            finite = (np.isfinite(lb.k_l).all(axis=(1, 2)) & np.isfinite(lb.k_u).all(axis=(1, 2))
+                      & np.isfinite(lb.b_l).all(axis=1) & np.isfinite(lb.b_u).all(axis=1))
+            if not finite.all():
+                # a box near 1e154 overflows the relaxation's products
+                for s, ok in zip(boxed, finite):
+                    if not ok:
+                        s.result = CertResult(False, None, s.passes, NON_FINITE_BOUNDS)
+                boxed = [s for s in boxed if s.result is None]
+                lb = LinearBounds(*(v[finite] for v in (lb.k_l, lb.b_l, lb.k_u, lb.b_u)))
+                box = Box(box.center[finite], box.radius[finite])
+            midpoints = list((lb.k_u + lb.k_l) / 2.0)
+        going = boxed + plain
+        picked = self.gains(midpoints + [None] * len(plain))
+
+        # the policy bounds: over each box from its relaxation (a search whose
+        # gain search failed takes zero there, and its bounds go unread), and
+        # the exact values at the origin on the degenerate box
+        bounds = []
+        if boxed:
+            zero = np.zeros((self.plant.m, self.plant.r))
+            k = np.array([zero if pick is None else pick[0] for pick in picked[:len(boxed)]])
+            bounds += zip(*_certified_policy_bounds(self.net, box, lb, k, self.quantization))
+        if plain:
+            bounds += [_certified_policy_bounds(self.net, None, None, None,
+                                                self.quantization)] * len(plain)
+        for s, pick in zip(going, picked):
+            if pick is None:
+                s.result = CertResult(False, None, s.passes, NO_STABILIZING_GAIN)
+        closed = [(s, *pick, *bound) for s, pick, bound in zip(going, picked, bounds)
+                  if pick is not None]
+        if not closed:
+            return
+        closed, gains, maps, u0_bar, u_bar = zip(*closed)
+        alpha_ref = np.array([s.alpha_ref for s in closed])
+        delta_bar = (self.gamma_delta @ alpha_ref[..., None])[..., 0]
+        implied = _implied_bounds(np.array([m.abs_stack for m in maps]), maps[0].dims,
+                                  np.array([s.w_bar for s in closed]), np.array(u0_bar),
+                                  delta_bar)
+        for i, s in enumerate(closed):
+            s.result = s.verdict(gains[i], *(v[i] for v in implied), u_bar[i], delta_bar[i])
 
 
 def algorithm1(plant: StateSpacePlant, net: ReluNetwork,
@@ -437,45 +602,17 @@ def algorithm1(plant: StateSpacePlant, net: ReluNetwork,
     ``u_bar`` in the result bounds the full policy output (for checking
     ``u_lim``); the residual bound is what feeds the transfer matrices.  The
     gain candidate and both policy bounds come from one relaxation per pass.
-    """
-    w_amp = plant.w_inf if w_inf is None else float(w_inf)
-    m, r = plant.m, plant.r
-    if net.input_dim != r or net.output_dim != m:
-        raise ValueError(f"policy maps {net.input_dim}->{net.output_dim}, "
-                         f"plant needs {r}->{m}")
-    gamma_delta = _uncertainty_gain(plant, gamma_delta)
-    w_bar = np.full(plant.p, w_amp)
 
-    y_ref = np.zeros(r)
-    alpha_ref = np.zeros(plant.s)
-    for iterations in range(1, _MAX_PASSES + 1):
-        box = lb = None
-        if np.any(y_ref != 0.0):
-            box = Box(np.zeros(r), y_ref)
-            with np.errstate(over="ignore", invalid="ignore"):
-                lb = neural.linear_relaxation(net, box)
-            # a box near 1e154 overflows the relaxation's products
-            if not all(np.all(np.isfinite(v)) for v in (lb.k_l, lb.b_l, lb.k_u, lb.b_u)):
-                return CertResult(False, None, iterations, NON_FINITE_BOUNDS)
-        try:
-            k, maps = _pick_gain(plant, net, lb, k_d)
-        except NoStabilizingGain:
-            return CertResult(False, None, iterations, NO_STABILIZING_GAIN)
-        u0_bar, u_bar = _certified_policy_bounds(net, box, lb, k, quantization)
-        delta_bar = gamma_delta @ alpha_ref
-        x_bar, y_bar, alpha_bar = _implied_bounds(maps, w_bar, u0_bar, delta_bar)
-        if _outside_limits(plant, x_bar, y_bar, u_bar):
-            return CertResult(False, None, iterations, CONSTRAINT_VIOLATED, gain=k)
-        if np.all(y_bar <= y_ref) and np.all(alpha_bar <= alpha_ref):
-            quad = Quadruplet(y_bar=y_bar, u_bar=u_bar, alpha_bar=alpha_bar,
-                              delta_bar=delta_bar, x_bar=x_bar)
-            return CertResult(True, quad, iterations, None, gain=k)
-        y_ref = (1.0 + _BOX_INFLATION) * y_bar
-        alpha_ref = (1.0 + _BOX_INFLATION) * alpha_bar
-        # an overflowed bound leaves no box to relax the policy over next pass
-        if not np.all(np.isfinite(y_ref)):
-            return CertResult(False, None, iterations, NON_FINITE_BOUNDS)
-    return CertResult(False, None, _MAX_PASSES, MAX_ITER_EXCEEDED)
+    The search is the stepper :meth:`_Loop.step` run on this one search
+    until it ends.  :func:`frontier` runs many searches through one stepper
+    together; each makes the same passes, and ends with the same result, as
+    it does here.
+    """
+    loop = _Loop(plant, net, k_d, gamma_delta, quantization)
+    search = loop.search(plant, plant.w_inf if w_inf is None else w_inf)
+    while search.result is None:
+        loop.step([search])
+    return search.result
 
 
 # ---------------------------------------------------------------------------
@@ -508,6 +645,44 @@ def _midpoints(lo: float, hi: float, tol: float, depth: int) -> list[float]:
     return [mid] + _midpoints(lo, mid, tol, depth - 1) + _midpoints(mid, hi, tol, depth - 1)
 
 
+def _bisection(tol: float, cap: int, width: int = 1):
+    """The search of :func:`_bisect_bracket` as a generator: it yields each
+    batch of levels to ask, is sent their verdicts (True for a level that
+    fails), and returns the bracket ``(lo, hi)``."""
+    if not 0 < tol < 1:
+        raise ValueError("tol must be in (0, 1)")
+    verdicts: dict[float, bool] = {}
+
+    def ask(levels: list[float]):
+        levels = [v for v in dict.fromkeys(levels) if v not in verdicts]
+        verdicts.update(zip(levels, (yield levels)))
+
+    cap = max(cap, 0)
+    lo = 0.0
+    for k in range(cap + 1):
+        hi = tol * 2.0**k
+        if hi not in verdicts:
+            yield from ask([tol * 2.0**j for j in range(k, min(k + width, cap + 1))])
+        if verdicts[hi]:
+            break
+        lo = hi
+    else:
+        return lo, np.inf
+    depth = (width + 1).bit_length() - 1
+    if lo == 0.0:
+        yield from ask([0.0] + _midpoints(lo, hi, tol, depth))
+        if verdicts[0.0]:
+            return 0.0, 0.0
+    while hi - lo > tol * hi:
+        mid = (lo + hi) / 2.0
+        if mid in (lo, hi):
+            break
+        if mid not in verdicts:
+            yield from ask(_midpoints(lo, hi, tol, depth))
+        lo, hi = (lo, mid) if verdicts[mid] else (mid, hi)
+    return lo, hi
+
+
 def _bisect_bracket(fails: Callable[[list[float]], list[bool]], tol: float, cap: int,
                     width: int = 1) -> tuple[float, float]:
     """Bracket ``(lo, hi)`` of the least failing level of a monotone batch
@@ -515,6 +690,8 @@ def _bisect_bracket(fails: Callable[[list[float]], list[bool]], tol: float, cap:
 
     ``fails(levels)`` gives one verdict per level, for at most ``width``
     levels per call.  The verdicts are held, so no level is asked twice.
+    ``tol`` is relative and must lie in (0, 1): at 1 or above the bracket
+    ``(0, tol)`` would already be within it.
 
     * Doubling: ``tol * 2**k`` for ``k = 0 .. max(cap, 0)``, ``width`` per
       batch.  ``hi`` is the first that fails, ``lo`` the one before; when
@@ -527,39 +704,17 @@ def _bisect_bracket(fails: Callable[[list[float]], list[bool]], tol: float, cap:
       reach, for the deepest tree of ``2**d - 1`` midpoints within ``width``.
       Width 1 asks one midpoint per round; width 8 doubles in chunks of 8,
       then asks trees of 7.
+
+    The search itself is :func:`_bisection`, which :func:`frontier` drives
+    for many brackets at once.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    verdicts: dict[float, bool] = {}
-
-    def ask(levels: list[float]) -> None:
-        levels = [v for v in dict.fromkeys(levels) if v not in verdicts]
-        verdicts.update(zip(levels, fails(levels)))
-
-    cap = max(cap, 0)
-    lo = 0.0
-    for k in range(cap + 1):
-        hi = tol * 2.0**k
-        if hi not in verdicts:
-            ask([tol * 2.0**j for j in range(k, min(k + width, cap + 1))])
-        if verdicts[hi]:
-            break
-        lo = hi
-    else:
-        return lo, np.inf
-    depth = (width + 1).bit_length() - 1
-    if lo == 0.0:
-        ask([0.0] + _midpoints(lo, hi, tol, depth))
-        if verdicts[0.0]:
-            return 0.0, 0.0
-    while hi - lo > tol * hi:
-        mid = (lo + hi) / 2.0
-        if mid in (lo, hi):
-            break
-        if mid not in verdicts:
-            ask(_midpoints(lo, hi, tol, depth))
-        lo, hi = (lo, mid) if verdicts[mid] else (mid, hi)
-    return lo, hi
+    search = _bisection(tol, cap, width)
+    try:
+        levels = next(search)
+        while True:
+            levels = search.send(fails(levels))
+    except StopIteration as stop:
+        return stop.value
 
 
 def bisect_max_level(certifies: Callable[[float], bool], tol: float = 1e-4) -> float:
@@ -579,12 +734,33 @@ def frontier(plant: StateSpacePlant, net: ReluNetwork,
     on the success of :func:`algorithm1` with that limit installed on
     ``target_state`` (every state when None).  The resulting curve is
     nondecreasing in the limit up to the bisection tolerance.
-    """
-    def certifies(limited: StateSpacePlant, w: float) -> bool:
-        return algorithm1(limited, net, k_d, gamma_delta, quantization=quantization,
-                          w_inf=w).success
 
-    return _frontier(plant, x_lim_values, tol, target_state, certifies)
+    The limits' bisections run in lock-step.  Each asks its levels as
+    :func:`bisect_max_level` would (:func:`_bisection`), and each level asked
+    starts a search of :func:`algorithm1`.  Every round makes one pass of
+    every live search through one stepper (:meth:`_Loop.step`), which
+    relaxes their boxes in one stack and closes their loops in one stack.
+    A search leaves on the pass that ends it, and its bisection asks its
+    next levels for the next round.  So every limit visits the levels, and
+    gets the result, of bisecting it alone.
+    """
+    loop = _Loop(plant, net, k_d, gamma_delta, quantization)
+    limited = [with_state_limit(plant, target_state, float(v)) for v in x_lim_values]
+    bisections = [_bisection(tol, _CAP_DOUBLINGS) for _ in limited]
+    asked = {i: [loop.search(limited[i], w) for w in next(b)] for i, b in enumerate(bisections)}
+    levels = [0.0] * len(limited)
+    while asked:
+        loop.step([s for batch in asked.values() for s in batch if s.result is None])
+        for i, batch in list(asked.items()):
+            if any(s.result is None for s in batch):
+                continue
+            try:
+                ask = bisections[i].send([not s.result.success for s in batch])
+                asked[i] = [loop.search(limited[i], w) for w in ask]
+            except StopIteration as stop:
+                levels[i] = stop.value[0]
+                del asked[i]
+    return [(float(v), w) for v, w in zip(x_lim_values, levels)]
 
 
 def _frontier(plant: StateSpacePlant, x_lim_values, tol: float, target_state: int | None,
@@ -756,7 +932,8 @@ def _region_scan(maps: ClosedLoopMaps, sampled_gain: Callable[[object], float],
         return result, None
 
     quad = constructive_quadruplet(maps, result.gamma_pi, gamma, w_amp)
-    x_bar = _implied_bounds(maps, np.full(maps.dims[2], w_amp), quad.u_bar, quad.delta_bar)[0]
+    x_bar = _implied_bounds(maps.abs_stack, maps.dims, np.full(maps.dims[2], w_amp), quad.u_bar,
+                            quad.delta_bar)[0]
     return result, replace(quad, x_bar=x_bar)
 
 

@@ -178,8 +178,10 @@ def cmd_frontier(args) -> int:
         attacked = attack_levels()
     unit = "degrees" if args.degrees else "radians"
     lines = [f"# angle unit: {unit}", "x_lim,w_certified,w_baseline,w_attack"]
-    lines += [",".join(_fmt(v / scale) if math.isfinite(v) else "" for v in row)
-              for row in zip(limits, certified, baseline, attacked)]
+    # an infinite limit is written as inf, so every row names its limit
+    lines += [",".join([_fmt(x_lim / scale) if math.isfinite(x_lim) else "inf"]
+                       + [_fmt(v / scale) if math.isfinite(v) else "" for v in levels])
+              for x_lim, *levels in zip(limits, certified, baseline, attacked)]
     _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -357,7 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("frontier", cmd_frontier, "attack-level frontier over state limits",
                 loop + [target, horizon, samples, seed, out])
     p.add_argument("--x-lim-list", required=True, help="comma-separated state limits")
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--tol", type=float, default=1e-4,
+                   help="relative bisection tolerance, in (0, 1)")
     p.add_argument("--with-baseline", action="store_true")
     p.add_argument("--with-attack", action="store_true")
 

@@ -22,10 +22,18 @@ A closed loop (:class:`ClosedLoopMaps`) is held as its realization and its
 absolute sums only.  :func:`close_loop` adds the terms up as the march makes
 them, and the impulse response, whose size grows with the horizon, is
 marched again from the realization whenever a caller reads it.
+
+:func:`close_loops` closes many gains of one plant at once: one stacked
+contraction and one stacked march, each loop to its own horizon.  Each
+loop's maps equal closing it alone bit for bit, because every stacked
+product acts on one loop's matrices in the memory layout they have alone
+(BLAS can round a product with a strided or transposed operand differently
+from one with a contiguous copy of it).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -43,6 +51,7 @@ __all__ = [
     "l1_norm",
     "hinf_norm",
     "close_loop",
+    "close_loops",
     "load_plant",
     "save_plant",
     "plant_to_dict",
@@ -138,8 +147,21 @@ class TruncatedTransferMatrix:
         return TruncatedTransferMatrix(self.impulse[:, rows, cols], self.tail_bound)
 
 
-def _contraction(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Lyapunov weight ``W`` of a Schur-stable A, ``W^-1`` and the contraction ``rho_w``.
+def _weights(p: np.ndarray, a: np.ndarray) -> tuple:
+    """``(W, W^-1, rho_w)`` of stacked Stein solutions ``P = W^T W`` of the
+    matrices ``a``; W is the transposed view of the Cholesky factor."""
+    w = np.swapaxes(np.linalg.cholesky(p), 1, 2)
+    w_inv = np.linalg.inv(w)
+    return w, w_inv, np.linalg.svd(w @ a @ w_inv, compute_uv=False).max(axis=1, initial=0.0)
+
+
+def _contraction(a: np.ndarray) -> tuple[list, np.ndarray, tuple]:
+    """Lyapunov weights of a ``(B, n, n)`` stack of matrices:
+    ``(errors, held, (W, W^-1, rho_w))``.
+
+    ``errors`` holds per matrix None, or the :class:`NotSchurStable` it
+    fails with; ``held`` indexes the matrices without an error, in order,
+    and ``W``, ``W^-1`` and ``rho_w`` are stacked over them.
 
     With ``r = (1 + rho(A)) / 2`` and ``S = A / r``, ``P = W^T W`` (W upper
     triangular, the Cholesky factor) solves the Stein equation
@@ -151,41 +173,64 @@ def _contraction(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         |z A^t b| <= ||z W^-1||_2  rho_w^t  ||W b||_2.
 
     That bound needs only ``rho_w < 1`` for the computed W, not an accurate
-    solve.
+    solve.  A matrix fails if ``rho(A) >= 1 - SCHUR_MARGIN``, or if the
+    solve yields no weight with ``rho_w < 1`` (P not finite or not positive
+    definite), as for a strongly non-normal A whose P is too ill-conditioned
+    for float64.
 
-    Raises
-    ------
-    NotSchurStable
-        If ``rho(A) >= 1 - SCHUR_MARGIN``, or if the solve yields no weight
-        with ``rho_w < 1`` (P not finite or not positive definite), as for
-        a strongly non-normal A whose P is too ill-conditioned for float64.
+    The stack is solved at once.  Every product, factorization and norm acts
+    on one matrix, and a matrix whose P has stopped changing leaves the
+    doubling while the others go on, so each result equals solving its
+    matrix alone bit for bit.
     """
-    rho = spectral_radius(a)
-    if rho >= 1.0 - SCHUR_MARGIN:
-        raise NotSchurStable(f"spectral radius {rho:.12g} is not below 1")
-    power = a / ((1.0 + rho) / 2.0)
-    p = np.eye(a.shape[0])
+    if not np.isfinite(a).all():
+        raise ValueError("a contains non-finite entries")
+    rho = np.abs(np.linalg.eigvals(a)).max(axis=-1, initial=0.0)
+    errors = [None if r < 1.0 - SCHUR_MARGIN
+              else NotSchurStable(f"spectral radius {r:.12g} is not below 1") for r in rho]
+    held = np.flatnonzero(rho < 1.0 - SCHUR_MARGIN)
+    a = a[held]
+    power = a / ((1.0 + rho[held]) / 2.0)[:, None, None]
+    p = np.empty_like(power)
+    p[:] = np.eye(a.shape[1])
+    solved = np.empty_like(p)
+    moving = np.arange(len(held))
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(_SMITH_STEPS):
-            grown = p + power.T @ p @ power
-            if np.array_equal(grown, p):
-                break
+        for _ in range(_SMITH_STEPS if moving.size else 0):
+            grown = p + power.transpose(0, 2, 1) @ p @ power
+            same = (grown == p).all(axis=(1, 2))
+            if same.any():
+                solved[moving[same]] = p[same]
+                moving, grown, power = moving[~same], grown[~same], power[~same]
+                if not moving.size:
+                    break
             p = grown
             power = power @ power
-        rho_w = np.inf
-        if np.all(np.isfinite(p)):
-            try:
-                w = np.linalg.cholesky(p).T
-                w_inv = np.linalg.inv(w)
-                rho_w = float(np.linalg.norm(w @ a @ w_inv, 2))
-            except np.linalg.LinAlgError:
-                pass
-    if not rho_w < 1.0:
-        raise NotSchurStable(
-            f"no Lyapunov weight certifies the decay (spectral radius {rho:.12g}); "
-            "the matrix is too non-normal to be treated as Schur stable"
-        )
-    return w, w_inv, rho_w
+        else:
+            solved[moving] = p
+        try:
+            if not np.isfinite(solved).all():
+                raise np.linalg.LinAlgError
+            w, w_inv, rho_w = _weights(solved, a)
+        except np.linalg.LinAlgError:
+            # one matrix at a time: one whose P is not finite, or whose
+            # factor, inverse or norm fails, keeps rho_w = NaN and fails
+            w = np.swapaxes(np.full(a.shape, np.nan), 1, 2)
+            w_inv, rho_w = np.full(a.shape, np.nan), np.full(len(a), np.nan)
+            for i in np.flatnonzero(np.isfinite(solved).all(axis=(1, 2))):
+                try:
+                    w[i:i + 1], w_inv[i:i + 1], rho_w[i:i + 1] = _weights(solved[i:i + 1],
+                                                                          a[i:i + 1])
+                except np.linalg.LinAlgError:
+                    pass
+    good = rho_w < 1.0
+    for b, r in zip(held[~good], rho[held[~good]]):
+        errors[b] = NotSchurStable(
+            f"no Lyapunov weight certifies the decay (spectral radius {r:.12g}); "
+            "the matrix is too non-normal to be treated as Schur stable")
+    if not good.all():
+        held, w, w_inv, rho_w = held[good], w[good], w_inv[good], rho_w[good]
+    return errors, held, (w, w_inv, rho_w)
 
 
 def impulse_response(a, bc, cc, dc) -> TruncatedTransferMatrix:
@@ -229,67 +274,96 @@ def impulse_response(a, bc, cc, dc) -> TruncatedTransferMatrix:
         raise ValueError("b/c dimensions do not match a")
     if dc.shape != (cc.shape[0], bc.shape[1]):
         raise ValueError("d dimensions do not match b/c")
-    chunks, tail, groups = _march(a, bc, cc, dc)
-    impulse = np.empty((1 + 8 * chunks, *dc.shape))
+    # the march of _abs_response takes its realizations C-contiguous too
+    a, bc, cc = (np.ascontiguousarray(v)[None] for v in (a, bc, cc))
+    errors, _, weights = _contraction(a)
+    if errors[0] is not None:
+        raise errors[0]
+    chunks, tails, _, groups = _march(a, bc, cc, weights)
+    impulse = np.empty((1 + 8 * chunks[0], *dc.shape))
     impulse[0] = dc
     filled = 1
     for terms in groups:
-        impulse[filled:filled + len(terms)] = terms
-        filled += len(terms)
+        impulse[filled:filled + terms.shape[1]] = terms[0]
+        filled += terms.shape[1]
     # drop exactly-zero trailing terms (they contribute nothing to any sum
     # and the tail bound stays valid); keeps nilpotent responses minimal
     length = impulse.shape[0]
     while length > 1 and not impulse[length - 1].any():
         length -= 1
-    return TruncatedTransferMatrix(impulse[:length], tail)
+    return TruncatedTransferMatrix(impulse[:length], float(tails[0]))
 
 
-def _march(a: np.ndarray, bc: np.ndarray, cc: np.ndarray, dc: np.ndarray):
-    """``(chunks, tail, groups)`` of the impulse response of a checked realization.
+def _march(a: np.ndarray, bc: np.ndarray, cc: np.ndarray, weights: tuple):
+    """``(chunks, tails, order, groups)`` of the impulse responses of a stack
+    of B checked realizations, ``a`` of shape ``(B, n, n)`` and so on, with
+    their ``(W, W^-1, rho_w)`` from :func:`_contraction`.
 
-    The response is cut after ``1 + 8 chunks`` terms with tail bound
-    ``tail`` (see :func:`impulse_response`).  ``groups`` yields the terms
-    ``Phi[1:]`` in time order, a group of ``_GROUP`` chunks (fewer in the
-    last) at a time, as a ``(8 g, out, in)`` view of one buffer that the
-    next group overwrites.
+    Response b is cut after ``1 + 8 chunks[b]`` terms with tail bound
+    ``tails[b]`` (see :func:`impulse_response`).  ``order`` lists the
+    responses longest first.  ``groups`` yields the terms ``Phi[1:]`` in
+    time order, a group of ``_GROUP`` chunks (fewer in the last) at a time,
+    as a ``(k, 8 g, out, in)`` view of one buffer that the next group
+    overwrites.  Row j holds response ``order[j]``, for the k responses that
+    reach the group; a response that ends within it has its terms first and
+    products past its end after them.
+
+    Every product acts on one response's matrices, in the same layout as
+    when it is marched alone, so each response's terms, horizon and tail
+    bound equal its march alone bit for bit.
     """
-    n = a.shape[0]
-    w, w_inv, rho_w = _contraction(a)
-    wb_max = float(np.max(np.linalg.norm(w @ bc, axis=0), initial=0.0))
+    w, w_inv, rho_w = weights
+    count, n = a.shape[:2]
+    # each norm is reduced on its own, as np.linalg.norm reduces it
+    wb = w @ bc
+    wb_max = np.sqrt(np.add.reduce(wb * wb, axis=1)).max(axis=1, initial=0.0)
 
-    # powers[j] = (A^8)^j for j < _GROUP, by doubling: each product fills
+    # powers[:, j] = (A^8)^j for j < _GROUP, by doubling: each product fills
     # the next block from the ones already there
     chunk = 8
     a_chunk = np.linalg.matrix_power(a, chunk)
-    powers = np.empty((_GROUP, n, n))
-    powers[0] = np.eye(n)
+    powers = np.empty((count, _GROUP, n, n))
+    powers[:, 0] = np.eye(n)
     filled = 1
     while filled < _GROUP:
         step = min(filled, _GROUP - filled)
-        np.matmul(powers[:step], powers[filled - 1] @ a_chunk, out=powers[filled:filled + step])
+        np.matmul(powers[:, :step], (powers[:, filled - 1] @ a_chunk)[:, None],
+                  out=powers[:, filled:filled + step])
         filled += step
 
-    # A group starting at Z_k holds Z_(k+j) = Z_k powers[j]; the march stops
-    # at the first k whose tail bound (see impulse_response) is at most
-    # EPS_TRUNC, and the products past the stop in the last group are
-    # thrown away
-    z, chunks = cc, 0
-    while True:
-        zs = z @ powers
-        # each row norm is reduced on its own, so a group's bounds equal the
-        # ones of its chunks computed alone bit for bit
-        row_max = np.max(np.linalg.norm(zs @ w_inv, axis=2), axis=1, initial=0.0)
-        tails = row_max * wb_max / (1.0 - rho_w)
-        below = np.flatnonzero(tails <= EPS_TRUNC)
-        stop = int(below[0]) if below.size else len(zs)
+    # A group starting at Z_k holds Z_(k+j) = Z_k powers[j]; a response
+    # stops at the first k whose tail bound (see impulse_response) is at
+    # most EPS_TRUNC and leaves the march, and the products past the stop in
+    # its last group are thrown away.  All responses still marching have
+    # marched the same chunks.
+    chunks = np.zeros(count, dtype=int)
+    tails = np.empty(count)
+    live, marched = np.arange(count), 0
+    z, group, inverse, scale, margin, step = (cc, powers, w_inv[:, None], wb_max[:, None],
+                                              (1.0 - rho_w)[:, None], a_chunk)
+    while live.size:
+        zs = z[:, None] @ group
+        weighted = zs @ inverse
+        row_max = np.sqrt(np.add.reduce(weighted * weighted, axis=3)).max(axis=2, initial=0.0)
+        bounds = row_max * scale / margin
+        below = bounds <= EPS_TRUNC
+        ends = below.any(axis=1)
+        ending = ends.any()
+        stop = np.where(ends, below.argmax(axis=1), _GROUP) if ending else _GROUP
         # chunk k is added only while 1 + chunk*k terms stay within the cap
-        if stop and 1 + chunk * (chunks + stop - 1) > _MAX_TRUNC_TERMS:
+        furthest = int(stop.max()) if ending else _GROUP
+        if furthest and 1 + chunk * (marched + furthest - 1) > _MAX_TRUNC_TERMS:
             raise RuntimeError("impulse response did not decay below EPS_TRUNC")
-        chunks += stop
-        if below.size:
-            tail = float(tails[stop])
-            break
-        z = zs[-1] @ a_chunk
+        if ending:
+            chunks[live[ends]] = marched + stop[ends]
+            tails[live[ends]] = bounds[ends, stop[ends]]
+            keep = ~ends
+            live, zs, group, inverse, scale, margin, step = (
+                live[keep], zs[keep], group[keep], inverse[keep], scale[keep], margin[keep],
+                step[keep])
+        marched += _GROUP
+        z = zs[:, -1] @ step
+    order = np.argsort(-chunks, kind="stable")
 
     def groups():
         # X_k = A^(8k) B the same way, a group per product, and then the
@@ -297,23 +371,29 @@ def _march(a: np.ndarray, bc: np.ndarray, cc: np.ndarray, dc: np.ndarray):
         # X_k, in time order.  Taking the terms as Z_k (A^r B) instead would
         # need a transposed copy of all of them, which costs more than the
         # X groups on wide maps.
-        out_dim, in_dim = dc.shape
-        ca = [cc]
+        out_dim, in_dim = cc.shape[1], bc.shape[2]
+        a_o = a[order]
+        ca = [cc[order]]
         for _ in range(chunk - 1):
-            ca.append(ca[-1] @ a)
-        ca = np.vstack(ca)
-        size = min(chunks, _GROUP)
-        xs = np.empty((size, n, in_dim))
-        terms = np.empty((size, chunk * out_dim, in_dim))
-        x = bc
-        for start in range(0, chunks, _GROUP):
-            g = min(_GROUP, chunks - start)
-            np.matmul(powers[:g], x, out=xs[:g])
-            x = a_chunk @ xs[g - 1]
-            np.matmul(ca, xs[:g], out=terms[:g])
-            yield terms[:g].reshape(chunk * g, out_dim, in_dim)
+            ca.append(ca[-1] @ a_o)
+        ca = np.concatenate(ca, axis=1)[:, None]
+        lengths = chunks[order].tolist()
+        longest = lengths[0] if count else 0
+        size = min(longest, _GROUP)
+        xs = np.empty((count, size, n, in_dim))
+        terms = np.empty((count, size, chunk * out_dim, in_dim))
+        x, p_chunk, p_group = bc[order], a_chunk[order], powers[order]
+        k = count
+        for start in range(0, longest, _GROUP):
+            while lengths[k - 1] <= start:
+                k -= 1
+            g = min(_GROUP, longest - start)
+            np.matmul(p_group[:k, :g], x[:k, None], out=xs[:k, :g])
+            x = p_chunk[:k] @ xs[:k, g - 1]
+            np.matmul(ca[:k], xs[:k, :g], out=terms[:k, :g])
+            yield terms[:k, :g].reshape(k, chunk * g, out_dim, in_dim)
 
-    return chunks, tail, groups()
+    return chunks, tails, order, groups()
 
 
 def _time_sum(terms: np.ndarray) -> np.ndarray:
@@ -339,26 +419,49 @@ def abs_transfer(phi: TruncatedTransferMatrix) -> np.ndarray:
 
 
 def _abs_response(a: np.ndarray, bc: np.ndarray, cc: np.ndarray,
-                  dc: np.ndarray) -> tuple[np.ndarray, float]:
-    """``abs_transfer(impulse_response(...))`` and the tail bound of a checked
-    realization, bit for bit, without holding the response.
+                  dc: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+    """``abs_transfer(impulse_response(...))`` and the tail bound of each of
+    a stack of B realizations, bit for bit, without holding the responses;
+    and per realization None or the :class:`NotSchurStable` it fails with
+    (its sum and tail bound are NaN then).
 
-    ``|Phi[t]|`` goes into one buffer whose row 0 carries the running sum,
-    and every ``_FLUSH`` groups of the march the buffer is added up into row
-    0.  So each flush adds its terms after all earlier ones, in the time
-    order of :func:`abs_transfer`.
+    The stable ones march together (:func:`_march`).  ``|Phi[t]|`` of
+    response j goes into row j of one buffer whose entry 0 carries the
+    running sum, and every ``_FLUSH`` groups of the march each row is added
+    up into its entry 0.  So each flush adds its terms after all earlier
+    ones, in the time order of :func:`abs_transfer`.
     """
-    chunks, tail, groups = _march(a, bc, cc, dc)
-    sums = np.empty((1 + 8 * min(chunks, _FLUSH * _GROUP), *dc.shape))
-    np.abs(dc, out=sums[0])
-    filled = 1
+    errors, held, weights = _contraction(a)
+    sums = np.full(dc.shape, np.nan)
+    tails = np.full(len(a), np.nan)
+    if not held.size:
+        return sums, tails, errors
+    chunks, tails[held], order, groups = _march(a[held], bc[held], cc[held], weights)
+    rows = held[order].tolist()  # the realization behind each row of the buffer
+    length = chunks[order].tolist()
+    buffer = np.empty((len(rows), 1 + 8 * min(length[0], _FLUSH * _GROUP), *dc.shape[1:]))
+    np.abs(dc[rows], out=buffer[:, 0])
+
+    def finish(j: int, end: int) -> None:
+        sums[rows[j]] = _time_sum(buffer[j, :end]) + tails[rows[j]]
+
+    for j in range(len(rows)):
+        if length[j] == 0:
+            finish(j, 1)
+    filled, start = 1, 0
     for terms in groups:
-        if filled + len(terms) > len(sums):
-            sums[0] = _time_sum(sums[:filled])
+        live, size = terms.shape[:2]
+        if filled + size > buffer.shape[1]:
+            for j in range(live):
+                buffer[j, 0] = _time_sum(buffer[j, :filled])
             filled = 1
-        np.abs(terms, out=sums[filled:filled + len(terms)])
-        filled += len(terms)
-    return _time_sum(sums[:filled]) + tail, tail
+        np.abs(terms, out=buffer[:live, filled:filled + size])
+        for j in range(live):
+            if length[j] <= start + size // 8:
+                finish(j, filled + 8 * (length[j] - start))
+        filled += size
+        start += size // 8
+    return sums, tails, errors
 
 
 def l1_norm(phi: TruncatedTransferMatrix) -> float:
@@ -552,6 +655,7 @@ _MAP_BLOCKS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def _block_slices(n: int, m: int, p: int, q: int, r: int, s: int) -> dict:
     """(row, column) slices of each map in the stacked map.
 
@@ -646,33 +750,59 @@ def close_loop(plant: StateSpacePlant, k0) -> ClosedLoopMaps:
     """Close the measurement loop with a static gain and build all nine maps.
 
     ``k0`` may be zero for an open-loop-stable plant, which reproduces the
-    open-loop maps.  All nine impulse responses share one stacked march
-    (same A_cl) and therefore one uniform tail bound.  The march's terms go
-    straight into ``abs_stack`` as they come, so the response is never
-    held whole (see :class:`ClosedLoopMaps`).
+    open-loop maps.  This is :func:`close_loops` of the one gain.
 
     Raises
     ------
     NotSchurStable
         If ``rho(A + B K0 C) >= 1 - SCHUR_MARGIN``.
     """
-    k0 = _as_matrix(k0, "k0")
+    maps = close_loops(plant, _as_matrix(k0, "k0")[None])[0]
+    if isinstance(maps, NotSchurStable):
+        raise maps
+    return maps
+
+
+def close_loops(plant: StateSpacePlant, gains) -> list:
+    """Close the loop with each of a ``(B, m, r)`` stack of gains at once.
+
+    Returns per gain its :class:`ClosedLoopMaps`, or the
+    :class:`NotSchurStable` its loop fails with.  All nine impulse responses
+    of a loop share one stacked march (same A_cl) and therefore one uniform
+    tail bound, and the B loops march together, each to its own horizon
+    (:func:`_abs_response`).  The march's terms go straight into
+    ``abs_stack`` as they come, so no response is held whole (see
+    :class:`ClosedLoopMaps`).  Each loop's maps equal closing it alone bit
+    for bit.
+    """
+    gains = np.asarray(gains, dtype=float)
     dims = n, m, p, q, r, s = plant.n, plant.m, plant.p, plant.q, plant.r, plant.s
-    if k0.shape != (m, r):
-        raise ValueError(f"k0 has shape {k0.shape}, expected ({m}, {r})")
+    if gains.ndim != 3 or gains.shape[1:] != (m, r):
+        raise ValueError(f"k0 has shape {gains.shape[1:]}, expected ({m}, {r})")
+    if not np.all(np.isfinite(gains)):
+        raise ValueError("k0 contains non-finite entries")
+    count = len(gains)
 
-    a_cl = plant.a + plant.b @ k0 @ plant.c
-    bc = np.hstack([plant.b, plant.b @ k0 @ plant.d_w + plant.b_w, plant.b_delta])
-    cc = np.vstack([np.eye(n), plant.c, plant.c_alpha + plant.d_alpha_u @ k0 @ plant.c])
-    dc = np.zeros((n + r + s, m + p + q))
     blocks = _block_slices(*dims)
-    dc[blocks["yw"]] = plant.d_w
-    dc[blocks["alpha_u"]] = plant.d_alpha_u
-    dc[blocks["alpha_w"]] = plant.d_alpha_u @ k0 @ plant.d_w + plant.d_alpha_w
+    b_k = plant.b @ gains
+    a_cl = plant.a + b_k @ plant.c
+    bc = np.empty((count, n, m + p + q))
+    bc[:, :, :m] = plant.b
+    bc[:, :, m:m + p] = b_k @ plant.d_w + plant.b_w
+    bc[:, :, m + p:] = plant.b_delta
+    cc = np.empty((count, n + r + s, n))
+    cc[:, :n] = np.eye(n)
+    cc[:, n:n + r] = plant.c
+    cc[:, n + r:] = plant.c_alpha + plant.d_alpha_u @ gains @ plant.c
+    dc = np.zeros((count, n + r + s, m + p + q))
+    dc[(slice(None), *blocks["yw"])] = plant.d_w
+    dc[(slice(None), *blocks["alpha_u"])] = plant.d_alpha_u
+    dc[(slice(None), *blocks["alpha_w"])] = plant.d_alpha_u @ gains @ plant.d_w + plant.d_alpha_w
 
-    # _abs_response raises NotSchurStable for an unstable a_cl
-    abs_stack, tail = _abs_response(a_cl, bc, cc, dc)
-    return ClosedLoopMaps(a_cl, bc, cc, dc, tail, abs_stack, dims)
+    sums, tails, errors = _abs_response(a_cl, bc, cc, dc)
+    return [error if error is not None
+            else ClosedLoopMaps(a_cl[b], bc[b], cc[b], dc[b], float(tails[b]), sums[b], dims)
+            for b, error in enumerate(errors)]
 
 
 # ---------------------------------------------------------------------------

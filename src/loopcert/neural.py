@@ -17,6 +17,11 @@ adaptive one (index 0; slope 1 when ``u >= |l|`` and 0 otherwise, ties to 1,
 as in CROWN) and the flat one (index 1; slope 0).  Each output row keeps the
 variant with the smaller concretized magnitude.  Neurons whose range does
 not straddle zero use the exact identity/zero lines.
+
+A :class:`Box` may hold a stack of B boxes (``(B, d)`` centers and radii);
+:func:`linear_relaxation` then relaxes all of them in one pass, with slopes
+of shape ``(B, rows, d)``, and each box's bounds are bit for bit those of
+relaxing it alone.
 """
 
 from __future__ import annotations
@@ -111,7 +116,11 @@ def mlp(weights_and_biases) -> ReluNetwork:
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned input region ``|y - center| <= radius`` (elementwise)."""
+    """Axis-aligned input region ``|y - center| <= radius`` (elementwise).
+
+    ``center`` and ``radius`` are vectors, or ``(B, d)`` stacks of B boxes,
+    which :func:`linear_relaxation` and :func:`concretize` take at once.
+    """
 
     center: np.ndarray
     radius: np.ndarray
@@ -119,8 +128,8 @@ class Box:
     def __post_init__(self):
         c = np.asarray(self.center, dtype=float)
         r = np.asarray(self.radius, dtype=float)
-        if c.ndim != 1 or r.shape != c.shape:
-            raise ValueError("center and radius must be matching vectors")
+        if c.ndim not in (1, 2) or r.shape != c.shape:
+            raise ValueError("center and radius must be matching vectors or stacks of them")
         if np.any(r < 0) or not np.all(np.isfinite(r)):
             raise ValueError("radius must be finite and elementwise >= 0")
         object.__setattr__(self, "center", c)
@@ -221,45 +230,49 @@ def interval_bounds(net: ReluNetwork, box: Box):
 def _relu_lines(lo: np.ndarray, hi: np.ndarray):
     """Per-neuron envelope lines (upper slope/intercept, lower slope).
 
-    ``lo`` and ``hi`` are stacked ``(2, width)`` pre-activation bounds, row 0
-    for the adaptive variant and row 1 for the flat one.  The upper line is
-    the chord over [lo, hi].  The lower line runs through the origin; in row
-    0 its slope is 1 when hi >= |lo| and 0 otherwise (tightest area, ties to
-    1), in row 1 it is always 0, which keeps the envelope inside the
+    ``lo`` and ``hi`` are stacked ``(..., 2, width)`` pre-activation bounds,
+    row 0 for the adaptive variant and row 1 for the flat one.  The upper
+    line is the chord over [lo, hi].  The lower line runs through the origin;
+    in row 0 its slope is 1 when hi >= |lo| and 0 otherwise (tightest area,
+    ties to 1), in row 1 it is always 0, which keeps the envelope inside the
     interval-arithmetic constants.
     """
     dead = hi <= 0.0
     active = lo >= 0.0
     unstable = ~(dead | active)
-    up_slope = np.where(dead, 0.0, np.where(active, 1.0, 0.0))
+    up_slope = (active & ~dead).astype(float)
     up_icept = np.zeros_like(lo)
     lo_slope = up_slope.copy()
-    if np.any(unstable):
-        span = hi[unstable] - lo[unstable]
-        up_slope[unstable] = hi[unstable] / span
-        up_icept[unstable] = -hi[unstable] * lo[unstable] / span
-        lo_slope[0, unstable[0]] = hi[0, unstable[0]] >= -lo[0, unstable[0]]
+    if unstable.any():
+        h, l = hi[unstable], lo[unstable]
+        span = h - l
+        up_slope[unstable] = h / span
+        up_icept[unstable] = -h * l / span
+        adaptive = unstable[..., 0, :]
+        lo_slope[..., 0, :][adaptive] = hi[..., 0, :][adaptive] >= -lo[..., 0, :][adaptive]
     return up_slope, up_icept, lo_slope
 
 
-def _backward_bounds(layers, lines: list, weight: np.ndarray, bias: np.ndarray) -> LinearBounds:
+def _backward_bounds(layers, lines: list, weight: np.ndarray, bias: np.ndarray,
+                     boxes: tuple) -> LinearBounds:
     """One backward pass of the linear readout ``(weight, bias)`` over ``layers``.
 
     ``lines`` holds one stacked (up_slope, up_icept, lo_slope) triple per
-    ReLU layer among ``layers``, which feed the readout.  Both variants run
-    at once: the returned slopes are ``(2, rows, in)`` and the intercepts
-    ``(2, rows)``, index 0 adaptive and index 1 flat.
+    ReLU layer among ``layers``, which feed the readout.  Both variants of
+    every box run at once: ``boxes`` is the box stack's leading shape, ``()``
+    or ``(B,)``, and the returned slopes are ``(*boxes, 2, rows, in)`` and
+    the intercepts ``(*boxes, 2, rows)``, variant 0 adaptive and 1 flat.
     """
-    k_u = np.stack((weight, weight))
-    b_u = np.stack((bias, bias))
-    k_l = k_u.copy()
-    b_l = b_u.copy()
+    # the readout is shared until the first ReLU layer spreads it over the
+    # boxes and variants
+    k_u = k_l = weight
+    b_u = b_l = bias
     relu_idx = len(lines) - 1
     for layer in reversed(layers):
         if layer.activation == "relu":
             up_slope, up_icept, lo_slope = lines[relu_idx]
             relu_idx -= 1
-            up_slope, lo_slope = up_slope[:, None], lo_slope[:, None]
+            up_slope, lo_slope = up_slope[..., None, :], lo_slope[..., None, :]
             up_icept = up_icept[..., None]
             # positive coefficients take the upper line, negative the lower;
             # the lower line has zero intercept so only up_icept contributes.
@@ -273,6 +286,9 @@ def _backward_bounds(layers, lines: list, weight: np.ndarray, bias: np.ndarray) 
         k_u = k_u @ layer.weight
         b_l = b_l + k_l @ layer.bias
         k_l = k_l @ layer.weight
+    if k_u.ndim == 2:
+        k_u = k_l = np.broadcast_to(k_u, (*boxes, 2, *k_u.shape))
+        b_u = b_l = np.broadcast_to(b_u, (*boxes, 2, *b_u.shape))
     return LinearBounds(k_l=k_l, b_l=b_l, k_u=k_u, b_u=b_u)
 
 
@@ -294,29 +310,42 @@ def linear_relaxation(net: ReluNetwork, box: Box) -> LinearBounds:
     its concretized magnitude is strictly smaller, so ties keep the adaptive
     lines.  The result is therefore elementwise at least as tight as plain
     interval propagation.
+
+    A stack of B boxes is relaxed in the same passes, on a leading axis of
+    size B ahead of the variant axis; every product acts on one box's
+    matrices, so each box's bounds equal those of relaxing it alone.
     """
     *hidden, last = net.layers
+    boxes = box.center.shape[:-1]
     lines = []
     for idx, layer in enumerate(hidden):
         if layer.activation == "relu":
-            head = _backward_bounds(hidden[:idx], lines, layer.weight, layer.bias)
+            head = _backward_bounds(hidden[:idx], lines, layer.weight, layer.bias, boxes)
             lines.append(_relu_lines(*concretize(head, box)))
-    both = _backward_bounds(hidden, lines, last.weight, last.bias)
+    both = _backward_bounds(hidden, lines, last.weight, last.bias, boxes)
     mag = magnitude_bound(*concretize(both, box))
-    pick = (mag[1] < mag[0]).astype(int)
-    rows = np.arange(pick.size)
-    return LinearBounds(k_l=both.k_l[pick, rows], b_l=both.b_l[pick, rows],
-                        k_u=both.k_u[pick, rows], b_u=both.b_u[pick, rows])
+    flat = mag[..., 1, :] < mag[..., 0, :]
+    k_l, k_u = (np.where(flat[..., None], k[..., 1, :, :], k[..., 0, :, :])
+                for k in (both.k_l, both.k_u))
+    b_l, b_u = (np.where(flat, b[..., 1, :], b[..., 0, :]) for b in (both.b_l, both.b_u))
+    return LinearBounds(k_l=k_l, b_l=b_l, k_u=k_u, b_u=b_u)
 
 
 def concretize(lb: LinearBounds, box: Box) -> tuple[np.ndarray, np.ndarray]:
     """Extreme values of the affine envelopes over the box.
 
     ``u_max = b_U + K_U c + |K_U| r`` and ``u_min = b_L + K_L c - |K_L| r``;
-    together they bracket every network output on the box.
+    together they bracket every network output on the box.  Over a stack of
+    boxes the slopes lead with the stack's axis, and may carry the variant
+    axis of :func:`linear_relaxation` after it.
     """
-    u_max = lb.b_u + lb.k_u @ box.center + np.abs(lb.k_u) @ box.radius
-    u_min = lb.b_l + lb.k_l @ box.center - np.abs(lb.k_l) @ box.radius
+    # each box's vectors as columns, broadcast over any axis between the
+    # stack's and the slopes' rows
+    spread = (1,) * (lb.k_u.ndim - box.center.ndim - 1)
+    center = box.center.reshape(*box.center.shape[:-1], *spread, -1, 1)
+    radius = box.radius.reshape(center.shape)
+    u_max = lb.b_u + (lb.k_u @ center)[..., 0] + (np.abs(lb.k_u) @ radius)[..., 0]
+    u_min = lb.b_l + (lb.k_l @ center)[..., 0] - (np.abs(lb.k_l) @ radius)[..., 0]
     return u_min, u_max
 
 

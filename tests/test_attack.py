@@ -463,10 +463,10 @@ class TestViolationLevel:
                                                          quantization=quant))
         assert level == 5e-324
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-3, np.nan])
+    @pytest.mark.parametrize("tol", [0.0, -1e-3, np.nan, 1.0, 2.0, np.inf])
     def test_rejects_nonpositive_tol(self, scalar_loop, tol):
         plant, net, maps = scalar_loop
-        with pytest.raises(ValueError, match="tol"):
+        with pytest.raises(ValueError, match=r"tol must be in \(0, 1\)"):
             attack.violation_level(plant, net, maps, 0, 50, 0.1, tol=tol)
 
     def test_rejects_empty_horizon(self, scalar_loop):

@@ -302,7 +302,7 @@ class TestMapsCache:
             bad = []
             for i in range(100):
                 j = (i + offset) % len(gains)
-                maps = certify._closed_loop(plant, gains[j])
+                maps = certify._closed_loops(plant, [gains[j]])[0]
                 if not (np.array_equal(maps.a_cl, expected[j].a_cl)
                         and np.array_equal(maps.abs_stack, expected[j].abs_stack)):
                     bad.append(j)
@@ -320,14 +320,14 @@ class TestMapsCache:
         k = np.zeros((plant.m, plant.r))
         fields = ("a_cl", "bc", "cc", "dc", "abs_stack")
         _empty_memo(monkeypatch)
-        cached = certify._closed_loop(plant, k)
+        cached = certify._closed_loops(plant, [k])[0]
         for name in ("a", "b", "b_w", "b_delta", "c", "d_w", "c_alpha", "d_alpha_u",
                      "d_alpha_w"):
             matrix = getattr(plant, name).copy()
             matrix[-1, -1] += 1e-3
             perturbed = dataclasses.replace(plant, **{name: matrix})
-            assert certify._loop_key(perturbed, k) != certify._loop_key(plant, k), name
-            maps = certify._closed_loop(perturbed, k)
+            assert certify._loop_keys(perturbed, [k]) != certify._loop_keys(plant, [k]), name
+            maps = certify._closed_loops(perturbed, [k])[0]
             fresh = linsys.close_loop(perturbed, k)
             assert all(np.array_equal(getattr(maps, f), getattr(fresh, f)) for f in fields), name
             assert not all(np.array_equal(getattr(maps, f), getattr(cached, f))
@@ -486,31 +486,151 @@ class TestBisectMaxLevel:
         assert set(old_asked) == set(asked) | {0.0}
         assert len(old_asked) > 2 * len(asked)
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-3, np.nan])
+    @pytest.mark.parametrize("tol", [0.0, -1e-3, np.nan, 1.0, 2.0, np.inf])
     def test_rejects_nonpositive_tol(self, tol):
-        with pytest.raises(ValueError, match="tol"):
+        # a relative tolerance of 1 or more holds on the first bracket (0, tol)
+        with pytest.raises(ValueError, match=r"tol must be in \(0, 1\)"):
             certify.bisect_max_level(lambda w: True, tol)
 
     def test_cartpole_sweep_visits_only_levels_the_sequential_search_visits(
             self, cartpole, cloned_policy, kd, monkeypatch):
         # the perfbench cart-pole sweep: the sequential search asked level 0 on
         # each of the five limits; the driver skips it where tol certifies
-        real = certify.algorithm1
-        visits = []
-
-        def spy(plant, *args, **kwargs):
-            visits.append((float(plant.x_lim[2]), kwargs["w_inf"]))
-            return real(plant, *args, **kwargs)
-
-        monkeypatch.setattr(certify, "algorithm1", spy)
         values = [0.001, 0.002, 0.003, 0.005, 0.008]
-        sweep = dict(x_lim_values=values, tol=1e-3, target_state=2)
-        points = frontier(cartpole, cloned_policy, kd, **sweep)
-        driver, visits[:] = list(visits), []
-        monkeypatch.setattr(certify, "bisect_max_level", _sequential_bisect_max_level)
-        assert frontier(cartpole, cloned_policy, kd, **sweep) == points
+        started = _record_searches(monkeypatch)
+        points = frontier(cartpole, cloned_policy, kd, x_lim_values=values, tol=1e-3,
+                          target_state=2)
+        driver = [(float(s.plant.x_lim[2]), w) for s, w in started]
+        started.clear()
+        assert _per_limit_frontier(cartpole, cloned_policy, values, 1e-3, target_state=2,
+                                   k_d=kd, bisect=_sequential_bisect_max_level) == points
+        visits = [(float(s.plant.x_lim[2]), w) for s, w in started]
         assert (len(driver), len(visits)) == (64, 66)
         assert len(set(driver)) == len(driver) and set(driver) <= set(visits)
+
+
+def _record_searches(monkeypatch):
+    """The list that every search the stepper starts goes into, as
+    ``(search, level)``, whether frontier or algorithm1 starts it."""
+    started = []
+    real = certify._Loop.search
+
+    def spy(self, plant, w_amp):
+        search = real(self, plant, w_amp)
+        started.append((search, w_amp))
+        return search
+
+    monkeypatch.setattr(certify._Loop, "search", spy)
+    return started
+
+
+def _per_limit_frontier(plant, net, values, tol, *, target_state=None,
+                        bisect=certify.bisect_max_level, **lib):
+    """frontier as it ran before its limits went in lock-step: one bisection
+    of algorithm1 per limit, one limit after the other."""
+    points = []
+    for value in values:
+        limited = certify.with_state_limit(plant, target_state, float(value))
+        points.append((float(value), bisect(
+            lambda w: algorithm1(limited, net, w_inf=w, **lib).success, tol)))
+    return points
+
+
+def _outcomes(started) -> dict:
+    """Per (limits, level) the passes, verdict, gain and quadruplet of its
+    search, as bytes."""
+    out = {}
+    for search, w in started:
+        result = search.result
+        quad = result.quadruplet
+        out[search.plant.x_lim.tobytes(), w] = (
+            result.iterations, result.failure_reason,
+            None if result.gain is None else result.gain.tobytes(),
+            None if quad is None else tuple(getattr(quad, name).tobytes() for name in (
+                "y_bar", "u_bar", "alpha_bar", "delta_bar", "x_bar")))
+    assert len(out) == len(started)
+    return out
+
+
+class TestLockStep:
+    """frontier's limits in lock-step against bisecting each limit alone."""
+
+    @staticmethod
+    def matches_per_limit(monkeypatch, plant, net, values, tol, target_state=None, **lib):
+        started = _record_searches(monkeypatch)
+        points = frontier(plant, net, x_lim_values=values, tol=tol, target_state=target_state,
+                          **lib)
+        together = _outcomes(started)
+        started.clear()
+        assert points == _per_limit_frontier(plant, net, values, tol,
+                                             target_state=target_state, **lib)
+        # the same levels asked, and each search the same passes and result
+        assert together == _outcomes(started)
+        return together
+
+    def test_cartpole_sweep(self, cartpole, cloned_policy, kd, monkeypatch):
+        visits = self.matches_per_limit(monkeypatch, cartpole, cloned_policy,
+                                        [0.001, 0.002, 0.003, 0.005, 0.008], 1e-3,
+                                        target_state=2, k_d=kd)
+        assert len(visits) == 64
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 6, 11])
+    def test_random_loops(self, seed, monkeypatch):
+        # with uncertainty on odd seeds, quantized outputs on seeds 3 and 6,
+        # and a zero limit first; every seed certifies some levels
+        rng = np.random.default_rng(seed)
+        uncertain = seed % 2 == 1
+        plant = random_stable_plant(rng, with_uncertainty=uncertain)
+        net = random_relu_net(rng, d_in=plant.r, d_out=plant.m)
+        gamma = 0.1 * np.abs(rng.normal(size=(plant.q, plant.s))) if uncertain else None
+        quant = neural.QuantizationSpec(0.01) if seed % 3 == 0 else None
+        visits = self.matches_per_limit(monkeypatch, plant, net, [0.0, 0.3, 1.0, 3.0, 10.0],
+                                        1e-2, gamma_delta=gamma, quantization=quant)
+        verdicts = {reason for _, reason, _, _ in visits.values()}
+        assert None in verdicts and certify.CONSTRAINT_VIOLATED in verdicts
+
+    def test_one_step_ends_searches_every_way(self):
+        # an open-loop unstable scalar plant and the policy
+        # -0.6 y + 0.01 relu(y) near the origin, whose kink there leaves no
+        # Jacobian: on the degenerate box no candidate closes the loop, over
+        # a box the midpoint gain does.  One step of six searches ends each
+        # its own way, as a step of each alone does.
+        plant = linsys.make_plant([[1.2]], [[1.0]], b_w=[[1.0]])
+        net = neural.mlp([(np.array([[1.0], [1.0]]), np.array([10.0, 0.0])),
+                          (np.array([[-0.6, 0.01]]), np.array([6.0]))])
+        states = [  # (x_lim, w, y_ref, passes before the step)
+            (1.0, 0.01, 0.0, 0),                               # NoStabilizingGain
+            (1.0, 0.01, 1e308, 3),                             # NonFiniteBounds
+            (1e-6, 0.1, 1.0, 3),                               # ConstraintViolated
+            (1.0, 0.01, 1.0, 3),                               # certified
+            (1.0, 0.01, 1e-3, certify._MAX_PASSES - 1),        # MaxIterExceeded
+            (1.0, 0.01, 1e-3, 5),                              # goes on
+        ]
+
+        def start(loop, x_lim, w, y_ref, passes):
+            search = loop.search(certify.with_state_limit(plant, None, x_lim), w)
+            search.y_ref, search.passes = np.array([y_ref]), passes
+            return search
+
+        def outcome(search):
+            result = search.result
+            return (search.passes, search.y_ref.tobytes(), search.alpha_ref.tobytes(),
+                    None if result is None else (result.failure_reason, result.iterations,
+                                                 _outcomes([(search, 0.0)])))
+
+        loop = certify._Loop(plant, net)
+        batch = [start(loop, *state) for state in states]
+        loop.step(batch)
+        alone = []
+        for state in states:
+            search = start(certify._Loop(plant, net), *state)
+            certify._Loop(plant, net).step([search])
+            alone.append(outcome(search))
+        assert [outcome(search) for search in batch] == alone
+        assert [s.result and s.result.failure_reason for s in batch] == [
+            certify.NO_STABILIZING_GAIN, certify.NON_FINITE_BOUNDS,
+            certify.CONSTRAINT_VIOLATED, None, certify.MAX_ITER_EXCEEDED, None]
+        assert batch[3].result.success and batch[5].result is None
 
 
 class TestWithStateLimit:

@@ -216,6 +216,32 @@ class TestFrontier:
             lines.append(",".join(f"{v:.17g}" for v in levels))
         assert out.read_text() == "\n".join(lines) + "\n"
 
+    @pytest.mark.parametrize("limit", ["inf", "1e400"])
+    def test_infinite_limit_is_written_as_inf(self, scalar_files, tmp_path, limit):
+        # the row names its limit; the levels keep writing non-finite values
+        # as empty cells
+        plant_path, policy_path = scalar_files
+        out = tmp_path / "front.csv"
+        code = main(["frontier", "--plant", plant_path, "--policy", policy_path,
+                     "--x-lim-list", f"0.5,{limit}", "--target-state", "0", "--tol", "1e-3",
+                     "--with-attack", "--horizon", "200", "--out", str(out)])
+        assert code == EXIT_OK
+        cells = out.read_text().strip().splitlines()[-1].split(",")
+        assert cells[0] == "inf" and float(cells[1]) > 0 and cells[2:] == ["", ""]
+
+    @pytest.mark.parametrize("tol", ["0", "1", "2", "inf", "nan"])
+    def test_tol_outside_the_unit_interval_is_rejected(self, scalar_files, tmp_path, capsys,
+                                                      tol):
+        # a relative tolerance of 1 or more held on the first bracket and
+        # wrote level 0 with exit 0
+        plant_path, policy_path = scalar_files
+        out = tmp_path / "front.csv"
+        code = main(["frontier", "--plant", plant_path, "--policy", policy_path,
+                     "--x-lim-list", "0.5", "--tol", tol, "--out", str(out)])
+        assert code == EXIT_ERROR
+        assert "tol must be in (0, 1)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_optional_columns(self, scalar_files, tmp_path):
         plant_path, policy_path = scalar_files
         out = tmp_path / "front.csv"
@@ -266,16 +292,17 @@ class TestFrontier:
 
 @pytest.fixture()
 def closures(monkeypatch):
-    """The memo key of every loop closure, from a cold maps cache."""
+    """The memo key of every loop closure, from a cold maps cache; a stack
+    of loops closed at once gives a key per loop."""
     calls = []
-    real = linsys.close_loop
+    real = linsys.close_loops
 
-    def spy(plant, k0):
-        calls.append(certify._loop_key(plant, np.asarray(k0, dtype=float)))
-        return real(plant, k0)
+    def spy(plant, gains):
+        calls.extend(certify._loop_keys(plant, list(np.asarray(gains, dtype=float))))
+        return real(plant, gains)
 
-    monkeypatch.setattr(linsys, "close_loop", spy)
-    monkeypatch.setattr(certify, "close_loop", spy)
+    monkeypatch.setattr(linsys, "close_loops", spy)
+    monkeypatch.setattr(certify, "close_loops", spy)
     monkeypatch.setattr(certify, "_closures", {})
     return calls
 

@@ -10,6 +10,7 @@ from loopcert.linsys import (
     NotSchurStable,
     abs_transfer,
     close_loop,
+    close_loops,
     hinf_norm,
     impulse_response,
     l1_norm,
@@ -31,7 +32,10 @@ def _max_row_norm(a):
 
 def _sequential_impulse_response(a, bc, cc, dc):
     a, bc, cc, dc = (np.asarray(v, dtype=float) for v in (a, bc, cc, dc))
-    w, w_inv, rho_w = linsys._contraction(a)
+    errors, _, weights = linsys._contraction(a[None])
+    if errors[0] is not None:
+        raise errors[0]
+    w, w_inv, rho_w = (v[0] for v in weights)
     wb_max = float(np.max(np.linalg.norm(w @ bc, axis=0), initial=0.0))
     chunk = 8
     ca = [cc]
@@ -97,9 +101,11 @@ def _assert_streamed_sums_exact(a, bc, cc, dc):
     """``linsys._abs_response`` equals ``abs_transfer(impulse_response(...))``
     and its tail bound bit for bit; returns the response."""
     phi = impulse_response(a, bc, cc, dc)
-    got, tail = linsys._abs_response(*(np.asarray(v, dtype=float) for v in (a, bc, cc, dc)))
-    assert np.array_equal(got, abs_transfer(phi))
-    assert tail == phi.tail_bound
+    got, tail, errors = linsys._abs_response(*(np.asarray(v, dtype=float)[None]
+                                               for v in (a, bc, cc, dc)))
+    assert errors == [None]
+    assert np.array_equal(got[0], abs_transfer(phi))
+    assert tail[0] == phi.tail_bound
     return phi
 
 
@@ -203,9 +209,9 @@ class TestBatchedMarch:
 
     def test_streamed_sums_on_short_and_trimmed_responses(self):
         # chunks == 0: nothing enters the loop, the sum is |D|
-        got, tail = linsys._abs_response(np.array([[0.5]]), np.zeros((1, 2)),
-                                         np.array([[1.0]]), np.array([[1.0, -2.0]]))
-        assert np.array_equal(got, [[1.0, 2.0]]) and tail == 0.0
+        got, tail, _ = linsys._abs_response(np.array([[[0.5]]]), np.zeros((1, 1, 2)),
+                                            np.array([[[1.0]]]), np.array([[[1.0, -2.0]]]))
+        assert np.array_equal(got[0], [[1.0, 2.0]]) and tail[0] == 0.0
         # a nilpotent loop (A^5 = 0): the one chunk runs three terms past the
         # last nonzero one, which impulse_response trims and the sums add
         shift = np.eye(5, k=1)
@@ -304,6 +310,102 @@ class TestContraction:
         result = certify.algorithm1(plant, net, k_d, w_inf=0.0)
         assert result.success
         np.testing.assert_array_equal(result.gain, k_d)
+
+
+def _stein_weight(a):
+    """The weight of linsys._contraction for one matrix, solved as first
+    written: ``(W, W^-1, rho_w, doublings)``."""
+    power = a / ((1.0 + spectral_radius(a)) / 2.0)
+    p = np.eye(a.shape[0])
+    doublings = 0
+    for _ in range(linsys._SMITH_STEPS):
+        grown = p + power.T @ p @ power
+        if np.array_equal(grown, p):
+            break
+        p, power, doublings = grown, power @ power, doublings + 1
+    w = np.linalg.cholesky(p).T
+    w_inv = np.linalg.inv(w)
+    return w, w_inv, float(np.linalg.norm(w @ a @ w_inv, 2)), doublings
+
+
+class TestStackedClosure:
+    """The stacked contraction and loop closure against one matrix or one
+    gain at a time, bit for bit."""
+
+    def test_contraction_stack_equals_each_matrix_alone(self):
+        # 30x30 matrices whose doublings stop after few and after many steps,
+        # beside one that is not Schur stable and a Jordan chain too
+        # non-normal for any weight; a matrix whose P has stopped changing
+        # must keep it while the others double on
+        rng = np.random.default_rng(3)
+        mats = []
+        for radius in (0.05, 0.5, 0.9, 0.99):
+            a = rng.normal(size=(30, 30))
+            mats.append(a * (radius / spectral_radius(a)))
+        mats[2:2] = [_jordan_chain(30, 0.95), 1.01 * np.eye(30)]
+        errors, held, (w, w_inv, rho_w) = linsys._contraction(np.array(mats))
+        assert [type(e).__name__ for e in errors] == [
+            "NoneType", "NoneType", "NotSchurStable", "NotSchurStable", "NoneType", "NoneType"]
+        assert "non-normal" in str(errors[2]) and "not below 1" in str(errors[3])
+        assert held.tolist() == [0, 1, 4, 5]
+        assert len({_stein_weight(mats[i])[3] for i in held}) == 4
+        # and stacks of small matrices, where a product's last bits depend on
+        # whether an operand is a transposed view or a contiguous copy
+        small = [rng.normal(size=(n, n)) for n in (2, 3, 4, 6) for _ in range(25)]
+        for n in (2, 3, 4, 6):
+            stack = [a * (rng.uniform(0.1, 0.99) / spectral_radius(a))
+                     for a in small if a.shape == (n, n)]
+            self.assert_each_weight_alone(stack, linsys._contraction(np.array(stack)))
+        self.assert_each_weight_alone(mats, (errors, held, (w, w_inv, rho_w)))
+
+    @staticmethod
+    def assert_each_weight_alone(mats, solved):
+        errors, held, (w, w_inv, rho_w) = solved
+        for j, i in enumerate(held):
+            want = _stein_weight(mats[i])
+            assert errors[i] is None
+            assert w[j].tobytes() == want[0].tobytes()
+            assert w_inv[j].tobytes() == want[1].tobytes()
+            assert rho_w[j] == want[2]
+
+    def test_close_loops_equals_close_loop_per_gain(self):
+        # loops of one plant with horizons from 9 terms to past several
+        # flushes of the streamed sums, beside an unstable one: a_cl of the
+        # scalar plant is 0.5 + k
+        plant = scalar_plant()
+        gains = np.array([[[0.499]], [[-0.2]], [[0.6]], [[0.4]], [[-0.5]]])
+        stacked = close_loops(plant, gains)
+        assert isinstance(stacked[2], NotSchurStable)
+        with pytest.raises(NotSchurStable, match=str(stacked[2])):
+            close_loop(plant, gains[2])
+        horizons = [maps.response().length for maps in stacked if not isinstance(maps, Exception)]
+        assert horizons[0] > 8 * linsys._FLUSH * linsys._GROUP * 2 and len(set(horizons)) == 4
+        self.assert_each_closes_alone(plant, gains, stacked)
+
+    def test_random_plants(self):
+        # with and without uncertainty channels; some gains destabilize
+        unstable = 0
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            plant = random_stable_plant(rng, with_uncertainty=seed % 2 == 1)
+            gains = np.array([rng.normal(size=(plant.m, plant.r)) * scale
+                              for scale in (0.0, 0.05, 0.3, 3.0)])
+            stacked = close_loops(plant, gains)
+            unstable += sum(isinstance(maps, NotSchurStable) for maps in stacked)
+            self.assert_each_closes_alone(plant, gains, stacked)
+        assert unstable > 0
+
+    @staticmethod
+    def assert_each_closes_alone(plant, gains, stacked):
+        for k, got in zip(gains, stacked):
+            try:
+                want = close_loop(plant, k)
+            except NotSchurStable as exc:
+                assert isinstance(got, NotSchurStable) and str(got) == str(exc)
+                continue
+            for name in ("a_cl", "bc", "cc", "dc", "abs_stack"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+            assert got.tail_bound == want.tail_bound and got.dims == want.dims
 
 
 class TestAbsTransferAndL1:

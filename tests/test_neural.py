@@ -224,6 +224,27 @@ class TestLinearRelaxation:
         # the corpus picks every row adaptive, every row flat, and a mix
         assert patterns == {"adaptive", "flat", "mixed"}
 
+    def test_stack_of_boxes_matches_each_box_alone(self):
+        # B boxes in one relaxation, from tiny to wide and with a degenerate
+        # coordinate: each box's bounds and their concretization bit for bit
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            net = random_relu_net(rng, max_hidden_layers=4)
+            d, count = net.input_dim, int(rng.integers(2, 7))
+            center = rng.normal(size=(count, d)) * 0.5
+            radius = rng.uniform(0.0, 1.5, size=(count, d)) * 10.0 ** rng.uniform(-4, 1, (count, 1))
+            radius[0, 0] = 0.0
+            boxes = Box(center, radius)
+            stacked = linear_relaxation(net, boxes)
+            bounds = concretize(stacked, boxes)
+            for b in range(count):
+                box = Box(center[b], radius[b])
+                alone = linear_relaxation(net, box)
+                for name in ("k_l", "b_l", "k_u", "b_u"):
+                    assert getattr(stacked, name)[b].tobytes() == getattr(alone, name).tobytes()
+                for got, want in zip(bounds, concretize(alone, box)):
+                    assert got[b].tobytes() == want.tobytes()
+
 
 class TestConcretize:
     def test_single_relu(self):
