@@ -461,7 +461,8 @@ class _Loop:
 
     :meth:`step` makes one pass of any number of such searches at once, and
     :meth:`gains` picks their gains.  The policy's Jacobian at the origin is
-    computed on first use and held.
+    computed on first use and held.  A ``k_d`` that is not a finite
+    ``(m, r)`` matrix raises ``ValueError``.
     """
 
     def __init__(self, plant: StateSpacePlant, net: ReluNetwork, k_d=None, gamma_delta=None,
@@ -470,7 +471,15 @@ class _Loop:
             raise ValueError(f"policy maps {net.input_dim}->{net.output_dim}, "
                              f"plant needs {plant.r}->{plant.m}")
         self.plant, self.net, self.quantization = plant, net, quantization
-        self.k_d = None if k_d is None else np.asarray(k_d, dtype=float)
+        if k_d is not None:
+            # checked here, since a search whose other candidates close the
+            # loop never closes it on k_d
+            k_d = np.asarray(k_d, dtype=float)
+            if k_d.shape != (plant.m, plant.r):
+                raise ValueError(f"k_d has shape {k_d.shape}, expected ({plant.m}, {plant.r})")
+            if not np.isfinite(k_d).all():
+                raise ValueError("k_d contains non-finite entries")
+        self.k_d = k_d
         self.gamma_delta = _uncertainty_gain(plant, gamma_delta)
 
     @functools.cached_property

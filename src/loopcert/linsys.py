@@ -18,10 +18,14 @@ which one step of A shrinks every vector by ``rho_w < 1``
 norm.  A strongly non-normal A for which no such weight is found in float64
 is rejected as not Schur stable.  See :func:`impulse_response`.
 
-A closed loop (:class:`ClosedLoopMaps`) is held as its realization and its
-absolute sums only.  :func:`close_loop` adds the terms up as the march makes
-them, and the impulse response, whose size grows with the horizon, is
-marched again from the realization whenever a caller reads it.
+The march (:func:`_march`) makes the terms and the horizon in one pass:
+each group of chunks advances the tail test and the terms together, and a
+response leaves the march in the group where its tail bound first drops
+below ``EPS_TRUNC``.  A closed loop (:class:`ClosedLoopMaps`) is held as its
+realization and its absolute sums only.  :func:`close_loop` adds the terms
+up as the march makes them, and the impulse response, whose size grows with
+the horizon, is marched again from the realization whenever a caller reads
+it.
 
 :func:`close_loops` closes many gains of one plant at once: one stacked
 contraction and one stacked march, each loop to its own horizon.  Each
@@ -178,10 +182,11 @@ def _contraction(a: np.ndarray) -> tuple[list, np.ndarray, tuple]:
     definite), as for a strongly non-normal A whose P is too ill-conditioned
     for float64.
 
-    The stack is solved at once.  Every product, factorization and norm acts
-    on one matrix, and a matrix whose P has stopped changing leaves the
-    doubling while the others go on, so each result equals solving its
-    matrix alone bit for bit.
+    The stack is solved at once, and every product, factorization and norm
+    acts on one matrix.  The doubling stops when no P changes; a P that has
+    stopped changing stays the same while the others double on, because
+    its added terms round away, so each result equals solving its matrix
+    alone bit for bit.
     """
     if not np.isfinite(a).all():
         raise ValueError("a contains non-finite entries")
@@ -193,34 +198,24 @@ def _contraction(a: np.ndarray) -> tuple[list, np.ndarray, tuple]:
     power = a / ((1.0 + rho[held]) / 2.0)[:, None, None]
     p = np.empty_like(power)
     p[:] = np.eye(a.shape[1])
-    solved = np.empty_like(p)
-    moving = np.arange(len(held))
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(_SMITH_STEPS if moving.size else 0):
+        for _ in range(_SMITH_STEPS):
             grown = p + power.transpose(0, 2, 1) @ p @ power
-            same = (grown == p).all(axis=(1, 2))
-            if same.any():
-                solved[moving[same]] = p[same]
-                moving, grown, power = moving[~same], grown[~same], power[~same]
-                if not moving.size:
-                    break
-            p = grown
-            power = power @ power
-        else:
-            solved[moving] = p
+            if (grown == p).all():
+                break
+            p, power = grown, power @ power
         try:
-            if not np.isfinite(solved).all():
+            if not np.isfinite(p).all():
                 raise np.linalg.LinAlgError
-            w, w_inv, rho_w = _weights(solved, a)
+            w, w_inv, rho_w = _weights(p, a)
         except np.linalg.LinAlgError:
             # one matrix at a time: one whose P is not finite, or whose
             # factor, inverse or norm fails, keeps rho_w = NaN and fails
             w = np.swapaxes(np.full(a.shape, np.nan), 1, 2)
             w_inv, rho_w = np.full(a.shape, np.nan), np.full(len(a), np.nan)
-            for i in np.flatnonzero(np.isfinite(solved).all(axis=(1, 2))):
+            for i in np.flatnonzero(np.isfinite(p).all(axis=(1, 2))):
                 try:
-                    w[i:i + 1], w_inv[i:i + 1], rho_w[i:i + 1] = _weights(solved[i:i + 1],
-                                                                          a[i:i + 1])
+                    w[i:i + 1], w_inv[i:i + 1], rho_w[i:i + 1] = _weights(p[i:i + 1], a[i:i + 1])
                 except np.linalg.LinAlgError:
                     pass
     good = rho_w < 1.0
@@ -248,13 +243,11 @@ def impulse_response(a, bc, cc, dc) -> TruncatedTransferMatrix:
     a scalar A and loosens with the non-normality of A; a loop too
     non-normal for any weight to be found raises ``NotSchurStable``.
 
-    The terms come in chunks of 8, ``Phi[8k + r + 1] = (C A^r) X_k`` with
-    ``X_k = A^(8k) B``, and both ``Z_k`` and ``X_k`` advance a group of
-    ``_GROUP`` chunks per batched product against the stacked powers
-    ``(A^8)^j``.  Their last bits depend on that grouping (by about 1e-14
-    relative against stepping one chunk at a time), so T could move only
-    where a tail bound sits that close to ``EPS_TRUNC``.  The march is
-    :func:`_march`, which :func:`close_loop` shares.
+    The terms come from :func:`_march`, which :func:`close_loop` shares, a
+    group of ``_GROUP`` chunks of 8 at a time, and fill one buffer that
+    grows in place.  Their last bits depend on that grouping (by about
+    1e-14 relative against stepping one chunk at a time), so T could move
+    only where a tail bound sits that close to ``EPS_TRUNC``.
 
     Raises
     ------
@@ -279,13 +272,15 @@ def impulse_response(a, bc, cc, dc) -> TruncatedTransferMatrix:
     errors, _, weights = _contraction(a)
     if errors[0] is not None:
         raise errors[0]
-    chunks, tails, _, groups = _march(a, bc, cc, weights)
-    impulse = np.empty((1 + 8 * chunks[0], *dc.shape))
+    impulse = np.empty((1, *dc.shape))
     impulse[0] = dc
-    filled = 1
-    for terms in groups:
-        impulse[filled:filled + terms.shape[1]] = terms[0]
-        filled += terms.shape[1]
+    for _, terms, _, tails in _march(a, bc, cc, weights):
+        # alone in the stack, the response takes every term of each group
+        filled = len(impulse)
+        impulse.resize((filled + terms.shape[1], *dc.shape), refcheck=False)
+        impulse[filled:] = terms[0]
+    if tails[0] == np.inf:
+        raise RuntimeError("impulse response did not decay below EPS_TRUNC")
     # drop exactly-zero trailing terms (they contribute nothing to any sum
     # and the tail bound stays valid); keeps nilpotent responses minimal
     length = impulse.shape[0]
@@ -295,18 +290,23 @@ def impulse_response(a, bc, cc, dc) -> TruncatedTransferMatrix:
 
 
 def _march(a: np.ndarray, bc: np.ndarray, cc: np.ndarray, weights: tuple):
-    """``(chunks, tails, order, groups)`` of the impulse responses of a stack
-    of B checked realizations, ``a`` of shape ``(B, n, n)`` and so on, with
-    their ``(W, W^-1, rho_w)`` from :func:`_contraction`.
+    """Yield the impulse responses of a stack of B checked realizations
+    (``a`` of shape ``(B, n, n)`` and so on, with their ``(W, W^-1, rho_w)``
+    from :func:`_contraction`) a group of ``_GROUP`` chunks of 8 terms at a
+    time, as ``(live, terms, stops, tails)``.
 
-    Response b is cut after ``1 + 8 chunks[b]`` terms with tail bound
-    ``tails[b]`` (see :func:`impulse_response`).  ``order`` lists the
-    responses longest first.  ``groups`` yields the terms ``Phi[1:]`` in
-    time order, a group of ``_GROUP`` chunks (fewer in the last) at a time,
-    as a ``(k, 8 g, out, in)`` view of one buffer that the next group
-    overwrites.  Row j holds response ``order[j]``, for the k responses that
-    reach the group; a response that ends within it has its terms first and
-    products past its end after them.
+    A group advances ``Z_k = C A^(8k)`` (for the tail test of
+    :func:`impulse_response`) and ``X_k = A^(8k) B`` (for the terms)
+    together, by batched products against the stacked powers ``(A^8)^j``.
+    ``terms[j]`` holds the group's terms of response ``live[j]``, in a view
+    of one buffer that the next group overwrites.  A response stops at the
+    first chunk whose tail bound is at most ``EPS_TRUNC`` and leaves the
+    stack; one that would first need a chunk k with ``1 + 8k`` above
+    ``_MAX_TRUNC_TERMS`` stops with none of the group's chunks and an
+    infinite tail.  ``stops`` and ``tails`` are None when no response stops
+    in the group.  Otherwise ``stops[j]`` counts the chunks response
+    ``live[j]`` takes from it (``_GROUP`` if it goes on) and ``tails[j]`` is
+    its tail bound (NaN if it goes on).
 
     Every product acts on one response's matrices, in the same layout as
     when it is marched alone, so each response's terms, horizon and tail
@@ -314,6 +314,7 @@ def _march(a: np.ndarray, bc: np.ndarray, cc: np.ndarray, weights: tuple):
     """
     w, w_inv, rho_w = weights
     count, n = a.shape[:2]
+    out_dim, in_dim = cc.shape[1], bc.shape[2]
     # each norm is reduced on its own, as np.linalg.norm reduces it
     wb = w @ bc
     wb_max = np.sqrt(np.add.reduce(wb * wb, axis=1)).max(axis=1, initial=0.0)
@@ -330,70 +331,48 @@ def _march(a: np.ndarray, bc: np.ndarray, cc: np.ndarray, weights: tuple):
         np.matmul(powers[:, :step], (powers[:, filled - 1] @ a_chunk)[:, None],
                   out=powers[:, filled:filled + step])
         filled += step
+    # row block r of ca is C A^r.  Taking the terms as Z_k (A^r B) instead
+    # would need a transposed copy of all of them, which costs more than
+    # the X groups on wide maps.
+    ca = [cc]
+    for _ in range(chunk - 1):
+        ca.append(ca[-1] @ a)
+    ca = np.concatenate(ca, axis=1)[:, None]
 
-    # A group starting at Z_k holds Z_(k+j) = Z_k powers[j]; a response
-    # stops at the first k whose tail bound (see impulse_response) is at
-    # most EPS_TRUNC and leaves the march, and the products past the stop in
-    # its last group are thrown away.  All responses still marching have
-    # marched the same chunks.
-    chunks = np.zeros(count, dtype=int)
-    tails = np.empty(count)
+    cap = (_MAX_TRUNC_TERMS - 1) // chunk + 1  # chunks within the term cap
+    xs = np.empty((count, _GROUP, n, in_dim))
+    terms = np.empty((count, _GROUP, chunk * out_dim, in_dim))
     live, marched = np.arange(count), 0
-    z, group, inverse, scale, margin, step = (cc, powers, w_inv[:, None], wb_max[:, None],
-                                              (1.0 - rho_w)[:, None], a_chunk)
+    z, x, inverse, scale, margin = (cc, bc, w_inv[:, None], wb_max[:, None],
+                                    (1.0 - rho_w)[:, None])
     while live.size:
-        zs = z[:, None] @ group
+        k = live.size
+        zs = z[:, None] @ powers
         weighted = zs @ inverse
         row_max = np.sqrt(np.add.reduce(weighted * weighted, axis=3)).max(axis=2, initial=0.0)
         bounds = row_max * scale / margin
         below = bounds <= EPS_TRUNC
         ends = below.any(axis=1)
-        ending = ends.any()
-        stop = np.where(ends, below.argmax(axis=1), _GROUP) if ending else _GROUP
-        # chunk k is added only while 1 + chunk*k terms stay within the cap
-        furthest = int(stop.max()) if ending else _GROUP
-        if furthest and 1 + chunk * (marched + furthest - 1) > _MAX_TRUNC_TERMS:
-            raise RuntimeError("impulse response did not decay below EPS_TRUNC")
-        if ending:
-            chunks[live[ends]] = marched + stop[ends]
-            tails[live[ends]] = bounds[ends, stop[ends]]
-            keep = ~ends
-            live, zs, group, inverse, scale, margin, step = (
-                live[keep], zs[keep], group[keep], inverse[keep], scale[keep], margin[keep],
-                step[keep])
+        stops = tails = None
+        size = _GROUP
+        if ends.any() or marched + _GROUP > cap:
+            first = below.argmax(axis=1)
+            stops = np.where(ends, first, _GROUP)
+            tails = np.where(ends, bounds[np.arange(k), first], np.nan)
+            over = marched + stops > cap
+            stops[over], tails[over] = 0, np.inf
+            size = int(stops.max())
+        np.matmul(powers[:, :size], x[:, None], out=xs[:k, :size])
+        np.matmul(ca, xs[:k, :size], out=terms[:k, :size])
+        yield live, terms[:k, :size].reshape(k, chunk * size, out_dim, in_dim), stops, tails
+        x = xs[:k, _GROUP - 1]
+        if stops is not None:
+            keep = stops == _GROUP
+            live, zs, x, powers, a_chunk, ca, inverse, scale, margin = (
+                v[keep] for v in (live, zs, x, powers, a_chunk, ca, inverse, scale, margin))
+        z = zs[:, -1] @ a_chunk
+        x = a_chunk @ x
         marched += _GROUP
-        z = zs[:, -1] @ step
-    order = np.argsort(-chunks, kind="stable")
-
-    def groups():
-        # X_k = A^(8k) B the same way, a group per product, and then the
-        # group's terms in one batched product: row block r of C A^r against
-        # X_k, in time order.  Taking the terms as Z_k (A^r B) instead would
-        # need a transposed copy of all of them, which costs more than the
-        # X groups on wide maps.
-        out_dim, in_dim = cc.shape[1], bc.shape[2]
-        a_o = a[order]
-        ca = [cc[order]]
-        for _ in range(chunk - 1):
-            ca.append(ca[-1] @ a_o)
-        ca = np.concatenate(ca, axis=1)[:, None]
-        lengths = chunks[order].tolist()
-        longest = lengths[0] if count else 0
-        size = min(longest, _GROUP)
-        xs = np.empty((count, size, n, in_dim))
-        terms = np.empty((count, size, chunk * out_dim, in_dim))
-        x, p_chunk, p_group = bc[order], a_chunk[order], powers[order]
-        k = count
-        for start in range(0, longest, _GROUP):
-            while lengths[k - 1] <= start:
-                k -= 1
-            g = min(_GROUP, longest - start)
-            np.matmul(p_group[:k, :g], x[:k, None], out=xs[:k, :g])
-            x = p_chunk[:k] @ xs[:k, g - 1]
-            np.matmul(ca[:k], xs[:k, :g], out=terms[:k, :g])
-            yield terms[:k, :g].reshape(k, chunk * g, out_dim, in_dim)
-
-    return chunks, tails, order, groups()
 
 
 def _time_sum(terms: np.ndarray) -> np.ndarray:
@@ -423,44 +402,48 @@ def _abs_response(a: np.ndarray, bc: np.ndarray, cc: np.ndarray,
     """``abs_transfer(impulse_response(...))`` and the tail bound of each of
     a stack of B realizations, bit for bit, without holding the responses;
     and per realization None or the :class:`NotSchurStable` it fails with
-    (its sum and tail bound are NaN then).
+    (its sum and tail bound are NaN then).  A response that does not decay
+    within ``_MAX_TRUNC_TERMS`` terms fails too.
 
-    The stable ones march together (:func:`_march`).  ``|Phi[t]|`` of
-    response j goes into row j of one buffer whose entry 0 carries the
-    running sum, and every ``_FLUSH`` groups of the march each row is added
-    up into its entry 0.  So each flush adds its terms after all earlier
-    ones, in the time order of :func:`abs_transfer`.
+    The stable ones march together (:func:`_march`).  ``|Phi[t]|`` of the
+    j-th response in the stack goes into row j of one buffer whose entry 0
+    carries the running sum.  Every ``_FLUSH`` groups each row is added up
+    into its entry 0.  In a group that responses leave, each of them is
+    summed, and each one that goes on is added up into the entry 0 of its
+    row in the smaller stack.  So each fold adds its terms after all
+    earlier ones, in the time order of :func:`abs_transfer`.
     """
     errors, held, weights = _contraction(a)
     sums = np.full(dc.shape, np.nan)
     tails = np.full(len(a), np.nan)
-    if not held.size:
-        return sums, tails, errors
-    chunks, tails[held], order, groups = _march(a[held], bc[held], cc[held], weights)
-    rows = held[order].tolist()  # the realization behind each row of the buffer
-    length = chunks[order].tolist()
-    buffer = np.empty((len(rows), 1 + 8 * min(length[0], _FLUSH * _GROUP), *dc.shape[1:]))
-    np.abs(dc[rows], out=buffer[:, 0])
-
-    def finish(j: int, end: int) -> None:
-        sums[rows[j]] = _time_sum(buffer[j, :end]) + tails[rows[j]]
-
-    for j in range(len(rows)):
-        if length[j] == 0:
-            finish(j, 1)
-    filled, start = 1, 0
-    for terms in groups:
-        live, size = terms.shape[:2]
+    buffer = np.empty((len(held), 1 + 8 * _FLUSH * _GROUP, *dc.shape[1:]))
+    np.abs(dc[held], out=buffer[:, 0])
+    filled = 1
+    for live, terms, stops, bounds in _march(a[held], bc[held], cc[held], weights):
+        k, size = terms.shape[:2]
         if filled + size > buffer.shape[1]:
-            for j in range(live):
+            for j in range(k):
                 buffer[j, 0] = _time_sum(buffer[j, :filled])
             filled = 1
-        np.abs(terms, out=buffer[:live, filled:filled + size])
-        for j in range(live):
-            if length[j] <= start + size // 8:
-                finish(j, filled + 8 * (length[j] - start))
+        np.abs(terms, out=buffer[:k, filled:filled + size])
         filled += size
-        start += size // 8
+        if stops is None:
+            continue
+        going = 0
+        for j, (b, stop, tail) in enumerate(zip(held[live].tolist(), stops.tolist(),
+                                                bounds.tolist())):
+            if stop == _GROUP:
+                buffer[going, 0] = _time_sum(buffer[j, :filled])
+                going += 1
+            elif tail == np.inf:
+                errors[b] = NotSchurStable(
+                    "the impulse response did not decay below EPS_TRUNC within "
+                    f"{_MAX_TRUNC_TERMS} terms; the loop decays too slowly to be "
+                    "treated as Schur stable")
+            else:
+                sums[b] = _time_sum(buffer[j, :filled - size + 8 * stop]) + tail
+                tails[b] = tail
+        filled = 1
     return sums, tails, errors
 
 

@@ -207,6 +207,34 @@ class TestAlgorithm1:
         assert short.failure_reason == certify.MAX_ITER_EXCEEDED == "MaxIterExceeded"
         assert short.iterations == 10
 
+    def test_loop_that_does_not_decay_within_the_term_cap_fails_its_candidate(
+            self, monkeypatch):
+        # with the cap at 32 terms (4 chunks) the policy's own loop, a_cl =
+        # 0.6, needs 6 chunks and the k_d loop, a_cl = 0.3, needs 3: the
+        # slow loop fails alone in its stack, and the gain search moves on
+        _empty_memo(monkeypatch)
+        monkeypatch.setattr(linsys, "_MAX_TRUNC_TERMS", 32)
+        plant, k_d = scalar_plant(), np.array([[-0.2]])
+        slow, *closed = linsys.close_loops(plant, np.array([[[0.1]], k_d, [[0.0]]]))
+        assert isinstance(slow, linsys.NotSchurStable) and "did not decay" in str(slow)
+        for k, got in zip((k_d, [[0.0]]), closed):
+            want = linsys.close_loop(plant, k)
+            assert got.abs_stack.tobytes() == want.abs_stack.tobytes()
+            assert got.tail_bound == want.tail_bound
+        result = algorithm1(plant, linear_policy(0.1), k_d)
+        assert result.success
+        np.testing.assert_array_equal(result.gain, k_d)
+        # the residual 0.3 y through 1 / 0.7 leaves the policy's own bound
+        assert result.quadruplet.x_bar == pytest.approx([0.1 / 0.4], rel=1e-5)
+
+    def test_default_gain_is_checked_before_any_search(self):
+        # the policy's Jacobian closes the loop, so no search would close it
+        # on k_d
+        for k_d, message in (([[-0.2, 0.0]], r"k_d has shape \(1, 2\), expected \(1, 1\)"),
+                             ([[np.nan]], "k_d contains non-finite entries")):
+            with pytest.raises(ValueError, match=message):
+                algorithm1(scalar_plant(), linear_policy(-0.2), k_d)
+
     def test_uncertainty_feedback(self):
         # scalar with alpha = x, delta feeding the state: gamma scales the box
         plant = linsys.make_plant([[0.5]], [[1.0]], b_w=[[1.0]], b_delta=[[1.0]],
@@ -379,6 +407,16 @@ class TestFrontier:
         points = frontier(scalar_plant(), linear_policy(-0.2),
                           x_lim_values=[0.0], tol=1e-4, target_state=0)
         assert points[0][1] == 0.0
+
+    def test_moves_past_a_loop_that_does_not_decay_within_the_term_cap(self, monkeypatch):
+        # the loops of TestAlgorithm1's term-cap test: certified iff
+        # w / 0.4 <= x_lim, on the k_d loop
+        _empty_memo(monkeypatch)
+        monkeypatch.setattr(linsys, "_MAX_TRUNC_TERMS", 32)
+        points = frontier(scalar_plant(), linear_policy(0.1), np.array([[-0.2]]),
+                          x_lim_values=[0.5, 1.0], tol=1e-4, target_state=0)
+        for x_lim, w_star in points:
+            assert w_star == pytest.approx(0.4 * x_lim, rel=1e-3)
 
     def test_nondecreasing_in_limit(self, cartpole, cloned_policy, kd):
         values = [0.001, 0.002, 0.004, 0.006, 0.01]

@@ -112,6 +112,25 @@ class TestCertify:
         assert "cannot parse" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, extra", [
+        ("certify", []), ("baseline", []), ("frontier", ["--x-lim-list", "0.01"]),
+        ("attack", ["--target", "2", "--horizon", "50"]),
+    ])
+    def test_default_gain_of_the_wrong_shape_exits_cleanly(self, tmp_path, capsys, lqr_gain,
+                                                           command, extra):
+        # the policy's own Jacobian closes the cart-pole loop, so no command
+        # would ever close it on the 1x3 gain
+        policy_path, gain_path = tmp_path / "policy.json", tmp_path / "gain.json"
+        neural.save_policy(policy_path, neural.mlp([(-lqr_gain, np.zeros(1))]))
+        gain_path.write_text(json.dumps({"Kd": linsys.matrix_to_dict(-lqr_gain[:, :3])}))
+        out = tmp_path / "out"
+        code = main([command, "--plant", "cartpole", "--policy", str(policy_path),
+                     "--kd", str(gain_path), *extra, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR
+        assert "k_d has shape (1, 3), expected (1, 4)" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_negative_layer_size_exits_cleanly(self, scalar_files, tmp_path, capsys):
         # reshape would infer rows = -1 from the weights and load the policy
         plant_path, policy_path = scalar_files

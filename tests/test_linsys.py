@@ -241,6 +241,24 @@ class TestBatchedMarch:
             in_order = functools.reduce(np.add, np.abs(phi.impulse)) + phi.tail_bound
             assert np.array_equal(abs_transfer(phi), in_order)
 
+    def test_stack_whose_responses_leave_at_every_kind_of_stop(self):
+        # scalar loops x+ = a x + u, y = c x, whose chunk-k tail is
+        # |c| a^(8k) / (1 - a): c = EPS_TRUNC (1 - a) / a^(8 (K - 1/2)) ends
+        # the march after exactly K chunks.  One stack holds a loop with no
+        # input (0 chunks), two that leave in the same group (5 and 20), one
+        # that ends on a group's last chunk (31), one on a group boundary
+        # (32) and one that runs past two flushes of the sums (600)
+        chunks = [0, 5, 20, 31, 32, 600]
+        stack = [([[a]], [[float(k > 0)]], [[linsys.EPS_TRUNC * (1 - a) / a ** (8 * (k - 0.5))]],
+                  [[0.5]]) for a, k in zip((0.6, 0.6, 0.9, 0.9, 0.9, 0.995), chunks)]
+        assert 600 > 2 * linsys._FLUSH * linsys._GROUP
+        got, tails, errors = linsys._abs_response(*(np.array(v, dtype=float) for v in zip(*stack)))
+        assert errors == [None] * len(stack)
+        for k, args, sums, tail in zip(chunks, stack, got, tails):
+            phi = _assert_streamed_sums_exact(*args)
+            assert phi.length == 1 + 8 * k
+            assert sums.tobytes() == abs_transfer(phi).tobytes() and tail == phi.tail_bound
+
     def test_term_cap_boundary_matches_sequential_rule(self, monkeypatch):
         # chunk k is marched only while 1 + 8k <= _MAX_TRUNC_TERMS, so a
         # response with K chunks raises exactly when 1 + 8 (K - 1) exceeds it
