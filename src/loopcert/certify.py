@@ -348,6 +348,9 @@ def _pick_gain(plant: StateSpacePlant, net: ReluNetwork, lb: LinearBounds | None
 # first.  An entry holds the realization and its absolute sums, not the
 # impulse response: 704 bytes of arrays on the cart-pole and 1,984 on the
 # learned plant (where a held response took 1.4 MB), 127 KB for 64 entries.
+# A loop that fails to close holds its NotSchurStable instead, so a failing
+# candidate is closed once, not once per pass: a loop that fails the term
+# cap has marched 2,000,000 terms before it fails.
 _CLOSURES_MAX = 64
 _closures: dict = {}
 _closures_lock = threading.Lock()
@@ -362,9 +365,9 @@ def _loop_keys(plant: StateSpacePlant, gains: list) -> list:
 def _closed_loops(plant: StateSpacePlant, gains: list) -> list:
     """:func:`close_loops` of the gains through the memo: each gain is looked
     up, the loops missing from it are closed in one stack (a gain given
-    twice once), and each of them that closes is inserted in the order of
-    the gains.  The lock keeps the lookups, the inserts and the evictions
-    whole when threads share the memo."""
+    twice once), and each of them, closed or failed, is inserted in the
+    order of the gains.  The lock keeps the lookups, the inserts and the
+    evictions whole when threads share the memo."""
     keys = _loop_keys(plant, gains)
     with _closures_lock:
         found = {key: _closures[key] for key in keys if key in _closures}
@@ -373,10 +376,9 @@ def _closed_loops(plant: StateSpacePlant, gains: list) -> list:
             fresh = close_loops(plant, np.stack(list(missing.values())))
             for key, maps in zip(missing, fresh):
                 found[key] = maps
-                if not isinstance(maps, NotSchurStable):
-                    if len(_closures) >= _CLOSURES_MAX:
-                        _closures.pop(next(iter(_closures)))
-                    _closures[key] = maps
+                if len(_closures) >= _CLOSURES_MAX:
+                    _closures.pop(next(iter(_closures)))
+                _closures[key] = maps
     return [found[key] for key in keys]
 
 

@@ -74,12 +74,18 @@ class NonlinearPlant:
 
 
 def cartpole_step(params: CartPoleParams, x, u) -> np.ndarray:
-    """One Euler step of the nonlinear cart-pole."""
-    x = np.asarray(x, dtype=float)
-    force = float(np.asarray(u).reshape(-1)[0]) if np.ndim(u) else float(u)
-    pos, vel, theta, omega = x
+    """One Euler step of the nonlinear cart-pole.
+
+    The arithmetic runs on Python floats, which round as float64 scalars
+    do, so the step is bit for bit the float64 formula.  Sine and cosine
+    stay numpy's (``math.sin`` may differ from them in the last bit).  A
+    state past about 1e154 raises ``OverflowError`` where float64 scalars
+    would give inf.
+    """
+    force = float(np.ravel(u)[0])
+    pos, vel, theta, omega = np.asarray(x, dtype=float).tolist()
     m, big_m, l, g = params.masspole, params.masscart, params.length, params.g
-    sin_t, cos_t = np.sin(theta), np.cos(theta)
+    sin_t, cos_t = float(np.sin(theta)), float(np.cos(theta))
     denom = (4.0 / 3.0) * (big_m + m) * l - m * l * cos_t**2
     pos_acc = ((4.0 / 3.0) * m * l**2 * omega**2 * sin_t
                - m * g * l * sin_t * cos_t

@@ -14,7 +14,10 @@ matrix ``Gamma_Delta = [Delta_A  Delta_B]`` of the uncertainty channel
 ``|delta| <= Gamma_Delta |alpha|`` with ``alpha = (x, u)``.
 
 Resampling is per episode (not per transition), matching the episodic
-structure of the data collection.
+structure of the data collection.  The transitions are stacked into one
+design once; a resample takes its episodes' rows from it in one index
+take, and its column scale from per-episode column maxima, so every refit
+sees the bits a refit of the resampled episodes from scratch would.
 """
 
 from __future__ import annotations
@@ -96,10 +99,32 @@ def collect(plant: NonlinearPlant, n_episodes: int, ep_len: int = 30,
     return episodes
 
 
-def _stack(episodes) -> tuple[np.ndarray, np.ndarray]:
+def _stack(episodes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(regressors, targets, offsets)`` of the episodes' transitions:
+    rows ``[x[t], u[t]]`` and ``x[t+1]``, episode ``i`` in rows
+    ``offsets[i]:offsets[i + 1]``."""
     regressors = np.vstack([np.hstack([ep.states[:-1], ep.inputs]) for ep in episodes])
     targets = np.vstack([ep.states[1:] for ep in episodes])
-    return regressors, targets
+    offsets = np.cumsum([0] + [ep.inputs.shape[0] for ep in episodes])
+    return regressors, targets, offsets
+
+
+def _fit(regressors: np.ndarray, targets: np.ndarray,
+         scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`least_squares_fit` of stacked transitions whose column maxima
+    of ``|regressors|`` are ``scale``."""
+    n = targets.shape[1]
+    if regressors.shape[0] < regressors.shape[1]:
+        raise RankDeficient("fewer transitions than parameters per state row")
+    # column equilibration keeps the singularity test scale-free
+    if np.any(scale == 0.0):
+        raise RankDeficient("a regressor column is identically zero")
+    equilibrated = regressors / scale
+    if np.linalg.cond(equilibrated.T @ equilibrated) > _COND_LIMIT:
+        raise RankDeficient("regressor Gram matrix is numerically singular")
+    theta, *_ = np.linalg.lstsq(regressors, targets, rcond=None)
+    theta = theta.T
+    return theta[:, :n], theta[:, n:]
 
 
 def least_squares_fit(episodes) -> tuple[np.ndarray, np.ndarray]:
@@ -109,20 +134,8 @@ def least_squares_fit(episodes) -> tuple[np.ndarray, np.ndarray]:
     regressor Gram matrix has condition number above 1e12 (the excitation
     does not identify the model).
     """
-    regressors, targets = _stack(episodes)
-    n = targets.shape[1]
-    if regressors.shape[0] < regressors.shape[1]:
-        raise RankDeficient("fewer transitions than parameters per state row")
-    # column equilibration keeps the singularity test scale-free
-    scale = np.max(np.abs(regressors), axis=0)
-    if np.any(scale == 0.0):
-        raise RankDeficient("a regressor column is identically zero")
-    gram = (regressors / scale).T @ (regressors / scale)
-    if np.linalg.cond(gram) > _COND_LIMIT:
-        raise RankDeficient("regressor Gram matrix is numerically singular")
-    theta, *_ = np.linalg.lstsq(regressors, targets, rcond=None)
-    theta = theta.T
-    return theta[:, :n], theta[:, n:]
+    regressors, targets, _ = _stack(episodes)
+    return _fit(regressors, targets, np.max(np.abs(regressors), axis=0, initial=0.0))
 
 
 def bootstrap_uncertainty(episodes, n_boot: int = 100, seed: int = 0) -> LearnedModel:
@@ -131,17 +144,32 @@ def bootstrap_uncertainty(episodes, n_boot: int = 100, seed: int = 0) -> Learned
     Episodes are resampled with replacement ``n_boot`` times; each resample
     is refit and its deviation from the full-data fit recorded.  The box
     contains every bootstrap fit by construction.
+
+    Each refit takes its resample's rows from one stack of the transitions
+    and sees the bits :func:`least_squares_fit` of the resampled episodes
+    would see.
     """
     if n_boot < 2:
         raise ValueError("need at least two bootstrap resamples")
-    episodes = list(episodes)
-    a0, b0 = least_squares_fit(episodes)
+    regressors, targets, offsets = _stack(episodes)
+    starts, lengths = offsets[:-1], np.diff(offsets)
+    # np.maximum.reduceat gives an empty segment the next row, not 0
+    col_max = np.zeros((len(lengths), regressors.shape[1]))
+    filled = lengths > 0
+    if filled.any():
+        col_max[filled] = np.maximum.reduceat(np.abs(regressors), starts[filled], axis=0)
+    a0, b0 = _fit(regressors, targets, col_max.max(axis=0))
     delta_a = np.zeros_like(a0)
     delta_b = np.zeros_like(b0)
     rng = np.random.default_rng(seed)
     for _ in range(n_boot):
-        picks = rng.integers(0, len(episodes), size=len(episodes))
-        a_j, b_j = least_squares_fit([episodes[i] for i in picks])
+        picks = rng.integers(0, len(lengths), size=len(lengths))
+        # rows starts[i] .. starts[i] + lengths[i] - 1 of each pick i, in order
+        taken = lengths[picks]
+        ends = np.cumsum(taken)
+        rows = np.arange(ends[-1]) + np.repeat(starts[picks] - (ends - taken), taken)
+        a_j, b_j = _fit(regressors.take(rows, axis=0), targets.take(rows, axis=0),
+                        col_max[picks].max(axis=0))
         delta_a = np.maximum(delta_a, np.abs(a_j - a0))
         delta_b = np.maximum(delta_b, np.abs(b_j - b0))
     return LearnedModel(a0=a0, b0=b0, delta_a=delta_a, delta_b=delta_b)

@@ -321,23 +321,53 @@ def _empty_memo(monkeypatch, size=64):
 
 class TestMapsCache:
     def test_concurrent_get_matches_close_loop(self, monkeypatch):
+        # the last gain leaves a_cl = 1.1: its entry holds the failure, which
+        # every thread gets back as the serial call gives it
         plant = scalar_plant()
-        gains = [np.array([[-0.1 * (i + 1)]]) for i in range(5)]
-        expected = [linsys.close_loop(plant, k) for k in gains]
+        gains = [np.array([[-0.1 * (i + 1)]]) for i in range(5)] + [np.array([[0.6]])]
+        expected = [linsys.close_loop(plant, k) for k in gains[:-1]]
+        expected += linsys.close_loops(plant, np.stack(gains[-1:]))
+        assert isinstance(expected[-1], linsys.NotSchurStable)
         _empty_memo(monkeypatch, size=2)
+
+        def same(maps, want):
+            if isinstance(want, linsys.NotSchurStable):
+                return isinstance(maps, linsys.NotSchurStable) and str(maps) == str(want)
+            return (np.array_equal(maps.a_cl, want.a_cl)
+                    and np.array_equal(maps.abs_stack, want.abs_stack))
 
         def mismatches(offset):
             bad = []
             for i in range(100):
                 j = (i + offset) % len(gains)
-                maps = certify._closed_loops(plant, [gains[j]])[0]
-                if not (np.array_equal(maps.a_cl, expected[j].a_cl)
-                        and np.array_equal(maps.abs_stack, expected[j].abs_stack)):
+                if not same(certify._closed_loops(plant, [gains[j]])[0], expected[j]):
                     bad.append(j)
             return bad
 
+        assert mismatches(0) == []
         assert run_in_threads(mismatches, timeout=120) == [[]] * 4
         assert len(certify._closures) <= 2
+
+    def test_a_loop_that_fails_to_close_is_closed_once(self, monkeypatch):
+        # the policy's own gain leaves a_cl = 0.999999, a loop marched to the
+        # 2,000,000-term cap before it fails; the midpoint equals the Jacobian
+        # bit for bit, so with the failure held in the memo each of the two
+        # gains is closed once in the 200 passes, not on every pass
+        _empty_memo(monkeypatch)
+        closed = []
+
+        def spy(plant, gains):
+            closed.extend(k.tobytes() for k in gains)
+            return linsys.close_loops(plant, gains)
+
+        monkeypatch.setattr(certify, "close_loops", spy)
+        own, k_d = np.array([[0.499999]]), np.array([[-0.2]])
+        result = algorithm1(scalar_plant(), linear_policy(0.499999), k_d)
+        assert result.failure_reason == certify.MAX_ITER_EXCEEDED
+        assert result.iterations == 200
+        assert sorted(closed) == sorted([own.tobytes(), k_d.tobytes()])
+        failure = certify._closures[certify._loop_keys(scalar_plant(), [own])[0]]
+        assert isinstance(failure, linsys.NotSchurStable)
 
 
     def test_key_covers_the_whole_realization(self, monkeypatch):

@@ -1,9 +1,11 @@
 """Cart-pole dynamics and the analytic linearization."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from loopcert import linsys
+from loopcert import linsys, sysid
 from loopcert.plant import (
     CartPoleParams,
     cartpole_linearized,
@@ -27,7 +29,53 @@ def closed_form_matrices(params):
     return a, b
 
 
+def reference_step(params, x, u):
+    """The step's formula on numpy float64 scalars, as it was first written."""
+    x = np.asarray(x, dtype=float)
+    force = float(np.asarray(u).reshape(-1)[0]) if np.ndim(u) else float(u)
+    pos, vel, theta, omega = x
+    m, big_m, l, g = params.masspole, params.masscart, params.length, params.g
+    sin_t, cos_t = np.sin(theta), np.cos(theta)
+    denom = (4.0 / 3.0) * (big_m + m) * l - m * l * cos_t**2
+    pos_acc = ((4.0 / 3.0) * m * l**2 * omega**2 * sin_t
+               - m * g * l * sin_t * cos_t
+               + (4.0 / 3.0) * l * force) / denom
+    ang_acc = (-m * l * omega**2 * sin_t * cos_t
+               + (big_m + m) * g * sin_t
+               - cos_t * force) / denom
+    tau = params.tau
+    return np.array([pos + tau * vel,
+                     vel + tau * pos_acc,
+                     theta + tau * omega,
+                     omega + tau * ang_acc])
+
+
 class TestStep:
+    def test_matches_the_float64_scalar_formula_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        for params in (CartPoleParams(),
+                       CartPoleParams(g=9.81, masscart=2.5, masspole=0.3, length=1.2, tau=0.05)):
+            for _ in range(5000):
+                x = rng.normal(scale=[2.0, 5.0, 1.0, 10.0])
+                x[2] = rng.uniform(-np.pi, np.pi)
+                u = rng.uniform(-10.0, 10.0, size=1)
+                got, want = cartpole_step(params, x, u), reference_step(params, x, u)
+                assert got.tobytes() == want.tobytes(), (x, u)
+        for u in (0.3, np.float64(-0.7), [0.25], np.array([[1.5]])):
+            x = [0.1, -0.2, np.pi, -np.pi]
+            assert (cartpole_step(CartPoleParams(), x, u).tobytes()
+                    == reference_step(CartPoleParams(), x, u).tobytes())
+
+    def test_collected_episodes_match_the_float64_scalar_formula(self):
+        params = CartPoleParams()
+        nl = cartpole_nonlinear(params)
+        reference = dataclasses.replace(nl, step=lambda x, u: reference_step(params, x, u))
+        for seed in range(3):
+            for got, want in zip(sysid.collect(nl, 20, u_amplitude=2.0, seed=seed),
+                                 sysid.collect(reference, 20, u_amplitude=2.0, seed=seed)):
+                assert got.states.tobytes() == want.states.tobytes()
+                assert got.inputs.tobytes() == want.inputs.tobytes()
+
     def test_equilibrium_is_fixed(self):
         assert np.array_equal(cartpole_step(CartPoleParams(), np.zeros(4), 0.0),
                               np.zeros(4))

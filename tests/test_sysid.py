@@ -68,6 +68,88 @@ class TestLeastSquares:
             least_squares_fit([episode] * 10)
 
 
+def reference_fit(episodes):
+    """:func:`least_squares_fit` as first written, restacking its episodes."""
+    regressors = np.vstack([np.hstack([ep.states[:-1], ep.inputs]) for ep in episodes])
+    targets = np.vstack([ep.states[1:] for ep in episodes])
+    n = targets.shape[1]
+    if regressors.shape[0] < regressors.shape[1]:
+        raise RankDeficient("fewer transitions than parameters per state row")
+    scale = np.max(np.abs(regressors), axis=0)
+    if np.any(scale == 0.0):
+        raise RankDeficient("a regressor column is identically zero")
+    gram = (regressors / scale).T @ (regressors / scale)
+    if np.linalg.cond(gram) > sysid._COND_LIMIT:
+        raise RankDeficient("regressor Gram matrix is numerically singular")
+    theta, *_ = np.linalg.lstsq(regressors, targets, rcond=None)
+    return theta.T[:, :n], theta.T[:, n:]
+
+
+def reference_bootstrap(episodes, n_boot, seed):
+    """:func:`bootstrap_uncertainty` as first written: every resample's
+    episodes refit from scratch."""
+    a0, b0 = reference_fit(episodes)
+    delta_a, delta_b = np.zeros_like(a0), np.zeros_like(b0)
+    rng = np.random.default_rng(seed)
+    for _ in range(n_boot):
+        picks = rng.integers(0, len(episodes), size=len(episodes))
+        a_j, b_j = reference_fit([episodes[i] for i in picks])
+        delta_a = np.maximum(delta_a, np.abs(a_j - a0))
+        delta_b = np.maximum(delta_b, np.abs(b_j - b0))
+    return a0, b0, delta_a, delta_b
+
+
+def outcome(fn, *args):
+    """The bytes of every array ``fn`` returns, or the RankDeficient it raises."""
+    try:
+        result = fn(*args)
+    except RankDeficient as exc:
+        return str(exc)
+    if isinstance(result, sysid.LearnedModel):
+        result = result.a0, result.b0, result.delta_a, result.delta_b
+    return [a.tobytes() for a in result]
+
+
+def truncated(episode, steps):
+    return Episode(states=episode.states[:steps + 1], inputs=episode.inputs[:steps])
+
+
+class TestRefitsMatchTheRestackingLoop:
+    """The bootstrap's refits take rows of one stacked design; each must see
+    the bits a refit of the resampled episodes from scratch sees."""
+
+    def test_unequal_and_empty_episodes(self, cartpole_nl):
+        rng = np.random.default_rng(4)
+        full = collect(cartpole_nl, 40, ep_len=30, u_amplitude=0.5, seed=4)
+        episodes = [truncated(ep, int(k)) for ep, k in zip(full, rng.integers(0, 31, size=40))]
+        # zero transitions in the middle and last, where np.maximum.reduceat
+        # would read the next row or past the end
+        episodes[7] = episodes[-1] = truncated(full[7], 0)
+        for seed in range(3):
+            want = outcome(reference_bootstrap, episodes, 100, seed)
+            assert isinstance(want, list)
+            assert outcome(bootstrap_uncertainty, episodes, 100, seed) == want
+        assert outcome(least_squares_fit, episodes) == outcome(reference_fit, episodes)
+
+    def test_rank_deficient_resamples_raise_the_same_way(self, cartpole_nl):
+        # a resample of only the all-zero and the empty episode has a zero
+        # column, one of only the empty episode too few rows; the nominal fit
+        # is well posed.  The empty episode's column maxima are 0, not those
+        # of the next episode's first row, which has no zero entry.
+        excited = collect(cartpole_nl, 1, ep_len=33, u_amplitude=0.5, seed=5)[0]
+        episodes = [Episode(states=np.zeros((7, 4)), inputs=np.zeros((6, 1))),
+                    Episode(states=np.zeros((1, 4)), inputs=np.zeros((0, 1))),
+                    Episode(states=excited.states[3:], inputs=excited.inputs[3:])]
+        assert np.all(episodes[2].states[0] != 0.0)
+        seen = set()
+        for seed in range(40):
+            want = outcome(reference_bootstrap, episodes, 3, seed)
+            assert outcome(bootstrap_uncertainty, episodes, 3, seed) == want
+            seen.add(want if isinstance(want, str) else "fit")
+        assert seen == {"fit", "a regressor column is identically zero",
+                        "fewer transitions than parameters per state row"}
+
+
 class TestBootstrap:
     def test_noiseless_data_gives_zero_boxes(self):
         episodes = collect(linear_test_plant(), 8, ep_len=6, seed=1)
