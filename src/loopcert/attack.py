@@ -16,8 +16,8 @@ The simulator runs the exact recursion with ``u = pi(y)`` (quantized when
 configured) on either the linear plant or a nonlinear plant object.  On a
 linear plant it also takes a batch of perturbations, shape (B, t_sim, p),
 and runs the B rollouts in one loop; every row is bit-identical to its own
-unbatched run.  :func:`violation_level` runs each batch of its bisection's
-amplitudes as one batched rollout.
+unbatched run.  :func:`violation_levels` runs each round of its lock-step
+bisections' amplitudes as one batched rollout.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import _bisect_bracket
+from .certify import _bisection, _lockstep
 from .linsys import ClosedLoopMaps, StateSpacePlant
 from .neural import QuantizationSpec, ReluNetwork, evaluate
 from .plant import NonlinearPlant
@@ -42,6 +42,7 @@ __all__ = [
     "simulate",
     "monte_carlo_attack",
     "violation_level",
+    "violation_levels",
     "save_plan",
     "load_plan",
     "save_trace",
@@ -55,9 +56,9 @@ _SAFE_SQUARES = 0.1 * _OVERFLOW**2
 # enough to take the products out of the loop, few enough to cost no memory
 _BLOCK = 256
 
-# amplitudes per violation_level rollout: a doubling chunk of 8, then a
-# depth-3 tree of 7 bisection midpoints; and the doublings after which
-# violation_level stops at its cap
+# amplitudes a violation_levels bisection asks per round: a doubling chunk
+# of 8, then a depth-3 tree of 7 midpoints; and the doublings after which
+# it stops at its cap
 _BATCH = 8
 _CAP_DOUBLINGS = 24
 
@@ -287,30 +288,47 @@ def monte_carlo_attack(plant, net: ReluNetwork, w_inf: float, t_sim: int,
 def violation_level(plant, net: ReluNetwork, maps: ClosedLoopMaps, target: int,
                     horizon: int, x_limit: float, tol: float = 1e-3,
                     quantization: QuantizationSpec | None = None) -> float:
-    """Smallest amplitude whose designed attack breaks ``|x_target| <= x_limit``.
+    """Smallest amplitude whose designed attack breaks ``|x_target| <= x_limit``:
+    :func:`violation_levels` of one target and one limit."""
+    return violation_levels(plant, net, maps, [target], horizon, [x_limit], tol,
+                            quantization)[0]
 
-    The ``hi`` end of :func:`loopcert.certify._bisect_bracket` on the
-    designed plan simulated over its horizon, with the doubling cap
-    ``_CAP_DOUBLINGS`` and ``_BATCH`` amplitudes per :func:`simulate` call;
-    ``inf`` when no amplitude up to the cap violates.  A diverging rollout
-    counts as a violation.  Each row is bit-identical to its own rollout, so
-    the level is that of one rollout per amplitude, bit for bit.
+
+def violation_levels(plant, net: ReluNetwork, maps: ClosedLoopMaps, targets, horizon: int,
+                     limits, tol: float, quantization: QuantizationSpec | None) -> list[float]:
+    """Per limit, the smallest amplitude whose designed attack breaks
+    ``|x_target| <= limit`` for one of the ``targets``.
+
+    For each (target, limit) pair, the ``hi`` end of a
+    :func:`loopcert.certify._bisection` with the doubling cap
+    ``_CAP_DOUBLINGS`` and up to ``_BATCH`` amplitudes a round, on the
+    target's plan (designed once) simulated over its horizon; ``inf`` when no
+    amplitude up to the cap violates.  A diverging rollout counts as a
+    violation.  The pairs advance in lock-step, each round's distinct
+    (target, amplitude) rows simulated in one call; each row is bit-identical
+    to its own rollout, so every level is that of one rollout per amplitude.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    plan = design_attack(maps, target, horizon)
+    signs = {target: design_attack(maps, target, horizon).signs for target in targets}
+    pairs = [(target, float(limit)) for target in signs for limit in limits]
 
-    def violates(levels: list[float]) -> list[bool]:
-        w = np.multiply.outer(levels, plan.signs)
+    def answer(asked: dict) -> dict:
+        rows = list(dict.fromkeys((pairs[i][0], w) for i in asked for w in asked[i]))
+        batch = np.array([amplitude * signs[target] for target, amplitude in rows])
         try:
-            x = simulate(plant, net, w, horizon, quantization=quantization).x
-            dead = np.zeros(len(levels), dtype=bool)
+            x = simulate(plant, net, batch, horizon, quantization=quantization).x
+            dead = np.zeros(len(rows), dtype=bool)
         except DivergedAt as exc:
             x, dead = exc.trace.x, exc.rows >= 0
-        peak = np.max(np.abs(x[:, :, target]), axis=1)
-        return (dead | (peak > x_limit)).tolist()
+        peak = np.max(np.abs(x[np.arange(len(rows)), :, [t for t, _ in rows]]), axis=1)
+        reached = dict(zip(rows, zip(dead.tolist(), peak.tolist())))  # diverged, peak
+        return {i: [d or p > pairs[i][1] for d, p in (reached[pairs[i][0], w] for w in levels)]
+                for i, levels in asked.items()}
 
-    return _bisect_bracket(violates, tol, _CAP_DOUBLINGS, _BATCH)[1]
+    brackets = _lockstep([_bisection(tol, _CAP_DOUBLINGS, _BATCH) for _ in pairs], answer)
+    return [min((hi for _, hi in brackets[k::len(limits)]), default=np.inf)
+            for k in range(len(limits))]
 
 
 # ---------------------------------------------------------------------------

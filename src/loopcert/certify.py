@@ -77,7 +77,7 @@ NON_FINITE_BOUNDS = "NonFiniteBounds"
 _QUAD_INFLATION = 1e-9
 
 # Relative inflation of algorithm1's reference box from one pass to the next,
-# the passes it makes at most, the doublings after which bisect_max_level
+# the passes it makes at most, the doublings after which a level bisection
 # stops at its cap, and the regions the baseline's scan tries at most.
 _BOX_INFLATION = 1e-6
 _MAX_PASSES = 200
@@ -328,17 +328,11 @@ def extract_loop(plant: StateSpacePlant, net: ReluNetwork, box: Box | None,
                  k_d: np.ndarray | None) -> tuple[np.ndarray, ClosedLoopMaps]:
     """:func:`extract_gain` together with the loop it closes; the winning
     closure is the only one built."""
-    lb = None
+    midpoint = None
     if box is not None and np.any(box.radius > 0):
         lb = neural.linear_relaxation(net, box)
-    return _pick_gain(plant, net, lb, k_d)
-
-
-def _pick_gain(plant: StateSpacePlant, net: ReluNetwork, lb: LinearBounds | None,
-               k_d: np.ndarray | None) -> tuple[np.ndarray, ClosedLoopMaps]:
-    """:func:`extract_gain` with the relaxation ``lb`` over the box given,
-    returning the winning gain together with its closed-loop maps."""
-    picked = _Loop(plant, net, k_d).gains([None if lb is None else (lb.k_u + lb.k_l) / 2.0])[0]
+        midpoint = (lb.k_u + lb.k_l) / 2.0
+    picked = _Loop(plant, net, k_d).gains([midpoint])[0]
     if picked is None:
         raise NoStabilizingGain("no stabilizing candidate gain (midpoint, Jacobian, default)")
     return picked
@@ -648,7 +642,7 @@ def with_state_limit(plant: StateSpacePlant, target_state: int | None,
 
 
 def _midpoints(lo: float, hi: float, tol: float, depth: int) -> list[float]:
-    """Every midpoint the bisection of :func:`_bisect_bracket` can reach from
+    """Every midpoint the bisection of :func:`_bisection` can reach from
     ``[lo, hi]`` within ``depth`` rounds, whichever way each round goes."""
     if depth == 0 or hi - lo <= tol * hi:
         return []
@@ -657,9 +651,27 @@ def _midpoints(lo: float, hi: float, tol: float, depth: int) -> list[float]:
 
 
 def _bisection(tol: float, cap: int, width: int = 1):
-    """The search of :func:`_bisect_bracket` as a generator: it yields each
-    batch of levels to ask, is sent their verdicts (True for a level that
-    fails), and returns the bracket ``(lo, hi)``."""
+    """Bracket ``(lo, hi)`` of the least failing level of a monotone batch
+    predicate: ``lo`` passes (or is 0) and ``hi`` fails (or is inf).
+
+    A generator: it yields each batch of at most ``width`` levels to ask, is
+    sent their verdicts (True for a level that fails), and returns the
+    bracket; :func:`_lockstep` drives many at once.  The verdicts are held,
+    so no level is asked twice.  ``tol`` is relative and must lie in (0, 1):
+    at 1 or above the bracket ``(0, tol)`` would already be within it.
+
+    * Doubling: ``tol * 2**k`` for ``k = 0 .. max(cap, 0)``, ``width`` per
+      batch.  ``hi`` is the first that fails, ``lo`` the one before; when
+      none fails, the bracket is ``(tol * 2**cap, inf)``.
+    * Zero: 0 is asked only when ``tol`` fails, with the first bisection
+      batch.  When 0 fails too, the bracket is ``(0, 0)``.
+    * Stop: bisect while ``hi - lo > tol * hi``; stop when the midpoint is
+      ``lo`` or ``hi`` itself (no float lies between them).
+    * Batch: a bisection batch is every midpoint the next ``d`` rounds can
+      reach, for the deepest tree of ``2**d - 1`` midpoints within ``width``.
+      Width 1 asks one midpoint per round; width 8 doubles in chunks of 8,
+      then asks trees of 7.
+    """
     if not 0 < tol < 1:
         raise ValueError("tol must be in (0, 1)")
     verdicts: dict[float, bool] = {}
@@ -694,45 +706,27 @@ def _bisection(tol: float, cap: int, width: int = 1):
     return lo, hi
 
 
-def _bisect_bracket(fails: Callable[[list[float]], list[bool]], tol: float, cap: int,
-                    width: int = 1) -> tuple[float, float]:
-    """Bracket ``(lo, hi)`` of the least failing level of a monotone batch
-    predicate: ``lo`` passes (or is 0) and ``hi`` fails (or is inf).
-
-    ``fails(levels)`` gives one verdict per level, for at most ``width``
-    levels per call.  The verdicts are held, so no level is asked twice.
-    ``tol`` is relative and must lie in (0, 1): at 1 or above the bracket
-    ``(0, tol)`` would already be within it.
-
-    * Doubling: ``tol * 2**k`` for ``k = 0 .. max(cap, 0)``, ``width`` per
-      batch.  ``hi`` is the first that fails, ``lo`` the one before; when
-      none fails, the bracket is ``(tol * 2**cap, inf)``.
-    * Zero: 0 is asked only when ``tol`` fails, with the first bisection
-      batch.  When 0 fails too, the bracket is ``(0, 0)``.
-    * Stop: bisect while ``hi - lo > tol * hi``; stop when the midpoint is
-      ``lo`` or ``hi`` itself (no float lies between them).
-    * Batch: a bisection batch is every midpoint the next ``d`` rounds can
-      reach, for the deepest tree of ``2**d - 1`` midpoints within ``width``.
-      Width 1 asks one midpoint per round; width 8 doubles in chunks of 8,
-      then asks trees of 7.
-
-    The search itself is :func:`_bisection`, which :func:`frontier` drives
-    for many brackets at once.
-    """
-    search = _bisection(tol, cap, width)
-    try:
-        levels = next(search)
-        while True:
-            levels = search.send(fails(levels))
-    except StopIteration as stop:
-        return stop.value
+def _lockstep(bisections: list, answer: Callable[[dict], dict]) -> list[tuple[float, float]]:
+    """The brackets of the :func:`_bisection` generators, driven together:
+    each round ``answer`` gets ``{i: levels}`` of every waiting bisection and
+    returns ``{i: verdicts}`` of those it answers; the others wait."""
+    brackets = [None] * len(bisections)
+    asked = {i: next(b) for i, b in enumerate(bisections)}
+    while asked:
+        for i, verdicts in answer(asked).items():
+            try:
+                asked[i] = bisections[i].send(verdicts)
+            except StopIteration as stop:
+                brackets[i] = stop.value
+                del asked[i]
+    return brackets
 
 
 def bisect_max_level(certifies: Callable[[float], bool], tol: float = 1e-4) -> float:
     """Largest level certified by a monotone predicate, to relative tol: the ``lo``
-    end of :func:`_bisect_bracket`, one level at a time, capped at ``_CAP_DOUBLINGS``."""
-    return _bisect_bracket(lambda levels: [not certifies(w) for w in levels], tol,
-                           _CAP_DOUBLINGS)[0]
+    end of :func:`_bisection`, one level at a time, capped at ``_CAP_DOUBLINGS``."""
+    return _lockstep([_bisection(tol, _CAP_DOUBLINGS)],
+                     lambda asked: {0: [not certifies(w) for w in asked[0]]})[0][0]
 
 
 def frontier(plant: StateSpacePlant, net: ReluNetwork,
@@ -741,47 +735,31 @@ def frontier(plant: StateSpacePlant, net: ReluNetwork,
              quantization: QuantizationSpec | None = None) -> list[tuple[float, float]]:
     """Largest certifiable attack level per state-deviation limit.
 
-    For each limit, :func:`bisect_max_level` (relative tolerance ``tol``)
-    on the success of :func:`algorithm1` with that limit installed on
-    ``target_state`` (every state when None).  The resulting curve is
-    nondecreasing in the limit up to the bisection tolerance.
+    For each limit, the ``lo`` end of a :func:`_bisection` (relative
+    tolerance ``tol``, capped at ``_CAP_DOUBLINGS``) on the success of
+    :func:`algorithm1` with that limit installed on ``target_state`` (every
+    state when None).  The curve is nondecreasing in the limit up to ``tol``.
 
-    The limits' bisections run in lock-step.  Each asks its levels as
-    :func:`bisect_max_level` would (:func:`_bisection`), and each level asked
-    starts a search of :func:`algorithm1`.  Every round makes one pass of
-    every live search through one stepper (:meth:`_Loop.step`), which
-    relaxes their boxes in one stack and closes their loops in one stack.
-    A search leaves on the pass that ends it, and its bisection asks its
-    next levels for the next round.  So every limit visits the levels, and
-    gets the result, of bisecting it alone.
+    The limits' bisections run in lock-step (:func:`_lockstep`), and each
+    level asked starts a search.  A round makes one pass of every live search
+    in one stepper (:meth:`_Loop.step`) and answers the bisections whose
+    searches have all ended, so each limit gets the result of bisecting it
+    alone.
     """
     loop = _Loop(plant, net, k_d, gamma_delta, quantization)
     limited = [with_state_limit(plant, target_state, float(v)) for v in x_lim_values]
-    bisections = [_bisection(tol, _CAP_DOUBLINGS) for _ in limited]
-    asked = {i: [loop.search(limited[i], w) for w in next(b)] for i, b in enumerate(bisections)}
-    levels = [0.0] * len(limited)
-    while asked:
-        loop.step([s for batch in asked.values() for s in batch if s.result is None])
-        for i, batch in list(asked.items()):
-            if any(s.result is None for s in batch):
-                continue
-            try:
-                ask = bisections[i].send([not s.result.success for s in batch])
-                asked[i] = [loop.search(limited[i], w) for w in ask]
-            except StopIteration as stop:
-                levels[i] = stop.value[0]
-                del asked[i]
-    return [(float(v), w) for v, w in zip(x_lim_values, levels)]
+    searches: dict[int, list[_Search]] = {}
 
+    def answer(asked: dict) -> dict:
+        for i, levels in asked.items():
+            if i not in searches:
+                searches[i] = [loop.search(limited[i], w) for w in levels]
+        loop.step([s for i in asked for s in searches[i] if s.result is None])
+        done = [i for i in asked if all(s.result is not None for s in searches[i])]
+        return {i: [not s.result.success for s in searches.pop(i)] for i in done}
 
-def _frontier(plant: StateSpacePlant, x_lim_values, tol: float, target_state: int | None,
-              certifies: Callable[[StateSpacePlant, float], bool]) -> list[tuple[float, float]]:
-    """``(limit, largest level)`` pairs, bisecting ``certifies(limited_plant, w)``."""
-    out = []
-    for value in x_lim_values:
-        limited = with_state_limit(plant, target_state, float(value))
-        out.append((float(value), bisect_max_level(lambda w: certifies(limited, w), tol)))
-    return out
+    brackets = _lockstep([_bisection(tol, _CAP_DOUBLINGS) for _ in limited], answer)
+    return [(float(v), lo) for v, (lo, _) in zip(x_lim_values, brackets)]
 
 
 # ---------------------------------------------------------------------------
@@ -897,7 +875,7 @@ def baseline_certify(plant: StateSpacePlant, net: ReluNetwork,
     w_amp = plant.w_inf if w_inf is None else float(w_inf)
     gamma = float(np.max(np.sum(_uncertainty_gain(plant, gamma_delta), axis=1), initial=0.0))
     try:
-        k0, maps = _pick_gain(plant, net, None, k_d)
+        k0, maps = extract_loop(plant, net, None, k_d)
     except NoStabilizingGain:
         return BaselineResult(np.inf, np.inf, False, np.inf), None
     sampler = _gain_sampler(net, k0, n_samples, seed, quantization)
@@ -956,26 +934,32 @@ def baseline_frontier(plant: StateSpacePlant, net: ReluNetwork,
                       n_samples: int = 4096, seed: int = 0) -> list[tuple[float, float]]:
     """Largest attack level the small-gain baseline accepts, per limit.
 
-    For each limit, :func:`bisect_max_level` on :func:`baseline_certify`
-    with that limit installed.  Neither the gain nor the region scan reads a
-    limit, so the gain, its loop and its sampler are built once per call,
-    each distinct level ``w`` is scanned once (:func:`_region_scan`), and
-    each limit checks the scan's quadruplet against itself.
+    For each limit, the ``lo`` end of a :func:`_bisection`, as in
+    :func:`frontier`, on :func:`baseline_certify` with that limit installed.
+    Neither the gain nor the region scan reads a limit, so the gain, its
+    loop and its sampler are built once per call, each distinct level ``w``
+    is scanned once (:func:`_region_scan`), and each limit checks the scan's
+    quadruplet against itself.  Without a stabilizing gain every level is 0.
     """
     gamma = float(np.max(np.sum(_uncertainty_gain(plant, gamma_delta), axis=1), initial=0.0))
     try:
-        k0, maps = _pick_gain(plant, net, None, k_d)
+        k0, maps = extract_loop(plant, net, None, k_d)
     except NoStabilizingGain:
-        return _frontier(plant, x_lim_values, tol, target_state, lambda limited, w: False)
-    sampler = _gain_sampler(net, k0, n_samples, seed, quantization)
-    scans: dict[float, tuple[BaselineResult, Quadruplet | None]] = {}
+        def fails(limited: StateSpacePlant, w: float) -> bool:
+            return True
+    else:
+        sampler = _gain_sampler(net, k0, n_samples, seed, quantization)
+        scans: dict[float, tuple[BaselineResult, Quadruplet | None]] = {}
 
-    def certifies(limited: StateSpacePlant, w: float) -> bool:
-        scan = scans.get(w)
-        if scan is None:
-            scan = scans[w] = _region_scan(maps, sampler, gamma, w)
-        result, quad = scan
-        return result.certified and not _outside_limits(limited, quad.x_bar, quad.y_bar,
-                                                        quad.u_bar)
+        def fails(limited: StateSpacePlant, w: float) -> bool:
+            if w not in scans:
+                scans[w] = _region_scan(maps, sampler, gamma, w)
+            result, quad = scans[w]
+            return not result.certified or _outside_limits(limited, quad.x_bar, quad.y_bar,
+                                                           quad.u_bar)
 
-    return _frontier(plant, x_lim_values, tol, target_state, certifies)
+    limited = [with_state_limit(plant, target_state, float(v)) for v in x_lim_values]
+    brackets = _lockstep([_bisection(tol, _CAP_DOUBLINGS) for _ in limited],
+                         lambda asked: {i: [fails(limited[i], w) for w in levels]
+                                        for i, levels in asked.items()})
+    return [(float(v), lo) for v, (lo, _) in zip(x_lim_values, brackets)]

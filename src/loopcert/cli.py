@@ -153,20 +153,6 @@ def cmd_frontier(args) -> int:
         limits = [float(v) * scale for v in args.x_lim_list.split(",")]
     except ValueError as exc:
         raise CliError(f"bad --x-lim-list: {exc}") from exc
-
-    def attack_levels() -> list[float]:
-        # the smallest level that breaks each limit on the target state, or
-        # on any state when the limit is on all of them; a limit changes
-        # neither the gain nor the maps, so the loop is closed once
-        try:
-            _, maps = certify.extract_loop(plant, net, None, lib["k_d"])
-        except certify.NoStabilizingGain:
-            return [math.inf] * len(limits)
-        targets = range(plant.n) if args.target_state is None else [args.target_state]
-        return [min(attack_mod.violation_level(plant, net, maps, target, args.horizon, value,
-                                               tol=args.tol, quantization=lib["quantization"])
-                    for target in targets) for value in limits]
-
     sweep = dict(lib, x_lim_values=limits, tol=args.tol, target_state=args.target_state)
     certified = [w for _, w in certify.frontier(plant, net, **sweep)]
     baseline = attacked = [math.nan] * len(limits)  # nan and inf are written as empty cells
@@ -175,7 +161,15 @@ def cmd_frontier(args) -> int:
                                                             n_samples=args.samples,
                                                             seed=args.seed)]
     if args.with_attack:
-        attacked = attack_levels()
+        # the limit is on the target state, or on every state when none is
+        # given; a limit changes neither the gain nor the maps: one closure
+        try:
+            _, maps = certify.extract_loop(plant, net, None, lib["k_d"])
+            targets = range(plant.n) if args.target_state is None else [args.target_state]
+            attacked = attack_mod.violation_levels(plant, net, maps, targets, args.horizon,
+                                                   limits, args.tol, lib["quantization"])
+        except certify.NoStabilizingGain:
+            pass  # no loop to attack: the cells stay empty
     unit = "degrees" if args.degrees else "radians"
     lines = [f"# angle unit: {unit}", "x_lim,w_certified,w_baseline,w_attack"]
     # an infinite limit is written as inf, so every row names its limit

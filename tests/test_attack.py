@@ -475,6 +475,45 @@ class TestViolationLevel:
             attack.violation_level(plant, net, maps, 0, 0, 0.1)
 
 
+class TestViolationLevels:
+    """Every (target, limit) pair in lock-step against one sequential search each."""
+
+    def test_random_loops_match_least_sequential_level_over_targets(self):
+        # limits 0 and inf with every target; at inf only a diverging row
+        # breaks the limit, which happens on some seeds
+        finite_at_inf = 0
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            plant = random_stable_plant(rng, with_uncertainty=False)
+            net = random_relu_net(rng, d_in=plant.r, d_out=plant.m)
+            maps = linsys.close_loop(plant, np.zeros((plant.m, plant.r)))
+            limits = [0.0, float(rng.uniform(0.2, 1.0)), float(rng.uniform(1.0, 5.0)), np.inf]
+            tol = float(rng.choice([1e-3, 1e-2]))
+            targets = range(plant.n)
+            levels = attack.violation_levels(plant, net, maps, targets, 50, limits, tol, None)
+            for limit, level in zip(limits, levels):
+                reference = min(_sequential_violation_level(plant, net, maps, target, 50, limit,
+                                                            tol)[0] for target in targets)
+                assert level == reference, (seed, limit)
+            finite_at_inf += levels[-1] < np.inf
+        assert 0 < finite_at_inf < 8
+
+    def test_cartpole_column_in_five_calls(self, cartpole, cloned_policy, kd,
+                                           count_simulations):
+        # the frontier --with-attack column of the cart-pole sweep: one
+        # violation_level per limit made 25 simulate calls
+        values = [0.001, 0.002, 0.003, 0.005, 0.008]
+        _, maps = certify.extract_loop(cartpole, cloned_policy, None, kd)
+        levels = attack.violation_levels(cartpole, cloned_policy, maps, [2], 2500, values, 1e-3,
+                                          None)
+        assert len(count_simulations) == 5
+        assert levels == [attack.violation_level(cartpole, cloned_policy, maps, 2, 2500, v)
+                          for v in values]
+        assert levels == [0.00026928710937500005, 0.0005385742187500001,
+                          0.00080761718750000007, 0.0013457031249999999,
+                          0.0021640625000000002]
+
+
 class TestFiles:
     def test_plan_round_trip(self, tmp_path, scalar_loop):
         _, _, maps = scalar_loop

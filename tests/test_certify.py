@@ -813,14 +813,14 @@ class TestBaseline:
                     tol=1e-2)))
             return out
 
-        real_certify = certify.baseline_certify
+        real_certify, real_scan = certify.baseline_certify, certify._region_scan
         levels_scanned = []
 
-        def spy(*args, **kwargs):
-            levels_scanned.append(kwargs["w_inf"])
-            return real_certify(*args, **kwargs)
+        def spy(maps, sampled_gain, gamma, w_amp):
+            levels_scanned.append(w_amp)
+            return real_scan(maps, sampled_gain, gamma, w_amp)
 
-        monkeypatch.setattr(certify, "baseline_certify", spy)
+        monkeypatch.setattr(certify, "_region_scan", spy)
         values = [0.25, 1.0, 4.0]
         for seed in (2, 12, 36):
             rng = np.random.default_rng(seed)
@@ -837,6 +837,7 @@ class TestBaseline:
                     levels_scanned.clear()
                     got.append(baseline_frontier(limited, net, x_lim_values=values, tol=1e-2,
                                                  target_state=0, **kwargs))
+                    assert levels_scanned
                     assert sorted(levels_scanned) == sorted(set(levels_scanned))
                     assert got[-1] == per_limit_frontier(limited, net, values, **kwargs)
                 # every extra limit lowers some level, so each check is exercised

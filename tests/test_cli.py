@@ -289,6 +289,25 @@ class TestFrontier:
         assert coarse != attack.violation_level(limited, net, maps, 0, 200, 0.5)
         assert out.read_text().splitlines()[-1].split(",")[3] == f"{coarse:.17g}"
 
+    def test_no_stabilizing_gain_in_every_column(self, tmp_path):
+        # a = 1.2 under a zero policy and no --kd: no candidate gain closes
+        # the loop, so no level certifies and there is no loop to attack
+        plant = linsys.make_plant([[1.2]], [[1.0]], b_w=[[1.0]])
+        net = linear_policy(0.0)
+        plant_path, policy_path = tmp_path / "plant.json", tmp_path / "policy.json"
+        linsys.save_plant(plant_path, plant)
+        neural.save_policy(policy_path, net)
+        out = tmp_path / "front.csv"
+        code = main(["frontier", "--plant", str(plant_path), "--policy", str(policy_path),
+                     "--x-lim-list", "0.5,1.0", "--target-state", "0", "--tol", "1e-3",
+                     "--with-baseline", "--with-attack", "--horizon", "200",
+                     "--out", str(out)])
+        assert code == EXIT_OK
+        assert out.read_text().splitlines()[2:] == ["0.5,0,0,", "1,0,0,"]
+        # the failing baseline still bisects, so it still rejects a bad tol
+        with pytest.raises(ValueError, match=r"tol must be in \(0, 1\)"):
+            certify.baseline_frontier(plant, net, x_lim_values=[0.5], tol=2)
+
     def test_attack_without_target_state_breaks_any_state(self, tmp_path):
         # w drives state 1 ten times harder than state 0, so with the limit on
         # both states state 1 breaks first, at a tenth of state 0's level
