@@ -198,9 +198,9 @@ def simulate(plant, net: ReluNetwork, w=None, t_sim: int = 1000, x0=None,
     DivergedAt
         When the state overflows.  Unbatched, at the step it overflows, with
         the partial trace.  Batched, after the other rows have run to the
-        end: ``rows`` gives each row's divergence step (-1 where it stayed
-        finite), ``step`` the first of them, and the trace holds every row in
-        full, NaN past the row's divergence step.
+        end: ``rows`` gives the step each row first overflowed (-1 where it
+        stayed finite), ``step`` the first of them, and the trace holds every
+        row in full, NaN past that step.
     """
     batched = w is not None and not isinstance(w, AttackPlan) and np.ndim(w) == 3
     step, c, d_w, b_w = _plant_hooks(plant, batched)
@@ -247,7 +247,7 @@ def simulate(plant, net: ReluNetwork, w=None, t_sim: int = 1000, x0=None,
                 partial = SimTrace(xs[0, :t + 1, 0], ys[0, :t + 1, 0], us[0, :t + 1, 0],
                                    w[0, :t + 1])
                 raise DivergedAt(t, partial)
-            diverged[bad] = t
+            diverged[bad & (diverged < 0)] = t  # a row's first overflow
             x[bad] = 0.0  # a dead row keeps stepping, harmlessly, from rest
             if np.all(diverged >= 0):
                 break

@@ -313,8 +313,8 @@ def extract_gain(plant: StateSpacePlant, net: ReluNetwork, box: Box | None,
 
     Candidate order: midpoint of the relaxation envelopes over ``box`` (when
     the box is non-degenerate), then the Jacobian at the origin (when it
-    exists), then the supplied default ``k_d``.  The first candidate whose
-    loop closes (:func:`close_loop` does not raise ``NotSchurStable``) wins.
+    exists), then the supplied default ``k_d``, then zero.  The first whose
+    loop closes (Schur stable, within the term cap: :meth:`_Loop.gains`) wins.
 
     Raises
     ------
@@ -326,13 +326,14 @@ def extract_gain(plant: StateSpacePlant, net: ReluNetwork, box: Box | None,
 
 def extract_loop(plant: StateSpacePlant, net: ReluNetwork, box: Box | None,
                  k_d: np.ndarray | None) -> tuple[np.ndarray, ClosedLoopMaps]:
-    """:func:`extract_gain` together with the loop it closes; the winning
-    closure is the only one built."""
-    midpoint = None
-    if box is not None and np.any(box.radius > 0):
+    """:func:`extract_gain` with the loop it closes, the only closure built;
+    :attr:`_Loop.fixed` without a box or on a degenerate one."""
+    loop = _Loop(plant, net, k_d)
+    if box is None or not np.any(box.radius > 0):
+        picked = loop.fixed
+    else:
         lb = neural.linear_relaxation(net, box)
-        midpoint = (lb.k_u + lb.k_l) / 2.0
-    picked = _Loop(plant, net, k_d).gains([midpoint])[0]
+        picked = loop.gains([(lb.k_u + lb.k_l) / 2.0])[0]
     if picked is None:
         raise NoStabilizingGain("no stabilizing candidate gain (midpoint, Jacobian, default)")
     return picked
@@ -374,19 +375,6 @@ def _closed_loops(plant: StateSpacePlant, gains: list) -> list:
                     _closures.pop(next(iter(_closures)))
                 _closures[key] = maps
     return [found[key] for key in keys]
-
-
-def _uncertainty_gain(plant: StateSpacePlant, gamma_delta) -> np.ndarray:
-    """``gamma_delta`` as a nonnegative ``(q, s)`` matrix; zero when None."""
-    q, s = plant.q, plant.s
-    if gamma_delta is None:
-        return np.zeros((q, s))
-    gamma_delta = np.asarray(gamma_delta, dtype=float)
-    if gamma_delta.shape != (q, s):
-        raise ValueError(f"gamma_delta has shape {gamma_delta.shape}, expected ({q}, {s})")
-    if np.any(gamma_delta < 0):
-        raise ValueError("gamma_delta must be nonnegative")
-    return gamma_delta
 
 
 def _outside_limits(plant: StateSpacePlant, x_bar, y_bar, u_bar) -> bool:
@@ -450,33 +438,40 @@ class _Search:
 
 
 class _Loop:
-    """A plant realization with a policy, a default gain ``k_d``, the
-    uncertainty gain and the output quantization: what the passes of
-    :func:`algorithm1` share across searches that differ only in the plant's
-    limits and the perturbation level.
+    """The five inputs every route closes its loop from (a plant realization,
+    a policy, a default gain ``k_d``, Γ_Δ and the output quantization),
+    checked once: a policy of other dimensions than the plant, a ``k_d``
+    that is not a finite ``(m, r)`` matrix or a Γ_Δ that is not a
+    nonnegative ``(q, s)`` matrix raises ``ValueError``.  Γ_Δ is held as
+    that matrix, zero when None.  Searches that differ only in the plant's
+    limits and the level share one.
 
-    :meth:`step` makes one pass of any number of such searches at once, and
-    :meth:`gains` picks their gains.  The policy's Jacobian at the origin is
-    computed on first use and held.  A ``k_d`` that is not a finite
-    ``(m, r)`` matrix raises ``ValueError``.
+    :meth:`gains` picks gains, :attr:`fixed` is the gain without a box (what
+    the baseline and :func:`extract_loop` take), and :meth:`step` makes one
+    pass of any number of searches at once.
     """
 
     def __init__(self, plant: StateSpacePlant, net: ReluNetwork, k_d=None, gamma_delta=None,
                  quantization: QuantizationSpec | None = None):
-        if net.input_dim != plant.r or net.output_dim != plant.m:
+        m, r, q, s = plant.m, plant.r, plant.q, plant.s
+        if net.input_dim != r or net.output_dim != m:
             raise ValueError(f"policy maps {net.input_dim}->{net.output_dim}, "
-                             f"plant needs {plant.r}->{plant.m}")
-        self.plant, self.net, self.quantization = plant, net, quantization
+                             f"plant needs {r}->{m}")
         if k_d is not None:
             # checked here, since a search whose other candidates close the
             # loop never closes it on k_d
             k_d = np.asarray(k_d, dtype=float)
-            if k_d.shape != (plant.m, plant.r):
-                raise ValueError(f"k_d has shape {k_d.shape}, expected ({plant.m}, {plant.r})")
+            if k_d.shape != (m, r):
+                raise ValueError(f"k_d has shape {k_d.shape}, expected ({m}, {r})")
             if not np.isfinite(k_d).all():
                 raise ValueError("k_d contains non-finite entries")
-        self.k_d = k_d
-        self.gamma_delta = _uncertainty_gain(plant, gamma_delta)
+        gamma_delta = np.zeros((q, s)) if gamma_delta is None else np.asarray(gamma_delta, float)
+        if gamma_delta.shape != (q, s):
+            raise ValueError(f"gamma_delta has shape {gamma_delta.shape}, expected ({q}, {s})")
+        if np.any(gamma_delta < 0):
+            raise ValueError("gamma_delta must be nonnegative")
+        self.plant, self.net, self.quantization = plant, net, quantization
+        self.k_d, self.gamma_delta = k_d, gamma_delta
 
     @functools.cached_property
     def jacobian(self) -> np.ndarray | None:
@@ -485,6 +480,12 @@ class _Loop:
             return neural.jacobian_at(self.net, np.zeros(self.net.input_dim))
         except neural.OnKink:
             return None
+
+    @functools.cached_property
+    def fixed(self) -> tuple[np.ndarray, ClosedLoopMaps] | None:
+        """The gain without a box, with its maps: the first of the Jacobian,
+        ``k_d`` and zero whose loop closes, or None when none closes."""
+        return self.gains([None])[0]
 
     def _candidates(self, midpoint):
         if midpoint is not None:
@@ -553,7 +554,7 @@ class _Loop:
                 box = Box(box.center[finite], box.radius[finite])
             midpoints = list((lb.k_u + lb.k_l) / 2.0)
         going = boxed + plain
-        picked = self.gains(midpoints + [None] * len(plain))
+        picked = self.gains(midpoints) + [self.fixed] * len(plain)
 
         # the policy bounds: over each box from its relaxation (a search whose
         # gain search failed takes zero there, and its bounds go unread), and
@@ -857,32 +858,45 @@ def baseline_certify(plant: StateSpacePlant, net: ReluNetwork,
                      ) -> tuple[BaselineResult, Quadruplet | None]:
     """Small-gain baseline with an iteratively grown validity region.
 
-    Extracts a fixed gain (Jacobian at the origin, else ``k_d``), samples the
-    residual infinity-gain over the current region, evaluates the small-gain
-    conditions and grows the region until the implied measurement bound fits
-    inside it (certified) or the conditions break (:func:`_region_scan`).
-    On success the closed form quadruplet is returned as well, and the plant
-    limits must also contain it.
+    Takes the loop's fixed gain (:attr:`_Loop.fixed`: the Jacobian at the
+    origin, else ``k_d``, else zero), samples the residual infinity-gain
+    over the current region, evaluates the small-gain conditions and grows
+    the region until the implied measurement bound fits inside it
+    (certified) or the conditions break (:func:`_region_scan`).  On success
+    the closed form quadruplet is returned as well, and the plant limits
+    must also contain it.  Without a stabilizing gain every norm is inf.
 
     The unit sample is drawn once per call and rescaled to each region, and
     the policy and the row norms are evaluated into buffers held for the
     whole region loop (:func:`_gain_sampler`); every region's gain is
-    bit-identical to :func:`sampled_linf_gain` there.
-
-    ``gamma_delta`` is checked as :func:`algorithm1` checks it and enters the
-    small-gain conditions as its largest row sum.
+    bit-identical to :func:`sampled_linf_gain` there.  The inputs are
+    checked as :func:`algorithm1` checks them, and ``gamma_delta`` enters
+    the conditions as its largest row sum (:func:`_baseline_checks`).
     """
-    w_amp = plant.w_inf if w_inf is None else float(w_inf)
-    gamma = float(np.max(np.sum(_uncertainty_gain(plant, gamma_delta), axis=1), initial=0.0))
-    try:
-        k0, maps = extract_loop(plant, net, None, k_d)
-    except NoStabilizingGain:
-        return BaselineResult(np.inf, np.inf, False, np.inf), None
-    sampler = _gain_sampler(net, k0, n_samples, seed, quantization)
-    result, quad = _region_scan(maps, sampler, gamma, w_amp)
-    if quad is not None and _outside_limits(plant, quad.x_bar, quad.y_bar, quad.u_bar):
-        return replace(result, certified=False), quad
-    return result, quad
+    check = _baseline_checks(_Loop(plant, net, k_d, gamma_delta, quantization), n_samples, seed)
+    return check(plant, plant.w_inf if w_inf is None else float(w_inf))
+
+
+def _baseline_checks(loop: _Loop, n_samples: int, seed: int) -> Callable:
+    """``(plant, w) -> (result, quadruplet)``: the baseline at level ``w`` on
+    the loop's realization with the limits of ``plant``.  Neither the gain
+    nor the region scan reads a limit, so the gain and its maps, the row sum
+    of Γ_Δ and the sampler are built once, and each distinct level is
+    scanned once (:func:`_region_scan`)."""
+    if loop.fixed is None:
+        return lambda plant, w: (BaselineResult(np.inf, np.inf, False, np.inf), None)
+    k0, maps = loop.fixed
+    gamma = float(np.max(np.sum(loop.gamma_delta, axis=1), initial=0.0))
+    sampler = _gain_sampler(loop.net, k0, n_samples, seed, loop.quantization)
+    scan = functools.cache(lambda w: _region_scan(maps, sampler, gamma, w))
+
+    def check(plant: StateSpacePlant, w: float) -> tuple[BaselineResult, Quadruplet | None]:
+        result, quad = scan(w)
+        if quad is not None and _outside_limits(plant, quad.x_bar, quad.y_bar, quad.u_bar):
+            return replace(result, certified=False), quad
+        return result, quad
+
+    return check
 
 
 def _region_scan(maps: ClosedLoopMaps, sampled_gain: Callable[[object], float],
@@ -936,30 +950,12 @@ def baseline_frontier(plant: StateSpacePlant, net: ReluNetwork,
 
     For each limit, the ``lo`` end of a :func:`_bisection`, as in
     :func:`frontier`, on :func:`baseline_certify` with that limit installed.
-    Neither the gain nor the region scan reads a limit, so the gain, its
-    loop and its sampler are built once per call, each distinct level ``w``
-    is scanned once (:func:`_region_scan`), and each limit checks the scan's
-    quadruplet against itself.  Without a stabilizing gain every level is 0.
+    The limits share one :func:`_baseline_checks`, so each distinct level
+    ``w`` is scanned once.  Without a stabilizing gain every level is 0.
     """
-    gamma = float(np.max(np.sum(_uncertainty_gain(plant, gamma_delta), axis=1), initial=0.0))
-    try:
-        k0, maps = extract_loop(plant, net, None, k_d)
-    except NoStabilizingGain:
-        def fails(limited: StateSpacePlant, w: float) -> bool:
-            return True
-    else:
-        sampler = _gain_sampler(net, k0, n_samples, seed, quantization)
-        scans: dict[float, tuple[BaselineResult, Quadruplet | None]] = {}
-
-        def fails(limited: StateSpacePlant, w: float) -> bool:
-            if w not in scans:
-                scans[w] = _region_scan(maps, sampler, gamma, w)
-            result, quad = scans[w]
-            return not result.certified or _outside_limits(limited, quad.x_bar, quad.y_bar,
-                                                           quad.u_bar)
-
+    check = _baseline_checks(_Loop(plant, net, k_d, gamma_delta, quantization), n_samples, seed)
     limited = [with_state_limit(plant, target_state, float(v)) for v in x_lim_values]
     brackets = _lockstep([_bisection(tol, _CAP_DOUBLINGS) for _ in limited],
-                         lambda asked: {i: [fails(limited[i], w) for w in levels]
+                         lambda asked: {i: [not check(limited[i], w)[0].certified for w in levels]
                                         for i, levels in asked.items()})
     return [(float(v), lo) for v, (lo, _) in zip(x_lim_values, brackets)]

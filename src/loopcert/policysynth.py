@@ -30,6 +30,11 @@ __all__ = [
 ]
 
 
+# The step size and momentum of the cloning descent.
+_LEARNING_RATE = 1e-2
+_MOMENTUM = 0.9
+
+
 class NoConvergence(RuntimeError):
     """The Riccati iteration did not reach its tolerance."""
 
@@ -103,8 +108,6 @@ class CloneConfig:
     box_radius: float | tuple = 1.0
     n_samples: int = 10_000
     steps: int = 10_000
-    learning_rate: float = 1e-2
-    momentum: float = 0.9
     seed: int = 0
 
     def __post_init__(self):
@@ -176,8 +179,8 @@ def behavior_clone(k, config: CloneConfig | None = None) -> CloneResult:
                 grad *= acts[i + 1] > 0.0
             g_w = grad.T @ acts[i]
             g_b = grad.sum(axis=0)
-            vel_w[i] = config.momentum * vel_w[i] - config.learning_rate * g_w
-            vel_b[i] = config.momentum * vel_b[i] - config.learning_rate * g_b
+            vel_w[i] = _MOMENTUM * vel_w[i] - _LEARNING_RATE * g_w
+            vel_b[i] = _MOMENTUM * vel_b[i] - _LEARNING_RATE * g_b
             if i > 0:
                 grad = np.matmul(grad, weights[i], out=grads[i - 1])
             weights[i] += vel_w[i]

@@ -289,6 +289,22 @@ class TestBatchedSimulate:
         assert err.value.rows[0] == single.steps - 1
         assert err.value.step == err.value.rows[1] < err.value.rows[0]
 
+    def test_a_dead_row_keeps_its_first_overflow(self):
+        # row 0 overflows at step 12; moved back to rest, it keeps stepping
+        # under w = 1 and overflows again at step 38, which must not move
+        # its divergence step or the start of its NaN fill
+        plant = linsys.make_plant([[10.0]], [[1.0]], b_w=[[1.0]])
+        w = np.zeros((2, 40, 1))
+        w[0] = 1.0
+        with pytest.raises(DivergedAt) as err:
+            simulate(plant, linear_policy(0.0), w, 40)
+        single = _trace_or_partial(plant, linear_policy(0.0), w[0], 40)
+        assert err.value.step == single.steps - 1 == 12
+        np.testing.assert_array_equal(err.value.rows, [12, -1])
+        for row in range(2):
+            _assert_row_matches(err.value.trace, row,
+                                _trace_or_partial(plant, linear_policy(0.0), w[row], 40))
+
     def test_unbatched_shapes_unchanged(self, scalar_loop):
         plant, net, maps = scalar_loop
         plan = design_attack(maps, 0, 30, w_inf=0.1)

@@ -994,6 +994,88 @@ class TestBaselineBuffers:
         assert run_in_threads(lambda i: run_all()) == [expected] * 4
 
 
+def _certify_bits(result) -> tuple:
+    """A CertResult as bytes: verdict, passes, gain and quadruplet."""
+    quad = result.quadruplet
+    return (result.success, result.iterations, result.failure_reason,
+            None if result.gain is None else result.gain.tobytes(),
+            None if quad is None else tuple(getattr(quad, name).tobytes() for name in (
+                "y_bar", "u_bar", "alpha_bar", "delta_bar", "x_bar")))
+
+
+# One bad input each, on the uncertain scalar plant of TestEntryPoints; the
+# other inputs are the linear policy -0.2 with no k_d and no Gamma_Delta.
+_BAD_INPUTS = {
+    "k_d of the wrong shape": dict(k_d=np.zeros((2, 1))),
+    "k_d not finite": dict(k_d=np.array([[np.inf]])),
+    "gamma_delta of the wrong shape": dict(gamma_delta=np.zeros((1, 2))),
+    "gamma_delta negative": dict(gamma_delta=np.array([[-0.1]])),
+    "net of other dimensions": dict(net=neural.mlp([(np.zeros((1, 2)), np.zeros(1))])),
+}
+
+
+class TestEntryPoints:
+    """Every route closes its loop from the same checked inputs (certify._Loop)."""
+
+    plant = linsys.make_plant([[0.5]], [[1.0]], b_w=[[1.0]], b_delta=[[1.0]],
+                              c_alpha=[[1.0]], w_inf=0.1)
+
+    @pytest.mark.parametrize("bad", list(_BAD_INPUTS))
+    def test_bad_inputs_rejected_alike(self, bad):
+        args = {"net": linear_policy(-0.2), "k_d": None, "gamma_delta": None, **_BAD_INPUTS[bad]}
+        net, k_d, gamma_delta = args["net"], args["k_d"], args["gamma_delta"]
+        sweep = dict(x_lim_values=[0.5], tol=1e-2)
+        routes = {
+            "algorithm1": lambda: algorithm1(self.plant, net, k_d, gamma_delta),
+            "frontier": lambda: frontier(self.plant, net, k_d, gamma_delta, **sweep),
+            "baseline_certify": lambda: baseline_certify(self.plant, net, k_d, gamma_delta,
+                                                         n_samples=64),
+            "baseline_frontier": lambda: baseline_frontier(self.plant, net, k_d, gamma_delta,
+                                                           **sweep, n_samples=64),
+        }
+        if gamma_delta is None:  # extract_loop takes no Gamma_Delta
+            routes["extract_loop"] = lambda: certify.extract_loop(self.plant, net, None, k_d)
+        messages = {}
+        for name, call in routes.items():
+            with pytest.raises(ValueError) as err:
+                call()
+            messages[name] = str(err.value)
+        assert len(set(messages.values())) == 1, messages
+
+    def test_certify_baseline_and_attack_routes_match_serial_in_threads(self, monkeypatch):
+        # the README promises thread safety; the threads share a memo small
+        # enough that they evict each other's loops
+        loops = [(self.plant, linear_policy(-0.2), np.array([[0.3]]))]
+        for seed in (11, 15, 35):
+            rng = np.random.default_rng(seed)
+            plant = random_stable_plant(rng, with_uncertainty=True)
+            net = random_relu_net(rng, d_in=plant.r, d_out=plant.m)
+            loops.append((plant, net, 0.1 * np.abs(rng.normal(size=(plant.q, plant.s)))))
+
+        def run_all():
+            certified, baseline, attacked = [], [], []
+            for plant, net, gamma in loops:
+                for w in (0.01, 0.3):
+                    certified.append(_certify_bits(algorithm1(plant, net, gamma_delta=gamma,
+                                                              w_inf=w)))
+                    result, quad = baseline_certify(plant, net, gamma_delta=gamma, w_inf=w,
+                                                    n_samples=256, seed=3)
+                    baseline.append((repr(result), quad and quad.x_bar.tobytes()))
+                _, maps = certify.extract_loop(plant, net, None, None)
+                attacked.append(np.array(attack.violation_levels(
+                    plant, net, maps, range(plant.n), 60, [0.05, 0.5, np.inf], 1e-2,
+                    None)).tobytes())
+            return certified, baseline, attacked
+
+        _empty_memo(monkeypatch)
+        expected = run_all()
+        certified, baseline, _ = expected
+        assert any(bits[0] for bits in certified) and not all(bits[0] for bits in certified)
+        assert any("certified=True" in text for text, _ in baseline)
+        _empty_memo(monkeypatch, size=4)
+        assert run_in_threads(lambda i: run_all()) == [expected] * 4
+
+
 class TestPolicyBoundsPath:
     def test_first_pass_uses_exact_origin_value(self):
         # a policy with pi(0) != 0 forces a nonzero floor on the first pass:

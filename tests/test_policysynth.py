@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from loopcert import linsys, neural
+from loopcert import linsys, neural, policysynth
 from loopcert.policysynth import (
     CloneConfig,
     LqrSpec,
@@ -132,8 +132,8 @@ def reference_clone(k, config):
                 grad = grad * (pres[i] > 0.0)
             g_w = grad.T @ acts[i]
             g_b = grad.sum(axis=0)
-            vel_w[i] = config.momentum * vel_w[i] - config.learning_rate * g_w
-            vel_b[i] = config.momentum * vel_b[i] - config.learning_rate * g_b
+            vel_w[i] = policysynth._MOMENTUM * vel_w[i] - policysynth._LEARNING_RATE * g_w
+            vel_b[i] = policysynth._MOMENTUM * vel_b[i] - policysynth._LEARNING_RATE * g_b
             if i > 0:
                 grad = grad @ weights[i]
             weights[i] = weights[i] + vel_w[i]
