@@ -52,6 +52,8 @@ class LqrSpec:
         for name, mat in (("q", q), ("r", r)):
             if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
                 raise ValueError(f"{name} must be square")
+            if not np.all(np.isfinite(mat)):
+                raise ValueError(f"{name} must be finite")
             if np.max(np.abs(mat - mat.T), initial=0.0) > 1e-12:
                 raise ValueError(f"{name} must be symmetric")
         if np.any(np.linalg.eigvalsh(r) <= 0):
@@ -101,6 +103,7 @@ class CloneConfig:
     """Behavior-cloning hyperparameters.
 
     ``hidden`` lists the ReLU layer widths; a linear output layer is appended.
+    ``box_radius`` is one finite positive radius, or one per input.
     Sampling and initialization are driven entirely by ``seed``.
     """
 
@@ -115,6 +118,9 @@ class CloneConfig:
             raise ValueError("hidden widths must be >= 1")
         if self.n_samples < 1 or self.steps < 1:
             raise ValueError("n_samples and steps must be >= 1")
+        radius = np.asarray(self.box_radius, dtype=float)
+        if radius.ndim > 1 or not np.all(np.isfinite(radius) & (radius > 0)):
+            raise ValueError(f"box_radius entries must be finite and > 0, got {self.box_radius}")
 
 
 @dataclass(frozen=True)
@@ -138,15 +144,20 @@ def behavior_clone(k, config: CloneConfig | None = None) -> CloneResult:
     Minimizes the mean squared error over a fixed sample of inputs drawn
     uniformly from the configured box, by full-batch gradient descent with
     momentum.  Deterministic for a fixed config.  The row-sized activations
-    and gradients live in buffers allocated once per call; each step runs
-    the same products and ufuncs in the same order as on fresh arrays, so
-    the result is bit-identical to that.
+    and gradients live in buffers allocated once per call, and the momentum
+    is updated in place.  Each step rounds every sum and product in the same
+    order as the plain ``grad.sum(axis=0)``, ``grad @ W`` and
+    ``v = mu * v - lr * g`` on fresh arrays, so the result is bit-identical
+    to that.
     """
     config = config or CloneConfig()
     k = np.asarray(k, dtype=float)
     m, n = k.shape
     rng = np.random.default_rng(config.seed)
-    radius = np.broadcast_to(np.asarray(config.box_radius, dtype=float), (n,))
+    radius = np.asarray(config.box_radius, dtype=float)
+    if radius.ndim == 1 and radius.size != n:
+        raise ValueError(f"box_radius has {radius.size} entries; the gain has {n} inputs")
+    radius = np.broadcast_to(radius, (n,))
     inputs = rng.uniform(-radius, radius, size=(config.n_samples, n))
     raw_targets = inputs @ (-k.T)
     # Regress against per-output standardized targets so the fixed learning
@@ -178,11 +189,19 @@ def behavior_clone(k, config: CloneConfig | None = None) -> CloneResult:
                 # relu(pre) > 0 exactly where pre > 0
                 grad *= acts[i + 1] > 0.0
             g_w = grad.T @ acts[i]
-            g_b = grad.sum(axis=0)
-            vel_w[i] = _MOMENTUM * vel_w[i] - _LEARNING_RATE * g_w
-            vel_b[i] = _MOMENTUM * vel_b[i] - _LEARNING_RATE * g_b
+            # The bits of grad.sum(axis=0) and grad @ weights[i], faster:
+            # einsum adds rows in sum's order, vectorized across columns.  A
+            # one-wide grad is special: sum is pairwise there, so it stays, and
+            # the product is an outer product, which broadcasting forms faster.
+            one_wide = grad.shape[1] == 1
+            g_b = grad.sum(axis=0) if one_wide else np.einsum("ij->j", grad)
+            vel_w[i] *= _MOMENTUM
+            vel_w[i] -= _LEARNING_RATE * g_w
+            vel_b[i] *= _MOMENTUM
+            vel_b[i] -= _LEARNING_RATE * g_b
             if i > 0:
-                grad = np.matmul(grad, weights[i], out=grads[i - 1])
+                product = np.multiply if one_wide else np.matmul
+                grad = product(grad, weights[i], out=grads[i - 1])
             weights[i] += vel_w[i]
             biases[i] += vel_b[i]
 

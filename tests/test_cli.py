@@ -502,6 +502,30 @@ class TestTrainPolicyAndLqr:
         meta = json.loads(out.read_text())["metadata"]
         assert meta["seed"] == 2
 
+    @pytest.mark.parametrize("radius", ["nan", "inf", "0", "-1", "1,1,nan,1", "1,1"])
+    def test_bad_radius_exits_cleanly(self, tmp_path, capsys, radius):
+        out = tmp_path / "pol.json"
+        code = main(["train-policy", "--plant", "cartpole", "--steps", "1", "--samples", "10",
+                     f"--radius={radius}", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR
+        assert err.startswith("error: box_radius ") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, name", [(["--r", "nan"], "r"), (["--r", "inf"], "r"),
+                                            (["--q-diag", "1,inf,1,1"], "q"),
+                                            (["--q-diag", "1,1,nan,1"], "q")])
+    @pytest.mark.parametrize("command", ["lqr", "train-policy"])
+    def test_non_finite_lqr_weights_are_a_usage_error(self, tmp_path, capsys, command, argv,
+                                                      name):
+        # not "Riccati iteration did not converge", which would blame the plant
+        out = tmp_path / "out.json"
+        code = main([command, "--plant", "cartpole", *argv, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR
+        assert err == f"error: {name} must be finite\n"
+        assert not out.exists()
+
 
 class TestDegrees:
     def test_degrees_converts_only_at_the_boundary(self, tmp_path):

@@ -57,6 +57,16 @@ class TestDare:
         with pytest.raises(ValueError):
             LqrSpec(q=np.eye(2), r=[[0.0]])  # not positive definite
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_are_rejected_first(self, bad):
+        # nan <= 0 is False, so a NaN R would pass the definiteness check and
+        # fail later as a plant that cannot be stabilized; an inf in Q would
+        # warn in the symmetry check (pytest makes that an error here)
+        with pytest.raises(ValueError, match="^r must be finite"):
+            dare_solve([[1.0]], [[1.0]], [[1.0]], [[bad]])
+        with pytest.raises(ValueError, match="^q must be finite"):
+            dare_solve(np.eye(2), np.eye(2), np.diag([1.0, bad]), np.eye(2))
+
 
 class TestBehaviorClone:
     def test_linear_map_default_budget(self):
@@ -84,6 +94,19 @@ class TestBehaviorClone:
         result = behavior_clone(np.array([[1.0, 0.5]]), config)
         np.testing.assert_allclose(neural.evaluate(result.net, np.zeros(2)),
                                    np.zeros(1), atol=1e-15)
+
+    @pytest.mark.parametrize("radius", [np.nan, np.inf, -np.inf, 0.0, -1.0,
+                                        (1.0, np.nan), (1.0, 0.0), ((1.0, 1.0),)])
+    def test_radius_must_be_finite_and_positive(self, radius):
+        with pytest.raises(ValueError, match="box_radius entries must be finite and > 0"):
+            CloneConfig(box_radius=radius)
+
+    @pytest.mark.parametrize("radius", [(), (1.0,), (1.0, 1.0, 1.0)])
+    def test_radius_list_must_match_the_inputs(self, radius):
+        config = CloneConfig(hidden=(2,), box_radius=radius, n_samples=10, steps=1)
+        with pytest.raises(ValueError,
+                           match=rf"box_radius has {len(radius)} entries; the gain has 2 inputs"):
+            behavior_clone(np.ones((1, 2)), config)
 
     def test_cartpole_clone_jacobian_and_stability(self, cartpole, lqr_gain,
                                                    cloned_policy):
@@ -154,8 +177,9 @@ def assert_same_clone(result, weights, biases, mse):
 
 
 class TestCloneBuffers:
-    @pytest.mark.parametrize("m", [1, 2])
-    @pytest.mark.parametrize("hidden", [(3,), (8, 8), (16, 16, 16)])
+    # m = 1 and the hidden width 1 take the one-wide branches, the rest einsum's
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("hidden", [(3,), (8, 8), (16, 16, 16), (1,), (5, 1, 7)])
     def test_bit_identical_to_fresh_arrays(self, m, hidden):
         for seed in (0, 4, 9):
             k = np.random.default_rng(50 + seed).normal(size=(m, 3))
@@ -169,6 +193,16 @@ class TestCloneBuffers:
         config = CloneConfig(hidden=(16, 16, 16), box_radius=(1.0, 1.0, 0.25, 0.6),
                              n_samples=4000, steps=8, seed=7)
         assert_same_clone(behavior_clone(k, config), *reference_clone(k, config))
+
+    @pytest.mark.parametrize("rows", [1, 2, 7, 300, 4000, 10_000])
+    @pytest.mark.parametrize("width", [2, 3, 16, 33])
+    def test_einsum_column_sums_are_sum_bit_for_bit(self, rows, width):
+        # behavior_clone takes its bias gradients from np.einsum("ij->j", g)
+        # because it adds in the order of g.sum(axis=0), only faster.  If a
+        # numpy upgrade reorders either sum, this fails before the clones change.
+        rng = np.random.default_rng(rows * 100 + width)
+        g = rng.normal(size=(rows, width)) * 10.0 ** rng.uniform(-12, 12, size=(rows, width))
+        assert np.einsum("ij->j", g).tobytes() == g.sum(axis=0).tobytes()
 
     def test_concurrent_clones_match_sequential(self):
         # the buffers are per call, so threads cloning at once cannot mix them
