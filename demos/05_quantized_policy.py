@@ -29,8 +29,8 @@ for radius in (0.1, 0.01, 0.001):
 print("-> diverges like (step/2)/radius; no finite local gain exists")
 
 limited = certify.with_state_limit(cartpole, 2, 0.5)
-result, _ = certify.baseline_certify(limited, policy, -lqr_k, w_inf=2e-4,
-                                     quantization=quantizer, n_samples=4096, seed=11)
+result = certify.baseline_certify(limited, policy, -lqr_k, w_inf=2e-4,
+                                  quantization=quantizer, n_samples=4096, seed=11)
 print(f"\nsmall-gain baseline: beta2 = {result.beta2:.1f} -> certified: {result.certified}")
 
 for quant, label in ((None, "exact output"), (quantizer, "quantized output")):

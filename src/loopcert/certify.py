@@ -37,9 +37,9 @@ from .linsys import (
     ClosedLoopMaps,
     NotSchurStable,
     StateSpacePlant,
-    _block_slices,
     close_loops,
     hinf_norm,
+    implied_bounds,
 )
 from .neural import Box, LinearBounds, QuantizationSpec, ReluNetwork
 
@@ -145,6 +145,8 @@ class BaselineResult:
     positive ``certified`` here is an estimate, not a certificate.  On a
     region where the policy equals its gain ``K0``, ``gamma_pi`` and
     ``beta2`` measure rounding (see :func:`sampled_linf_gain`).
+    ``quadruplet`` is the scan's closed-form box with its ``x_bar`` when the
+    scan certified; if the plant limits reject it, ``certified`` is False.
     """
 
     beta1: float
@@ -152,13 +154,14 @@ class BaselineResult:
     certified: bool
     y_inf_implied: float
     gamma_pi: float = float("nan")
+    quadruplet: Quadruplet | None = None
 
     def to_dict(self) -> dict:
-        """The result as strict JSON values: a non-finite number is None (null)."""
+        """Strict JSON values (a non-finite number is None), then the box's ``x_bar``."""
         def number(v):
             return float(v) if np.isfinite(v) else None
 
-        return {
+        obj = {
             "beta1": number(self.beta1),
             "beta2": number(self.beta2),
             "certified": bool(self.certified),
@@ -166,6 +169,10 @@ class BaselineResult:
             "gamma_pi_sampled": number(self.gamma_pi),
             "note": "gamma_pi is a sampled lower bound; a positive result is not a certificate",
         }
+        quad = self.quadruplet
+        if quad is not None and quad.x_bar is not None:
+            obj["x_bar"] = [float(v) for v in quad.x_bar]
+        return obj
 
 
 def check_theorem1(maps: ClosedLoopMaps, quad: Quadruplet, w_bar) -> tuple[bool, np.ndarray]:
@@ -177,7 +184,8 @@ def check_theorem1(maps: ClosedLoopMaps, quad: Quadruplet, w_bar) -> tuple[bool,
         abs(Phi_aw) w_bar + abs(Phi_au) u_bar + abs(Phi_adelta) delta_bar <= alpha_bar
 
     elementwise.  Returns ``(holds, x_bar)`` with ``x_bar`` the matching
-    state bound ``abs(Phi_xw) w_bar + abs(Phi_xu) u_bar + abs(Phi_xd) d_bar``.
+    state bound ``abs(Phi_xw) w_bar + abs(Phi_xu) u_bar + abs(Phi_xd) d_bar``,
+    all three from :func:`linsys.implied_bounds`.
     """
     w_bar = np.asarray(w_bar, dtype=float)
     _, m, p, q, r, s = maps.dims
@@ -185,29 +193,10 @@ def check_theorem1(maps: ClosedLoopMaps, quad: Quadruplet, w_bar) -> tuple[bool,
         raise ValueError("quadruplet dimensions do not match the maps")
     if (quad.y_bar.shape, quad.alpha_bar.shape) != ((r,), (s,)):
         raise ValueError("quadruplet dimensions do not match the maps")
-    x_bar, y_out, a_out = _implied_bounds(maps.abs_stack, maps.dims, w_bar, quad.u_bar,
-                                          quad.delta_bar)
+    x_bar, y_out, a_out = implied_bounds(maps.abs_stack, maps.dims, w_bar, quad.u_bar,
+                                         quad.delta_bar)
     holds = bool(np.all(y_out <= quad.y_bar) and np.all(a_out <= quad.alpha_bar))
     return holds, x_bar
-
-
-def _implied_bounds(abs_stack: np.ndarray, dims: tuple, w_bar, u_bar, delta_bar):
-    """``(x_bar, y_bar, alpha_bar)`` implied by bounds on ``(w, u0, delta)``.
-
-    Each is ``|Phi_w| w_bar + |Phi_u| u_bar + |Phi_delta| delta_bar``, read
-    from the blocks of a loop's ``abs_stack`` (``dims`` as in
-    :class:`ClosedLoopMaps`).  A ``(B, rows, cols)`` stack of B loops takes
-    ``(B, ·)`` bounds, a row per loop, and gives each loop's bounds as it
-    alone would.
-    """
-    blocks = _block_slices(*dims)
-
-    def apply(name: str, bar) -> np.ndarray:
-        return (abs_stack[(..., *blocks[name])] @ bar[..., None])[..., 0]
-
-    rows = (("xw", "xu", "xdelta"), ("yw", "yu", "ydelta"),
-            ("alpha_w", "alpha_u", "alpha_delta"))
-    return tuple(apply(w, w_bar) + apply(u, u_bar) + apply(d, delta_bar) for w, u, d in rows)
 
 
 def _betas(norm: Callable[[str], float], gamma_pi: float,
@@ -577,9 +566,8 @@ class _Loop:
         closed, gains, maps, u0_bar, u_bar = zip(*closed)
         alpha_ref = np.array([s.alpha_ref for s in closed])
         delta_bar = (self.gamma_delta @ alpha_ref[..., None])[..., 0]
-        implied = _implied_bounds(np.array([m.abs_stack for m in maps]), maps[0].dims,
-                                  np.array([s.w_bar for s in closed]), np.array(u0_bar),
-                                  delta_bar)
+        implied = implied_bounds(np.array([m.abs_stack for m in maps]), maps[0].dims,
+                                 [s.w_bar for s in closed], u0_bar, delta_bar)
         for i, s in enumerate(closed):
             s.result = s.verdict(gains[i], *(v[i] for v in implied), u_bar[i], delta_bar[i])
 
@@ -854,17 +842,17 @@ def baseline_certify(plant: StateSpacePlant, net: ReluNetwork,
                      gamma_delta: np.ndarray | None = None, *,
                      w_inf: float | None = None,
                      quantization: QuantizationSpec | None = None,
-                     n_samples: int = 4096, seed: int = 0
-                     ) -> tuple[BaselineResult, Quadruplet | None]:
+                     n_samples: int = 4096, seed: int = 0) -> BaselineResult:
     """Small-gain baseline with an iteratively grown validity region.
 
     Takes the loop's fixed gain (:attr:`_Loop.fixed`: the Jacobian at the
     origin, else ``k_d``, else zero), samples the residual infinity-gain
     over the current region, evaluates the small-gain conditions and grows
     the region until the implied measurement bound fits inside it
-    (certified) or the conditions break (:func:`_region_scan`).  On success
-    the closed form quadruplet is returned as well, and the plant limits
-    must also contain it.  Without a stabilizing gain every norm is inf.
+    (certified) or the conditions break (:func:`_region_scan`).  When the
+    scan certifies, the result carries the closed-form quadruplet with its
+    ``x_bar``, and the plant limits must also contain it.  Without a
+    stabilizing gain every norm is inf.
 
     The unit sample is drawn once per call and rescaled to each region, and
     the policy and the row norms are evaluated into buffers held for the
@@ -878,33 +866,34 @@ def baseline_certify(plant: StateSpacePlant, net: ReluNetwork,
 
 
 def _baseline_checks(loop: _Loop, n_samples: int, seed: int) -> Callable:
-    """``(plant, w) -> (result, quadruplet)``: the baseline at level ``w`` on
-    the loop's realization with the limits of ``plant``.  Neither the gain
-    nor the region scan reads a limit, so the gain and its maps, the row sum
-    of Γ_Δ and the sampler are built once, and each distinct level is
-    scanned once (:func:`_region_scan`)."""
+    """``(plant, w) -> result``: the baseline at level ``w`` on the loop's
+    realization with the limits of ``plant``.  Neither the gain nor the
+    region scan reads a limit, so the gain and its maps, the row sum of Γ_Δ
+    and the sampler are built once, and each distinct level is scanned once
+    (:func:`_region_scan`)."""
     if loop.fixed is None:
-        return lambda plant, w: (BaselineResult(np.inf, np.inf, False, np.inf), None)
+        return lambda plant, w: BaselineResult(np.inf, np.inf, False, np.inf)
     k0, maps = loop.fixed
     gamma = float(np.max(np.sum(loop.gamma_delta, axis=1), initial=0.0))
     sampler = _gain_sampler(loop.net, k0, n_samples, seed, loop.quantization)
     scan = functools.cache(lambda w: _region_scan(maps, sampler, gamma, w))
 
-    def check(plant: StateSpacePlant, w: float) -> tuple[BaselineResult, Quadruplet | None]:
-        result, quad = scan(w)
+    def check(plant: StateSpacePlant, w: float) -> BaselineResult:
+        result = scan(w)
+        quad = result.quadruplet
         if quad is not None and _outside_limits(plant, quad.x_bar, quad.y_bar, quad.u_bar):
-            return replace(result, certified=False), quad
-        return result, quad
+            return replace(result, certified=False)
+        return result
 
     return check
 
 
 def _region_scan(maps: ClosedLoopMaps, sampled_gain: Callable[[object], float],
-                 gamma: float, w_amp: float) -> tuple[BaselineResult, Quadruplet | None]:
+                 gamma: float, w_amp: float) -> BaselineResult:
     """The region loop of :func:`baseline_certify`, which reads no plant limit:
-    the last region's result, and the quadruplet with ``x_bar`` if it certified.
-    At most ``_REGION_ITER`` regions are tried; when ``beta1 >= 1`` only the
-    region the scan would end on is sampled."""
+    the last region's result, holding the quadruplet with ``x_bar`` if it
+    certified.  At most ``_REGION_ITER`` regions are tried; when ``beta1 >= 1``
+    only the region the scan would end on is sampled."""
     # Region search: the sampled gain is large both on tiny regions (any
     # policy offset at the origin dominates) and on huge ones (saturation),
     # so scan upward and keep the first region that closes all conditions.
@@ -932,12 +921,12 @@ def _region_scan(maps: ClosedLoopMaps, sampled_gain: Callable[[object], float],
         if y_inf > 1e9:
             break
     if not result.certified:
-        return result, None
+        return result
 
     quad = constructive_quadruplet(maps, result.gamma_pi, gamma, w_amp)
-    x_bar = _implied_bounds(maps.abs_stack, maps.dims, np.full(maps.dims[2], w_amp), quad.u_bar,
-                            quad.delta_bar)[0]
-    return result, replace(quad, x_bar=x_bar)
+    x_bar = implied_bounds(maps.abs_stack, maps.dims, np.full(maps.dims[2], w_amp), quad.u_bar,
+                           quad.delta_bar)[0]
+    return replace(result, quadruplet=replace(quad, x_bar=x_bar))
 
 
 def baseline_frontier(plant: StateSpacePlant, net: ReluNetwork,
@@ -949,13 +938,15 @@ def baseline_frontier(plant: StateSpacePlant, net: ReluNetwork,
     """Largest attack level the small-gain baseline accepts, per limit.
 
     For each limit, the ``lo`` end of a :func:`_bisection`, as in
-    :func:`frontier`, on :func:`baseline_certify` with that limit installed.
-    The limits share one :func:`_baseline_checks`, so each distinct level
-    ``w`` is scanned once.  Without a stabilizing gain every level is 0.
+    :func:`frontier`, on the ``certified`` of :func:`baseline_certify` with
+    that limit installed.  The limits share one :func:`_baseline_checks`, so
+    each distinct level ``w`` is scanned once and each limit is checked
+    against the box its result carries.  Without a stabilizing gain every
+    level is 0.
     """
     check = _baseline_checks(_Loop(plant, net, k_d, gamma_delta, quantization), n_samples, seed)
     limited = [with_state_limit(plant, target_state, float(v)) for v in x_lim_values]
     brackets = _lockstep([_bisection(tol, _CAP_DOUBLINGS) for _ in limited],
-                         lambda asked: {i: [not check(limited[i], w)[0].certified for w in levels]
+                         lambda asked: {i: [not check(limited[i], w).certified for w in levels]
                                         for i, levels in asked.items()})
     return [(float(v), lo) for v, (lo, _) in zip(x_lim_values, brackets)]

@@ -138,12 +138,8 @@ def cmd_certify(args) -> int:
 
 def cmd_baseline(args) -> int:
     plant, net, _, lib = _loop(args, args.x_lim, args.w_inf, args.target_state)
-    result, quad = certify.baseline_certify(plant, net, **lib, n_samples=args.samples,
-                                            seed=args.seed)
-    obj = result.to_dict()
-    if quad is not None and quad.x_bar is not None:
-        obj["x_bar"] = [float(v) for v in quad.x_bar]
-    _write_json(args.out, obj)
+    result = certify.baseline_certify(plant, net, **lib, n_samples=args.samples, seed=args.seed)
+    _write_json(args.out, result.to_dict())
     return EXIT_OK if result.certified else EXIT_NEGATIVE
 
 
@@ -271,8 +267,9 @@ def cmd_train_policy(args) -> int:
     config = policysynth.CloneConfig(hidden=hidden, box_radius=radius,
                                      n_samples=args.samples, steps=args.steps,
                                      seed=args.seed)
+    # checked before the clone trains: a bad step fails at once
+    quant = None if args.quantize is None else neural.QuantizationSpec(args.quantize)
     result = policysynth.behavior_clone(k, config)
-    quant = neural.QuantizationSpec(args.quantize) if args.quantize else None
     metadata = {
         "teacher": "lqr",
         "mse": result.mse,
@@ -386,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--steps", type=int, default=10000)
     p.add_argument("--quantize", type=float, default=None,
-                   help="attach an output quantization step to the policy file")
+                   help="attach an output quantization step (finite, > 0) to the policy file")
 
     command("lqr", cmd_lqr, "discrete LQR gain and value matrix", [plant, lqr, out])
     return parser

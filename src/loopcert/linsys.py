@@ -56,6 +56,7 @@ __all__ = [
     "hinf_norm",
     "close_loop",
     "close_loops",
+    "implied_bounds",
     "load_plant",
     "save_plant",
     "plant_to_dict",
@@ -639,14 +640,31 @@ _MAP_BLOCKS = {
 
 
 @functools.lru_cache(maxsize=None)
-def _block_slices(n: int, m: int, p: int, q: int, r: int, s: int) -> dict:
-    """(row, column) slices of each map in the stacked map.
+def _layout(dims: tuple) -> dict:
+    """Slices of the stacked map of a loop of ``dims``: the rows of each output (x, y,
+    alpha), the columns of each input (u, w, delta) and the (rows, columns) of each map."""
+    n, m, p, q, r, s = dims
+    table = {"x": slice(0, n), "y": slice(n, n + r), "alpha": slice(n + r, n + r + s),
+             "u": slice(0, m), "w": slice(m, m + p), "delta": slice(m + p, m + p + q)}
+    return table | {name: (table[out], table[inp]) for name, (out, inp) in _MAP_BLOCKS.items()}
 
-    Rows stack the outputs (x, y, alpha), columns the inputs (u, w, delta).
-    """
-    rows = {"x": slice(0, n), "y": slice(n, n + r), "alpha": slice(n + r, n + r + s)}
-    cols = {"u": slice(0, m), "w": slice(m, m + p), "delta": slice(m + p, m + p + q)}
-    return {name: (rows[out], cols[inp]) for name, (out, inp) in _MAP_BLOCKS.items()}
+
+def implied_bounds(abs_stack: np.ndarray, dims: tuple, w_bar, u_bar, delta_bar) -> tuple:
+    """The product of Theorem 1: ``(x_bar, y_bar, alpha_bar)`` implied by bounds on
+    ``(w, u0, delta)``, each ``|Phi_w| w_bar + |Phi_u| u_bar + |Phi_delta| delta_bar``
+    added in that order, from a loop's ``abs_stack`` (``dims`` as in
+    :class:`ClosedLoopMaps`).  A ``(B, rows, cols)`` stack of B loops takes
+    ``(B, ·)`` bounds and gives each loop's bounds as it alone would."""
+    layout = _layout(dims)
+    bars = [(layout[inp], np.asarray(bar, dtype=float))
+            for inp, bar in (("w", w_bar), ("u", u_bar), ("delta", delta_bar))]
+
+    def bound(rows: slice) -> np.ndarray:
+        w, u, delta = ((abs_stack[..., rows, cols] @ bar[..., None])[..., 0]
+                       for cols, bar in bars)
+        return w + u + delta
+
+    return tuple(bound(layout[out]) for out in ("x", "y", "alpha"))
 
 
 @dataclass(frozen=True)
@@ -664,7 +682,7 @@ class ClosedLoopMaps:
     columns.  ``abs_stack`` is the :func:`abs_transfer` of its truncated
     impulse response at ``EPS_TRUNC``, whose uniform tail bound is
     ``tail_bound``.  ``dims`` is ``(n, m, p, q, r, s)``, which fixes where
-    each block sits (:func:`_block_slices`).
+    each block sits in the one table of that layout (:func:`_layout`).
 
     The impulse response itself is not held: its size grows with the
     horizon, and certification reads only ``abs_stack``.  :meth:`response`
@@ -675,8 +693,7 @@ class ClosedLoopMaps:
     name reads as an attribute (``maps.xw``), the block of :meth:`response`,
     so every such read marches the loop once; :meth:`abs_block`,
     :meth:`l1` and :meth:`realization` take the name as an argument and
-    march nothing.  The block slices are built once per closure, and each
-    L1 norm is summed on its first read.
+    march nothing.  Each L1 norm is summed on its first read.
     """
 
     a_cl: np.ndarray
@@ -686,21 +703,13 @@ class ClosedLoopMaps:
     tail_bound: float
     abs_stack: np.ndarray
     dims: tuple[int, int, int, int, int, int]
-    _blocks: dict = field(init=False, repr=False, compare=False)
-    _l1: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_blocks", _block_slices(*self.dims))
-        object.__setattr__(self, "_l1", {})
-
-    def _slices(self, which: str) -> tuple[slice, slice]:
-        return self._blocks[which]
+    _l1: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __getattr__(self, name: str) -> TruncatedTransferMatrix:
         # only reached when normal lookup fails, i.e. for the nine map names
         if name not in _MAP_BLOCKS:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        return self.response().block(*self._slices(name))
+        return self.response().block(*_layout(self.dims)[name])
 
     def response(self) -> TruncatedTransferMatrix:
         """The stacked truncated impulse response, marched again on each call."""
@@ -708,7 +717,7 @@ class ClosedLoopMaps:
 
     def abs_block(self, which: str) -> np.ndarray:
         """``abs_transfer`` of one of the nine maps, as a block of ``abs_stack``."""
-        return self.abs_stack[self._slices(which)]
+        return self.abs_stack[_layout(self.dims)[which]]
 
     def l1(self, which: str) -> float:
         """:func:`l1_norm` of one of the nine maps, read from ``abs_stack``.
@@ -725,7 +734,7 @@ class ClosedLoopMaps:
 
     def realization(self, which: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """State-space quadruple (A, B, C, D) of one of the nine maps."""
-        rows, cols = self._slices(which)
+        rows, cols = _layout(self.dims)[which]
         return self.a_cl, self.bc[:, cols], self.cc[rows], self.dc[rows, cols]
 
 
@@ -756,31 +765,31 @@ def close_loops(plant: StateSpacePlant, gains) -> list:
     (:func:`_abs_response`).  The march's terms go straight into
     ``abs_stack`` as they come, so no response is held whole (see
     :class:`ClosedLoopMaps`).  Each loop's maps equal closing it alone bit
-    for bit.
+    for bit.  The blocks are written where :func:`_layout` puts them.
     """
     gains = np.asarray(gains, dtype=float)
-    dims = n, m, p, q, r, s = plant.n, plant.m, plant.p, plant.q, plant.r, plant.s
+    dims = n, m, _, _, r, _ = plant.n, plant.m, plant.p, plant.q, plant.r, plant.s
     if gains.ndim != 3 or gains.shape[1:] != (m, r):
         raise ValueError(f"k0 has shape {gains.shape[1:]}, expected ({m}, {r})")
     if not np.all(np.isfinite(gains)):
         raise ValueError("k0 contains non-finite entries")
     count = len(gains)
 
-    blocks = _block_slices(*dims)
+    layout = _layout(dims)
     b_k = plant.b @ gains
     a_cl = plant.a + b_k @ plant.c
-    bc = np.empty((count, n, m + p + q))
-    bc[:, :, :m] = plant.b
-    bc[:, :, m:m + p] = b_k @ plant.d_w + plant.b_w
-    bc[:, :, m + p:] = plant.b_delta
-    cc = np.empty((count, n + r + s, n))
-    cc[:, :n] = np.eye(n)
-    cc[:, n:n + r] = plant.c
-    cc[:, n + r:] = plant.c_alpha + plant.d_alpha_u @ gains @ plant.c
-    dc = np.zeros((count, n + r + s, m + p + q))
-    dc[(slice(None), *blocks["yw"])] = plant.d_w
-    dc[(slice(None), *blocks["alpha_u"])] = plant.d_alpha_u
-    dc[(slice(None), *blocks["alpha_w"])] = plant.d_alpha_u @ gains @ plant.d_w + plant.d_alpha_w
+    bc = np.empty((count, n, layout["delta"].stop))
+    bc[..., layout["u"]] = plant.b
+    bc[..., layout["w"]] = b_k @ plant.d_w + plant.b_w
+    bc[..., layout["delta"]] = plant.b_delta
+    cc = np.empty((count, layout["alpha"].stop, n))
+    cc[:, layout["x"]] = np.eye(n)
+    cc[:, layout["y"]] = plant.c
+    cc[:, layout["alpha"]] = plant.c_alpha + plant.d_alpha_u @ gains @ plant.c
+    dc = np.zeros((count, cc.shape[1], bc.shape[2]))
+    dc[(..., *layout["yw"])] = plant.d_w
+    dc[(..., *layout["alpha_u"])] = plant.d_alpha_u
+    dc[(..., *layout["alpha_w"])] = plant.d_alpha_u @ gains @ plant.d_w + plant.d_alpha_w
 
     sums, tails, errors = _abs_response(a_cl, bc, cc, dc)
     return [error if error is not None
@@ -844,9 +853,10 @@ def plant_from_dict(obj: dict) -> tuple[StateSpacePlant, np.ndarray | None]:
 
 
 def save_plant(path, plant: StateSpacePlant, gamma_delta: np.ndarray | None = None) -> None:
+    """Write strict JSON: an infinite ``w_inf`` raises ValueError before the file opens."""
+    text = json.dumps(plant_to_dict(plant, gamma_delta), indent=1, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(plant_to_dict(plant, gamma_delta), fh, indent=1)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_plant(path) -> tuple[StateSpacePlant, np.ndarray | None]:

@@ -165,8 +165,8 @@ class QuantizationSpec:
     step: float
 
     def __post_init__(self):
-        if not self.step > 0:
-            raise ValueError("quantization step must be positive")
+        if not 0 < self.step < np.inf:
+            raise ValueError(f"quantization step must be finite and positive, got {self.step}")
         object.__setattr__(self, "step", float(self.step))
 
     def apply(self, u: np.ndarray) -> np.ndarray:
@@ -452,9 +452,10 @@ def policy_from_dict(obj: dict) -> tuple[ReluNetwork, QuantizationSpec | None]:
 
 def save_policy(path, net: ReluNetwork, quantization: QuantizationSpec | None = None,
                 metadata: dict | None = None) -> None:
+    """Write strict JSON: a non-finite number raises ValueError before the file opens."""
+    text = json.dumps(policy_to_dict(net, quantization, metadata), indent=1, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(policy_to_dict(net, quantization, metadata), fh, indent=1)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_policy(path) -> tuple[ReluNetwork, QuantizationSpec | None]:

@@ -712,6 +712,43 @@ class TestWithStateLimit:
         assert np.all(certify.with_state_limit(cartpole, None, 0.01).x_lim == 0.01)
 
 
+class TestExtractGain:
+    """The gain over a non-degenerate box: the relaxation midpoint first."""
+
+    def test_linear_policy_takes_the_relaxation_midpoint(self, monkeypatch):
+        plant = linsys.make_plant(0.5 * np.eye(2), [[1.0], [0.5]], b_w=np.eye(2))
+        net = neural.mlp([(np.array([[-0.2, 0.1]]), np.array([0.05]))])
+        box = neural.Box(np.array([0.1, -0.2]), np.array([0.3, 0.7]))
+        relaxed = []
+        real = neural.linear_relaxation
+
+        def spy(net, box):
+            relaxed.append(box)
+            return real(net, box)
+
+        monkeypatch.setattr(neural, "linear_relaxation", spy)
+        got = certify.extract_gain(plant, net, box, np.zeros((1, 2)))
+        assert len(relaxed) == 1
+        lb = real(net, box)
+        assert got.tobytes() == ((lb.k_u + lb.k_l) / 2.0).tobytes()
+
+    def test_relu_policy_falls_back_to_the_jacobian(self):
+        # pi(y) = -0.2 y + 4 relu(y - 1) near the origin: the Jacobian -0.2
+        # closes x+ = 0.5 x + u, while over |y| <= 5 the relaxed kink pulls the
+        # midpoint gain up until the loop no longer closes
+        plant = scalar_plant()
+        net = neural.mlp([(np.array([[1.0], [1.0]]), np.array([10.0, -1.0])),
+                          (np.array([[-0.2, 4.0]]), np.array([2.0]))])
+        box = neural.Box.symmetric([5.0])
+        lb = neural.linear_relaxation(net, box)
+        midpoint = (lb.k_u + lb.k_l) / 2.0
+        assert linsys.spectral_radius(plant.a + plant.b @ midpoint @ plant.c) >= 1.0
+        got = certify.extract_gain(plant, net, box, np.array([[-0.1]]))
+        jacobian = neural.jacobian_at(net, np.zeros(1))
+        assert got.tobytes() == jacobian.tobytes()
+        assert got.tolist() == [[-0.2]]
+
+
 class TestBaseline:
     def test_linear_policy_gain_recovered_exactly(self):
         net = linear_policy(0.3)
@@ -721,7 +758,8 @@ class TestBaseline:
     def test_report_matches_direct_check(self, scalar_maps):
         plant = scalar_plant(w_inf=0.05)
         net = linear_policy(-0.2)
-        result, quad = baseline_certify(plant, net, n_samples=512, seed=0)
+        result = baseline_certify(plant, net, n_samples=512, seed=0)
+        quad = result.quadruplet
         assert result.certified
         # residual of the linear policy around its own gain is zero
         direct = check_lemma1(linsys.close_loop(plant, [[-0.2]]), result.gamma_pi,
@@ -731,8 +769,20 @@ class TestBaseline:
 
     def test_limit_check(self):
         plant = scalar_plant(w_inf=0.1, x_lim=[0.01])
-        result, _ = baseline_certify(plant, linear_policy(-0.2), n_samples=256, seed=0)
+        result = baseline_certify(plant, linear_policy(-0.2), n_samples=256, seed=0)
         assert not result.certified
+
+    def test_result_carries_the_box_the_limits_reject(self):
+        net = linear_policy(-0.2)
+        free = baseline_certify(scalar_plant(w_inf=0.1), net, n_samples=256, seed=0)
+        limited = baseline_certify(scalar_plant(w_inf=0.1, x_lim=[0.01]), net, n_samples=256,
+                                   seed=0)
+        assert free.certified and not limited.certified
+        assert limited.quadruplet.x_bar.tobytes() == free.quadruplet.x_bar.tobytes()
+        obj = limited.to_dict()
+        assert list(obj)[-2:] == ["note", "x_bar"]
+        assert obj["x_bar"] == [float(v) for v in free.quadruplet.x_bar]
+        assert "x_bar" not in BaselineResult(np.inf, np.inf, False, np.inf).to_dict()
 
     def test_samples_one_region_when_beta1_is_at_least_one(self, monkeypatch):
         # beta1 = gamma_delta ||Phi_alpha_delta|| depends on no region, so the
@@ -770,8 +820,9 @@ class TestBaseline:
                     for iters in (1, 3, 40):
                         regions.clear()
                         monkeypatch.setattr(certify, "_REGION_ITER", iters)
-                        result, quad = baseline_certify(plant, net, gamma_delta=gamma_delta,
-                                                        w_inf=w, n_samples=200, seed=seed)
+                        result = baseline_certify(plant, net, gamma_delta=gamma_delta,
+                                                  w_inf=w, n_samples=200, seed=seed)
+                        quad = result.quadruplet
                         want = full_scan(plant, net, gamma, w, 200, seed, iters)
                         assert repr(result) == repr(want) and quad is None
                         assert len(regions) == 1
@@ -809,7 +860,7 @@ class TestBaseline:
             for value in values:
                 limited = certify.with_state_limit(plant, 0, value)
                 out.append((value, certify.bisect_max_level(
-                    lambda w: real_certify(limited, net, w_inf=w, **kwargs)[0].certified,
+                    lambda w: real_certify(limited, net, w_inf=w, **kwargs).certified,
                     tol=1e-2)))
             return out
 
@@ -939,8 +990,9 @@ class TestBaselineBuffers:
                 cases.append((plant, net, quant, w, seed))
 
         def run(plant, net, quant, w, seed):
-            result, quad = baseline_certify(plant, net, w_inf=w, quantization=quant,
-                                            n_samples=300, seed=seed)
+            result = baseline_certify(plant, net, w_inf=w, quantization=quant,
+                                      n_samples=300, seed=seed)
+            quad = result.quadruplet
             arrays = () if quad is None else (quad.y_bar, quad.u_bar, quad.x_bar)
             return repr(result), tuple(a.tobytes() for a in arrays)
 
@@ -1058,8 +1110,9 @@ class TestEntryPoints:
                 for w in (0.01, 0.3):
                     certified.append(_certify_bits(algorithm1(plant, net, gamma_delta=gamma,
                                                               w_inf=w)))
-                    result, quad = baseline_certify(plant, net, gamma_delta=gamma, w_inf=w,
-                                                    n_samples=256, seed=3)
+                    result = baseline_certify(plant, net, gamma_delta=gamma, w_inf=w,
+                                              n_samples=256, seed=3)
+                    quad = result.quadruplet
                     baseline.append((repr(result), quad and quad.x_bar.tobytes()))
                 _, maps = certify.extract_loop(plant, net, None, None)
                 attacked.append(np.array(attack.violation_levels(

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import loopcert
-from loopcert import attack, certify, cli, linsys, neural
+from loopcert import attack, certify, cli, linsys, neural, policysynth
 from loopcert.cli import EXIT_ERROR, EXIT_NEGATIVE, EXIT_OK, main
 
 from conftest import linear_policy, random_relu_net, random_stable_plant, scalar_plant
@@ -110,6 +110,18 @@ class TestCertify:
         err = capsys.readouterr().err
         assert code == EXIT_ERROR
         assert "cannot parse" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_gain_file_without_a_gain_exits_cleanly(self, scalar_files, tmp_path, capsys):
+        plant_path, policy_path = scalar_files
+        gain_path = tmp_path / "gain.json"
+        gain_path.write_text(json.dumps({"P": linsys.matrix_to_dict(np.eye(1))}))
+        out = tmp_path / "cert.json"
+        code = main(["certify", "--plant", plant_path, "--policy", policy_path,
+                     "--kd", str(gain_path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR
+        assert err == f"cannot parse gain file {gain_path}: it has neither 'Kd' nor 'K'\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command, extra", [
@@ -289,6 +301,16 @@ class TestFrontier:
         assert coarse != attack.violation_level(limited, net, maps, 0, 200, 0.5)
         assert out.read_text().splitlines()[-1].split(",")[3] == f"{coarse:.17g}"
 
+    def test_bad_limit_list_exits_cleanly(self, scalar_files, tmp_path, capsys):
+        plant_path, policy_path = scalar_files
+        out = tmp_path / "front.csv"
+        code = main(["frontier", "--plant", plant_path, "--policy", policy_path,
+                     "--x-lim-list", "0.5,wide", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR
+        assert err.startswith("bad --x-lim-list: ") and "Traceback" not in err
+        assert not out.exists()
+
     def test_no_stabilizing_gain_in_every_column(self, tmp_path):
         # a = 1.2 under a zero policy and no --kd: no candidate gain closes
         # the loop, so no level certifies and there is no loop to attack
@@ -345,6 +367,20 @@ def closures(monkeypatch):
     return calls
 
 
+class TestNoStabilizingGain:
+    def test_attack_is_a_negative_answer(self, tmp_path, capsys):
+        # x+ = 1.2 x + u under a zero policy and no --kd: no loop to attack
+        plant_path, policy_path = tmp_path / "plant.json", tmp_path / "policy.json"
+        linsys.save_plant(plant_path, linsys.make_plant([[1.2]], [[1.0]], b_w=[[1.0]]))
+        neural.save_policy(policy_path, linear_policy(0.0))
+        out = tmp_path / "plan.json"
+        code = main(["attack", "--plant", str(plant_path), "--policy", str(policy_path),
+                     "--target", "0", "--horizon", "40", "--out", str(out)])
+        assert code == EXIT_NEGATIVE
+        assert capsys.readouterr().err == "no stabilizing gain; cannot build closed-loop maps\n"
+        assert not out.exists()
+
+
 class TestLoopClosures:
     def test_frontier_with_attack_closes_each_loop_once(self, scalar_files, tmp_path,
                                                         closures):
@@ -393,6 +429,56 @@ class TestAttackSimulateRoundTrip:
             assert code == EXIT_OK
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_initial_state(self, scalar_files, tmp_path):
+        plant_path, policy_path = scalar_files
+        out = tmp_path / "trace.csv"
+        code = main(["simulate", "--plant", plant_path, "--policy", policy_path,
+                     "--x0", "0.5", "--steps", "3", "--out", str(out)])
+        assert code == EXIT_OK
+        # t, w_1, x_1, y_1, u_1; x+ = 0.5 x - 0.2 x from x0 = 0.5
+        rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+        assert [float(row[2]) for row in rows] == [0.5, 0.5 * 0.3, 0.5 * 0.3 * 0.3]
+
+    def test_bad_initial_state_exits_cleanly(self, scalar_files, tmp_path, capsys):
+        plant_path, policy_path = scalar_files
+        out = tmp_path / "trace.csv"
+        code = main(["simulate", "--plant", plant_path, "--policy", policy_path,
+                     "--x0", "0.5,up", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR
+        assert err.startswith("bad --x0: ") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_diverging_run_writes_the_partial_trace(self, tmp_path, capsys):
+        # x+ = 1e100 x under a zero policy overflows on the fourth step
+        plant_path, policy_path = tmp_path / "plant.json", tmp_path / "policy.json"
+        linsys.save_plant(plant_path, scalar_plant(a=1e100))
+        neural.save_policy(policy_path, linear_policy(0.0))
+        out = tmp_path / "trace.csv"
+        code = main(["simulate", "--plant", str(plant_path), "--policy", str(policy_path),
+                     "--x0", "1", "--steps", "50", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_NEGATIVE
+        step = int(err.removeprefix("simulation diverged at step "))
+        lines = out.read_text().splitlines()
+        assert lines[0] == "# diverged; partial trace, radians"
+        assert lines[1] == "t,w_1,x_1,y_1,u_1"
+        assert len(lines) == 2 + step + 1 < 2 + 50
+
+    def test_nonlinear_cartpole(self, tmp_path, kd):
+        # the built-in nonlinear plant under the LQR law, from a tilted pole
+        policy_path = tmp_path / "policy.json"
+        neural.save_policy(policy_path, neural.mlp([(kd, np.zeros(1))]))
+        out = tmp_path / "trace.csv"
+        code = main(["simulate", "--plant", "cartpole-nonlinear", "--policy", str(policy_path),
+                     "--x0", "0,0,0.05,0", "--steps", "400", "--out", str(out)])
+        assert code == EXIT_OK
+        lines = out.read_text().splitlines()
+        assert lines[:2] == ["# units: radians", "t,w_1,x_1,x_2,x_3,x_4,y_1,y_2,y_3,y_4,u_1"]
+        assert len(lines) == 2 + 400
+        # the pole comes back up
+        assert abs(float(lines[-1].split(",")[4])) < 1e-3
 
     @pytest.mark.parametrize("value", ["inf", "nan", "1e308"])
     def test_random_amplitude_that_cannot_be_drawn_exits_cleanly(self, scalar_files, tmp_path,
@@ -502,6 +588,24 @@ class TestTrainPolicyAndLqr:
         meta = json.loads(out.read_text())["metadata"]
         assert meta["seed"] == 2
 
+    @pytest.mark.parametrize("step", ["0", "-1", "nan", "inf"])
+    def test_bad_quantization_step_exits_before_the_clone_trains(self, tmp_path, capsys,
+                                                                  monkeypatch, step):
+        # 0 used to write "quantization": null and exit 0; inf trained the
+        # whole clone and then failed to write it
+        def never(*args, **kwargs):
+            raise AssertionError("the clone trained")
+
+        monkeypatch.setattr(policysynth, "behavior_clone", never)
+        out = tmp_path / "pol.json"
+        code = main(["train-policy", "--plant", "cartpole", "--steps", "1", "--samples", "10",
+                     f"--quantize={step}", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR
+        assert err.startswith("error: quantization step must be finite and positive")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("radius", ["nan", "inf", "0", "-1", "1,1,nan,1", "1,1"])
     def test_bad_radius_exits_cleanly(self, tmp_path, capsys, radius):
         out = tmp_path / "pol.json"
@@ -524,6 +628,16 @@ class TestTrainPolicyAndLqr:
         err = capsys.readouterr().err
         assert code == EXIT_ERROR
         assert err == f"error: {name} must be finite\n"
+        assert not out.exists()
+
+    def test_lqr_on_an_unstabilizable_plant_is_a_negative_answer(self, tmp_path, capsys):
+        # x+ = 1.5 x + 0 u: no input reaches the unstable state
+        linsys.save_plant(tmp_path / "plant.json", linsys.make_plant([[1.5]], [[0.0]]))
+        out = tmp_path / "lqr.json"
+        code = main(["lqr", "--plant", str(tmp_path / "plant.json"), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_NEGATIVE
+        assert err.startswith("LQR design failed: Riccati iteration did not converge")
         assert not out.exists()
 
 
@@ -664,6 +778,17 @@ class TestUsage:
             cli._parser.cache_clear()
         assert built == [1]
         assert errors[0] == errors[1] and "unrecognized arguments: --seed 3" in errors[0]
+
+    @pytest.mark.parametrize("command", ["certify", "baseline", "frontier", "learn",
+                                         "train-policy", "lqr"])
+    def test_stdout_without_out_equals_the_out_file(self, scalar_files, tmp_path, capsys,
+                                                    command):
+        argv = [command, *_runnable_argv(command, *scalar_files)]
+        out = tmp_path / "out"
+        code = main(argv + ["--out", str(out)])
+        capsys.readouterr()
+        assert main(argv) == code
+        assert capsys.readouterr().out.encode() == out.read_bytes()
 
     def test_attack_requires_out(self, scalar_files):
         plant_path, policy_path = scalar_files

@@ -196,7 +196,8 @@ class TestBatchedMarch:
             np.testing.assert_allclose(maps.abs_stack, abs_transfer(ref), rtol=1e-12, atol=0.0)
             assert abs(maps.tail_bound - ref.tail_bound) <= 1e-12 * ref.tail_bound
             for name in linsys._MAP_BLOCKS:
-                _assert_close_response(getattr(maps, name), ref.block(*maps._slices(name)))
+                _assert_close_response(getattr(maps, name),
+                                       ref.block(*linsys._layout(maps.dims)[name]))
 
     def test_streamed_sums_equal_abs_transfer_on_random_systems(self, monkeypatch):
         # close_loop's sums never hold the response, yet equal the absolute
@@ -618,3 +619,10 @@ class TestPlantFiles:
         path = tmp_path / "plant.json"
         linsys.save_plant(path, scalar_plant())
         assert '"x_lim": [\n  null\n ]' in path.read_text()
+
+    def test_infinite_amplitude_is_refused_before_the_file_is_opened(self, tmp_path):
+        # a limit of inf has its null; an amplitude of inf has none in JSON
+        path = tmp_path / "plant.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            linsys.save_plant(path, scalar_plant(w_inf=np.inf))
+        assert not path.exists()

@@ -383,6 +383,13 @@ class TestQuantization:
         u = np.linspace(-2.0, 2.0, 1001)
         assert np.max(np.abs(spec.apply(u) - u)) <= 0.15 + 1e-12
 
+    @pytest.mark.parametrize("step", [0.0, -1.0, np.nan, np.inf])
+    def test_step_must_be_finite_and_positive(self, step):
+        # a zero step would divide by zero; an infinite one rounds every
+        # output to 0 or NaN and cannot be written as JSON
+        with pytest.raises(ValueError, match="quantization step must be finite and positive"):
+            QuantizationSpec(step)
+
 
 class TestRelaxationProperties:
     """Corpus-level soundness, interval dominance and box monotonicity."""
@@ -431,6 +438,13 @@ class TestPolicyFiles:
         neural.save_policy(path, single_relu_policy())
         _, quant = neural.load_policy(path)
         assert quant is None
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_numbers_are_refused_before_the_file_is_opened(self, tmp_path, value):
+        path = tmp_path / "policy.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            neural.save_policy(path, single_relu_policy(), metadata={"mse": value})
+        assert not path.exists()
 
     @pytest.mark.parametrize("rows, cols, weights, message", [
         (-1, 1, [1.0], "layer 1: rows and cols must be >= 1, got -1 x 1"),
