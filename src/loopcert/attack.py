@@ -16,8 +16,11 @@ The simulator runs the exact recursion with ``u = pi(y)`` (quantized when
 configured) on either the linear plant or a nonlinear plant object.  On a
 linear plant it also takes a batch of perturbations, shape (B, t_sim, p),
 and runs the B rollouts in one loop; every row is bit-identical to its own
-unbatched run.  :func:`violation_levels` runs each round of its lock-step
-bisections' amplitudes as one batched rollout.
+unbatched run.  The loop is the same for both: it holds one state as an
+(n,) vector and a batch as a (B, 1, n) stack, and writes each step's x, y,
+u and the policy's layers into buffers allocated once per call.
+:func:`violation_levels` runs each round of its lock-step bisections'
+amplitudes as one batched rollout.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy as np
 
 from .certify import _bisection, _lockstep
 from .linsys import ClosedLoopMaps, StateSpacePlant
-from .neural import QuantizationSpec, ReluNetwork, evaluate
+from .neural import QuantizationSpec, ReluNetwork, _bind, _forward_into
 from .plant import NonlinearPlant
 
 __all__ = [
@@ -161,18 +164,26 @@ def design_attack(maps: ClosedLoopMaps, target: int, horizon: int,
 
 
 def _plant_hooks(plant, batched: bool):
-    """(step, C, D_w, B_w); ``step`` maps stacked (B, 1, n) states and
-    (B, 1, m) inputs to the next stacked state, before ``B_w w``."""
+    """(step, C, D_w, B_w); ``step(x, u, out)`` writes the next state, before
+    ``B_w w``, into ``out``, for a state and input held as the simulator
+    holds them: (n,) and (m,) vectors, or (B, 1, n) and (B, 1, m) stacks."""
     if isinstance(plant, StateSpacePlant):
         a_t, b_t = plant.a.T, plant.b.T
-        return (lambda x, u: x @ a_t + u @ b_t), plant.c, plant.d_w, plant.b_w
+
+        def step(x, u, out):
+            np.matmul(x, a_t, out=out)
+            out += u @ b_t
+
+        return step, plant.c, plant.d_w, plant.b_w
     if isinstance(plant, NonlinearPlant):
         if batched:
             raise ValueError("a batched w needs a StateSpacePlant; "
                              "a NonlinearPlant steps one state at a time")
-        n = plant.n
-        return ((lambda x, u: np.reshape(plant.step(x[0, 0], u[0, 0]), (1, 1, n))),
-                plant.c, plant.d_w, plant.b_w)
+
+        def step(x, u, out):
+            out[...] = np.reshape(plant.step(x, u), out.shape)  # one state, no broadcast
+
+        return step, plant.c, plant.d_w, plant.b_w
     raise TypeError(f"cannot simulate {type(plant).__name__}")
 
 
@@ -185,9 +196,16 @@ def simulate(plant, net: ReluNetwork, w=None, t_sim: int = 1000, x0=None,
     :class:`StateSpacePlant`.  A batch runs B rollouts in one loop and
     returns a trace whose series have shape (B, t_sim, .); ``x0`` is then
     one state for every row or one per row, (B, n).  Each row equals, bit
-    for bit, the unbatched run on its own ``w``: the state is held as a
-    (B, 1, n) stack, so every product is a per-row matrix-vector product,
-    the same one the unbatched run computes.
+    for bit, the unbatched run on its own ``w``.
+
+    One loop serves both: an unbatched run holds its state as an (n,)
+    vector, a batch as a (B, 1, n) stack, so every product is a per-row
+    matrix-vector product, the same one either way.  The series live in
+    time-major buffers that each step writes in place: ``y[t] = x[t] C'``,
+    then ``+= D_w w[t]``; the policy's layers into row buffers, the last
+    into ``u[t]``; ``x[t + 1] = x[t] A' + u[t] B'``, then ``+= B_w w[t]``.
+    The products ``D_w w`` and ``B_w w`` are formed per row for a block of
+    steps at a time.
 
     ``x[t]`` is the state at which ``y[t]``/``u[t]`` are computed.
     Uncertainty channels are not excited (delta = 0): the nominal loop is a
@@ -195,6 +213,9 @@ def simulate(plant, net: ReluNetwork, w=None, t_sim: int = 1000, x0=None,
 
     Raises
     ------
+    ValueError
+        When ``w`` or ``x0`` has the wrong shape, or the network's input
+        does not match the plant's measurement.
     DivergedAt
         When the state overflows.  Unbatched, at the step it overflows, with
         the partial trace.  Batched, after the other rows have run to the
@@ -204,7 +225,10 @@ def simulate(plant, net: ReluNetwork, w=None, t_sim: int = 1000, x0=None,
     """
     batched = w is not None and not isinstance(w, AttackPlan) and np.ndim(w) == 3
     step, c, d_w, b_w = _plant_hooks(plant, batched)
-    n, p = c.shape[1], d_w.shape[1]
+    (r, n), p = c.shape, d_w.shape[1]
+    if net.input_dim != r:
+        raise ValueError(f"the plant measures {r} outputs, the network expects "
+                         f"{net.input_dim}")
     if isinstance(w, AttackPlan):
         w = w.signal(t_sim)
     elif w is None:
@@ -214,46 +238,56 @@ def simulate(plant, net: ReluNetwork, w=None, t_sim: int = 1000, x0=None,
         expected = (len(w), t_sim, p) if batched else (t_sim, p)
         if w.shape != expected:
             raise ValueError(f"w has shape {w.shape}, expected {expected}")
-    w = w if batched else w[None]
-    rows = w.shape[0]
-    x = np.zeros((rows, 1, n))
-    if x0 is not None:
-        x[:, 0] = x0
-
-    # series as (B, t_sim, 1, .) so that a step's slice is a state stack
-    xs = np.empty((rows, t_sim, 1, n))
-    ys = np.empty((rows, t_sim, 1, c.shape[0]))
-    us = np.empty((rows, t_sim, 1, net.output_dim))
+    rows = len(w) if batched else 1
+    lead = (rows, 1) if batched else ()
+    xs = np.empty((t_sim + 1, *lead, n))  # x[t_sim] is written, never returned
+    ys = np.empty((t_sim, *lead, r))
+    us = np.empty((t_sim, *lead, net.output_dim))
+    if x0 is None:
+        xs[0] = 0.0
+    else:
+        x0 = np.asarray(x0, dtype=float)
+        if x0.shape not in ((n,), (rows, n)):
+            raise ValueError(f"x0 has shape {x0.shape}, expected ({n},) or ({rows}, {n})")
+        xs[0] = x0.reshape(xs.shape[1:]) if x0.ndim == 2 else x0
+    flats = xs.reshape(t_sim + 1, -1)
+    # w as (t_sim, B, 1, p), so that a block's products are per-row (1, p) ones
+    w_rows = (w.transpose(1, 0, 2) if batched else w[:, None])[:, :, None]
+    layers = _bind(net.layers)
+    outs = [np.empty((*lead, weight_t.shape[1])) for weight_t, _, _ in layers[:-1]] + [None]
     c_t, d_w_t, b_w_t = c.T, d_w.T, b_w.T
     diverged = np.full(rows, -1)
     for t in range(t_sim):
         k = t % _BLOCK
         if k == 0:  # the perturbation terms of the next block of steps
-            block = w[:, t:t + _BLOCK, None, :]
-            dw_w, bw_w = block @ d_w_t, block @ b_w_t
-        xs[:, t] = x
-        ys[:, t] = y = x @ c_t + dw_w[:, k]
-        u = evaluate(net, y)
+            block = w_rows[t:t + _BLOCK]
+            dw_w = (block @ d_w_t).reshape(len(block), *ys.shape[1:])
+            bw_w = (block @ b_w_t).reshape(len(block), *xs.shape[1:])
+        x, y, u, x_next = xs[t], ys[t], us[t], xs[t + 1]
+        np.matmul(x, c_t, out=y)
+        y += dw_w[k]
+        outs[-1] = u  # the last layer writes u[t]
+        _forward_into(y, layers, outs)
         if quantization is not None:
-            u = quantization.apply(u)
-        us[:, t] = u
-        x = step(x, u) + bw_w[:, k]
-        flat = x.ravel()
-        if not flat @ flat <= _SAFE_SQUARES:  # also true on inf and NaN
-            bad = ~np.all(np.abs(x) <= _OVERFLOW, axis=(1, 2))
+            u[...] = quantization.apply(u)
+        step(x, u, x_next)
+        x_next += bw_w[k]
+        flat = flats[t + 1]
+        if not flat.dot(flat) <= _SAFE_SQUARES:  # also true on inf and NaN
+            bad = ~np.all(np.abs(flat.reshape(rows, -1)) <= _OVERFLOW, axis=1)
             if not bad.any():
                 continue
             if not batched:
-                partial = SimTrace(xs[0, :t + 1, 0], ys[0, :t + 1, 0], us[0, :t + 1, 0],
-                                   w[0, :t + 1])
-                raise DivergedAt(t, partial)
+                raise DivergedAt(t, SimTrace(xs[:t + 1], ys[:t + 1], us[:t + 1], w[:t + 1]))
             diverged[bad & (diverged < 0)] = t  # a row's first overflow
-            x[bad] = 0.0  # a dead row keeps stepping, harmlessly, from rest
+            x_next[bad] = 0.0  # a dead row keeps stepping, harmlessly, from rest
             if np.all(diverged >= 0):
                 break
-    xs, ys, us = (series[:, :, 0] for series in (xs, ys, us))
     if not batched:
-        return SimTrace(x=xs[0], y=ys[0], u=us[0], w=w[0])
+        return SimTrace(x=xs[:t_sim], y=ys, u=us, w=w)
+    # row-major (B, t_sim, .) series
+    xs, ys, us = (np.ascontiguousarray(series[:t_sim, :, 0].transpose(1, 0, 2))
+                  for series in (xs, ys, us))
     trace = SimTrace(x=xs, y=ys, u=us, w=w)
     if np.any(diverged >= 0):
         for row in np.flatnonzero(diverged >= 0):

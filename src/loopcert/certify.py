@@ -12,9 +12,12 @@ Two routes are implemented and compared throughout:
   itself.  Once such a box exists it is positively invariant, so every
   signal stays inside it for all time and any admissible perturbation.
 
-Whenever the baseline certifies, a quadruplet can be constructed from its
-norms in closed form (:func:`constructive_quadruplet`), so the invariant-set
-route is never weaker.
+Whenever the small-gain conditions hold for a gain that truly bounds the
+policy, a quadruplet can be constructed from their norms in closed form
+(:func:`constructive_quadruplet`), so that box is never weaker than the
+baseline.  The search of :func:`algorithm1` can be: the baseline samples
+its gain, and on some random loops it passes while the search reaches its
+pass cap (``MaxIterExceeded``).
 
 The iteration (:func:`algorithm1`) follows the candidate-box inflation
 scheme literally: the uncertainty bound of each pass uses the reference
@@ -801,6 +804,7 @@ def _gain_sampler(net: ReluNetwork, k0, n_samples: int, seed: int,
     dim = net.input_dim
     unit = np.random.default_rng(seed).random((n_samples, dim))
     ys = np.empty_like(unit)
+    layers = neural._bind(net.layers)
     outs = [np.empty((n_samples, layer.weight.shape[0])) for layer in net.layers]
     linear = np.empty_like(outs[-1])
     abs_ys = np.empty_like(unit)
@@ -820,7 +824,7 @@ def _gain_sampler(net: ReluNetwork, k0, n_samples: int, seed: int,
         low = -radius
         np.multiply(radius - low, unit, out=ys)
         np.add(ys, low, out=ys)
-        u = neural._forward_into(ys, net.layers, outs)
+        u = neural._forward_into(ys, layers, outs)
         if quantization is not None:
             u = quantization.apply(u)
         # u is the last row buffer, or the quantizer's fresh array: free to overwrite

@@ -209,6 +209,10 @@ def cmd_simulate(args) -> int:
             x0 = np.array([float(v) for v in args.x0.split(",")])
         except ValueError as exc:
             raise CliError(f"bad --x0: {exc}") from exc
+        if not np.all(np.isfinite(x0)):
+            raise CliError(f"bad --x0: entries must be finite, got {args.x0}")
+        if x0.size != plant.n:
+            raise CliError(f"bad --x0: the plant has {plant.n} states, got {x0.size} entries")
     try:
         trace = attack_mod.simulate(plant, net, w, args.steps, x0=x0, quantization=quant)
     except attack_mod.DivergedAt as exc:

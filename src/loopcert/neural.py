@@ -184,22 +184,31 @@ def evaluate(net: ReluNetwork, y) -> np.ndarray:
     z = np.asarray(y, dtype=float)
     if z.shape[-1] != net.input_dim:
         raise ValueError(f"input has {z.shape[-1]} entries, network expects {net.input_dim}")
-    return _forward_into(z, net.layers)
+    return _forward_into(z, _bind(net.layers))
+
+
+def _bind(layers) -> list:
+    """``(weight.T, bias, relu)`` per layer: the layers :func:`_forward_into` takes.
+
+    The arrays are views of the layers' own, so a caller that binds once and
+    then updates the weights in place evaluates the updated network.
+    """
+    return [(layer.weight.T, layer.bias, layer.activation == "relu") for layer in layers]
 
 
 def _forward_into(z: np.ndarray, layers, outs=None) -> np.ndarray:
-    """Forward pass of ``z`` through ``layers``, layer k written into ``outs[k]``.
+    """Forward pass of ``z`` through ``layers`` (as :func:`_bind` makes them),
+    layer k written into ``outs[k]``.
 
     Without ``outs`` each layer makes one fresh array.  A layer is
     ``z @ weight.T``, then ``+= bias``, then ``maximum(., 0)`` in place for a
     ReLU layer, so a buffer holds the same bits a fresh array would.
     Returns the last layer's output.
     """
-    for k, layer in enumerate(layers):
-        # the operator is the cheaper call on the simulator's one-row inputs
-        z = z @ layer.weight.T if outs is None else np.matmul(z, layer.weight.T, out=outs[k])
-        z += layer.bias
-        if layer.activation == "relu":
+    for k, (weight_t, bias, relu) in enumerate(layers):
+        z = z @ weight_t if outs is None else np.matmul(z, weight_t, out=outs[k])
+        z += bias
+        if relu:
             np.maximum(z, 0.0, out=z)
     return z
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .neural import Layer, ReluNetwork, _forward_into, evaluate
+from .neural import Layer, ReluNetwork, _bind, _forward_into, evaluate
 
 __all__ = [
     "NoConvergence",
@@ -175,8 +175,8 @@ def behavior_clone(k, config: CloneConfig | None = None) -> CloneResult:
     # The training layers share their arrays with weights and biases, which
     # are updated in place.  Row buffers for every step: acts[i + 1] is
     # layer i's output and grads[i] the gradient with respect to it.
-    train = [Layer(w, b, "relu" if i < n_layers - 1 else "linear")
-             for i, (w, b) in enumerate(zip(weights, biases))]
+    train = _bind(Layer(w, b, "relu" if i < n_layers - 1 else "linear")
+                  for i, (w, b) in enumerate(zip(weights, biases)))
     acts = [inputs] + [np.empty((config.n_samples, d)) for d in dims[1:]]
     grads = [np.empty((config.n_samples, d)) for d in dims[1:]]
 

@@ -18,7 +18,13 @@ from loopcert.attack import (
     save_trace,
     simulate,
 )
-from loopcert.plant import CartPoleParams, cartpole_linearized, cartpole_nonlinear
+from loopcert.plant import (
+    CartPoleParams,
+    NonlinearPlant,
+    cartpole_linearized,
+    cartpole_nonlinear,
+    cartpole_step,
+)
 
 from conftest import (
     linear_policy,
@@ -56,6 +62,36 @@ def _assert_row_matches(batch, row, single):
         assert np.array_equal(got[:k], getattr(single, signal)), (row, signal)
         assert np.all(np.isnan(got[k:])), (row, signal)
     assert np.array_equal(batch.w[row, :k], single.w)
+
+
+def _plain_recursion(plant, net, w, quant=None, x0=None, step=None):
+    """x, y and u of the loop, one fresh array per product, step by step.
+
+    ``step(x, u)`` is the plant's step before ``B_w w``; ``A x + B u`` when
+    None.
+    """
+    if step is None:
+        def step(x, u):
+            return plant.a @ x + plant.b @ u
+    x = np.zeros(plant.n) if x0 is None else x0
+    xs, ys, us = [], [], []
+    for t in range(w.shape[0]):
+        y = plant.c @ x + plant.d_w @ w[t]
+        u = neural.evaluate(net, y)
+        if quant is not None:
+            u = quant.apply(u)
+        xs.append(x)
+        ys.append(y)
+        us.append(u)
+        x = step(x, u) + plant.b_w @ w[t]
+    return np.array(xs), np.array(ys), np.array(us)
+
+
+def _assert_plain(trace, expected):
+    """``trace`` equals the :func:`_plain_recursion` series bit for bit, over
+    the steps it ran."""
+    for signal, series in zip("xyu", expected):
+        assert np.array_equal(getattr(trace, signal), series[:trace.steps]), signal
 
 
 def _sequential_violation_level(plant, net, maps, target, horizon, x_limit, tol=1e-3,
@@ -211,16 +247,6 @@ class TestSimulate:
     def test_matches_plain_recursion(self):
         # the per-step recursion of the simulator, over enough steps to cross
         # several blocks of precomputed perturbation terms
-        def plain(plant, net, w, quant):
-            x, xs = np.zeros(plant.n), []
-            for t in range(w.shape[0]):
-                xs.append(x)
-                u = neural.evaluate(net, plant.c @ x + plant.d_w @ w[t])
-                if quant is not None:
-                    u = quant.apply(u)
-                x = plant.a @ x + plant.b @ u + plant.b_w @ w[t]
-            return np.array(xs)
-
         for seed in range(12):
             rng = np.random.default_rng(seed)
             plant = random_stable_plant(rng)
@@ -229,8 +255,52 @@ class TestSimulate:
             w = rng.uniform(-1.0, 1.0, size=(700, plant.p))
             trace = _trace_or_partial(plant, net, w, 700, quantization=quant)
             with np.errstate(all="ignore"):
-                expected = plain(plant, net, w, quant)[:trace.steps]
-            assert np.array_equal(trace.x, expected), seed
+                expected = _plain_recursion(plant, net, w, quant)
+            _assert_plain(trace, expected)
+
+    @pytest.mark.parametrize("quant", [None, neural.QuantizationSpec(0.1)])
+    def test_clone_monte_carlo_matches_plain_recursion(self, cartpole, cloned_policy, quant):
+        # the benchmark's Monte-Carlo runs: 5,000 steps of the session clone
+        trace, _ = monte_carlo_attack(cartpole, cloned_policy, 1e-3, 5000, seed=3,
+                                      quantization=quant)
+        assert trace.steps == 5000
+        _assert_plain(trace, _plain_recursion(cartpole, cloned_policy, trace.w, quant))
+
+    def test_clone_designed_attack_matches_plain_recursion(self, cartpole, cloned_policy, kd):
+        # the benchmark's designed attack and violation_level rollouts
+        limited = certify.with_state_limit(cartpole, 2, 0.005)
+        _, maps = certify.extract_loop(limited, cloned_policy, None, kd)
+        plan = design_attack(maps, 2, 2500, w_inf=1e-3)
+        trace = simulate(cartpole, cloned_policy, plan, 2500)
+        _assert_plain(trace, _plain_recursion(cartpole, cloned_policy, plan.signal(2500)))
+
+    def test_nonlinear_matches_plain_cartpole_step_loop(self, cloned_policy):
+        params = CartPoleParams()
+        plant = cartpole_nonlinear(params)
+        w = np.random.default_rng(4).uniform(-1e-3, 1e-3, size=(3000, 1))
+        x0 = np.array([0.0, 0.0, 0.05, 0.0])
+        trace = simulate(plant, cloned_policy, w, 3000, x0=x0)
+        assert trace.steps == 3000
+        _assert_plain(trace, _plain_recursion(plant, cloned_policy, w, x0=x0,
+                                              step=lambda x, u: cartpole_step(params, x, u)))
+
+    def test_rejects_misshapen_inputs(self, kd):
+        # x0 is one state, or one per row; the network reads the plant's y
+        net = neural.mlp([(kd, np.zeros(1))])
+        for plant in (cartpole_linearized(), cartpole_nonlinear()):
+            for x0 in (np.zeros(3), np.zeros((2, 4)), np.zeros((1, 1, 4)), 0.0):
+                with pytest.raises(ValueError, match="x0"):
+                    simulate(plant, net, None, 5, x0=x0)
+        with pytest.raises(ValueError, match="x0"):
+            simulate(cartpole_linearized(), net, np.zeros((2, 5, 1)), 5, x0=np.zeros((3, 4)))
+        with pytest.raises(ValueError, match="network expects 3"):
+            simulate(cartpole_linearized(), neural.mlp([(np.ones((1, 3)), np.zeros(1))]),
+                     None, 5)
+        # a nonlinear step must return one whole state, not one to broadcast
+        short = NonlinearPlant(step=lambda x, u: x[:1], c=np.eye(2), d_w=np.zeros((2, 1)),
+                               b_w=np.zeros((2, 1)))
+        with pytest.raises(ValueError):
+            simulate(short, neural.mlp([(np.ones((1, 2)), np.zeros(1))]), None, 5)
 
     def test_divergence_carries_partial_trace(self):
         plant = linsys.make_plant([[2.0]], [[1.0]], b_w=[[1.0]])

@@ -450,6 +450,26 @@ class TestAttackSimulateRoundTrip:
         assert err.startswith("bad --x0: ") and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("plant_arg, x0", [
+        (None, "nan"), (None, "inf"), (None, "-inf"), (None, "0.5,1"),
+        ("cartpole", "1,2"), ("cartpole-nonlinear", "0,0,nan,0"), ("cartpole-nonlinear", "0"),
+    ])
+    def test_initial_state_must_be_one_finite_entry_per_state(self, scalar_files, tmp_path,
+                                                              capsys, kd, plant_arg, x0):
+        # a usage error before the loop runs, not a divergence (exit 2) or
+        # numpy's broadcast error
+        plant_path, policy_path = scalar_files
+        if plant_arg is not None:
+            plant_path, policy_path = plant_arg, str(tmp_path / "lqr_policy.json")
+            neural.save_policy(policy_path, neural.mlp([(kd, np.zeros(1))]))
+        out = tmp_path / "trace.csv"
+        code = main(["simulate", "--plant", plant_path, "--policy", policy_path,
+                     f"--x0={x0}", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR
+        assert err.startswith("bad --x0: ") and "Traceback" not in err
+        assert not out.exists()
+
     def test_diverging_run_writes_the_partial_trace(self, tmp_path, capsys):
         # x+ = 1e100 x under a zero policy overflows on the fourth step
         plant_path, policy_path = tmp_path / "plant.json", tmp_path / "policy.json"
