@@ -214,8 +214,9 @@ def simulate(plant, net: ReluNetwork, w=None, t_sim: int = 1000, x0=None,
     Raises
     ------
     ValueError
-        When ``w`` or ``x0`` has the wrong shape, or the network's input
-        does not match the plant's measurement.
+        When ``w`` or ``x0`` has the wrong shape, the network's input does
+        not match the plant's measurement, or its output does not match a
+        :class:`StateSpacePlant`'s input.
     DivergedAt
         When the state overflows.  Unbatched, at the step it overflows, with
         the partial trace.  Batched, after the other rows have run to the
@@ -229,6 +230,9 @@ def simulate(plant, net: ReluNetwork, w=None, t_sim: int = 1000, x0=None,
     if net.input_dim != r:
         raise ValueError(f"the plant measures {r} outputs, the network expects "
                          f"{net.input_dim}")
+    if isinstance(plant, StateSpacePlant) and net.output_dim != plant.m:
+        raise ValueError(f"policy maps {net.input_dim}->{net.output_dim}, "
+                         f"plant needs {r}->{plant.m}")
     if isinstance(w, AttackPlan):
         w = w.signal(t_sim)
     elif w is None:

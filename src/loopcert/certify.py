@@ -41,7 +41,6 @@ from .linsys import (
     NotSchurStable,
     StateSpacePlant,
     close_loops,
-    hinf_norm,
     implied_bounds,
 )
 from .neural import Box, LinearBounds, QuantizationSpec, ReluNetwork
@@ -53,7 +52,6 @@ __all__ = [
     "NoStabilizingGain",
     "check_theorem1",
     "check_lemma1",
-    "hinf_corollary",
     "constructive_quadruplet",
     "algorithm1",
     "frontier",
@@ -202,30 +200,30 @@ def check_theorem1(maps: ClosedLoopMaps, quad: Quadruplet, w_bar) -> tuple[bool,
     return holds, x_bar
 
 
-def _betas(norm: Callable[[str], float], gamma_pi: float,
-           gamma_delta: float) -> tuple[float, float]:
-    """``(beta1, beta2)`` of the small-gain conditions under the map norm ``norm``.
+def _betas(maps: ClosedLoopMaps, gamma_pi: float, gamma_delta: float) -> tuple[float, float]:
+    """``(beta1, beta2)`` of the small-gain conditions on the L1 norms of ``maps``.
 
-    ``beta1 = gamma_delta norm(alpha_delta)`` closes the uncertainty loop and
+    ``beta1 = gamma_delta ||Phi_alpha_delta||`` closes the uncertainty loop and
 
-        beta2 = gamma_pi (norm(yu) + gamma_delta/(1-beta1) norm(ydelta) norm(alpha_u))
+        beta2 = gamma_pi (||Phi_yu|| + gamma_delta/(1-beta1) ||Phi_ydelta|| ||Phi_alpha_u||)
 
     the policy loop.  When ``beta1 < 1`` fails, ``beta2`` is ``inf`` and no
-    other norm is asked for.
+    other norm is read.
     """
-    beta1 = gamma_delta * norm("alpha_delta")
+    l1 = maps.l1
+    beta1 = gamma_delta * l1("alpha_delta")
     if not beta1 < 1.0:
         return beta1, np.inf
-    return beta1, gamma_pi * (norm("yu") + gamma_delta / (1.0 - beta1) * norm("ydelta")
-                              * norm("alpha_u"))
+    return beta1, gamma_pi * (l1("yu") + gamma_delta / (1.0 - beta1) * l1("ydelta")
+                              * l1("alpha_u"))
 
 
 def check_lemma1(maps: ClosedLoopMaps, gamma_pi: float, gamma_delta: float,
                  w_inf: float, y_inf: float) -> BaselineResult:
     """Small-gain baseline on L1 norms.
 
-    With ``(beta1, beta2)`` of :func:`_betas` on the L1 norms, when both are
-    below one the implied measurement bound is
+    With ``(beta1, beta2)`` of :func:`_betas`, when both are below one the
+    implied measurement bound is
 
         y_implied = (||Phi_yw|| + gamma_delta/(1-beta1) ||Phi_yd|| ||Phi_aw||)
                     * w_inf / (1 - beta2)
@@ -234,7 +232,7 @@ def check_lemma1(maps: ClosedLoopMaps, gamma_pi: float, gamma_delta: float,
     ``y_implied <= y_inf`` (the region where ``gamma_pi`` is valid).
     """
     l1 = maps.l1
-    beta1, beta2 = _betas(l1, gamma_pi, gamma_delta)
+    beta1, beta2 = _betas(maps, gamma_pi, gamma_delta)
     if beta1 < 1.0 and beta2 < 1.0:
         y_implied = (l1("yw") + gamma_delta / (1.0 - beta1) * l1("ydelta") * l1("alpha_w")
                      ) * w_inf / (1.0 - beta2)
@@ -245,19 +243,6 @@ def check_lemma1(maps: ClosedLoopMaps, gamma_pi: float, gamma_delta: float,
     return BaselineResult(beta1=float(beta1), beta2=float(beta2),
                           certified=certified, y_inf_implied=float(y_implied),
                           gamma_pi=float(gamma_pi))
-
-
-def hinf_corollary(maps: ClosedLoopMaps, gamma_pi: float, gamma_delta: float) -> bool:
-    """Two-norm variant of the small-gain conditions; advisory only.
-
-    :func:`_betas` on the grid-estimated peak gains, so this check is
-    indicative rather than certified.
-    """
-    def peak(which: str) -> float:
-        return hinf_norm(*maps.realization(which))
-
-    beta1, beta2 = _betas(peak, gamma_pi, gamma_delta)
-    return beta1 < 1.0 and beta2 < 1.0
 
 
 def constructive_quadruplet(maps: ClosedLoopMaps, gamma_pi: float, gamma_delta: float,
@@ -275,7 +260,7 @@ def constructive_quadruplet(maps: ClosedLoopMaps, gamma_pi: float, gamma_delta: 
     the equality rows).  Requires ``beta1 < 1`` and ``beta2 < 1``.
     """
     l1 = maps.l1
-    beta1, beta2 = _betas(l1, gamma_pi, gamma_delta)
+    beta1, beta2 = _betas(maps, gamma_pi, gamma_delta)
     if not (beta1 < 1.0 and beta2 < 1.0):
         raise ValueError("small-gain conditions do not hold; no constructive box exists")
     scale = w_inf / ((1.0 - beta1) * (1.0 - beta2))
@@ -375,32 +360,13 @@ def _outside_limits(plant: StateSpacePlant, x_bar, y_bar, u_bar) -> bool:
                 or (u_bar > plant.u_lim).any())
 
 
-def _certified_policy_bounds(net: ReluNetwork, box: Box | None, lb: LinearBounds | None,
-                             k: np.ndarray, quantization: QuantizationSpec | None):
-    """(u0_bar, u_bar) over ``box`` for the residual and full policy.
-
-    ``lb`` is the relaxation over ``box``.  On the degenerate box (None) the
-    bounds are the exact values at the origin.  Output quantization widens
-    both bounds by half a step.  A stack of boxes, with their relaxations
-    and gains, gives a row of bounds per box.
-    """
-    if box is None:
-        u0_bar = u_bar = np.abs(neural.evaluate(net, np.zeros(net.input_dim)))
-    else:
-        # overflow leaves an infinite bound, which algorithm1 reports
-        with np.errstate(over="ignore", invalid="ignore"):
-            u0_bar, u_bar = neural.residual_magnitudes(lb, box, k)
-    if quantization is not None:
-        u0_bar = u0_bar + quantization.step / 2.0
-        u_bar = u_bar + quantization.step / 2.0
-    return u0_bar, u_bar
-
-
 @dataclass(eq=False)
 class _Search:
     """One search of :func:`algorithm1`: the plant with its limits, the
     perturbation bound, and the reference boxes after ``passes`` passes.
-    ``result`` is set on the pass that ends it."""
+    ``result`` is set on the pass that ends it, and every result is built
+    here: :meth:`overflowed` when the relaxation over the box overflows,
+    :meth:`verdict` for every other ending."""
 
     plant: StateSpacePlant
     w_bar: np.ndarray
@@ -409,10 +375,23 @@ class _Search:
     passes: int = 0
     result: CertResult | None = None
 
-    def verdict(self, k, x_bar, y_bar, alpha_bar, u_bar, delta_bar) -> CertResult | None:
-        """The end of a pass with gain ``k`` and the bounds it implies: a
-        verdict, or None after the reference boxes have grown for the next
-        pass."""
+    def overflowed(self) -> CertResult:
+        """The end of a search whose bounds overflowed: no box is left to
+        relax the policy over."""
+        return CertResult(False, None, self.passes, NON_FINITE_BOUNDS)
+
+    def verdict(self, k, *bounds) -> CertResult | None:
+        """The end of a pass with gain ``k`` and the bounds ``(x_bar, y_bar,
+        alpha_bar, u_bar, delta_bar)`` it implies: a verdict, or None after
+        the reference boxes have grown for the next pass.  ``k`` is None, with
+        no bounds, when no candidate gain closes the loop.
+
+        The checks run in order: the limits, containment in the reference
+        box, then (after the boxes grow) a non-finite box and the pass cap.
+        """
+        if k is None:
+            return CertResult(False, None, self.passes, NO_STABILIZING_GAIN)
+        x_bar, y_bar, alpha_bar, u_bar, delta_bar = bounds
         if _outside_limits(self.plant, x_bar, y_bar, u_bar):
             return CertResult(False, None, self.passes, CONSTRAINT_VIOLATED, gain=k)
         if (y_bar <= self.y_ref).all() and (alpha_bar <= self.alpha_ref).all():
@@ -423,7 +402,7 @@ class _Search:
         self.alpha_ref = (1.0 + _BOX_INFLATION) * alpha_bar
         # an overflowed bound leaves no box to relax the policy over next pass
         if not np.isfinite(self.y_ref).all():
-            return CertResult(False, None, self.passes, NON_FINITE_BOUNDS)
+            return self.overflowed()
         if self.passes == _MAX_PASSES:
             return CertResult(False, None, self.passes, MAX_ITER_EXCEEDED)
         return None
@@ -439,8 +418,9 @@ class _Loop:
     limits and the level share one.
 
     :meth:`gains` picks gains, :attr:`fixed` is the gain without a box (what
-    the baseline and :func:`extract_loop` take), and :meth:`step` makes one
-    pass of any number of searches at once.
+    the baseline and :func:`extract_loop` take), :attr:`origin_bounds` the
+    policy bounds without a box, and :meth:`step` makes one pass of any
+    number of searches at once.
     """
 
     def __init__(self, plant: StateSpacePlant, net: ReluNetwork, k_d=None, gamma_delta=None,
@@ -472,6 +452,16 @@ class _Loop:
             return neural.jacobian_at(self.net, np.zeros(self.net.input_dim))
         except neural.OnKink:
             return None
+
+    @functools.cached_property
+    def origin_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(u0_bar, u_bar)`` on the degenerate box, where the residual and
+        the full policy are both the exact ``|pi(0)|``, widened for the
+        quantizer."""
+        bound = np.abs(neural.evaluate(self.net, np.zeros(self.net.input_dim)))
+        if self.quantization is not None:
+            bound = self.quantization.widen(bound)
+        return bound, bound
 
     @functools.cached_property
     def fixed(self) -> tuple[np.ndarray, ClosedLoopMaps] | None:
@@ -518,8 +508,10 @@ class _Loop:
 
     def step(self, searches: list) -> None:
         """One pass of :func:`algorithm1` for each of the searches, none of
-        which has ended: their boxes relaxed in one stack, their loops closed
-        in one stack, and each search's verdict set on the pass that ends it.
+        which has ended: their boxes relaxed in one stack, their gains picked
+        and their loops closed in one stack, the policy bounded over each box
+        and the Theorem-1 product taken in one stack; each search then ends
+        its own pass (:class:`_Search`).
 
         Every stacked product acts on one search's vectors and matrices, so
         each search's pass is bit for bit the pass it makes alone.
@@ -528,7 +520,6 @@ class _Loop:
             s.passes += 1
         boxed = [s for s in searches if s.y_ref.any()]
         plain = [s for s in searches if s not in boxed]
-        midpoints = []
         if boxed:
             radius = np.array([s.y_ref for s in boxed])
             box = Box(np.zeros_like(radius), radius)
@@ -540,30 +531,33 @@ class _Loop:
                 # a box near 1e154 overflows the relaxation's products
                 for s, ok in zip(boxed, finite):
                     if not ok:
-                        s.result = CertResult(False, None, s.passes, NON_FINITE_BOUNDS)
+                        s.result = s.overflowed()
                 boxed = [s for s in boxed if s.result is None]
                 lb = LinearBounds(*(v[finite] for v in (lb.k_l, lb.b_l, lb.k_u, lb.b_u)))
                 box = Box(box.center[finite], box.radius[finite])
-            midpoints = list((lb.k_u + lb.k_l) / 2.0)
-        going = boxed + plain
-        picked = self.gains(midpoints) + [self.fixed] * len(plain)
-
-        # the policy bounds: over each box from its relaxation (a search whose
-        # gain search failed takes zero there, and its bounds go unread), and
-        # the exact values at the origin on the degenerate box
-        bounds = []
+        picked, bounds = [], []
         if boxed:
+            picked = self.gains(list((lb.k_u + lb.k_l) / 2.0))
+            # the policy bounds over each box from its relaxation; a search
+            # whose gain search failed takes zero there, and its bounds go
+            # unread.  Overflow leaves an infinite bound, which the verdict
+            # reports.
             zero = np.zeros((self.plant.m, self.plant.r))
-            k = np.array([zero if pick is None else pick[0] for pick in picked[:len(boxed)]])
-            bounds += zip(*_certified_policy_bounds(self.net, box, lb, k, self.quantization))
-        if plain:
-            bounds += [_certified_policy_bounds(self.net, None, None, None,
-                                                self.quantization)] * len(plain)
-        for s, pick in zip(going, picked):
+            k = np.array([zero if pick is None else pick[0] for pick in picked])
+            with np.errstate(over="ignore", invalid="ignore"):
+                u0_bar, u_bar = neural.residual_magnitudes(lb, box, k)
+            if self.quantization is not None:
+                u0_bar, u_bar = self.quantization.widen(u0_bar), self.quantization.widen(u_bar)
+            bounds = list(zip(u0_bar, u_bar))
+        picked += [self.fixed] * len(plain)
+        bounds += [self.origin_bounds] * len(plain)
+
+        closed = []
+        for s, pick, bound in zip(boxed + plain, picked, bounds):
             if pick is None:
-                s.result = CertResult(False, None, s.passes, NO_STABILIZING_GAIN)
-        closed = [(s, *pick, *bound) for s, pick, bound in zip(going, picked, bounds)
-                  if pick is not None]
+                s.result = s.verdict(None)
+            else:
+                closed.append((s, *pick, *bound))
         if not closed:
             return
         closed, gains, maps, u0_bar, u_bar = zip(*closed)
@@ -903,7 +897,7 @@ def _region_scan(maps: ClosedLoopMaps, sampled_gain: Callable[[object], float],
     # so scan upward and keep the first region that closes all conditions.
     y_inf = max(maps.l1("yw") * w_amp, 1e-9)
     regions = _REGION_ITER
-    if _betas(maps.l1, 0.0, gamma)[0] >= 1.0:
+    if _betas(maps, 0.0, gamma)[0] >= 1.0:
         # beta1 depends on no region, so none certifies and the scan only
         # doubles the region: sample just the one it would end on, whose
         # gain the result reports

@@ -480,8 +480,7 @@ def hinf_norm(a, bc, cc, dc) -> float:
     Grid search over ``_HINF_GRID`` points of ``w in [0, pi]`` followed by one
     local golden-section refinement around the grid maximizer.  This is an
     estimator (a lower bound of the true peak up to grid resolution), not a
-    certified norm; it only feeds the advisory small-gain check based on the
-    2-norm.
+    certified norm, and no certificate or command reads it.
     """
     a = _as_matrix(a, "a")
     bc = _as_matrix(bc, "bc")
@@ -691,9 +690,9 @@ class ClosedLoopMaps:
     Maps are named output-input: ``xu`` sends the residual control ``u0`` to
     the state, ``yw`` the perturbation to the measurement, and so on.  Each
     name reads as an attribute (``maps.xw``), the block of :meth:`response`,
-    so every such read marches the loop once; :meth:`abs_block`,
-    :meth:`l1` and :meth:`realization` take the name as an argument and
-    march nothing.  Each L1 norm is summed on its first read.
+    so every such read marches the loop once; :meth:`abs_block` and
+    :meth:`l1` take the name as an argument and march nothing.  Each L1 norm
+    is summed on its first read.
     """
 
     a_cl: np.ndarray
@@ -731,11 +730,6 @@ class ClosedLoopMaps:
             norm = self._l1[which] = float(np.max(np.sum(self.abs_block(which), axis=1),
                                                   initial=0.0))
         return norm
-
-    def realization(self, which: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """State-space quadruple (A, B, C, D) of one of the nine maps."""
-        rows, cols = _layout(self.dims)[which]
-        return self.a_cl, self.bc[:, cols], self.cc[rows], self.dc[rows, cols]
 
 
 def close_loop(plant: StateSpacePlant, k0) -> ClosedLoopMaps:

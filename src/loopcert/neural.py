@@ -43,7 +43,6 @@ __all__ = [
     "linear_relaxation",
     "concretize",
     "magnitude_bound",
-    "residual_bounds",
     "residual_magnitudes",
     "jacobian_at",
     "load_policy",
@@ -159,7 +158,8 @@ class LinearBounds:
 class QuantizationSpec:
     """Round-to-nearest-multiple output quantization with step ``h``.
 
-    The rounding error satisfies ``|Q(u) - u| <= h/2`` elementwise.
+    The rounding error satisfies ``|Q(u) - u| <= h/2`` elementwise, so
+    :meth:`widen` turns a bound on ``|u|`` into one on ``|Q(u)|``.
     """
 
     step: float
@@ -171,6 +171,11 @@ class QuantizationSpec:
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         return self.step * np.round(np.asarray(u, dtype=float) / self.step)
+
+    def widen(self, bound: np.ndarray) -> np.ndarray:
+        """A bound on ``|u|`` (or on ``|u - K0 y|``) widened by half a step,
+        so that it bounds the quantized output too."""
+        return bound + self.step / 2.0
 
 
 def evaluate(net: ReluNetwork, y) -> np.ndarray:
@@ -363,18 +368,14 @@ def magnitude_bound(u_min: np.ndarray, u_max: np.ndarray) -> np.ndarray:
     return np.maximum(np.abs(u_min), np.abs(u_max))
 
 
-def residual_bounds(net: ReluNetwork, box: Box, k0) -> tuple[np.ndarray, np.ndarray]:
+def residual_magnitudes(lb: LinearBounds, box: Box, k0) -> tuple[np.ndarray, np.ndarray]:
     """Magnitude bounds for the residual policy and for the full policy.
 
-    The residual ``pi0(y) = pi(y) - K0 y`` inherits the envelopes of ``pi``
-    with ``K0`` subtracted from both slope matrices.  Returns ``(u0_bar,
-    u_bar)``: elementwise bounds on ``|pi0(y)|`` and ``|pi(y)|`` over the box.
+    The residual ``pi0(y) = pi(y) - K0 y`` inherits the envelopes ``lb`` of
+    ``pi``, built over ``box``, with ``K0`` subtracted from both slope
+    matrices.  Returns ``(u0_bar, u_bar)``: elementwise bounds on
+    ``|pi0(y)|`` and ``|pi(y)|`` over the box.
     """
-    return residual_magnitudes(linear_relaxation(net, box), box, k0)
-
-
-def residual_magnitudes(lb: LinearBounds, box: Box, k0) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`residual_bounds` from envelopes ``lb`` already built over ``box``."""
     k0 = np.asarray(k0, dtype=float)
     if k0.shape != lb.k_u.shape:
         raise ValueError(f"k0 has shape {k0.shape}, expected {lb.k_u.shape}")

@@ -302,6 +302,15 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(short, neural.mlp([(np.ones((1, 2)), np.zeros(1))]), None, 5)
 
+    def test_rejects_a_policy_of_other_output_width(self, kd):
+        # the cart-pole takes one control; a two-output policy is refused on
+        # entry, unbatched and batched, before any step runs
+        net = neural.mlp([(np.vstack([kd, kd]), np.zeros(2))])
+        plant = cartpole_linearized()
+        for w in (None, np.zeros((5, 1)), np.zeros((3, 5, 1))):
+            with pytest.raises(ValueError, match=r"^policy maps 4->2, plant needs 4->1$"):
+                simulate(plant, net, w, 5)
+
     def test_divergence_carries_partial_trace(self):
         plant = linsys.make_plant([[2.0]], [[1.0]], b_w=[[1.0]])
         net = linear_policy(0.0)

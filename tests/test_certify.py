@@ -17,7 +17,6 @@ from loopcert.certify import (
     check_theorem1,
     constructive_quadruplet,
     frontier,
-    hinf_corollary,
     sampled_linf_gain,
 )
 
@@ -77,17 +76,6 @@ class TestCheckLemma1:
         result = check_lemma1(maps, 0.0, 1e9, 0.1, 1.0)
         assert result.beta1 >= 1.0
         assert not result.certified  # beta1 fails even with a perfect policy
-
-
-class TestHinfCorollary:
-    def test_certified(self, scalar_maps):
-        assert hinf_corollary(scalar_maps, 0.4, 0.0)
-
-    def test_not_certified(self, scalar_maps):
-        assert not hinf_corollary(scalar_maps, 0.6, 0.0)
-
-    def test_trivial_gains(self, scalar_maps):
-        assert hinf_corollary(scalar_maps, 0.0, 0.0)
 
 
 class TestConstructiveQuadruplet:
@@ -312,6 +300,53 @@ class TestSoundnessProperty:
                         (seed, signal)
         assert successes >= 10
 
+    def test_uncertain_loops_stay_inside_certified_boxes(self):
+        # Theorem 1 covers every admissible uncertainty, and a static Delta
+        # with |Delta| <= Gamma_Delta elementwise is one (|delta| = |Delta
+        # alpha| <= Gamma_Delta |alpha|).  It folds into a plain plant, which
+        # the simulator steps: Delta = 0 and three sign vertices +-Gamma_Delta
+        # per certificate, each with designed attacks on every state (on the
+        # perturbed loop's own maps where that loop closes) and a Rademacher
+        # run.  Seeds 0-59 give 10 certificates and 124 traces.
+        successes = traces_checked = 0
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            plant = random_stable_plant(rng, with_uncertainty=True)
+            net = random_relu_net(rng, d_in=plant.r, d_out=plant.m)
+            w_inf = float(rng.uniform(0.01, 0.2))
+            gamma = 0.1 * np.abs(rng.normal(size=(plant.q, plant.s)))
+            result = algorithm1(plant, net, gamma_delta=gamma, w_inf=w_inf)
+            if not result.success:
+                continue
+            successes += 1
+            quad = result.quadruplet
+            deltas = [np.zeros_like(gamma)] + [
+                gamma * rng.choice((-1.0, 1.0), size=gamma.shape) for _ in range(3)]
+            for delta in deltas:
+                tap = plant.b_delta @ delta
+                perturbed = dataclasses.replace(
+                    plant, a=plant.a + tap @ plant.c_alpha, b=plant.b + tap @ plant.d_alpha_u,
+                    b_w=plant.b_w + tap @ plant.d_alpha_w, b_delta=np.zeros((plant.n, 0)),
+                    c_alpha=np.zeros((0, plant.n)), d_alpha_u=np.zeros((0, plant.m)),
+                    d_alpha_w=np.zeros((0, plant.p)))
+                traces = [attack.monte_carlo_attack(perturbed, net, w_inf, 300, seed=seed,
+                                                    mode="rademacher")[0]]
+                try:
+                    maps = linsys.close_loop(perturbed, result.gain)
+                except linsys.NotSchurStable:
+                    pass  # no designed attack where the perturbed loop does not close
+                else:
+                    traces += [attack.simulate(perturbed, net,
+                                               attack.design_attack(maps, i, 300, w_inf), 300)
+                               for i in range(plant.n)]
+                for trace in traces:
+                    for signal, bar in (("x", quad.x_bar), ("y", quad.y_bar),
+                                        ("u", quad.u_bar)):
+                        assert np.all(trace.max_abs(signal) <= bar * (1 + 1e-9) + 1e-15), \
+                            (seed, signal)
+                traces_checked += len(traces)
+        assert successes >= 8 and traces_checked >= 100
+
 
 def _empty_memo(monkeypatch, size=64):
     """Certify's closed-loop memo, emptied and holding at most ``size`` entries."""
@@ -455,6 +490,23 @@ class TestFrontier:
         levels = [w for _, w in points]
         for lo, hi in zip(levels, levels[1:]):
             assert hi >= lo * (1.0 - 2e-3)
+
+    def test_origin_bounds_are_evaluated_once_per_sweep(self, cartpole, cloned_policy, kd,
+                                                        monkeypatch):
+        # every search starts from the degenerate box, where the policy bound
+        # is |pi(0)|: the loop record evaluates it once, not once per round
+        calls = []
+        evaluate = neural.evaluate
+
+        def counting(net, y):
+            calls.append(y)
+            return evaluate(net, y)
+
+        monkeypatch.setattr(neural, "evaluate", counting)
+        started = _record_searches(monkeypatch)
+        frontier(cartpole, cloned_policy, kd, x_lim_values=[0.001, 0.002, 0.003, 0.005, 0.008],
+                 tol=1e-3, target_state=2)
+        assert len(started) == 64 and len(calls) == 1
 
     def test_cartpole_levels_match_fingerprint(self, cartpole, cloned_policy, kd):
         # the cart-pole frontier fingerprint of perfbench/README.md, exactly:

@@ -470,6 +470,20 @@ class TestAttackSimulateRoundTrip:
         assert err.startswith("bad --x0: ") and "Traceback" not in err
         assert not out.exists()
 
+    def test_policy_of_other_output_width_exits_cleanly(self, tmp_path, capsys, kd):
+        # a plant with two inputs under a one-output policy: a usage error
+        # that names both maps, not numpy's matmul error from the first step
+        plant_path, policy_path = tmp_path / "plant.json", tmp_path / "policy.json"
+        linsys.save_plant(plant_path, linsys.make_plant(0.5 * np.eye(4), np.ones((4, 2))))
+        neural.save_policy(policy_path, neural.mlp([(kd, np.zeros(1))]))
+        out = tmp_path / "trace.csv"
+        code = main(["simulate", "--plant", str(plant_path), "--policy", str(policy_path),
+                     "--steps", "10", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR
+        assert err == "error: policy maps 4->1, plant needs 4->2\n"
+        assert not out.exists()
+
     def test_diverging_run_writes_the_partial_trace(self, tmp_path, capsys):
         # x+ = 1e100 x under a zero policy overflows on the fourth step
         plant_path, policy_path = tmp_path / "plant.json", tmp_path / "policy.json"

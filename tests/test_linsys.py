@@ -519,7 +519,8 @@ class TestCloseLoop:
             assert maps.abs_stack.shape == (n + r + s, m + p + q)
             rows = {"x": slice(0, n), "y": slice(n, n + r), "alpha": slice(n + r, None)}
             cols = {"u": slice(0, m), "w": slice(m, m + p), "delta": slice(m + p, None)}
-            # each map's quadruple, built by hand from the plant and the gain
+            # each map's quadruple, built by hand from the plant and the gain,
+            # against its blocks of the held realization
             a_cl = plant.a + plant.b @ gain @ plant.c
             outputs = {"x": np.eye(n), "y": plant.c,
                        "alpha": plant.c_alpha + plant.d_alpha_u @ gain @ plant.c}
@@ -540,10 +541,10 @@ class TestCloseLoop:
                         response.impulse[:, rows[out_name], cols[in_name]])
                     c_out, b_in = outputs[out_name], inputs[in_name]
                     d = feedthrough.get(name, np.zeros((c_out.shape[0], b_in.shape[1])))
-                    for got, want in zip(maps.realization(name), (a_cl, b_in, c_out, d)):
+                    held = (maps.a_cl, maps.bc[:, cols[in_name]], maps.cc[rows[out_name]],
+                            maps.dc[rows[out_name], cols[in_name]])
+                    for got, want in zip(held, (a_cl, b_in, c_out, d)):
                         np.testing.assert_array_equal(got, want)
-            with pytest.raises(KeyError):
-                maps.realization("uy")
             with pytest.raises(AttributeError):
                 maps.uy
 

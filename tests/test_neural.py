@@ -14,9 +14,8 @@ from loopcert.neural import (
     jacobian_at,
     linear_relaxation,
     magnitude_bound,
-    residual_bounds,
+    residual_magnitudes,
 )
-from loopcert.certify import _certified_policy_bounds
 
 from conftest import random_relu_net, single_relu_policy
 
@@ -273,15 +272,17 @@ class TestConcretize:
 class TestResidualBounds:
     def test_exactly_linear_residual_vanishes(self):
         net = neural.mlp([(np.array([[0.7, -0.3]]), np.array([0.0]))])
-        u0, u_full = residual_bounds(net, Box.symmetric([2.0, 1.0]),
-                                     np.array([[0.7, -0.3]]))
+        box = Box.symmetric([2.0, 1.0])
+        u0, u_full = residual_magnitudes(linear_relaxation(net, box), box,
+                                         np.array([[0.7, -0.3]]))
         assert u0 == pytest.approx([0.0], abs=1e-12)
         assert u_full == pytest.approx([1.7])
 
     def test_single_relu_half_gain(self):
         # true max |relu(y) - y/2| over [-1, 1] is 0.5; any sound value >= 0.5
         box = Box.symmetric([1.0])
-        u0, u_full = residual_bounds(single_relu_policy(), box, [[0.5]])
+        u0, u_full = residual_magnitudes(linear_relaxation(single_relu_policy(), box), box,
+                                         [[0.5]])
         grid = np.linspace(-1.0, 1.0, 1001)
         oracle = np.max(np.abs(np.maximum(grid, 0.0) - 0.5 * grid))
         assert oracle == pytest.approx(0.5)
@@ -292,14 +293,14 @@ class TestResidualBounds:
         box = Box.symmetric([1.0])
         lb = linear_relaxation(single_relu_policy(), box)
         midpoint = (lb.k_u + lb.k_l) / 2.0
-        u0, u_full = residual_bounds(single_relu_policy(), box, midpoint)
+        u0, u_full = residual_magnitudes(lb, box, midpoint)
         assert u0[0] < u_full[0]
 
     def test_zero_gain_matches_concretize(self):
         rng = np.random.default_rng(6)
         net = random_relu_net(rng, d_in=2, d_out=2)
         box = Box(np.zeros(2), rng.uniform(0.1, 1.0, size=2))
-        u0, u_full = residual_bounds(net, box, np.zeros((2, 2)))
+        u0, u_full = residual_magnitudes(linear_relaxation(net, box), box, np.zeros((2, 2)))
         np.testing.assert_array_equal(u0, u_full)
         lb = linear_relaxation(net, box)
         np.testing.assert_array_equal(u_full, magnitude_bound(*concretize(lb, box)))
@@ -349,8 +350,8 @@ class TestQuantization:
         net = single_relu_policy()
         box = Box.symmetric([1.0])
         lb = linear_relaxation(net, box)
-        u0_bar, u_bar = _certified_policy_bounds(net, box, lb, np.zeros((1, 1)),
-                                                 QuantizationSpec(0.1))
+        u0_bar, u_bar = (QuantizationSpec(0.1).widen(b)
+                         for b in residual_magnitudes(lb, box, np.zeros((1, 1))))
         assert u0_bar == pytest.approx([1.05])
         assert u_bar == pytest.approx([1.05])
 
@@ -359,8 +360,8 @@ class TestQuantization:
         box = Box.symmetric([1.0])
         lb = linear_relaxation(net, box)
         k = np.array([[0.5]])
-        plain = _certified_policy_bounds(net, box, lb, k, None)
-        tiny = _certified_policy_bounds(net, box, lb, k, QuantizationSpec(1e-15))
+        plain = residual_magnitudes(lb, box, k)
+        tiny = [QuantizationSpec(1e-15).widen(b) for b in plain]
         np.testing.assert_allclose(tiny[0], plain[0], atol=1e-12)
         np.testing.assert_allclose(tiny[1], plain[1], atol=1e-12)
 
@@ -371,7 +372,7 @@ class TestQuantization:
         spec = QuantizationSpec(0.1)
         k = rng.normal(size=(1, 2))
         lb = linear_relaxation(net, box)
-        u0_bar, u_bar = _certified_policy_bounds(net, box, lb, k, spec)
+        u0_bar, u_bar = (spec.widen(b) for b in residual_magnitudes(lb, box, k))
         ys = rng.uniform(box.center - box.radius, box.center + box.radius,
                          size=(10_000, 2))
         outs = spec.apply(evaluate(net, ys))
