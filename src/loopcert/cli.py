@@ -232,14 +232,14 @@ def cmd_learn(args) -> int:
     except (ValueError, TypeError) as exc:
         raise CliError(f"bad --params: {exc}") from exc
     w_inf = _amplitude("--w-inf", args.w_inf or 0.0)
-    episodes = sysid.collect(plant, args.episodes, ep_len=args.ep_len,
-                             u_amplitude=_amplitude("--amplitude", args.amplitude),
-                             seed=args.seed)
-    if args.episodes_out:
-        sysid.save_episodes(args.episodes_out, episodes)
+    amplitude = _amplitude("--amplitude", args.amplitude)
     try:
+        episodes = sysid.collect(plant, args.episodes, ep_len=args.ep_len,
+                                 u_amplitude=amplitude, seed=args.seed)
+        if args.episodes_out:
+            sysid.save_episodes(args.episodes_out, episodes)
         model = sysid.bootstrap_uncertainty(episodes, n_boot=args.n_boot, seed=args.seed)
-    except sysid.RankDeficient as exc:
+    except (sysid.EpisodeDiverged, sysid.RankDeficient) as exc:
         print(f"identification failed: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
     learned = sysid.uncertain_plant(model, c=plant.c, d_w=plant.d_w, b_w=plant.b_w,

@@ -9,7 +9,9 @@ angle in radians, zero at the upright equilibrium.  The continuous dynamics
                 - cos(th) u ) / ( (4/3)(M+m) l - m l cos^2(th) )
 
 are discretized by a forward Euler step of length ``tau``.  The denominator
-is positive for any positive masses and length, so the step is total.
+is positive for any positive masses and length, so the step is total.  One
+formula steps one state or a stack of them, each row bit for bit the
+float64 formula.
 
 Angles are never wrapped: all analysis is local around the upright position
 and wrapping would break the linear approximation.
@@ -56,7 +58,13 @@ class NonlinearPlant:
 
         x[t+1] = step(x[t], u[t]) + B_w w[t],   y[t] = C x[t] + D_w w[t]
 
-    ``step`` must satisfy step(0, 0) = 0 for equilibrium plants.
+    ``step`` must satisfy step(0, 0) = 0 for equilibrium plants.  It takes
+    one state ``(n,)`` and its input ``(m,)``.  A step whose ``stacks``
+    attribute is true, as :func:`cartpole_nonlinear`'s is, also takes a
+    stack ``(B, n)`` with inputs ``(B, m)`` and returns ``(B, n)``, each row
+    the one-state step's; :func:`loopcert.sysid.collect` then steps all its
+    episodes in one call.  The mark belongs to the callable, so a plant
+    copied with another ``step`` does not inherit it.
     """
 
     step: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -74,30 +82,42 @@ class NonlinearPlant:
 
 
 def cartpole_step(params: CartPoleParams, x, u) -> np.ndarray:
-    """One Euler step of the nonlinear cart-pole.
+    """One Euler step of the nonlinear cart-pole, for one state or a stack.
 
-    The arithmetic runs on Python floats, which round as float64 scalars
-    do, so the step is bit for bit the float64 formula.  Sine and cosine
-    stay numpy's (``math.sin`` may differ from them in the last bit).  A
-    state past about 1e154 raises ``OverflowError`` where float64 scalars
-    would give inf.
+    ``x`` is one state ``(4,)`` with a one-entry input ``u`` (a number or
+    any one-element array), or a stack ``(B, 4)`` with inputs ``(B, 1)``;
+    the result has the shape of ``x``.  Every row is bit for bit the
+    float64 formula on that row: the arithmetic is elementwise, in the
+    formula's order, and sine and cosine are numpy's.  The squares go
+    through ``np.float_power``, which calls C ``pow`` as ``**`` on a float
+    does; numpy's ``**2`` and ``np.square`` compute ``x * x``, which
+    differs from ``pow`` in the last bit on some values (ω =
+    8.302149983209311).  A state whose square overflows gives inf or NaN,
+    with numpy's warning unless the caller silences it.
     """
-    force = float(np.ravel(u)[0])
-    pos, vel, theta, omega = np.asarray(x, dtype=float).tolist()
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (4,) or x.ndim > 2:
+        raise ValueError(f"expected a state (4,) or a stack (B, 4), got shape {x.shape}")
+    rows = x.reshape(-1, 4)
+    force = np.asarray(u, dtype=float).reshape(len(rows))
+    pos, vel, theta, omega = rows.T
     m, big_m, l, g = params.masspole, params.masscart, params.length, params.g
-    sin_t, cos_t = float(np.sin(theta)), float(np.cos(theta))
-    denom = (4.0 / 3.0) * (big_m + m) * l - m * l * cos_t**2
-    pos_acc = ((4.0 / 3.0) * m * l**2 * omega**2 * sin_t
+    sin_t, cos_t = np.sin(theta), np.cos(theta)
+    omega_sq = np.float_power(omega, 2.0)
+    denom = (4.0 / 3.0) * (big_m + m) * l - m * l * np.float_power(cos_t, 2.0)
+    pos_acc = ((4.0 / 3.0) * m * l**2 * omega_sq * sin_t
                - m * g * l * sin_t * cos_t
                + (4.0 / 3.0) * l * force) / denom
-    ang_acc = (-m * l * omega**2 * sin_t * cos_t
+    ang_acc = (-m * l * omega_sq * sin_t * cos_t
                + (big_m + m) * g * sin_t
                - cos_t * force) / denom
     tau = params.tau
-    return np.array([pos + tau * vel,
-                     vel + tau * pos_acc,
-                     theta + tau * omega,
-                     omega + tau * ang_acc])
+    out = np.empty_like(rows)
+    out[:, 0] = pos + tau * vel
+    out[:, 1] = vel + tau * pos_acc
+    out[:, 2] = theta + tau * omega
+    out[:, 3] = omega + tau * ang_acc
+    return out.reshape(x.shape)
 
 
 def _angle_measurement(n: int = 4) -> tuple[np.ndarray, np.ndarray]:
@@ -111,8 +131,13 @@ def cartpole_nonlinear(params: CartPoleParams | None = None) -> NonlinearPlant:
     """Nonlinear cart-pole with full state measurement, angle perturbation."""
     params = params or CartPoleParams()
     c, d_w = _angle_measurement()
-    return NonlinearPlant(step=lambda x, u: cartpole_step(params, x, u),
-                          c=c, d_w=d_w, b_w=np.zeros((4, 1)))
+
+    # cartpole_step is looked up at each call, so a wrapper bound in its place sees it
+    def step(x, u):
+        return cartpole_step(params, x, u)
+
+    step.stacks = True
+    return NonlinearPlant(step=step, c=c, d_w=d_w, b_w=np.zeros((4, 1)))
 
 
 def cartpole_linearized(params: CartPoleParams | None = None) -> StateSpacePlant:

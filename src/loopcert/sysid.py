@@ -32,6 +32,7 @@ from .plant import NonlinearPlant
 
 __all__ = [
     "RankDeficient",
+    "EpisodeDiverged",
     "Episode",
     "LearnedModel",
     "collect",
@@ -47,6 +48,17 @@ _COND_LIMIT = 1e12
 
 class RankDeficient(ValueError):
     """The regressor Gram matrix is numerically singular."""
+
+
+class EpisodeDiverged(ArithmeticError):
+    """A collected state is not finite: the lowest such ``episode`` at the
+    first such ``step`` (the transition into state ``step + 1``)."""
+
+    def __init__(self, episode: int, step: int):
+        super().__init__(f"episode {episode} diverged at step {step}: "
+                         "its state is not finite")
+        self.episode = episode
+        self.step = step
 
 
 @dataclass(frozen=True)
@@ -81,22 +93,36 @@ class LearnedModel:
 
 def collect(plant: NonlinearPlant, n_episodes: int, ep_len: int = 30,
             u_amplitude: float = 0.5, seed: int = 0) -> list[Episode]:
-    """Roll out ``n_episodes`` from the origin under i.i.d. uniform inputs."""
+    """Roll out ``n_episodes`` from the origin under i.i.d. uniform inputs.
+
+    All episodes advance together, one time step at a time, in one
+    ``(n_episodes, ep_len + 1, n)`` buffer that each episode views.  A step
+    that takes stacks (see :class:`~loopcert.plant.NonlinearPlant`) makes
+    one call per time step; any other step runs row by row.  Either way an
+    episode is bit for bit its own rollout.  Raises
+    :exc:`EpisodeDiverged` at the first step that leaves a state not
+    finite.
+    """
     if n_episodes < 1:
         raise ValueError("need at least one episode")
     if ep_len < 1:
         raise ValueError("need at least one step per episode")
     rng = np.random.default_rng(seed)
-    n = plant.n
-    episodes = []
-    for _ in range(n_episodes):
-        inputs = rng.uniform(-u_amplitude, u_amplitude, size=(ep_len, 1))
-        states = np.empty((ep_len + 1, n))
-        states[0] = 0.0
+    # one draw is the stream of one (ep_len, 1) draw per episode, in turn
+    inputs = rng.uniform(-u_amplitude, u_amplitude, size=(n_episodes, ep_len, 1))
+    states = np.zeros((n_episodes, ep_len + 1, plant.n))
+    step = plant.step
+    if not getattr(step, "stacks", False):
+        def step(x, u):  # a one-state step, row by row
+            return np.array([plant.step(x_i, u_i) for x_i, u_i in zip(x, u)])
+    # a diverging episode overflows to inf or NaN, reported below
+    with np.errstate(all="ignore"):
         for t in range(ep_len):
-            states[t + 1] = plant.step(states[t], inputs[t])
-        episodes.append(Episode(states=states, inputs=inputs))
-    return episodes
+            nxt = states[:, t + 1]
+            nxt[...] = step(states[:, t], inputs[:, t])
+            if not np.isfinite(nxt).all():
+                raise EpisodeDiverged(int(np.argmin(np.isfinite(nxt).all(axis=1))), t)
+    return [Episode(states=x, inputs=u) for x, u in zip(states, inputs)]
 
 
 def _stack(episodes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

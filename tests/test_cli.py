@@ -580,6 +580,16 @@ class TestLearn:
         assert err.startswith("--amplitude must be finite") and "Traceback" not in err
         assert not out.exists()
 
+    def test_diverging_episode_is_a_negative_answer(self, tmp_path, capsys):
+        out, episodes = tmp_path / "model.json", tmp_path / "episodes.csv"
+        code = main(["learn", "--episodes", "5", "--amplitude", "1e6", "--out", str(out),
+                     "--episodes-out", str(episodes)])
+        err = capsys.readouterr().err
+        assert code == EXIT_NEGATIVE
+        assert err.startswith("identification failed: episode ")
+        assert "diverged at step " in err and "Traceback" not in err
+        assert not out.exists() and not episodes.exists()
+
 
 class TestTrainPolicyAndLqr:
     def test_lqr_exports_gains(self, tmp_path):

@@ -1,6 +1,7 @@
 """Cart-pole dynamics and the analytic linearization."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -50,6 +51,10 @@ def reference_step(params, x, u):
                      omega + tau * ang_acc])
 
 
+PARAM_SETS = (CartPoleParams(),
+              CartPoleParams(g=9.81, masscart=2.5, masspole=0.3, length=1.2, tau=0.05))
+
+
 class TestStep:
     def test_matches_the_float64_scalar_formula_bit_for_bit(self):
         rng = np.random.default_rng(11)
@@ -75,6 +80,66 @@ class TestStep:
                                  sysid.collect(reference, 20, u_amplitude=2.0, seed=seed)):
                 assert got.states.tobytes() == want.states.tobytes()
                 assert got.inputs.tobytes() == want.inputs.tobytes()
+
+    def test_collection_compares_the_stacked_step_with_the_one_state_formula(self):
+        # the test above steps nl's stacks against a step that takes one state
+        params = CartPoleParams()
+        nl = cartpole_nonlinear(params)
+        reference = dataclasses.replace(nl, step=lambda x, u: reference_step(params, x, u))
+        assert getattr(nl.step, "stacks", False)
+        assert not getattr(reference.step, "stacks", False)
+
+    def test_stack_matches_one_state_calls_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        for params in PARAM_SETS:
+            for angle in (np.pi, 1e3, 1e6):
+                x = rng.normal(scale=[2.0, 5.0, 1.0, 10.0], size=(2000, 4))
+                x[:, 2] = rng.uniform(-angle, angle, size=len(x))
+                # pow(w, 2) and w * w differ in the last bit here
+                x[:20, 3] = 8.302149983209311
+                u = rng.uniform(-10.0, 10.0, size=(len(x), 1))
+                got = cartpole_step(params, x, u)
+                assert got.shape == x.shape
+                for row, x_i, u_i in zip(got, x, u):
+                    want = reference_step(params, x_i, u_i)
+                    assert row.tobytes() == want.tobytes(), (x_i, u_i)
+                    assert row.tobytes() == cartpole_step(params, x_i, u_i).tobytes()
+
+    @pytest.mark.parametrize("params", PARAM_SETS)
+    def test_collect_matches_a_per_episode_loop_of_the_formula(self, params):
+        nl = cartpole_nonlinear(params)
+        for seed in range(20):
+            for ep_len in (1, 30, 200):
+                for amplitude in (0.1, 2.0, 50.0):  # at 50 the pole falls
+                    got = sysid.collect(nl, 3, ep_len=ep_len, u_amplitude=amplitude,
+                                        seed=seed)
+                    rng = np.random.default_rng(seed)
+                    for episode in got:
+                        inputs = rng.uniform(-amplitude, amplitude, size=(ep_len, 1))
+                        states = [np.zeros(4)]
+                        for u in inputs:
+                            states.append(reference_step(params, states[-1], u))
+                        assert episode.inputs.tobytes() == inputs.tobytes()
+                        assert episode.states.tobytes() == np.array(states).tobytes()
+
+    def test_diverging_collection_names_the_episode_and_step(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(sysid.EpisodeDiverged,
+                               match=r"^episode \d+ diverged at step \d+") as err:
+                sysid.collect(cartpole_nonlinear(), 5, u_amplitude=1e6)
+        # the lowest episode whose state first leaves the finite floats
+        with np.errstate(all="ignore"):
+            first = []
+            rng = np.random.default_rng(0)
+            for episode in range(5):
+                x = np.zeros(4)
+                for t, u in enumerate(rng.uniform(-1e6, 1e6, size=(30, 1))):
+                    x = cartpole_step(CartPoleParams(), x, u)
+                    if not np.all(np.isfinite(x)):
+                        first.append((t, episode))
+                        break
+        assert (err.value.step, err.value.episode) == min(first)
 
     def test_equilibrium_is_fixed(self):
         assert np.array_equal(cartpole_step(CartPoleParams(), np.zeros(4), 0.0),

@@ -39,6 +39,31 @@ class TestCollect:
             np.testing.assert_array_equal(ea.states, eb.states)
             np.testing.assert_array_equal(ea.inputs, eb.inputs)
 
+    def test_one_state_step_collects_its_per_episode_loop(self):
+        # a step without the stacks mark gets one state and one input per call
+        def one_state(x, u):
+            assert x.shape == (2,) and u.shape == (1,)
+            return np.array([0.9 * x[0] + np.sin(x[1]) * u[0], 0.5 * x[0] - x[1] ** 2 + u[0]])
+
+        plant = NonlinearPlant(step=one_state, c=np.eye(2), d_w=np.zeros((2, 1)),
+                               b_w=np.zeros((2, 1)))
+        for seed in range(3):
+            got = collect(plant, 4, ep_len=7, u_amplitude=0.3, seed=seed)
+            rng = np.random.default_rng(seed)
+            for episode in got:
+                inputs = rng.uniform(-0.3, 0.3, size=(7, 1))
+                states = np.zeros((8, 2))
+                for t in range(7):
+                    states[t + 1] = one_state(states[t], inputs[t])
+                assert episode.inputs.tobytes() == inputs.tobytes()
+                assert episode.states.tobytes() == states.tobytes()
+
+    def test_episodes_view_one_buffer(self):
+        episodes = collect(linear_test_plant(), 3, ep_len=4, seed=1)
+        for episode in episodes:
+            assert episode.states.flags.c_contiguous and episode.inputs.flags.c_contiguous
+        assert episodes[0].states.base is episodes[2].states.base is not None
+
     def test_spread_grows_with_amplitude(self, cartpole_nl):
         small = collect(cartpole_nl, 20, u_amplitude=0.1, seed=3)
         large = collect(cartpole_nl, 20, u_amplitude=1.0, seed=3)
