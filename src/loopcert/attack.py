@@ -19,19 +19,21 @@ and runs the B rollouts in one loop; every row is bit-identical to its own
 unbatched run.  The loop is the same for both: it holds one state as an
 (n,) vector and a batch as a (B, 1, n) stack, and writes each step's x, y,
 u and the policy's layers into buffers allocated once per call.
-:func:`violation_levels` runs each round of its lock-step bisections'
-amplitudes as one batched rollout.
+:func:`violation_levels` rolls out each amplitude once.  When its lock-step
+bisections ask one not rolled out yet, each adds the amplitudes it would ask
+next, guessed from the peaks so far, to one batched rollout.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import _bisection, _lockstep
+from .certify import _bisection, _lockstep, _narrowed
 from .linsys import ClosedLoopMaps, StateSpacePlant
 from .neural import QuantizationSpec, ReluNetwork, _bind, _forward_into
 from .plant import NonlinearPlant
@@ -59,11 +61,12 @@ _SAFE_SQUARES = 0.1 * _OVERFLOW**2
 # enough to take the products out of the loop, few enough to cost no memory
 _BLOCK = 256
 
-# amplitudes a violation_levels bisection asks per round: a doubling chunk
-# of 8, then a depth-3 tree of 7 midpoints; and the doublings after which
-# it stops at its cap
-_BATCH = 8
+# the doublings after which a violation_levels bisection stops at its cap;
+# the amplitudes a pair adds to a rollout: the next _AHEAD it asks under
+# guessed verdicts and, for the first _HEDGED of those, the next _HEDGE of
+# the branch where that guess is wrong
 _CAP_DOUBLINGS = 24
+_AHEAD, _HEDGED, _HEDGE = 10, 3, 2
 
 
 @dataclass(frozen=True)
@@ -289,9 +292,9 @@ def simulate(plant, net: ReluNetwork, w=None, t_sim: int = 1000, x0=None,
                 break
     if not batched:
         return SimTrace(x=xs[:t_sim], y=ys, u=us, w=w)
-    # row-major (B, t_sim, .) series
-    xs, ys, us = (np.ascontiguousarray(series[:t_sim, :, 0].transpose(1, 0, 2))
-                  for series in (xs, ys, us))
+    # (B, t_sim, .) views of the time-major buffers: a copy would double the
+    # memory of a batch
+    xs, ys, us = (series[:t_sim, :, 0].transpose(1, 0, 2) for series in (xs, ys, us))
     trace = SimTrace(x=xs, y=ys, u=us, w=w)
     if np.any(diverged >= 0):
         for row in np.flatnonzero(diverged >= 0):
@@ -339,20 +342,33 @@ def violation_levels(plant, net: ReluNetwork, maps: ClosedLoopMaps, targets, hor
 
     For each (target, limit) pair, the ``hi`` end of a
     :func:`loopcert.certify._bisection` with the doubling cap
-    ``_CAP_DOUBLINGS`` and up to ``_BATCH`` amplitudes a round, on the
-    target's plan (designed once) simulated over its horizon; ``inf`` when no
-    amplitude up to the cap violates.  A diverging rollout counts as a
-    violation.  The pairs advance in lock-step, each round's distinct
-    (target, amplitude) rows simulated in one call; each row is bit-identical
-    to its own rollout, so every level is that of one rollout per amplitude.
+    ``_CAP_DOUBLINGS``, on the target's plan (designed once) simulated over
+    its horizon; ``inf`` when no amplitude up to the cap violates.  A
+    diverging rollout counts as a violation.  The pairs advance in
+    lock-step, a level a round, and every (target, amplitude) is rolled out
+    once, its (diverged, peak) kept.
+
+    A round that asks an amplitude not rolled out yet makes one batched
+    rollout, to which every waiting pair adds the amplitudes its bisection
+    would ask next (:func:`_ahead`), guessing each verdict from the peaks
+    so far (:func:`_guess`): the next ``_AHEAD``, and for each of the first
+    ``_HEDGED`` the next ``_HEDGE`` of the branch where its guess is wrong,
+    so a rollout carries every pair at least two levels on.  Each row is
+    bit-identical to its own rollout and a guess only picks which rows to
+    add, so every level is that of one rollout per amplitude.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     signs = {target: design_attack(maps, target, horizon).signs for target in targets}
     pairs = [(target, float(limit)) for target in signs for limit in limits]
+    # the linear loop's peak per unit amplitude, the guess before any rollout
+    slopes = {target: float(np.sum(maps.abs_block("xw")[target])) for target in signs}
+    calm = {target: [] for target in signs}  # sorted (amplitude, peak) of finite rollouts
+    first_dead = dict.fromkeys(signs, np.inf)  # the least amplitude whose rollout diverged
+    held = [{} for _ in pairs]  # per pair, the verdict of every amplitude rolled out
+    bracket = [(0.0, np.inf)] * len(pairs)  # per pair, where its bisection resumes
 
-    def answer(asked: dict) -> dict:
-        rows = list(dict.fromkeys((pairs[i][0], w) for i in asked for w in asked[i]))
+    def roll_out(rows: list) -> None:
         batch = np.array([amplitude * signs[target] for target, amplitude in rows])
         try:
             x = simulate(plant, net, batch, horizon, quantization=quantization).x
@@ -360,13 +376,82 @@ def violation_levels(plant, net: ReluNetwork, maps: ClosedLoopMaps, targets, hor
         except DivergedAt as exc:
             x, dead = exc.trace.x, exc.rows >= 0
         peak = np.max(np.abs(x[np.arange(len(rows)), :, [t for t, _ in rows]]), axis=1)
-        reached = dict(zip(rows, zip(dead.tolist(), peak.tolist())))  # diverged, peak
-        return {i: [d or p > pairs[i][1] for d, p in (reached[pairs[i][0], w] for w in levels)]
-                for i, levels in asked.items()}
+        for (target, amplitude), diverged, p in zip(rows, dead.tolist(), peak.tolist()):
+            if diverged:
+                first_dead[target] = min(first_dead[target], amplitude)
+            else:
+                bisect.insort(calm[target], (amplitude, p))
+            for i, (t, limit) in enumerate(pairs):
+                if t == target:
+                    held[i][amplitude] = diverged or p > limit
 
-    brackets = _lockstep([_bisection(tol, _CAP_DOUBLINGS, _BATCH) for _ in pairs], answer)
+    def answer(asked: dict) -> dict:
+        if any(w not in held[i] for i in asked for w in asked[i]):
+            rows = []
+            for i in asked:
+                target, limit = pairs[i]
+                guess = _guess(calm[target], first_dead[target], slopes[target], limit)
+                path = _ahead(tol, held[i], bracket[i], guess, _AHEAD)
+                rows += [(target, w) for w, _ in path]
+                for k, (w, fails) in enumerate(path[:_HEDGED]):
+                    # a guess that is wrong at one amplitude tends to be
+                    # wrong the same way at the next ones
+                    flipped = {**held[i], **dict(path[:k]), w: not fails}
+                    rows += [(target, v) for v, _ in
+                             _ahead(tol, flipped, bracket[i], lambda v: not guess(v), _HEDGE)]
+            roll_out(list(dict.fromkeys(rows)))
+        answers = {i: [held[i][w] for w in levels] for i, levels in asked.items()}
+        for i, levels in asked.items():
+            bracket[i] = _narrowed(bracket[i], levels, answers[i])
+        return answers
+
+    brackets = _lockstep([_bisection(tol, _CAP_DOUBLINGS) for _ in pairs], answer)
     return [min((hi for _, hi in brackets[k::len(limits)]), default=np.inf)
             for k in range(len(limits))]
+
+
+def _guess(calm: list, first_dead: float, slope: float, limit: float):
+    """A guess of whether an amplitude breaks ``limit``, from one target's
+    rollouts so far: ``calm``, the sorted (amplitude, peak) of those that
+    stayed finite, and ``first_dead``, the least amplitude that diverged.
+
+    An amplitude breaks the limit when it is at least ``first_dead``, or
+    when its guessed peak exceeds the limit.  The peak is interpolated
+    linearly between the nearest calm amplitudes around it, or scaled in
+    proportion from the nearest one when it lies outside them; before any
+    rollout it is the amplitude times ``slope``.
+    """
+    def breaks(w: float) -> bool:
+        if w >= first_dead:
+            return True
+        k = bisect.bisect_left(calm, (w,))
+        if 0 < k < len(calm):
+            (w0, p0), (w1, p1) = calm[k - 1], calm[k]
+            peak = p0 + (p1 - p0) * (w - w0) / (w1 - w0)
+        else:
+            near, p = calm[min(k, len(calm) - 1)] if calm else (0.0, 0.0)
+            peak = p * (w / near) if near > 0.0 else w * slope
+        return peak > limit
+
+    return breaks
+
+
+def _ahead(tol: float, held: dict, bracket: tuple[float, float], guess,
+           count: int) -> list[tuple[float, bool]]:
+    """The first ``count`` levels past ``held`` that a
+    :func:`loopcert.certify._bisection` resumed at ``bracket`` asks when
+    each is given the verdict ``guess(level)``, with those verdicts."""
+    bisection = _bisection(tol, _CAP_DOUBLINGS, held, bracket)
+    path = []
+    try:
+        levels = next(bisection)
+        while len(path) < count:
+            verdicts = [guess(w) for w in levels]
+            path += zip(levels, verdicts)
+            levels = bisection.send(verdicts)
+    except StopIteration:
+        pass
+    return path[:count]
 
 
 # ---------------------------------------------------------------------------

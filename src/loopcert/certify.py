@@ -627,68 +627,74 @@ def with_state_limit(plant: StateSpacePlant, target_state: int | None,
     return replace(plant, x_lim=x_lim)
 
 
-def _midpoints(lo: float, hi: float, tol: float, depth: int) -> list[float]:
-    """Every midpoint the bisection of :func:`_bisection` can reach from
-    ``[lo, hi]`` within ``depth`` rounds, whichever way each round goes."""
-    if depth == 0 or hi - lo <= tol * hi:
-        return []
-    mid = (lo + hi) / 2.0
-    return [mid] + _midpoints(lo, mid, tol, depth - 1) + _midpoints(mid, hi, tol, depth - 1)
-
-
-def _bisection(tol: float, cap: int, width: int = 1):
+def _bisection(tol: float, cap: int, held: dict | None = None,
+               bracket: tuple[float, float] = (0.0, np.inf)):
     """Bracket ``(lo, hi)`` of the least failing level of a monotone batch
     predicate: ``lo`` passes (or is 0) and ``hi`` fails (or is inf).
 
-    A generator: it yields each batch of at most ``width`` levels to ask, is
-    sent their verdicts (True for a level that fails), and returns the
-    bracket; :func:`_lockstep` drives many at once.  The verdicts are held,
-    so no level is asked twice.  ``tol`` is relative and must lie in (0, 1):
+    A generator: it yields each batch of levels to ask, is sent their
+    verdicts (True for a level that fails), and returns the bracket;
+    :func:`_lockstep` drives many at once.  The verdicts are held, so no
+    level is asked twice.  ``held`` maps levels to verdicts known
+    beforehand, which it reads without asking (it is copied, not changed),
+    and ``bracket`` is the ``(lo, hi)`` to resume from (:func:`_narrowed`):
+    past the doubling once ``hi`` is finite, so that a replay costs no more
+    than the levels it asks.  ``tol`` is relative and must lie in (0, 1):
     at 1 or above the bracket ``(0, tol)`` would already be within it.
 
-    * Doubling: ``tol * 2**k`` for ``k = 0 .. max(cap, 0)``, ``width`` per
-      batch.  ``hi`` is the first that fails, ``lo`` the one before; when
-      none fails, the bracket is ``(tol * 2**cap, inf)``.
-    * Zero: 0 is asked only when ``tol`` fails, with the first bisection
-      batch.  When 0 fails too, the bracket is ``(0, 0)``.
+    * Doubling: ``tol * 2**k`` for ``k = 0 .. max(cap, 0)``.  ``hi`` is the
+      first that fails, ``lo`` the one before; when none fails, the bracket
+      is ``(tol * 2**cap, inf)``.
+    * Zero: 0 is asked only when ``tol`` fails, with the first midpoint.
+      When 0 fails too, the bracket is ``(0, 0)``.
     * Stop: bisect while ``hi - lo > tol * hi``; stop when the midpoint is
       ``lo`` or ``hi`` itself (no float lies between them).
-    * Batch: a bisection batch is every midpoint the next ``d`` rounds can
-      reach, for the deepest tree of ``2**d - 1`` midpoints within ``width``.
-      Width 1 asks one midpoint per round; width 8 doubles in chunks of 8,
-      then asks trees of 7.
+    * Batch: one level a batch, but for 0 and the first midpoint.  A caller
+      that wants more levels a round guesses them by replaying the bisection
+      with ``held`` verdicts (see :func:`loopcert.attack.violation_levels`).
     """
     if not 0 < tol < 1:
         raise ValueError("tol must be in (0, 1)")
-    verdicts: dict[float, bool] = {}
+    verdicts = dict(held or {})
 
-    def ask(levels: list[float]):
+    def ask(*levels: float):
         levels = [v for v in dict.fromkeys(levels) if v not in verdicts]
-        verdicts.update(zip(levels, (yield levels)))
+        if levels:
+            verdicts.update(zip(levels, (yield levels)))
 
-    cap = max(cap, 0)
-    lo = 0.0
-    for k in range(cap + 1):
-        hi = tol * 2.0**k
-        if hi not in verdicts:
-            yield from ask([tol * 2.0**j for j in range(k, min(k + width, cap + 1))])
-        if verdicts[hi]:
-            break
-        lo = hi
-    else:
-        return lo, np.inf
-    depth = (width + 1).bit_length() - 1
+    lo, hi = bracket
+    if hi == np.inf:
+        lo = 0.0
+        for k in range(max(cap, 0) + 1):
+            hi = tol * 2.0**k
+            yield from ask(hi)
+            if verdicts[hi]:
+                break
+            lo = hi
+        else:
+            return lo, np.inf
     if lo == 0.0:
-        yield from ask([0.0] + _midpoints(lo, hi, tol, depth))
+        yield from ask(0.0, hi / 2.0)
         if verdicts[0.0]:
             return 0.0, 0.0
     while hi - lo > tol * hi:
         mid = (lo + hi) / 2.0
         if mid in (lo, hi):
             break
-        if mid not in verdicts:
-            yield from ask(_midpoints(lo, hi, tol, depth))
+        yield from ask(mid)
         lo, hi = (lo, mid) if verdicts[mid] else (mid, hi)
+    return lo, hi
+
+
+def _narrowed(bracket: tuple[float, float], levels: list,
+              verdicts: list) -> tuple[float, float]:
+    """The bracket a :func:`_bisection` reaches from ``bracket`` once sent
+    ``verdicts`` on ``levels``: ``lo`` the greatest level that passed (or
+    0), ``hi`` the least that failed (or inf), from ``(0, inf)`` at its
+    start."""
+    lo, hi = bracket
+    for level, fails in zip(levels, verdicts):
+        lo, hi = (lo, min(hi, level)) if fails else (max(lo, level), hi)
     return lo, hi
 
 

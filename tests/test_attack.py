@@ -464,13 +464,14 @@ class TestViolationLevel:
         reference, rollouts = _sequential_violation_level(limited, cloned_policy, maps,
                                                           2, 2500, 0.005)
         assert level == reference
-        assert rollouts == 13 and batched <= 5
+        assert rollouts == 13 and batched <= 2
 
     def test_random_loops_match_sequential(self, count_simulations):
         # random ReLU loops, some of whose rollouts diverge, with quantization
         # on every third; on seeds 4, 5 and 8 the unforced loop already
         # leaves the box, so amplitudes tol and 0 both violate and the level
-        # is 0 after two rollouts (one batched call each)
+        # is 0 after two rollouts, both rows of the first batched call
+        calls = 0
         for seed in range(12):
             rng = np.random.default_rng(seed)
             plant = random_stable_plant(rng, with_uncertainty=False)
@@ -486,7 +487,10 @@ class TestViolationLevel:
             reference, rollouts = _sequential_violation_level(*args)
             assert level == reference
             if seed in (4, 5, 8):
-                assert (level, rollouts, len(count_simulations)) == (0.0, 2, 2), seed
+                assert (level, rollouts, len(count_simulations)) == (0.0, 2, 1), seed
+            calls += len(count_simulations)
+        # 47 with a blind depth-3 midpoint tree a round
+        assert calls <= 27
 
     def test_threshold_amplitudes_match_sequential(self, scalar_loop, monkeypatch):
         # a stand-in simulator whose every state is the amplitude of its row
@@ -573,9 +577,11 @@ class TestViolationLevel:
 class TestViolationLevels:
     """Every (target, limit) pair in lock-step against one sequential search each."""
 
-    def test_random_loops_match_least_sequential_level_over_targets(self):
+    def test_random_loops_match_least_sequential_level_over_targets(self, count_simulations):
         # limits 0 and inf with every target; at inf only a diverging row
-        # breaks the limit, which happens on some seeds
+        # breaks the limit, which happens on some seeds; quantized outputs on
+        # every third seed, where peaks are least linear in the amplitude and
+        # the guessed verdicts most often wrong
         finite_at_inf = 0
         for seed in range(8):
             rng = np.random.default_rng(seed)
@@ -584,24 +590,28 @@ class TestViolationLevels:
             maps = linsys.close_loop(plant, np.zeros((plant.m, plant.r)))
             limits = [0.0, float(rng.uniform(0.2, 1.0)), float(rng.uniform(1.0, 5.0)), np.inf]
             tol = float(rng.choice([1e-3, 1e-2]))
+            quant = neural.QuantizationSpec(0.05) if seed % 3 == 0 else None
             targets = range(plant.n)
-            levels = attack.violation_levels(plant, net, maps, targets, 50, limits, tol, None)
+            levels = attack.violation_levels(plant, net, maps, targets, 50, limits, tol, quant)
             for limit, level in zip(limits, levels):
                 reference = min(_sequential_violation_level(plant, net, maps, target, 50, limit,
-                                                            tol)[0] for target in targets)
+                                                            tol, quant)[0] for target in targets)
                 assert level == reference, (seed, limit)
             finite_at_inf += levels[-1] < np.inf
         assert 0 < finite_at_inf < 8
+        # 38 with a blind depth-3 midpoint tree a round
+        assert len(count_simulations) <= 24
 
-    def test_cartpole_column_in_five_calls(self, cartpole, cloned_policy, kd,
-                                           count_simulations):
+    def test_cartpole_column_in_two_calls(self, cartpole, cloned_policy, kd,
+                                          count_simulations):
         # the frontier --with-attack column of the cart-pole sweep: one
-        # violation_level per limit made 25 simulate calls
+        # violation_level per limit made 25 simulate calls, and a blind
+        # depth-3 midpoint tree a round made 5
         values = [0.001, 0.002, 0.003, 0.005, 0.008]
         _, maps = certify.extract_loop(cartpole, cloned_policy, None, kd)
         levels = attack.violation_levels(cartpole, cloned_policy, maps, [2], 2500, values, 1e-3,
                                           None)
-        assert len(count_simulations) == 5
+        assert len(count_simulations) <= 2
         assert levels == [attack.violation_level(cartpole, cloned_policy, maps, 2, 2500, v)
                           for v in values]
         assert levels == [0.00026928710937500005, 0.0005385742187500001,

@@ -606,6 +606,32 @@ class TestBisectMaxLevel:
         assert set(old_asked) == set(asked) | {0.0}
         assert len(old_asked) > 2 * len(asked)
 
+    def test_resumed_bisection_asks_the_rest_of_its_walk(self):
+        # resumed with the verdicts it was sent and the bracket they give, a
+        # bisection asks next what it asks next, and ends with the bracket it
+        # ends with.  While hi is inf it replays its doubling from the
+        # verdicts; past the doubling and the zero probe it needs none
+        for threshold, strict, tol in threshold_cases(400, seed=3):
+            case = (threshold, strict, tol)
+            walk, held, bracket = certify._bisection(tol, 24), {}, (0.0, np.inf)
+            levels = next(walk)
+            while True:
+                verdicts = [w > threshold if strict else w >= threshold for w in levels]
+                held.update(zip(levels, verdicts))
+                bracket = certify._narrowed(bracket, levels, verdicts)
+                lo, hi = bracket
+                resumed = certify._bisection(tol, 24, {} if 0 < lo and hi < np.inf else held,
+                                             bracket)
+                try:
+                    levels = walk.send(verdicts)
+                except StopIteration as stop:
+                    assert stop.value == bracket, case
+                    with pytest.raises(StopIteration) as ended:
+                        next(resumed)
+                    assert ended.value.value == bracket, case
+                    break
+                assert next(resumed) == levels, case
+
     @pytest.mark.parametrize("tol", [0.0, -1e-3, np.nan, 1.0, 2.0, np.inf])
     def test_rejects_nonpositive_tol(self, tol):
         # a relative tolerance of 1 or more holds on the first bracket (0, tol)
