@@ -21,19 +21,21 @@ unbatched run.  The loop is the same for both: it holds one state as an
 u and the policy's layers into buffers allocated once per call.
 :func:`violation_levels` rolls out each amplitude once.  When its lock-step
 bisections ask one not rolled out yet, each adds the amplitudes it would ask
-next, guessed from the peaks so far, to one batched rollout.
+next, found by walking a copy of it on verdicts guessed from the peaks so
+far, to one batched rollout.
 """
 
 from __future__ import annotations
 
 import bisect
+import copy
 import csv
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import _bisection, _lockstep, _narrowed
+from .certify import _Bisection, _lockstep
 from .linsys import ClosedLoopMaps, StateSpacePlant
 from .neural import QuantizationSpec, ReluNetwork, _bind, _forward_into
 from .plant import NonlinearPlant
@@ -153,8 +155,12 @@ def design_attack(maps: ClosedLoopMaps, target: int, horizon: int,
     """Sign sequence maximizing the linear response of state ``target``.
 
     Signs beyond the truncation length of the impulse response are zero
-    (their exact coefficients are below the truncation tolerance).
+    (their exact coefficients are below the truncation tolerance).  A
+    ``horizon`` below 1 raises ``ValueError``: a plan of no steps cannot be
+    simulated.
     """
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
     n, _, p, _, _, _ = maps.dims
     if not 0 <= target < n:
         raise IndexError(f"target state {target} out of range for n={n}")
@@ -217,9 +223,9 @@ def simulate(plant, net: ReluNetwork, w=None, t_sim: int = 1000, x0=None,
     Raises
     ------
     ValueError
-        When ``w`` or ``x0`` has the wrong shape, the network's input does
-        not match the plant's measurement, or its output does not match a
-        :class:`StateSpacePlant`'s input.
+        When ``t_sim`` is negative, ``w`` or ``x0`` has the wrong shape, the
+        network's input does not match the plant's measurement, or its
+        output does not match a :class:`StateSpacePlant`'s input.
     DivergedAt
         When the state overflows.  Unbatched, at the step it overflows, with
         the partial trace.  Batched, after the other rows have run to the
@@ -227,6 +233,8 @@ def simulate(plant, net: ReluNetwork, w=None, t_sim: int = 1000, x0=None,
         stayed finite), ``step`` the first of them, and the trace holds every
         row in full, NaN past that step.
     """
+    if t_sim < 0:
+        raise ValueError(f"t_sim must be at least 0, got {t_sim}")
     batched = w is not None and not isinstance(w, AttackPlan) and np.ndim(w) == 3
     step, c, d_w, b_w = _plant_hooks(plant, batched)
     (r, n), p = c.shape, d_w.shape[1]
@@ -341,7 +349,7 @@ def violation_levels(plant, net: ReluNetwork, maps: ClosedLoopMaps, targets, hor
     ``|x_target| <= limit`` for one of the ``targets``.
 
     For each (target, limit) pair, the ``hi`` end of a
-    :func:`loopcert.certify._bisection` with the doubling cap
+    :class:`loopcert.certify._Bisection` with the doubling cap
     ``_CAP_DOUBLINGS``, on the target's plan (designed once) simulated over
     its horizon; ``inf`` when no amplitude up to the cap violates.  A
     diverging rollout counts as a violation.  The pairs advance in
@@ -349,16 +357,15 @@ def violation_levels(plant, net: ReluNetwork, maps: ClosedLoopMaps, targets, hor
     once, its (diverged, peak) kept.
 
     A round that asks an amplitude not rolled out yet makes one batched
-    rollout, to which every waiting pair adds the amplitudes its bisection
-    would ask next (:func:`_ahead`), guessing each verdict from the peaks
-    so far (:func:`_guess`): the next ``_AHEAD``, and for each of the first
+    rollout, to which every waiting pair adds the amplitudes a copy of its
+    bisection asks next (:func:`_ahead`), sent the verdict of each
+    amplitude rolled out and a guess from the peaks so far for every other
+    (:func:`_guess`): the next ``_AHEAD``, and for each of the first
     ``_HEDGED`` the next ``_HEDGE`` of the branch where its guess is wrong,
     so a rollout carries every pair at least two levels on.  Each row is
     bit-identical to its own rollout and a guess only picks which rows to
     add, so every level is that of one rollout per amplitude.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
     signs = {target: design_attack(maps, target, horizon).signs for target in targets}
     pairs = [(target, float(limit)) for target in signs for limit in limits]
     # the linear loop's peak per unit amplitude, the guess before any rollout
@@ -366,7 +373,7 @@ def violation_levels(plant, net: ReluNetwork, maps: ClosedLoopMaps, targets, hor
     calm = {target: [] for target in signs}  # sorted (amplitude, peak) of finite rollouts
     first_dead = dict.fromkeys(signs, np.inf)  # the least amplitude whose rollout diverged
     held = [{} for _ in pairs]  # per pair, the verdict of every amplitude rolled out
-    bracket = [(0.0, np.inf)] * len(pairs)  # per pair, where its bisection resumes
+    walks = [_Bisection(tol, _CAP_DOUBLINGS) for _ in pairs]
 
     def roll_out(rows: list) -> None:
         batch = np.array([amplitude * signs[target] for target, amplitude in rows])
@@ -391,21 +398,18 @@ def violation_levels(plant, net: ReluNetwork, maps: ClosedLoopMaps, targets, hor
             for i in asked:
                 target, limit = pairs[i]
                 guess = _guess(calm[target], first_dead[target], slopes[target], limit)
-                path = _ahead(tol, held[i], bracket[i], guess, _AHEAD)
+                path = _ahead(walks[i], held[i], guess, _AHEAD)
                 rows += [(target, w) for w, _ in path]
                 for k, (w, fails) in enumerate(path[:_HEDGED]):
                     # a guess that is wrong at one amplitude tends to be
                     # wrong the same way at the next ones
                     flipped = {**held[i], **dict(path[:k]), w: not fails}
                     rows += [(target, v) for v, _ in
-                             _ahead(tol, flipped, bracket[i], lambda v: not guess(v), _HEDGE)]
+                             _ahead(walks[i], flipped, lambda v: not guess(v), _HEDGE)]
             roll_out(list(dict.fromkeys(rows)))
-        answers = {i: [held[i][w] for w in levels] for i, levels in asked.items()}
-        for i, levels in asked.items():
-            bracket[i] = _narrowed(bracket[i], levels, answers[i])
-        return answers
+        return {i: [held[i][w] for w in levels] for i, levels in asked.items()}
 
-    brackets = _lockstep([_bisection(tol, _CAP_DOUBLINGS) for _ in pairs], answer)
+    brackets = _lockstep(walks, answer)
     return [min((hi for _, hi in brackets[k::len(limits)]), default=np.inf)
             for k in range(len(limits))]
 
@@ -436,21 +440,15 @@ def _guess(calm: list, first_dead: float, slope: float, limit: float):
     return breaks
 
 
-def _ahead(tol: float, held: dict, bracket: tuple[float, float], guess,
-           count: int) -> list[tuple[float, bool]]:
-    """The first ``count`` levels past ``held`` that a
-    :func:`loopcert.certify._bisection` resumed at ``bracket`` asks when
-    each is given the verdict ``guess(level)``, with those verdicts."""
-    bisection = _bisection(tol, _CAP_DOUBLINGS, held, bracket)
-    path = []
-    try:
-        levels = next(bisection)
-        while len(path) < count:
-            verdicts = [guess(w) for w in levels]
-            path += zip(levels, verdicts)
-            levels = bisection.send(verdicts)
-    except StopIteration:
-        pass
+def _ahead(walk: _Bisection, held: dict, guess, count: int) -> list[tuple[float, bool]]:
+    """The first ``count`` levels not in ``held`` that a copy of ``walk``
+    asks, with their guessed verdicts: the copy is sent ``held[level]``
+    where held and ``guess(level)`` elsewhere."""
+    walk, path = copy.copy(walk), []
+    while walk.asked and len(path) < count:
+        verdicts = [held[w] if w in held else guess(w) for w in walk.asked]
+        path += [(w, fails) for w, fails in zip(walk.asked, verdicts) if w not in held]
+        walk.send(verdicts)
     return path[:count]
 
 

@@ -627,20 +627,19 @@ def with_state_limit(plant: StateSpacePlant, target_state: int | None,
     return replace(plant, x_lim=x_lim)
 
 
-def _bisection(tol: float, cap: int, held: dict | None = None,
-               bracket: tuple[float, float] = (0.0, np.inf)):
+class _Bisection:
     """Bracket ``(lo, hi)`` of the least failing level of a monotone batch
     predicate: ``lo`` passes (or is 0) and ``hi`` fails (or is inf).
 
-    A generator: it yields each batch of levels to ask, is sent their
-    verdicts (True for a level that fails), and returns the bracket;
-    :func:`_lockstep` drives many at once.  The verdicts are held, so no
-    level is asked twice.  ``held`` maps levels to verdicts known
-    beforehand, which it reads without asking (it is copied, not changed),
-    and ``bracket`` is the ``(lo, hi)`` to resume from (:func:`_narrowed`):
-    past the doubling once ``hi`` is finite, so that a replay costs no more
-    than the levels it asks.  ``tol`` is relative and must lie in (0, 1):
-    at 1 or above the bracket ``(0, tol)`` would already be within it.
+    A walk whose whole state is its bracket, whether 0 has been asked, and
+    ``asked``, the batch of levels it waits on (empty once it has ended).
+    :meth:`send` takes their verdicts (True for a level that fails), narrows
+    the bracket and sets the next batch; :func:`_lockstep` drives many at
+    once.  No level is asked twice, and a ``copy.copy`` walks on alone, so a
+    caller can guess ahead on a copy (see
+    :func:`loopcert.attack.violation_levels`).  ``tol`` is relative and must
+    lie in (0, 1): at 1 or above the bracket ``(0, tol)`` would already be
+    within it.
 
     * Doubling: ``tol * 2**k`` for ``k = 0 .. max(cap, 0)``.  ``hi`` is the
       first that fails, ``lo`` the one before; when none fails, the bracket
@@ -649,75 +648,50 @@ def _bisection(tol: float, cap: int, held: dict | None = None,
       When 0 fails too, the bracket is ``(0, 0)``.
     * Stop: bisect while ``hi - lo > tol * hi``; stop when the midpoint is
       ``lo`` or ``hi`` itself (no float lies between them).
-    * Batch: one level a batch, but for 0 and the first midpoint.  A caller
-      that wants more levels a round guesses them by replaying the bisection
-      with ``held`` verdicts (see :func:`loopcert.attack.violation_levels`).
+    * Batch: one level a batch, but for 0 and the first midpoint.
     """
-    if not 0 < tol < 1:
-        raise ValueError("tol must be in (0, 1)")
-    verdicts = dict(held or {})
 
-    def ask(*levels: float):
-        levels = [v for v in dict.fromkeys(levels) if v not in verdicts]
-        if levels:
-            verdicts.update(zip(levels, (yield levels)))
+    def __init__(self, tol: float, cap: int):
+        if not 0 < tol < 1:
+            raise ValueError("tol must be in (0, 1)")
+        self.tol, self.top = tol, tol * 2.0**max(cap, 0)
+        self.lo, self.hi = 0.0, np.inf
+        self.zero_asked = False
+        self.asked = [tol]
 
-    lo, hi = bracket
-    if hi == np.inf:
-        lo = 0.0
-        for k in range(max(cap, 0) + 1):
-            hi = tol * 2.0**k
-            yield from ask(hi)
-            if verdicts[hi]:
-                break
-            lo = hi
+    def send(self, verdicts: list) -> None:
+        for level, fails in zip(self.asked, verdicts):
+            if fails:
+                self.hi = min(self.hi, level)
+            else:
+                self.lo = max(self.lo, level)
+        self.lo = min(self.lo, self.hi)  # 0 failed: (0, 0), whatever its midpoint gave
+        if self.hi == np.inf:
+            self.asked = [] if self.lo >= self.top else [2.0 * self.lo]
+        elif self.lo == 0.0 and not self.zero_asked:
+            self.zero_asked = True
+            self.asked = list(dict.fromkeys([0.0, self.hi / 2.0]))
         else:
-            return lo, np.inf
-    if lo == 0.0:
-        yield from ask(0.0, hi / 2.0)
-        if verdicts[0.0]:
-            return 0.0, 0.0
-    while hi - lo > tol * hi:
-        mid = (lo + hi) / 2.0
-        if mid in (lo, hi):
-            break
-        yield from ask(mid)
-        lo, hi = (lo, mid) if verdicts[mid] else (mid, hi)
-    return lo, hi
-
-
-def _narrowed(bracket: tuple[float, float], levels: list,
-              verdicts: list) -> tuple[float, float]:
-    """The bracket a :func:`_bisection` reaches from ``bracket`` once sent
-    ``verdicts`` on ``levels``: ``lo`` the greatest level that passed (or
-    0), ``hi`` the least that failed (or inf), from ``(0, inf)`` at its
-    start."""
-    lo, hi = bracket
-    for level, fails in zip(levels, verdicts):
-        lo, hi = (lo, min(hi, level)) if fails else (max(lo, level), hi)
-    return lo, hi
+            mid = (self.lo + self.hi) / 2.0
+            stop = self.hi - self.lo <= self.tol * self.hi or mid in (self.lo, self.hi)
+            self.asked = [] if stop else [mid]
 
 
 def _lockstep(bisections: list, answer: Callable[[dict], dict]) -> list[tuple[float, float]]:
-    """The brackets of the :func:`_bisection` generators, driven together:
-    each round ``answer`` gets ``{i: levels}`` of every waiting bisection and
-    returns ``{i: verdicts}`` of those it answers; the others wait."""
-    brackets = [None] * len(bisections)
-    asked = {i: next(b) for i, b in enumerate(bisections)}
-    while asked:
+    """The brackets of the :class:`_Bisection` walks, driven together until
+    each has ended: each round ``answer`` gets ``{i: levels}`` of every
+    waiting walk and returns ``{i: verdicts}`` of those it answers; the
+    others wait."""
+    while asked := {i: b.asked for i, b in enumerate(bisections) if b.asked}:
         for i, verdicts in answer(asked).items():
-            try:
-                asked[i] = bisections[i].send(verdicts)
-            except StopIteration as stop:
-                brackets[i] = stop.value
-                del asked[i]
-    return brackets
+            bisections[i].send(verdicts)
+    return [(b.lo, b.hi) for b in bisections]
 
 
 def bisect_max_level(certifies: Callable[[float], bool], tol: float = 1e-4) -> float:
     """Largest level certified by a monotone predicate, to relative tol: the ``lo``
-    end of :func:`_bisection`, one level at a time, capped at ``_CAP_DOUBLINGS``."""
-    return _lockstep([_bisection(tol, _CAP_DOUBLINGS)],
+    end of a :class:`_Bisection`, one level at a time, capped at ``_CAP_DOUBLINGS``."""
+    return _lockstep([_Bisection(tol, _CAP_DOUBLINGS)],
                      lambda asked: {0: [not certifies(w) for w in asked[0]]})[0][0]
 
 
@@ -727,7 +701,7 @@ def frontier(plant: StateSpacePlant, net: ReluNetwork,
              quantization: QuantizationSpec | None = None) -> list[tuple[float, float]]:
     """Largest certifiable attack level per state-deviation limit.
 
-    For each limit, the ``lo`` end of a :func:`_bisection` (relative
+    For each limit, the ``lo`` end of a :class:`_Bisection` (relative
     tolerance ``tol``, capped at ``_CAP_DOUBLINGS``) on the success of
     :func:`algorithm1` with that limit installed on ``target_state`` (every
     state when None).  The curve is nondecreasing in the limit up to ``tol``.
@@ -750,7 +724,7 @@ def frontier(plant: StateSpacePlant, net: ReluNetwork,
         done = [i for i in asked if all(s.result is not None for s in searches[i])]
         return {i: [not s.result.success for s in searches.pop(i)] for i in done}
 
-    brackets = _lockstep([_bisection(tol, _CAP_DOUBLINGS) for _ in limited], answer)
+    brackets = _lockstep([_Bisection(tol, _CAP_DOUBLINGS) for _ in limited], answer)
     return [(float(v), lo) for v, (lo, _) in zip(x_lim_values, brackets)]
 
 
@@ -941,7 +915,7 @@ def baseline_frontier(plant: StateSpacePlant, net: ReluNetwork,
                       n_samples: int = 4096, seed: int = 0) -> list[tuple[float, float]]:
     """Largest attack level the small-gain baseline accepts, per limit.
 
-    For each limit, the ``lo`` end of a :func:`_bisection`, as in
+    For each limit, the ``lo`` end of a :class:`_Bisection`, as in
     :func:`frontier`, on the ``certified`` of :func:`baseline_certify` with
     that limit installed.  The limits share one :func:`_baseline_checks`, so
     each distinct level ``w`` is scanned once and each limit is checked
@@ -950,7 +924,7 @@ def baseline_frontier(plant: StateSpacePlant, net: ReluNetwork,
     """
     check = _baseline_checks(_Loop(plant, net, k_d, gamma_delta, quantization), n_samples, seed)
     limited = [with_state_limit(plant, target_state, float(v)) for v in x_lim_values]
-    brackets = _lockstep([_bisection(tol, _CAP_DOUBLINGS) for _ in limited],
+    brackets = _lockstep([_Bisection(tol, _CAP_DOUBLINGS) for _ in limited],
                          lambda asked: {i: [not check(limited[i], w).certified for w in levels]
                                         for i, levels in asked.items()})
     return [(float(v), lo) for v, (lo, _) in zip(x_lim_values, brackets)]

@@ -177,6 +177,8 @@ def cmd_frontier(args) -> int:
 
 
 def cmd_attack(args) -> int:
+    if args.horizon < 1:
+        raise CliError(f"--horizon must be at least 1, got {args.horizon}")
     plant, net, _, lib = _loop(args, w_inf=args.w_inf, state=args.target)
     try:
         _, maps = certify.extract_loop(plant, net, None, lib["k_d"])
@@ -189,6 +191,8 @@ def cmd_attack(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.steps < 0:
+        raise CliError(f"--steps must be at least 0, got {args.steps}")
     if args.plant == "cartpole-nonlinear":
         plant = cartpole_nonlinear()
     else:

@@ -197,7 +197,7 @@ class TestDesignAttack:
             plant = random_stable_plant(rng)
             maps = linsys.close_loop(plant, np.zeros((plant.m, plant.r)))
             length = maps.xw.length
-            for horizon in (0, 1, length // 2, length - 1, length, length + 7, 2 * length):
+            for horizon in (1, length // 2, length - 1, length, length + 7, 2 * length):
                 for target in range(plant.n):
                     plan = design_attack(maps, target, horizon)
                     np.testing.assert_array_equal(plan.signs,
@@ -226,6 +226,14 @@ class TestDesignAttack:
         with pytest.raises(IndexError):
             design_attack(maps, 3, 10)
 
+    @pytest.mark.parametrize("horizon", [0, -1])
+    def test_horizon_below_one(self, scalar_loop, horizon):
+        # a plan of no steps has signs of shape (0, p), which simulate could
+        # not read back from its file
+        _, _, maps = scalar_loop
+        with pytest.raises(ValueError, match="horizon must be at least 1"):
+            design_attack(maps, 0, horizon)
+
 
 class TestSimulate:
     def test_zero_everything_stays_zero(self, scalar_loop):
@@ -233,6 +241,14 @@ class TestSimulate:
         trace = simulate(plant, net, None, 50)
         assert np.array_equal(trace.max_abs("x"), [0.0])
         assert np.array_equal(trace.max_abs("u"), [0.0])
+
+    def test_negative_steps(self, scalar_loop):
+        # refused by name, not by numpy's "negative dimensions"; no steps is a run
+        plant, net, maps = scalar_loop
+        for w in (None, design_attack(maps, 0, 5)):
+            with pytest.raises(ValueError, match="t_sim must be at least 0, got -1"):
+                simulate(plant, net, w, -1)
+            assert simulate(plant, net, w, 0).steps == 0
 
     def test_nonlinear_matches_linear_for_small_states(self, kd):
         params = CartPoleParams()

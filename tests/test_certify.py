@@ -1,5 +1,6 @@
 """Certification engine against hand-derived scalar closed forms."""
 
+import copy
 import dataclasses
 import warnings
 
@@ -606,31 +607,46 @@ class TestBisectMaxLevel:
         assert set(old_asked) == set(asked) | {0.0}
         assert len(old_asked) > 2 * len(asked)
 
-    def test_resumed_bisection_asks_the_rest_of_its_walk(self):
-        # resumed with the verdicts it was sent and the bracket they give, a
-        # bisection asks next what it asks next, and ends with the bracket it
-        # ends with.  While hi is inf it replays its doubling from the
-        # verdicts; past the doubling and the zero probe it needs none
+    def test_copied_bisection_walks_on_alone(self):
+        # a copy sent the same verdicts asks what the walk asks and ends on
+        # its bracket; a copy sent other verdicts leaves the walk as it was
         for threshold, strict, tol in threshold_cases(400, seed=3):
             case = (threshold, strict, tol)
-            walk, held, bracket = certify._bisection(tol, 24), {}, (0.0, np.inf)
-            levels = next(walk)
-            while True:
-                verdicts = [w > threshold if strict else w >= threshold for w in levels]
-                held.update(zip(levels, verdicts))
-                bracket = certify._narrowed(bracket, levels, verdicts)
-                lo, hi = bracket
-                resumed = certify._bisection(tol, 24, {} if 0 < lo and hi < np.inf else held,
-                                             bracket)
-                try:
-                    levels = walk.send(verdicts)
-                except StopIteration as stop:
-                    assert stop.value == bracket, case
-                    with pytest.raises(StopIteration) as ended:
-                        next(resumed)
-                    assert ended.value.value == bracket, case
-                    break
-                assert next(resumed) == levels, case
+            walk = certify._Bisection(tol, 24)
+            while walk.asked:
+                state = (list(walk.asked), walk.lo, walk.hi)
+                verdicts = [w > threshold if strict else w >= threshold for w in walk.asked]
+                other, twin = copy.copy(walk), copy.copy(walk)
+                other.send([not fails for fails in verdicts])
+                assert (walk.asked, walk.lo, walk.hi) == state, case
+                walk.send(verdicts)
+                twin.send(verdicts)
+                assert (twin.asked, twin.lo, twin.hi) == (walk.asked, walk.lo, walk.hi), case
+
+    def test_zero_failing_ends_at_zero_whatever_the_midpoint(self):
+        # 0 and the first midpoint are asked together: when 0 fails the walk
+        # ends at (0, 0), although the midpoint passed
+        tol = 1e-3
+        walk = certify._Bisection(tol, 24)
+        walk.send([True])
+        assert walk.asked == [0.0, tol / 2]
+        walk.send([True, False])
+        assert (walk.asked, walk.lo, walk.hi) == ([], 0.0, 0.0)
+        assert certify.bisect_max_level(lambda w: w == tol / 2, tol) == 0.0
+
+    @pytest.mark.parametrize("zero_fails, bracket", [(False, (0.0, 5e-324)),
+                                                     (True, (0.0, 0.0))])
+    def test_least_subnormal_tol_asks_zero_once(self, zero_fails, bracket):
+        # the first midpoint of (0, 5e-324) rounds to 0, so the zero probe is
+        # one level, and no float lies between the bracket's ends after it
+        walk = certify._Bisection(5e-324, 24)
+        walk.send([True])
+        assert walk.asked == [0.0]
+        walk.send([zero_fails])
+        assert (walk.asked, (walk.lo, walk.hi)) == ([], bracket)
+        certifies, asked = _recorded(lambda w: w == 0.0 and not zero_fails)
+        assert certify.bisect_max_level(certifies, 5e-324) == 0.0
+        assert asked == [5e-324, 0.0]
 
     @pytest.mark.parametrize("tol", [0.0, -1e-3, np.nan, 1.0, 2.0, np.inf])
     def test_rejects_nonpositive_tol(self, tol):

@@ -418,6 +418,28 @@ class TestAttackSimulateRoundTrip:
         lines = trace_path.read_text().strip().splitlines()
         assert len(lines) == 43  # note + header + 41 steps
 
+    @pytest.mark.parametrize("horizon", ["0", "-3"])
+    def test_attack_horizon_below_one_is_a_usage_error(self, scalar_files, tmp_path, capsys,
+                                                       horizon):
+        # a plan of no steps would be written, and simulate would refuse it
+        plant_path, policy_path = scalar_files
+        out = tmp_path / "plan.json"
+        code = main(["attack", "--plant", plant_path, "--policy", policy_path,
+                     "--target", "0", f"--horizon={horizon}", "--out", str(out)])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == f"--horizon must be at least 1, got {horizon}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", [[], ["--random", "--w-inf", "0.1"]])
+    def test_negative_steps_is_a_usage_error(self, scalar_files, tmp_path, capsys, source):
+        plant_path, policy_path = scalar_files
+        out = tmp_path / "trace.csv"
+        code = main(["simulate", "--plant", plant_path, "--policy", policy_path, *source,
+                     "--steps", "-1", "--out", str(out)])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == "--steps must be at least 0, got -1\n"
+        assert not out.exists()
+
     def test_random_simulation_seeded(self, scalar_files, tmp_path):
         plant_path, policy_path = scalar_files
         outs = []
