@@ -2,22 +2,24 @@
 
 Two routes are implemented and compared throughout:
 
-* the small-gain baseline, which models the policy only through a scalar
-  infinity-gain ``gamma_pi`` (and the uncertainty block through
-  ``gamma_delta``) and certifies via the L1-norm conditions ``beta_1 < 1``,
-  ``beta_2 < 1`` plus a region check;
+* the small-gain baseline, which models the policy only through the affine
+  bound ``|pi(y) - K0 y| <= b + gamma_pi ||y||`` (and the uncertainty block
+  through ``gamma_delta``) and certifies via the L1-norm conditions
+  ``beta_1 < 1``, ``beta_2 < 1`` plus a region check;
 * the invariant-set engine, which asks a network relaxation for elementwise
   magnitude bounds and searches for a quadruplet ``(y_bar, u_bar, alpha_bar,
   delta_bar)`` that the closed-loop absolute transfer matrices map into
   itself.  Once such a box exists it is positively invariant, so every
   signal stays inside it for all time and any admissible perturbation.
 
-Whenever the small-gain conditions hold for a gain that truly bounds the
-policy, a quadruplet can be constructed from their norms in closed form
-(:func:`constructive_quadruplet`), so that box is never weaker than the
-baseline.  The search of :func:`algorithm1` can be: the baseline samples
-its gain, and on some random loops it passes while the search reaches its
-pass cap (``MaxIterExceeded``).
+The baseline's gain and offset come from interval bounds on the policy's
+Jacobian (:func:`neural.jacobian_bounds`), so both routes are sound in exact
+arithmetic.  Whenever the small-gain conditions hold, a quadruplet can be
+constructed from their norms in closed form (:func:`constructive_quadruplet`),
+so that box is never weaker than the baseline.  The search of
+:func:`algorithm1` is another route and could be weaker; on 1,000 random
+loops (seeds 0-199 of the test suite's generators at five amplitudes) it
+certifies every one the baseline passes.
 
 The iteration (:func:`algorithm1`) follows the candidate-box inflation
 scheme literally: the uncertainty bound of each pass uses the reference
@@ -59,7 +61,6 @@ __all__ = [
     "bisect_max_level",
     "baseline_certify",
     "baseline_frontier",
-    "sampled_linf_gain",
     "extract_gain",
     "extract_loop",
     "CONSTRAINT_VIOLATED",
@@ -141,13 +142,12 @@ class CertResult:
 class BaselineResult:
     """Small-gain (L1) baseline outcome.
 
-    ``gamma_pi`` is the sampled infinity-gain estimate of the residual
-    policy; sampling gives a lower bound of the true local gain, so a
-    positive ``certified`` here is an estimate, not a certificate.  On a
-    region where the policy equals its gain ``K0``, ``gamma_pi`` and
-    ``beta2`` measure rounding (see :func:`sampled_linf_gain`).
-    ``quadruplet`` is the scan's closed-form box with its ``x_bar`` when the
-    scan certified; if the plant limits reject it, ``certified`` is False.
+    ``gamma_pi`` and ``offset`` bound the residual policy on the last
+    region ``|y| <= y_inf`` the scan tried: ``|pi(y) - K0 y| <= offset +
+    gamma_pi ||y||`` there, in exact arithmetic; both are nan when no gain
+    was computed.  ``quadruplet`` is the scan's closed-form box with its
+    ``x_bar`` when the scan certified; if the plant limits reject it,
+    ``certified`` is False.
     """
 
     beta1: float
@@ -155,6 +155,7 @@ class BaselineResult:
     certified: bool
     y_inf_implied: float
     gamma_pi: float = float("nan")
+    offset: float = float("nan")
     quadruplet: Quadruplet | None = None
 
     def to_dict(self) -> dict:
@@ -167,8 +168,8 @@ class BaselineResult:
             "beta2": number(self.beta2),
             "certified": bool(self.certified),
             "y_inf_implied": number(self.y_inf_implied),
-            "gamma_pi_sampled": number(self.gamma_pi),
-            "note": "gamma_pi is a sampled lower bound; a positive result is not a certificate",
+            "gamma_pi": number(self.gamma_pi),
+            "offset": number(self.offset),
         }
         quad = self.quadruplet
         if quad is not None and quad.x_bar is not None:
@@ -219,61 +220,67 @@ def _betas(maps: ClosedLoopMaps, gamma_pi: float, gamma_delta: float) -> tuple[f
 
 
 def check_lemma1(maps: ClosedLoopMaps, gamma_pi: float, gamma_delta: float,
-                 w_inf: float, y_inf: float) -> BaselineResult:
-    """Small-gain baseline on L1 norms.
+                 w_inf: float, y_inf: float, offset: float = 0.0) -> BaselineResult:
+    """Small-gain baseline on L1 norms, for a residual policy bounded by
+    ``offset + gamma_pi ||y||``.
 
-    With ``(beta1, beta2)`` of :func:`_betas`, when both are below one the
+    With ``(beta1, beta2)`` of :func:`_betas` and
+    ``c = gamma_delta ||Phi_yd|| / (1 - beta1)``, when both are below one the
     implied measurement bound is
 
-        y_implied = (||Phi_yw|| + gamma_delta/(1-beta1) ||Phi_yd|| ||Phi_aw||)
-                    * w_inf / (1 - beta2)
+        y_implied = ((||Phi_yw|| + c ||Phi_aw||) w_inf
+                     + (||Phi_yu|| + c ||Phi_au||) offset) / (1 - beta2)
 
     and the configuration is certified iff additionally
-    ``y_implied <= y_inf`` (the region where ``gamma_pi`` is valid).
+    ``y_implied <= y_inf`` (the region where the bound is valid).
     """
     l1 = maps.l1
     beta1, beta2 = _betas(maps, gamma_pi, gamma_delta)
     if beta1 < 1.0 and beta2 < 1.0:
-        y_implied = (l1("yw") + gamma_delta / (1.0 - beta1) * l1("ydelta") * l1("alpha_w")
-                     ) * w_inf / (1.0 - beta2)
+        c = gamma_delta / (1.0 - beta1) * l1("ydelta")
+        y_implied = ((l1("yw") + c * l1("alpha_w")) * w_inf
+                     + (l1("yu") + c * l1("alpha_u")) * offset) / (1.0 - beta2)
     else:
         y_implied = np.inf
     # 1-ulp slack so exact-equality boundary cases resolve as certified
     certified = beta1 < 1.0 and beta2 < 1.0 and y_implied <= y_inf * (1.0 + 1e-12)
     return BaselineResult(beta1=float(beta1), beta2=float(beta2),
                           certified=certified, y_inf_implied=float(y_implied),
-                          gamma_pi=float(gamma_pi))
+                          gamma_pi=float(gamma_pi), offset=float(offset))
 
 
 def constructive_quadruplet(maps: ClosedLoopMaps, gamma_pi: float, gamma_delta: float,
-                            w_inf: float) -> Quadruplet:
-    """Invariant box implied by the small-gain conditions, in closed form.
+                            w_inf: float, offset: float = 0.0) -> Quadruplet:
+    """Invariant box implied by the small-gain conditions, in closed form,
+    for a residual policy bounded by ``offset + gamma_pi ||y||``.
 
-    Solves the two-variable fixed point
+    Solves the two-variable fixed point (``b`` the offset)
 
-        y_ref  = ||Phi_yw|| w + gamma_pi ||Phi_yu|| y_ref + gamma_delta ||Phi_yd|| a_ref
-        a_ref  = ||Phi_aw|| w + gamma_pi ||Phi_au|| y_ref + gamma_delta ||Phi_ad|| a_ref
+        y_ref  = ||Phi_yw|| w + ||Phi_yu|| (b + gamma_pi y_ref) + gamma_delta ||Phi_yd|| a_ref
+        a_ref  = ||Phi_aw|| w + ||Phi_au|| (b + gamma_pi y_ref) + gamma_delta ||Phi_ad|| a_ref
 
-    and returns ``(y_ref 1, gamma_pi y_ref 1, a_ref 1, gamma_delta a_ref 1)``.
-    Because the L1 norm is the worst row sum, this box always passes
-    :func:`check_theorem1` (a tiny relative inflation absorbs rounding of
-    the equality rows).  Requires ``beta1 < 1`` and ``beta2 < 1``.
+    and returns ``(y_ref 1, (b + gamma_pi y_ref) 1, a_ref 1,
+    gamma_delta a_ref 1)``.  Because the L1 norm is the worst row sum, this
+    box always passes :func:`check_theorem1` (a tiny relative inflation
+    absorbs rounding of the equality rows).  Requires ``beta1 < 1`` and
+    ``beta2 < 1``.
     """
     l1 = maps.l1
     beta1, beta2 = _betas(maps, gamma_pi, gamma_delta)
     if not (beta1 < 1.0 and beta2 < 1.0):
         raise ValueError("small-gain conditions do not hold; no constructive box exists")
-    scale = w_inf / ((1.0 - beta1) * (1.0 - beta2))
     adj = np.array([
         [1.0 - beta1, gamma_delta * l1("ydelta")],
         [gamma_pi * l1("alpha_u"), 1.0 - gamma_pi * l1("yu")],
     ])
-    y_ref, alpha_ref = scale * (adj @ np.array([l1("yw"), l1("alpha_w")]))
+    rhs = np.array([l1("yw") * w_inf + l1("yu") * offset,
+                    l1("alpha_w") * w_inf + l1("alpha_u") * offset])
+    y_ref, alpha_ref = (adj @ rhs) / ((1.0 - beta1) * (1.0 - beta2))
     grow = 1.0 + _QUAD_INFLATION
     _, m, _, q, r, s = maps.dims
     return Quadruplet(
         y_bar=np.full(r, grow * y_ref),
-        u_bar=np.full(m, grow * gamma_pi * y_ref),
+        u_bar=np.full(m, grow * (offset + gamma_pi * y_ref)),
         alpha_bar=np.full(s, grow * alpha_ref),
         delta_bar=np.full(q, grow * gamma_delta * alpha_ref),
     )
@@ -729,157 +736,84 @@ def frontier(plant: StateSpacePlant, net: ReluNetwork,
 
 
 # ---------------------------------------------------------------------------
-# Small-gain baseline with a sampled policy gain.
+# Small-gain baseline with an interval-Jacobian policy gain.
 # ---------------------------------------------------------------------------
-
-
-def sampled_linf_gain(net: ReluNetwork, k0: np.ndarray, radius, n_samples: int = 4096,
-                      seed: int = 0, quantization: QuantizationSpec | None = None) -> float:
-    """Sampled infinity-gain of the residual policy over ``|y| <= radius``.
-
-    Maximizes ``||pi(y) - K0 y||_inf / ||y||_inf`` over uniform samples; a
-    lower bound of the true local gain (it is an estimate, never a
-    certificate).  Diverges as the box shrinks whenever the residual does
-    not vanish at the origin, e.g. for quantized outputs.
-
-    On a region where the policy is exactly ``K0`` (every ReLU keeps its
-    sign there, and the net is its own Jacobian), the true gain is 0 and
-    the result measures the rounding of ``pi(y) - K0 y``: about 2e-12 for
-    the 3x16 cart-pole clone of the demos at ``x_lim`` 0.005 and ``w`` 2e-4,
-    where a change in the last bits of the maps moves it by about 3 %.
-
-    The samples are ``low + (high - low) * U`` for the unit sample
-    ``U = default_rng(seed).random``, bit for bit what
-    ``default_rng(seed).uniform(-radius, radius)`` draws, so that
-    :func:`baseline_certify` can draw ``U`` once and rescale it per region.
-    The policy is evaluated into row buffers; the gain is bit-identical to
-    evaluating fresh draws on fresh arrays.
-    """
-    return _gain_sampler(net, k0, n_samples, seed, quantization)(radius)
-
-
-def _gain_sampler(net: ReluNetwork, k0, n_samples: int, seed: int,
-                  quantization: QuantizationSpec | None) -> Callable[[object], float]:
-    """``radius -> sampled gain`` over one unit sample and one set of row buffers.
-
-    Every call rescales the same unit sample to its radius, so the sampler
-    of one seed returns what :func:`sampled_linf_gain` returns for that seed
-    at any radius.  The buffers belong to the returned function alone.
-
-    The row norms ``max_j |ys_j|`` and ``max_j |residual_j|`` are taken
-    column by column into buffers (``np.maximum(..., out=)``) instead of
-    reducing each short row; a maximum does not round, so they are the
-    row-wise maxima bit for bit.  Samples with ``ys = 0`` are selected out
-    only when there is one.
-    """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    k0 = np.asarray(k0, dtype=float)
-    dim = net.input_dim
-    unit = np.random.default_rng(seed).random((n_samples, dim))
-    ys = np.empty_like(unit)
-    layers = neural._bind(net.layers)
-    outs = [np.empty((n_samples, layer.weight.shape[0])) for layer in net.layers]
-    linear = np.empty_like(outs[-1])
-    abs_ys = np.empty_like(unit)
-    norms_y, norms_r = np.empty(n_samples), np.empty(n_samples)
-
-    def row_max(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-        np.copyto(out, rows[:, 0])
-        for j in range(1, rows.shape[1]):
-            np.maximum(out, rows[:, j], out=out)
-        return out
-
-    def gain(radius) -> float:
-        radius = np.broadcast_to(np.asarray(radius, dtype=float), (dim,))
-        if not np.all(np.isfinite(radius)) or np.any(radius < 0):
-            raise ValueError("radius must be finite and elementwise >= 0")
-        # Generator.uniform(low, high) draws low + (high - low) * U elementwise
-        low = -radius
-        np.multiply(radius - low, unit, out=ys)
-        np.add(ys, low, out=ys)
-        u = neural._forward_into(ys, layers, outs)
-        if quantization is not None:
-            u = quantization.apply(u)
-        # u is the last row buffer, or the quantizer's fresh array: free to overwrite
-        residual = np.abs(np.subtract(u, np.matmul(ys, k0.T, out=linear), out=u), out=u)
-        row_max(np.abs(ys, out=abs_ys), norms_y)
-        row_max(residual, norms_r)
-        keep = norms_y > 0
-        if np.all(keep):
-            return float(np.max(np.divide(norms_r, norms_y, out=norms_r)))
-        if not np.any(keep):
-            return 0.0
-        return float(np.max(norms_r[keep] / norms_y[keep]))
-
-    return gain
 
 
 def baseline_certify(plant: StateSpacePlant, net: ReluNetwork,
                      k_d: np.ndarray | None = None,
                      gamma_delta: np.ndarray | None = None, *,
                      w_inf: float | None = None,
-                     quantization: QuantizationSpec | None = None,
-                     n_samples: int = 4096, seed: int = 0) -> BaselineResult:
+                     quantization: QuantizationSpec | None = None) -> BaselineResult:
     """Small-gain baseline with an iteratively grown validity region.
 
-    Takes the loop's fixed gain (:attr:`_Loop.fixed`: the Jacobian at the
-    origin, else ``k_d``, else zero), samples the residual infinity-gain
-    over the current region, evaluates the small-gain conditions and grows
-    the region until the implied measurement bound fits inside it
-    (certified) or the conditions break (:func:`_region_scan`).  When the
-    scan certifies, the result carries the closed-form quadruplet with its
-    ``x_bar``, and the plant limits must also contain it.  Without a
-    stabilizing gain every norm is inf.
+    Takes the loop's fixed gain ``K0`` (:attr:`_Loop.fixed`: the Jacobian at
+    the origin, else ``k_d``, else zero) and bounds the residual policy over
+    the current region ``|y| <= y_inf`` by ``b + gamma_pi ||y||``: ``b`` is
+    ``|pi(0)|`` widened for the quantizer (:attr:`_Loop.origin_bounds`),
+    ``gamma_pi`` the largest row sum of ``|J - K0|`` over the interval
+    Jacobian ``J`` of the region (:func:`neural.jacobian_bounds`).  It then
+    evaluates the small-gain conditions and grows the region until the
+    implied measurement bound fits inside it (certified) or the conditions
+    break (:func:`_region_scan`).  When the scan certifies, the result
+    carries the closed-form quadruplet with its ``x_bar``, and the plant
+    limits must also contain it, with ``|K0| y_bar + u_bar`` against
+    ``u_lim``.  Without a stabilizing gain every norm is inf.
 
-    The unit sample is drawn once per call and rescaled to each region, and
-    the policy and the row norms are evaluated into buffers held for the
-    whole region loop (:func:`_gain_sampler`); every region's gain is
-    bit-identical to :func:`sampled_linf_gain` there.  The inputs are
-    checked as :func:`algorithm1` checks them, and ``gamma_delta`` enters
-    the conditions as its largest row sum (:func:`_baseline_checks`).
+    The inputs are checked as :func:`algorithm1` checks them, and
+    ``gamma_delta`` enters the conditions as its largest row sum
+    (:func:`_baseline_checks`).
     """
-    check = _baseline_checks(_Loop(plant, net, k_d, gamma_delta, quantization), n_samples, seed)
+    check = _baseline_checks(_Loop(plant, net, k_d, gamma_delta, quantization))
     return check(plant, plant.w_inf if w_inf is None else float(w_inf))
 
 
-def _baseline_checks(loop: _Loop, n_samples: int, seed: int) -> Callable:
+def _baseline_checks(loop: _Loop) -> Callable:
     """``(plant, w) -> result``: the baseline at level ``w`` on the loop's
     realization with the limits of ``plant``.  Neither the gain nor the
-    region scan reads a limit, so the gain and its maps, the row sum of Γ_Δ
-    and the sampler are built once, and each distinct level is scanned once
+    region scan reads a limit, so the gain and its maps, the offset and the
+    row sum of Γ_Δ are taken once, and each distinct level is scanned once
     (:func:`_region_scan`)."""
     if loop.fixed is None:
         return lambda plant, w: BaselineResult(np.inf, np.inf, False, np.inf)
     k0, maps = loop.fixed
     gamma = float(np.max(np.sum(loop.gamma_delta, axis=1), initial=0.0))
-    sampler = _gain_sampler(loop.net, k0, n_samples, seed, loop.quantization)
-    scan = functools.cache(lambda w: _region_scan(maps, sampler, gamma, w))
+    offset = float(np.max(loop.origin_bounds[0], initial=0.0))
+
+    def gain(y_inf: float) -> float:
+        j_lo, j_hi = neural.jacobian_bounds(loop.net, Box.symmetric(np.full(loop.plant.r, y_inf)))
+        return float(np.max(np.sum(np.maximum(np.abs(j_lo - k0), np.abs(j_hi - k0)), axis=1),
+                            initial=0.0))
+
+    scan = functools.cache(lambda w: _region_scan(maps, gain, offset, gamma, w))
 
     def check(plant: StateSpacePlant, w: float) -> BaselineResult:
         result = scan(w)
         quad = result.quadruplet
-        if quad is not None and _outside_limits(plant, quad.x_bar, quad.y_bar, quad.u_bar):
+        if quad is not None and _outside_limits(plant, quad.x_bar, quad.y_bar,
+                                                np.abs(k0) @ quad.y_bar + quad.u_bar):
             return replace(result, certified=False)
         return result
 
     return check
 
 
-def _region_scan(maps: ClosedLoopMaps, sampled_gain: Callable[[object], float],
+def _region_scan(maps: ClosedLoopMaps, gain: Callable[[float], float], offset: float,
                  gamma: float, w_amp: float) -> BaselineResult:
     """The region loop of :func:`baseline_certify`, which reads no plant limit:
     the last region's result, holding the quadruplet with ``x_bar`` if it
-    certified.  At most ``_REGION_ITER`` regions are tried; when ``beta1 >= 1``
-    only the region the scan would end on is sampled."""
-    # Region search: the sampled gain is large both on tiny regions (any
-    # policy offset at the origin dominates) and on huge ones (saturation),
-    # so scan upward and keep the first region that closes all conditions.
+    certified.  ``gain(y_inf)`` bounds the residual's slope over the region
+    ``|y| <= y_inf``.  At most ``_REGION_ITER`` regions are tried; when
+    ``beta1 >= 1`` only the gain of the region the scan would end on is
+    taken."""
+    # Region search: a larger region can only raise the gain, and the
+    # implied bound must fit inside the region, so scan upward and keep the
+    # first region that closes all conditions.
     y_inf = max(maps.l1("yw") * w_amp, 1e-9)
     regions = _REGION_ITER
     if _betas(maps, 0.0, gamma)[0] >= 1.0:
         # beta1 depends on no region, so none certifies and the scan only
-        # doubles the region: sample just the one it would end on, whose
+        # doubles the region: bound just the one it would end on, whose
         # gain the result reports
         for _ in range(regions - 1):
             if y_inf * 2.0 > 1e9:
@@ -888,7 +822,7 @@ def _region_scan(maps: ClosedLoopMaps, sampled_gain: Callable[[object], float],
         regions = 1
     result = BaselineResult(np.inf, np.inf, False, np.inf)
     for _ in range(regions):
-        result = check_lemma1(maps, sampled_gain(y_inf), gamma, w_amp, y_inf)
+        result = check_lemma1(maps, gain(y_inf), gamma, w_amp, y_inf, offset)
         if result.certified:
             break
         if (result.beta1 < 1.0 and result.beta2 < 1.0
@@ -901,7 +835,7 @@ def _region_scan(maps: ClosedLoopMaps, sampled_gain: Callable[[object], float],
     if not result.certified:
         return result
 
-    quad = constructive_quadruplet(maps, result.gamma_pi, gamma, w_amp)
+    quad = constructive_quadruplet(maps, result.gamma_pi, gamma, w_amp, offset)
     x_bar = implied_bounds(maps.abs_stack, maps.dims, np.full(maps.dims[2], w_amp), quad.u_bar,
                            quad.delta_bar)[0]
     return replace(result, quadruplet=replace(quad, x_bar=x_bar))
@@ -911,8 +845,7 @@ def baseline_frontier(plant: StateSpacePlant, net: ReluNetwork,
                       k_d: np.ndarray | None = None,
                       gamma_delta: np.ndarray | None = None, x_lim_values=(),
                       tol: float = 1e-4, *, target_state: int | None = None,
-                      quantization: QuantizationSpec | None = None,
-                      n_samples: int = 4096, seed: int = 0) -> list[tuple[float, float]]:
+                      quantization: QuantizationSpec | None = None) -> list[tuple[float, float]]:
     """Largest attack level the small-gain baseline accepts, per limit.
 
     For each limit, the ``lo`` end of a :class:`_Bisection`, as in
@@ -922,7 +855,7 @@ def baseline_frontier(plant: StateSpacePlant, net: ReluNetwork,
     against the box its result carries.  Without a stabilizing gain every
     level is 0.
     """
-    check = _baseline_checks(_Loop(plant, net, k_d, gamma_delta, quantization), n_samples, seed)
+    check = _baseline_checks(_Loop(plant, net, k_d, gamma_delta, quantization))
     limited = [with_state_limit(plant, target_state, float(v)) for v in x_lim_values]
     brackets = _lockstep([_Bisection(tol, _CAP_DOUBLINGS) for _ in limited],
                          lambda asked: {i: [not check(limited[i], w).certified for w in levels]

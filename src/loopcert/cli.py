@@ -6,13 +6,13 @@ train-policy, lqr.  Exit codes: 0 on success (or a positive certificate),
 violated), 1 on usage or file errors, so shell pipelines can distinguish
 falsification from failure.
 
-Each command takes only the flags it reads.  ``--seed`` drives the
-randomness of baseline, frontier, simulate, learn and train-policy, and
-every float is written with 17 significant digits, so identical invocations
-produce byte-identical outputs.  Every JSON file written is strict JSON
-(the baseline writes a non-finite number as null).  attack and simulate
-write files and require ``--out PATH``; the other commands print to stdout
-without ``--out``.
+Each command takes only the flags it reads, but for frontier's ``--seed``,
+which nothing reads.  ``--seed`` drives the randomness of simulate, learn
+and train-policy, and every float is written with 17 significant digits, so
+identical invocations produce byte-identical outputs.  Every JSON file
+written is strict JSON (the baseline writes a non-finite number as null).
+attack and simulate write files and require ``--out PATH``; the other
+commands print to stdout without ``--out``.
 
 Plant and policy JSON files always store radians; ``--degrees`` (on certify,
 baseline, frontier, attack and simulate) converts the scalar angle-valued
@@ -138,12 +138,14 @@ def cmd_certify(args) -> int:
 
 def cmd_baseline(args) -> int:
     plant, net, _, lib = _loop(args, args.x_lim, args.w_inf, args.target_state)
-    result = certify.baseline_certify(plant, net, **lib, n_samples=args.samples, seed=args.seed)
+    result = certify.baseline_certify(plant, net, **lib)
     _write_json(args.out, result.to_dict())
     return EXIT_OK if result.certified else EXIT_NEGATIVE
 
 
 def cmd_frontier(args) -> int:
+    if args.with_attack and args.horizon < 1:
+        raise CliError(f"--horizon must be at least 1, got {args.horizon}")
     plant, net, scale, lib = _loop(args, state=args.target_state)
     try:
         limits = [float(v) * scale for v in args.x_lim_list.split(",")]
@@ -153,9 +155,7 @@ def cmd_frontier(args) -> int:
     certified = [w for _, w in certify.frontier(plant, net, **sweep)]
     baseline = attacked = [math.nan] * len(limits)  # nan and inf are written as empty cells
     if args.with_baseline:
-        baseline = [w for _, w in certify.baseline_frontier(plant, net, **sweep,
-                                                            n_samples=args.samples,
-                                                            seed=args.seed)]
+        baseline = [w for _, w in certify.baseline_frontier(plant, net, **sweep)]
     if args.with_attack:
         # the limit is on the target state, or on every state when none is
         # given; a limit changes neither the gain nor the maps: one closure
@@ -340,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     x_lim = _group(("--x-lim", dict(type=float, default=None)))
     target = _group(("--target-state", dict(type=int, default=None)))
     horizon = _group(("--horizon", dict(type=int, default=2500)))
-    samples = _group(("--samples", dict(type=int, default=4096)))
     lqr = _group(("--q-diag", dict(default=None,
                                    help="comma-separated diagonal of Q (default identity)")),
                  ("--r", dict(type=float, default=1.0)))
@@ -352,11 +351,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     command("certify", cmd_certify, "run the invariant-set certification",
             loop + [w_inf, x_lim, target, out])
-    command("baseline", cmd_baseline, "run the sampled small-gain baseline",
-            loop + [w_inf, x_lim, target, samples, seed, out])
+    command("baseline", cmd_baseline, "run the small-gain baseline",
+            loop + [w_inf, x_lim, target, out])
 
     p = command("frontier", cmd_frontier, "attack-level frontier over state limits",
-                loop + [target, horizon, samples, seed, out])
+                loop + [target, horizon, out])
+    p.add_argument("--seed", type=int, default=0,
+                   help="ignored: nothing in frontier is random; accepted so that "
+                        "existing scripts keep running")
     p.add_argument("--x-lim-list", required=True, help="comma-separated state limits")
     p.add_argument("--tol", type=float, default=1e-4,
                    help="relative bisection tolerance, in (0, 1)")

@@ -7,7 +7,8 @@ final layer is always linear).  For a box of inputs the module produces:
 * affine envelopes ``K_L y + b_L <= pi(y) <= K_U y + b_U`` valid on the box,
   built by backward propagation through per-neuron ReLU relaxations,
 * concretized output ranges, residual bounds after subtracting a linear gain,
-  and widened ranges for quantized outputs.
+  and widened ranges for quantized outputs,
+* interval bounds on the Jacobian (:func:`jacobian_bounds`).
 
 Relaxation rules for a neuron with pre-activation range ``l < 0 < u``: the
 upper envelope is the chord (slope ``u/(u-l)``, intercept ``-u*l/(u-l)``);
@@ -44,6 +45,7 @@ __all__ = [
     "concretize",
     "magnitude_bound",
     "residual_magnitudes",
+    "jacobian_bounds",
     "jacobian_at",
     "load_policy",
     "save_policy",
@@ -383,6 +385,32 @@ def residual_magnitudes(lb: LinearBounds, box: Box, k0) -> tuple[np.ndarray, np.
     u0_bar = magnitude_bound(*concretize(res, box))
     u_bar = magnitude_bound(*concretize(lb, box))
     return u0_bar, u_bar
+
+
+def jacobian_bounds(net: ReluNetwork, box: Box) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise bounds ``(J_lo, J_hi)`` on the policy's Jacobian over the box.
+
+    As in Fast-Lip (Weng et al., 2018): the pre-activation bounds of
+    :func:`interval_bounds` give each ReLU a slope of 0 (``hi <= 0``), 1
+    (``lo >= 0``) or anything in [0, 1], and the Jacobian is carried through
+    the layers as a centre and a radius.  A layer maps them to ``W C`` and
+    ``|W| R``; a slope interval ``m +- h`` to ``m C`` and
+    ``m R + h (|C| + R)``.  Every generalized Jacobian of the policy at a
+    point of the box lies within the bounds, in exact arithmetic.  Where the
+    interval bounds fix every slope, both bounds are the Jacobian that
+    :func:`jacobian_at` computes inside the box, bit for bit.
+    """
+    pre, _ = interval_bounds(net, box)
+    centre = np.eye(net.input_dim)
+    radius = np.zeros_like(centre)
+    for layer, (lo, hi) in zip(net.layers, pre):
+        centre, radius = layer.weight @ centre, np.abs(layer.weight) @ radius
+        if layer.activation == "relu":
+            top = (hi > 0.0).astype(float)  # the slope's upper and lower ends
+            bottom = top * (lo >= 0.0)
+            mid, half = ((top + bottom) / 2.0)[:, None], ((top - bottom) / 2.0)[:, None]
+            centre, radius = mid * centre, mid * radius + half * (np.abs(centre) + radius)
+    return centre - radius, centre + radius
 
 
 def jacobian_at(net: ReluNetwork, y0) -> np.ndarray:

@@ -117,6 +117,32 @@ def valid_small_gains(maps, rng):
     return gamma_pi, gamma_delta
 
 
+def fresh_draw_gain(net, k0, radius, n_samples, seed, quantization=None, offset=0.0):
+    """Sampled gain of the residual policy over ``|y| <= radius``: the largest
+    ``(||pi(y) - K0 y||_inf - offset) / ||y||_inf`` over ``n_samples`` uniform
+    draws of ``default_rng(seed)`` (samples with ``y = 0`` left out, 0.0 when
+    every sample is 0), with ``pi`` quantized when ``quantization`` is given.
+
+    A lower bound of the true local gain, never a certificate: the test-side
+    oracle that a sound bound ``offset + gamma ||y||`` must never fall below.
+    """
+    radius = np.broadcast_to(np.asarray(radius, dtype=float), (net.input_dim,))
+    ys = np.random.default_rng(seed).uniform(-radius, radius, size=(n_samples, net.input_dim))
+    outs = ys
+    for layer in net.layers:
+        outs = outs @ layer.weight.T + layer.bias
+        if layer.activation == "relu":
+            outs = np.maximum(outs, 0.0)
+    if quantization is not None:
+        outs = quantization.apply(outs)
+    residual = outs - ys @ np.asarray(k0, dtype=float).T
+    norms_y = np.max(np.abs(ys), axis=1)
+    keep = norms_y > 0
+    if not np.any(keep):
+        return 0.0
+    return float(np.max((np.max(np.abs(residual[keep]), axis=1) - offset) / norms_y[keep]))
+
+
 def run_in_threads(fn, n=4, timeout=300):
     """``fn(i)`` from threads ``i = 0..n-1`` at once, switching every microsecond.
 

@@ -16,6 +16,7 @@ from loopcert.policysynth import dare_solve
 from loopcert.sysid import NonlinearPlant
 
 from conftest import (
+    fresh_draw_gain,
     linear_policy,
     random_relu_net,
     random_stable_plant,
@@ -63,8 +64,7 @@ def test_criterion_1_invariant_set_dominates_small_gain(cartpole, cloned_policy,
                               tol=TOL, target_state=TARGET)
         base = certify.baseline_frontier(cartpole, cloned_policy, kd,
                                          x_lim_values=SWEEP, tol=TOL,
-                                         target_state=TARGET, n_samples=4096,
-                                         seed=11)
+                                         target_state=TARGET)
         ratios = []
         for (x_lim, w_cert), (_, w_base) in zip(fr, base):
             assert w_cert > 0.0
@@ -223,9 +223,10 @@ def test_criterion_7_non_lipschitz_policy(cartpole, cloned_policy, kd, tmp_path)
         quant = neural.QuantizationSpec(0.1)
         gain = neural.jacobian_at(cloned_policy, np.zeros(4))
 
-        # the sampled residual gain diverges as the box shrinks
-        gains = [certify.sampled_linf_gain(cloned_policy, gain, radius, 4096,
-                                           seed=2, quantization=quant)
+        # the residual gain diverges as the box shrinks: the sampled lower
+        # bound of the test-side oracle already does
+        gains = [fresh_draw_gain(cloned_policy, gain, radius, 4096, seed=2,
+                                 quantization=quant)
                  for radius in (0.1, 0.01, 0.001)]
         assert gains[0] < gains[1] < gains[2]
         assert gains[2] > 10.0

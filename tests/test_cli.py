@@ -167,9 +167,10 @@ class TestBaseline:
                      "--out", str(out)])
         assert code == EXIT_OK
         result = json.loads(out.read_text())
-        # the sampled gain of a linear policy around its own gain is zero
-        assert result["gamma_pi_sampled"] == pytest.approx(0.0, abs=1e-12)
-        assert "not a certificate" in result["note"]
+        # a linear policy around its own gain has no residual: gain and offset are 0
+        assert list(result) == ["beta1", "beta2", "certified", "y_inf_implied", "gamma_pi",
+                                "offset", "x_bar"]
+        assert (result["gamma_pi"], result["offset"]) == (0.0, 0.0)
 
     def test_impossible_limit(self, tmp_path, scalar_files):
         plant_path, policy_path = scalar_files
@@ -179,7 +180,7 @@ class TestBaseline:
 
     def test_non_finite_numbers_are_written_as_null(self, tmp_path):
         # no gain stabilizes x+ = 1.5 x + u under a zero policy, so beta1,
-        # beta2 and the implied bound are infinite and the gain never sampled
+        # beta2 and the implied bound are infinite and no gain is taken
         plant_path, policy_path = tmp_path / "plant.json", tmp_path / "policy.json"
         linsys.save_plant(plant_path, scalar_plant(a=1.5))
         neural.save_policy(policy_path, linear_policy(0.0))
@@ -194,21 +195,17 @@ class TestBaseline:
         result = json.loads(out.read_text(), parse_constant=refuse)
         assert result["certified"] is False
         assert all(result[key] is None
-                   for key in ("beta1", "beta2", "y_inf_implied", "gamma_pi_sampled"))
+                   for key in ("beta1", "beta2", "y_inf_implied", "gamma_pi", "offset"))
 
-    @pytest.mark.parametrize("samples", ["0", "-5"])
-    def test_no_samples_is_an_error(self, scalar_files, tmp_path, samples):
-        # no samples cannot certify anything, and used to report certified
-        plant_path, policy_path = scalar_files
-        out = tmp_path / "b.json"
-        code = main(["baseline", "--plant", plant_path, "--policy", policy_path,
-                     "--samples", samples, "--out", str(out)])
-        assert code == EXIT_ERROR
-        assert not out.exists()
-        code = main(["frontier", "--plant", plant_path, "--policy", policy_path,
-                     "--x-lim-list", "0.5", "--target-state", "0", "--with-baseline",
-                     "--samples", samples, "--out", str(tmp_path / "f.csv")])
-        assert code == EXIT_ERROR
+    def test_u_lim_is_checked_against_the_full_policy_output(self, tmp_path):
+        # the residual of -0.2 y is 0, but |u| = 0.2 |y| passes u_lim = 1e-3
+        plant_path, policy_path = tmp_path / "plant.json", tmp_path / "policy.json"
+        linsys.save_plant(plant_path, scalar_plant(u_lim=[1e-3]))
+        neural.save_policy(policy_path, linear_policy(-0.2))
+        for command in ("baseline", "certify"):
+            code = main([command, "--plant", str(plant_path), "--policy", str(policy_path),
+                         "--out", str(tmp_path / f"{command}.json")])
+            assert code == EXIT_NEGATIVE, command
 
 
 class TestFrontier:
@@ -246,6 +243,33 @@ class TestFrontier:
                       attack.violation_level(limited, net, maps, 0, 200, x_lim))
             lines.append(",".join(f"{v:.17g}" for v in levels))
         assert out.read_text() == "\n".join(lines) + "\n"
+
+    def test_horizon_is_checked_before_any_sweep(self, scalar_files, tmp_path, capsys,
+                                                 monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("a sweep ran")
+
+        monkeypatch.setattr(certify, "frontier", no_sweep)
+        monkeypatch.setattr(certify, "baseline_frontier", no_sweep)
+        plant_path, policy_path = scalar_files
+        out = tmp_path / "front.csv"
+        code = main(["frontier", "--plant", plant_path, "--policy", policy_path,
+                     "--x-lim-list", "0.5", "--target-state", "0", "--with-baseline",
+                     "--with-attack", "--horizon", "0", "--out", str(out)])
+        assert code == EXIT_ERROR and not out.exists()
+        assert "--horizon must be at least 1, got 0" in capsys.readouterr().err
+
+    def test_seed_is_accepted_and_ignored(self, scalar_files, tmp_path):
+        plant_path, policy_path = scalar_files
+        texts = []
+        for seed in ([], ["--seed", "11"]):
+            out = tmp_path / "front.csv"
+            code = main(["frontier", "--plant", plant_path, "--policy", policy_path,
+                         "--x-lim-list", "0.5", "--target-state", "0", "--tol", "1e-2",
+                         "--with-baseline", *seed, "--out", str(out)])
+            assert code == EXIT_OK
+            texts.append(out.read_text())
+        assert texts[0] == texts[1]
 
     @pytest.mark.parametrize("limit", ["inf", "1e400"])
     def test_infinite_limit_is_written_as_inf(self, scalar_files, tmp_path, limit):
@@ -772,7 +796,7 @@ def _runnable_argv(command, plant_path, policy_path):
     loop = ["--plant", plant_path, "--policy", policy_path]
     return {
         "certify": loop,
-        "baseline": loop + ["--samples", "64"],
+        "baseline": loop,
         "frontier": loop + ["--x-lim-list", "0.5", "--tol", "1e-2"],
         "attack": loop + ["--target", "0", "--horizon", "40"],
         "simulate": loop + ["--steps", "5"],
@@ -794,6 +818,8 @@ class TestUsage:
         ("learn", ["--degrees"]), ("train-policy", ["--degrees"]), ("lqr", ["--degrees"]),
         ("certify", ["--eps-trunc", "1e-6"]), ("baseline", ["--eps-trunc", "1e-6"]),
         ("frontier", ["--eps-trunc", "1e-6"]), ("attack", ["--eps-trunc", "1e-6"]),
+        ("baseline", ["--seed", "3"]), ("baseline", ["--samples", "64"]),
+        ("frontier", ["--samples", "64"]),
     ])
     def test_flags_a_command_does_not_read_are_rejected(self, scalar_files, tmp_path,
                                                          command, flag):

@@ -12,6 +12,7 @@ from loopcert.neural import (
     evaluate,
     interval_bounds,
     jacobian_at,
+    jacobian_bounds,
     linear_relaxation,
     magnitude_bound,
     residual_magnitudes,
@@ -341,6 +342,53 @@ class TestJacobian:
                 fd[:, j] = (evaluate(net, y0 + e) - evaluate(net, y0 - e)) / (2 * step)
             np.testing.assert_allclose(jac, fd, atol=1e-5)
             checked += 1
+
+
+class TestJacobianBounds:
+    def test_linear_net_is_exact(self):
+        w1 = np.array([[1.0, 2.0], [0.0, 1.0]])
+        w2 = np.array([[1.0, -1.0]])
+        net = neural.ReluNetwork((neural.Layer(w1, np.zeros(2), "linear"),
+                                  neural.Layer(w2, np.zeros(1), "linear")))
+        j_lo, j_hi = jacobian_bounds(net, Box.symmetric([5.0, 5.0]))
+        assert j_lo.tolist() == j_hi.tolist() == (w2 @ w1).tolist()
+
+    def test_single_relu_slopes(self):
+        # relu(y) over [c - 1, c + 1]: slope 0 left of the kink, 1 right of
+        # it, and [0, 1] across it
+        net = single_relu_policy()
+        for center, want in ((-2.0, (0.0, 0.0)), (2.0, (1.0, 1.0)), (0.5, (0.0, 1.0))):
+            j_lo, j_hi = jacobian_bounds(net, Box([center], [1.0]))
+            assert (j_lo.item(), j_hi.item()) == want
+
+    def test_fixed_pattern_matches_jacobian_bit_for_bit(self):
+        # a box small enough that no pre-activation interval holds 0
+        rng = np.random.default_rng(11)
+        checked = 0
+        for _ in range(30):
+            net = random_relu_net(rng)
+            center = rng.normal(size=net.input_dim)
+            box = Box(center, np.full(net.input_dim, 1e-9))
+            pre, _ = interval_bounds(net, box)
+            if any(np.any((lo <= 0.0) & (hi >= 0.0)) for lo, hi in pre[:-1]):
+                continue
+            j_lo, j_hi = jacobian_bounds(net, box)
+            want = jacobian_at(net, center)
+            assert j_lo.tobytes() == j_hi.tobytes() == want.tobytes()
+            checked += 1
+        assert checked >= 20
+
+    def test_contains_the_jacobian_at_sampled_points(self):
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            net = random_relu_net(rng)
+            d = net.input_dim
+            box = Box(rng.normal(size=d) * 0.5, rng.uniform(0.05, 1.5, size=d))
+            j_lo, j_hi = jacobian_bounds(net, box)
+            assert np.all(j_lo <= j_hi)
+            for y in rng.uniform(box.center - box.radius, box.center + box.radius, size=(50, d)):
+                jac = jacobian_at(net, y)
+                assert np.all(j_lo - 1e-12 <= jac) and np.all(jac <= j_hi + 1e-12)
 
 
 class TestQuantization:
