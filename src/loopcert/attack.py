@@ -19,10 +19,11 @@ and runs the B rollouts in one loop; every row is bit-identical to its own
 unbatched run.  The loop is the same for both: it holds one state as an
 (n,) vector and a batch as a (B, 1, n) stack, and writes each step's x, y,
 u and the policy's layers into buffers allocated once per call.
-:func:`violation_levels` rolls out each amplitude once.  When its lock-step
-bisections ask one not rolled out yet, each adds the amplitudes it would ask
-next, found by walking a copy of it on verdicts guessed from the peaks so
-far, to one batched rollout.
+:func:`violation_levels` rolls out each amplitude once and keeps one record
+per target, the peak of each amplitude (NaN where it diverged).  When its
+lock-step bisections ask one not rolled out yet, each adds the amplitudes it
+would ask next to one batched rollout: those of a copy of it walked on
+verdicts guessed from the record, and of one walked on their negation.
 """
 
 from __future__ import annotations
@@ -65,10 +66,9 @@ _BLOCK = 256
 
 # the doublings after which a violation_levels bisection stops at its cap;
 # the amplitudes a pair adds to a rollout: the next _AHEAD it asks under
-# guessed verdicts and, for the first _HEDGED of those, the next _HEDGE of
-# the branch where that guess is wrong
+# guessed verdicts and the next _HEDGE it asks under their negation
 _CAP_DOUBLINGS = 24
-_AHEAD, _HEDGED, _HEDGE = 10, 3, 2
+_AHEAD, _HEDGE = 10, 3
 
 
 @dataclass(frozen=True)
@@ -246,13 +246,10 @@ def simulate(plant, net: ReluNetwork, w=None, t_sim: int = 1000, x0=None,
                          f"plant needs {r}->{plant.m}")
     if isinstance(w, AttackPlan):
         w = w.signal(t_sim)
-    elif w is None:
-        w = np.zeros((t_sim, p))
-    else:
-        w = np.asarray(w, dtype=float)
-        expected = (len(w), t_sim, p) if batched else (t_sim, p)
-        if w.shape != expected:
-            raise ValueError(f"w has shape {w.shape}, expected {expected}")
+    w = np.zeros((t_sim, p)) if w is None else np.asarray(w, dtype=float)
+    expected = (len(w), t_sim, p) if batched else (t_sim, p)
+    if w.shape != expected:
+        raise ValueError(f"w has shape {w.shape}, expected {expected}")
     rows = len(w) if batched else 1
     lead = (rows, 1) if batched else ()
     xs = np.empty((t_sim + 1, *lead, n))  # x[t_sim] is written, never returned
@@ -351,28 +348,28 @@ def violation_levels(plant, net: ReluNetwork, maps: ClosedLoopMaps, targets, hor
     For each (target, limit) pair, the ``hi`` end of a
     :class:`loopcert.certify._Bisection` with the doubling cap
     ``_CAP_DOUBLINGS``, on the target's plan (designed once) simulated over
-    its horizon; ``inf`` when no amplitude up to the cap violates.  A
-    diverging rollout counts as a violation.  The pairs advance in
-    lock-step, a level a round, and every (target, amplitude) is rolled out
-    once, its (diverged, peak) kept.
+    its horizon; ``inf`` when no amplitude up to the cap violates.  The
+    pairs advance in lock-step, a level a round, and every (target,
+    amplitude) is rolled out once into one record per target: the peak
+    ``|x_target|`` of each amplitude, NaN where the rollout diverged.  A
+    pair's verdict is ``not peak <= limit``, so a diverging rollout breaks
+    every limit, an infinite one too.
 
     A round that asks an amplitude not rolled out yet makes one batched
     rollout, to which every waiting pair adds the amplitudes a copy of its
     bisection asks next (:func:`_ahead`), sent the verdict of each
     amplitude rolled out and a guess from the peaks so far for every other
-    (:func:`_guess`): the next ``_AHEAD``, and for each of the first
-    ``_HEDGED`` the next ``_HEDGE`` of the branch where its guess is wrong,
-    so a rollout carries every pair at least two levels on.  Each row is
-    bit-identical to its own rollout and a guess only picks which rows to
-    add, so every level is that of one rollout per amplitude.
+    (:func:`_guess`): the next ``_AHEAD`` under the guess, and the next
+    ``_HEDGE`` under its negation, so a rollout carries a pair past a first
+    wrong guess.  Each row is bit-identical to its own rollout and a guess
+    only picks which rows to add, so every level is that of one rollout per
+    amplitude.
     """
     signs = {target: design_attack(maps, target, horizon).signs for target in targets}
     pairs = [(target, float(limit)) for target in signs for limit in limits]
     # the linear loop's peak per unit amplitude, the guess before any rollout
     slopes = {target: float(np.sum(maps.abs_block("xw")[target])) for target in signs}
-    calm = {target: [] for target in signs}  # sorted (amplitude, peak) of finite rollouts
-    first_dead = dict.fromkeys(signs, np.inf)  # the least amplitude whose rollout diverged
-    held = [{} for _ in pairs]  # per pair, the verdict of every amplitude rolled out
+    peaks = {target: {} for target in signs}  # amplitude -> peak, NaN where diverged
     walks = [_Bisection(tol, _CAP_DOUBLINGS) for _ in pairs]
 
     def roll_out(rows: list) -> None:
@@ -383,72 +380,64 @@ def violation_levels(plant, net: ReluNetwork, maps: ClosedLoopMaps, targets, hor
         except DivergedAt as exc:
             x, dead = exc.trace.x, exc.rows >= 0
         peak = np.max(np.abs(x[np.arange(len(rows)), :, [t for t, _ in rows]]), axis=1)
-        for (target, amplitude), diverged, p in zip(rows, dead.tolist(), peak.tolist()):
-            if diverged:
-                first_dead[target] = min(first_dead[target], amplitude)
-            else:
-                bisect.insort(calm[target], (amplitude, p))
-            for i, (t, limit) in enumerate(pairs):
-                if t == target:
-                    held[i][amplitude] = diverged or p > limit
+        # NaN by hand too: a row that overflows on its last step has no NaN in x
+        for (target, amplitude), p in zip(rows, np.where(dead, np.nan, peak).tolist()):
+            peaks[target][amplitude] = p
 
     def answer(asked: dict) -> dict:
-        if any(w not in held[i] for i in asked for w in asked[i]):
+        if any(w not in peaks[pairs[i][0]] for i in asked for w in asked[i]):
             rows = []
             for i in asked:
                 target, limit = pairs[i]
-                guess = _guess(calm[target], first_dead[target], slopes[target], limit)
-                path = _ahead(walks[i], held[i], guess, _AHEAD)
-                rows += [(target, w) for w, _ in path]
-                for k, (w, fails) in enumerate(path[:_HEDGED]):
-                    # a guess that is wrong at one amplitude tends to be
-                    # wrong the same way at the next ones
-                    flipped = {**held[i], **dict(path[:k]), w: not fails}
-                    rows += [(target, v) for v, _ in
-                             _ahead(walks[i], flipped, lambda v: not guess(v), _HEDGE)]
+                guess = _guess(peaks[target], slopes[target], limit)
+                for guessed, count in ((guess, _AHEAD), (lambda w: not guess(w), _HEDGE)):
+                    rows += [(target, w) for w in
+                             _ahead(walks[i], peaks[target], limit, guessed, count)]
             roll_out(list(dict.fromkeys(rows)))
-        return {i: [held[i][w] for w in levels] for i, levels in asked.items()}
+        return {i: [not peaks[pairs[i][0]][w] <= pairs[i][1] for w in levels]
+                for i, levels in asked.items()}
 
     brackets = _lockstep(walks, answer)
     return [min((hi for _, hi in brackets[k::len(limits)]), default=np.inf)
             for k in range(len(limits))]
 
 
-def _guess(calm: list, first_dead: float, slope: float, limit: float):
+def _guess(peaks: dict, slope: float, limit: float):
     """A guess of whether an amplitude breaks ``limit``, from one target's
-    rollouts so far: ``calm``, the sorted (amplitude, peak) of those that
-    stayed finite, and ``first_dead``, the least amplitude that diverged.
+    record ``peaks`` (amplitude -> peak, NaN where the rollout diverged).
 
-    An amplitude breaks the limit when it is at least ``first_dead``, or
-    when its guessed peak exceeds the limit.  The peak is interpolated
-    linearly between the nearest calm amplitudes around it, or scaled in
-    proportion from the nearest one when it lies outside them; before any
-    rollout it is the amplitude times ``slope``.
+    An amplitude breaks the limit when it is at least the least amplitude
+    that diverged, or when its guessed peak exceeds the limit.  The peak is
+    interpolated linearly between the nearest finite-peaked amplitudes
+    around it, or scaled in proportion from the nearest one when it lies
+    outside them; before any rollout it is the amplitude times ``slope``.
     """
+    finite = sorted((w, p) for w, p in peaks.items() if p == p)
+    least_dead = min((w for w, p in peaks.items() if p != p), default=np.inf)
+
     def breaks(w: float) -> bool:
-        if w >= first_dead:
+        if w >= least_dead:
             return True
-        k = bisect.bisect_left(calm, (w,))
-        if 0 < k < len(calm):
-            (w0, p0), (w1, p1) = calm[k - 1], calm[k]
+        k = bisect.bisect_left(finite, (w,))
+        if 0 < k < len(finite):
+            (w0, p0), (w1, p1) = finite[k - 1], finite[k]
             peak = p0 + (p1 - p0) * (w - w0) / (w1 - w0)
         else:
-            near, p = calm[min(k, len(calm) - 1)] if calm else (0.0, 0.0)
+            near, p = finite[min(k, len(finite) - 1)] if finite else (0.0, 0.0)
             peak = p * (w / near) if near > 0.0 else w * slope
         return peak > limit
 
     return breaks
 
 
-def _ahead(walk: _Bisection, held: dict, guess, count: int) -> list[tuple[float, bool]]:
-    """The first ``count`` levels not in ``held`` that a copy of ``walk``
-    asks, with their guessed verdicts: the copy is sent ``held[level]``
-    where held and ``guess(level)`` elsewhere."""
+def _ahead(walk: _Bisection, peaks: dict, limit: float, guess, count: int) -> list[float]:
+    """The first ``count`` levels not in ``peaks`` that a copy of ``walk``
+    asks: the copy is sent ``not peaks[level] <= limit`` where the level was
+    rolled out and ``guess(level)`` elsewhere."""
     walk, path = copy.copy(walk), []
     while walk.asked and len(path) < count:
-        verdicts = [held[w] if w in held else guess(w) for w in walk.asked]
-        path += [(w, fails) for w, fails in zip(walk.asked, verdicts) if w not in held]
-        walk.send(verdicts)
+        path += [w for w in walk.asked if w not in peaks]
+        walk.send([not peaks[w] <= limit if w in peaks else guess(w) for w in walk.asked])
     return path[:count]
 
 

@@ -101,6 +101,20 @@ def _as_matrix(value, name: str = "matrix") -> np.ndarray:
     return arr
 
 
+def _realization(a, bc, cc, dc) -> tuple[np.ndarray, ...]:
+    """``(A, B, C, D)`` as float matrices whose shapes fit one another."""
+    a, bc, cc, dc = (_as_matrix(v, name) for v, name in
+                     ((a, "a"), (bc, "bc"), (cc, "cc"), (dc, "dc")))
+    n = a.shape[0]
+    if a.shape[0] != a.shape[1]:
+        raise ValueError("a must be square")
+    if bc.shape[0] != n or cc.shape[1] != n:
+        raise ValueError("b/c dimensions do not match a")
+    if dc.shape != (cc.shape[0], bc.shape[1]):
+        raise ValueError("d dimensions do not match b/c")
+    return a, bc, cc, dc
+
+
 def _as_vector(value, name: str = "vector") -> np.ndarray:
     arr = np.asarray(value, dtype=float)
     if arr.ndim != 1:
@@ -257,17 +271,7 @@ def impulse_response(a, bc, cc, dc) -> TruncatedTransferMatrix:
     RuntimeError
         If the bound stays above ``EPS_TRUNC`` past ``_MAX_TRUNC_TERMS`` terms.
     """
-    a = _as_matrix(a, "a")
-    bc = _as_matrix(bc, "bc")
-    cc = _as_matrix(cc, "cc")
-    dc = _as_matrix(dc, "dc")
-    n = a.shape[0]
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("a must be square")
-    if bc.shape[0] != n or cc.shape[1] != n:
-        raise ValueError("b/c dimensions do not match a")
-    if dc.shape != (cc.shape[0], bc.shape[1]):
-        raise ValueError("d dimensions do not match b/c")
+    a, bc, cc, dc = _realization(a, bc, cc, dc)
     # the march of _abs_response takes its realizations C-contiguous too
     a, bc, cc = (np.ascontiguousarray(v)[None] for v in (a, bc, cc))
     errors, _, weights = _contraction(a)
@@ -482,10 +486,7 @@ def hinf_norm(a, bc, cc, dc) -> float:
     estimator (a lower bound of the true peak up to grid resolution), not a
     certified norm, and no certificate or command reads it.
     """
-    a = _as_matrix(a, "a")
-    bc = _as_matrix(bc, "bc")
-    cc = _as_matrix(cc, "cc")
-    dc = _as_matrix(dc, "dc")
+    a, bc, cc, dc = _realization(a, bc, cc, dc)
     n = a.shape[0]
     if n and spectral_radius(a) >= 1.0 - SCHUR_MARGIN:
         raise NotSchurStable("hinf_norm requires a Schur stable matrix")

@@ -250,6 +250,15 @@ class TestSimulate:
                 simulate(plant, net, w, -1)
             assert simulate(plant, net, w, 0).steps == 0
 
+    def test_plan_of_other_channel_count(self, scalar_loop):
+        # the plan's signal gets the same shape check as an array w, before
+        # the loop's first product could fail on it
+        plant, net, _ = scalar_loop
+        plan = AttackPlan(signs=np.ones((5, 2)), w_inf=0.1, target=0, horizon=5)
+        for w in (plan, plan.signal(8)):
+            with pytest.raises(ValueError, match=r"w has shape \(8, 2\), expected \(8, 1\)"):
+                simulate(plant, net, w, 8)
+
     def test_nonlinear_matches_linear_for_small_states(self, kd):
         params = CartPoleParams()
         nl = cartpole_nonlinear(params)

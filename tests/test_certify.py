@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from loopcert import attack, certify, linsys, neural
+from loopcert import attack, certify, linsys, neural, sysid
 from loopcert.certify import (
     BaselineResult,
     Quadruplet,
@@ -324,12 +324,7 @@ class TestSoundnessProperty:
             deltas = [np.zeros_like(gamma)] + [
                 gamma * rng.choice((-1.0, 1.0), size=gamma.shape) for _ in range(3)]
             for delta in deltas:
-                tap = plant.b_delta @ delta
-                perturbed = dataclasses.replace(
-                    plant, a=plant.a + tap @ plant.c_alpha, b=plant.b + tap @ plant.d_alpha_u,
-                    b_w=plant.b_w + tap @ plant.d_alpha_w, b_delta=np.zeros((plant.n, 0)),
-                    c_alpha=np.zeros((0, plant.n)), d_alpha_u=np.zeros((0, plant.m)),
-                    d_alpha_w=np.zeros((0, plant.p)))
+                perturbed = _fold_delta(plant, delta)
                 traces = [attack.monte_carlo_attack(perturbed, net, w_inf, 300, seed=seed,
                                                     mode="rademacher")[0]]
                 try:
@@ -347,6 +342,58 @@ class TestSoundnessProperty:
                             (seed, signal)
                 traces_checked += len(traces)
         assert successes >= 8 and traces_checked >= 100
+
+    def test_learned_cartpole_stays_inside_certified_boxes(self, learned_cartpole,
+                                                            cloned_policy, kd):
+        # the same on criterion 6's learned cart-pole at its bootstrap
+        # Gamma_Delta: two certified points, each under Delta = 0, +-Gamma_Delta
+        # and two random sign patterns, with designed attacks on every state
+        # (on the perturbed loop's own maps) and a Rademacher run: 50 traces
+        plant, gamma = learned_cartpole
+        rng = np.random.default_rng(0)
+        deltas = [np.zeros_like(gamma), gamma, -gamma] + [
+            gamma * rng.choice((-1.0, 1.0), size=gamma.shape) for _ in range(2)]
+        horizon = 2500
+        for x_lim, w_inf in ((0.005, 5e-4), (0.01, 1e-3)):
+            limited = certify.with_state_limit(plant, 2, x_lim)
+            result = algorithm1(limited, cloned_policy, kd, gamma, w_inf=w_inf)
+            assert result.success, x_lim
+            quad = result.quadruplet
+            for k, delta in enumerate(deltas):
+                perturbed = _fold_delta(limited, delta)
+                maps = linsys.close_loop(perturbed, result.gain)
+                traces = [attack.simulate(perturbed, cloned_policy,
+                                          attack.design_attack(maps, i, horizon, w_inf), horizon)
+                          for i in range(plant.n)]
+                traces.append(attack.monte_carlo_attack(perturbed, cloned_policy, w_inf, horizon,
+                                                        seed=k, mode="rademacher")[0])
+                for trace in traces:
+                    for signal, bar in (("x", quad.x_bar), ("y", quad.y_bar),
+                                        ("u", quad.u_bar)):
+                        assert np.all(trace.max_abs(signal) <= bar * (1 + 1e-9)), \
+                            (x_lim, k, signal)
+
+
+@pytest.fixture(scope="module")
+def learned_cartpole(cartpole_nl):
+    """Criterion 6's learned cart-pole (100 episodes, seed 1) and its
+    bootstrap Gamma_Delta."""
+    model = sysid.bootstrap_uncertainty(
+        sysid.collect(cartpole_nl, 100, u_amplitude=0.5, seed=1), seed=1)
+    return (sysid.uncertain_plant(model, c=cartpole_nl.c, d_w=cartpole_nl.d_w,
+                                  b_w=cartpole_nl.b_w), model.gamma_delta)
+
+
+def _fold_delta(plant, delta):
+    """The plant with the static uncertainty ``delta`` closed into it:
+    ``delta_t = Delta alpha_t`` folds into A, B and B_w, and the uncertainty
+    channel goes."""
+    tap = plant.b_delta @ delta
+    return dataclasses.replace(
+        plant, a=plant.a + tap @ plant.c_alpha, b=plant.b + tap @ plant.d_alpha_u,
+        b_w=plant.b_w + tap @ plant.d_alpha_w, b_delta=np.zeros((plant.n, 0)),
+        c_alpha=np.zeros((0, plant.n)), d_alpha_u=np.zeros((0, plant.m)),
+        d_alpha_w=np.zeros((0, plant.p)))
 
 
 def _empty_memo(monkeypatch, size=64):

@@ -530,6 +530,26 @@ class TestAttackSimulateRoundTrip:
         assert err == "error: policy maps 4->1, plant needs 4->2\n"
         assert not out.exists()
 
+    def test_plan_of_other_channel_count_exits_cleanly(self, tmp_path, capsys, kd):
+        # a plan designed on a plant with two perturbation channels, run on
+        # the cart-pole's one: a usage error that names both shapes, not
+        # numpy's matmul error from the first step
+        plant_path, policy_path = tmp_path / "plant.json", tmp_path / "policy.json"
+        linsys.save_plant(plant_path, linsys.make_plant(0.5 * np.eye(4), np.ones((4, 1)),
+                                                        b_w=np.ones((4, 2))))
+        neural.save_policy(policy_path, neural.mlp([(kd, np.zeros(1))]))
+        plan_path = tmp_path / "plan.json"
+        assert main(["attack", "--plant", str(plant_path), "--policy", str(policy_path),
+                     "--target", "2", "--horizon", "40", "--w-inf", "0.005",
+                     "--out", str(plan_path)]) == EXIT_OK
+        out = tmp_path / "trace.csv"
+        code = main(["simulate", "--plant", "cartpole", "--policy", str(policy_path),
+                     "--plan", str(plan_path), "--steps", "50", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR
+        assert err == "error: w has shape (50, 2), expected (50, 1)\n"
+        assert not out.exists()
+
     def test_diverging_run_writes_the_partial_trace(self, tmp_path, capsys):
         # x+ = 1e100 x under a zero policy overflows on the fourth step
         plant_path, policy_path = tmp_path / "plant.json", tmp_path / "policy.json"

@@ -491,6 +491,18 @@ class TestHinfNorm:
         assert l1_norm(phi) == pytest.approx(2.0, abs=1e-6)
         assert hinf_norm([[0.5]], [[1.0]], [[1.0]], [[0.0]]) == pytest.approx(2.0, abs=1e-6)
 
+    @pytest.mark.parametrize("realization, message", [
+        (([[0.5]], [[1.0], [2.0]], [[1.0]], [[0.0]]), "b/c dimensions do not match a"),
+        (([[0.5]], [[1.0]], [[1.0, 2.0]], [[0.0]]), "b/c dimensions do not match a"),
+        # a D that numpy would broadcast over both columns of B
+        (([[0.5]], [[1.0, 2.0]], [[1.0]], [[0.0]]), "d dimensions do not match b/c"),
+    ], ids=["b-vs-a", "c-vs-a", "d-vs-bc"])
+    def test_rejects_mismatched_realization(self, realization, message):
+        # the same check as impulse_response's, before any frequency is swept
+        for response in (hinf_norm, impulse_response):
+            with pytest.raises(ValueError, match=message):
+                response(*realization)
+
 
 class TestCloseLoop:
     def test_open_loop_scalar_norms(self):
