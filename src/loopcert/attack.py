@@ -68,7 +68,7 @@ _BLOCK = 256
 # the amplitudes a pair adds to a rollout: the next _AHEAD it asks under
 # guessed verdicts and the next _HEDGE it asks under their negation
 _CAP_DOUBLINGS = 24
-_AHEAD, _HEDGE = 10, 3
+_AHEAD, _HEDGE = 12, 3
 
 
 @dataclass(frozen=True)
@@ -353,7 +353,8 @@ def violation_levels(plant, net: ReluNetwork, maps: ClosedLoopMaps, targets, hor
     amplitude) is rolled out once into one record per target: the peak
     ``|x_target|`` of each amplitude, NaN where the rollout diverged.  A
     pair's verdict is ``not peak <= limit``, so a diverging rollout breaks
-    every limit, an infinite one too.
+    every limit, an infinite one too.  A limit that is negative or NaN, or
+    no target at all, raises ``ValueError`` before any rollout.
 
     A round that asks an amplitude not rolled out yet makes one batched
     rollout, to which every waiting pair adds the amplitudes a copy of its
@@ -365,8 +366,14 @@ def violation_levels(plant, net: ReluNetwork, maps: ClosedLoopMaps, targets, hor
     only picks which rows to add, so every level is that of one rollout per
     amplitude.
     """
+    limits = [float(limit) for limit in limits]
+    for limit in limits:
+        if not limit >= 0:
+            raise ValueError(f"limit must be >= 0, got {limit}")
     signs = {target: design_attack(maps, target, horizon).signs for target in targets}
-    pairs = [(target, float(limit)) for target in signs for limit in limits]
+    if not signs:
+        raise ValueError("targets must name at least one state, got none")
+    pairs = [(target, limit) for target in signs for limit in limits]
     # the linear loop's peak per unit amplitude, the guess before any rollout
     slopes = {target: float(np.sum(maps.abs_block("xw")[target])) for target in signs}
     peaks = {target: {} for target in signs}  # amplitude -> peak, NaN where diverged

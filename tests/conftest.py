@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from loopcert import linsys, neural, plant, policysynth
+from loopcert import linsys, neural, plant, policysynth, sysid
 from loopcert.certify import check_lemma1
 
 # One clone is trained per session and shared by every test that needs the
@@ -45,6 +45,16 @@ def kd(lqr_gain):
 @pytest.fixture(scope="session")
 def cloned_policy(lqr_gain):
     return policysynth.behavior_clone(lqr_gain, CLONE_CONFIG).net
+
+
+@pytest.fixture(scope="session")
+def learned_cartpole(cartpole_nl):
+    """Criterion 6's learned cart-pole (100 episodes, seed 1) and its
+    bootstrap Gamma_Delta."""
+    model = sysid.bootstrap_uncertainty(
+        sysid.collect(cartpole_nl, 100, u_amplitude=0.5, seed=1), seed=1)
+    return (sysid.uncertain_plant(model, c=cartpole_nl.c, d_w=cartpole_nl.d_w,
+                                  b_w=cartpole_nl.b_w), model.gamma_delta)
 
 
 def scalar_plant(a=0.5, w_inf=0.1, **kwargs):

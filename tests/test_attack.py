@@ -1,6 +1,7 @@
 """Attack synthesis and the simulation harness."""
 
 import collections
+import re
 import threading
 
 import numpy as np
@@ -134,16 +135,17 @@ def _sequential_violation_level(plant, net, maps, target, horizon, x_limit, tol=
 
 @pytest.fixture()
 def count_simulations(monkeypatch):
-    """Counts the simulate calls made through the attack module."""
-    calls = []
+    """The row count of each simulate call made through the attack module,
+    in call order (1 for an unbatched run)."""
+    rows = []
     real = attack.simulate
 
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def spy(plant, net, w=None, *args, **kwargs):
+        rows.append(len(w) if np.ndim(w) == 3 else 1)
+        return real(plant, net, w, *args, **kwargs)
 
     monkeypatch.setattr(attack, "simulate", spy)
-    return calls
+    return rows
 
 
 @pytest.fixture(scope="module")
@@ -371,6 +373,20 @@ class TestBatchedSimulate:
                                            quantization=quant)
                 _assert_row_matches(batch, row, single)
 
+    def test_rows_match_single_runs_on_cartpole_clone(self, cartpole, cloned_policy, kd):
+        # 16 rows through the clone's 16-wide layers: a 2-D (B, 16) @ (16, 16)
+        # product differs in bits from the per-row one for B >= 8, which the
+        # corpus's 4 rows do not reach; the amplitudes run from below the
+        # violation levels (about 1e-3) to far past them, as a search's do
+        _, maps = certify.extract_loop(cartpole, cloned_policy, None, kd)
+        signs = design_attack(maps, 2, 1000).signs
+        w = np.geomspace(1e-4, 1.0, 16)[:, None, None] * signs
+        batch = _trace_or_partial(cartpole, cloned_policy, w, 1000)
+        assert batch.x.shape == (16, 1000, 4)
+        for row in range(16):
+            _assert_row_matches(batch, row, _trace_or_partial(cartpole, cloned_policy, w[row],
+                                                              1000))
+
     def test_diverging_row_leaves_the_others_alone(self, scalar_loop):
         plant, net, _ = scalar_loop
         rng = np.random.default_rng(5)
@@ -485,11 +501,22 @@ class TestViolationLevel:
         limited = certify.with_state_limit(cartpole, 2, 0.005)
         _, maps = certify.extract_loop(limited, cloned_policy, None, kd)
         level = attack.violation_level(limited, cloned_policy, maps, 2, 2500, 0.005)
-        batched = len(count_simulations)
+        calls = list(count_simulations)
         reference, rollouts = _sequential_violation_level(limited, cloned_policy, maps,
                                                           2, 2500, 0.005)
         assert level == reference
-        assert rollouts == 13 and batched <= 2
+        assert rollouts == 13 and calls == [14]
+
+    def test_learned_cartpole_in_one_call(self, learned_cartpole, cloned_policy, kd,
+                                          count_simulations):
+        # the benchmark's search on the learned plant's wider loop
+        learned, _ = learned_cartpole
+        limited = certify.with_state_limit(learned, 2, 0.005)
+        _, maps = certify.extract_loop(limited, cloned_policy, None, kd)
+        level = attack.violation_level(limited, cloned_policy, maps, 2, 2500, 0.005)
+        assert len(count_simulations) == 1
+        assert level == _sequential_violation_level(limited, cloned_policy, maps,
+                                                    2, 2500, 0.005)[0]
 
     def test_random_loops_match_sequential(self, count_simulations):
         # random ReLU loops, some of whose rollouts diverge, with quantization
@@ -515,17 +542,21 @@ class TestViolationLevel:
                 assert (level, rollouts, len(count_simulations)) == (0.0, 2, 1), seed
             calls += len(count_simulations)
         # 47 with a blind depth-3 midpoint tree a round
-        assert calls <= 27
+        assert calls == 26
 
     def test_threshold_amplitudes_match_sequential(self, scalar_loop, monkeypatch):
         # a stand-in simulator whose every state is the amplitude of its row
         # (its largest |w|), so a limit on x is a threshold on the amplitude;
-        # a non-strict case puts the limit one float below the threshold
+        # a non-strict case puts every state one float above its amplitude,
+        # so that the threshold itself, 0 too, breaks the limit
         plant, net, maps = scalar_loop
         asked = collections.Counter()
 
         class AskedForever(Exception):
             pass
+
+        def peak(level):
+            return level if strict else np.nextafter(level, np.inf)
 
         def amplitude_trace(plant, net, w, t_sim, quantization=None):
             w = w.signal(t_sim) if isinstance(w, AttackPlan) else np.asarray(w)
@@ -534,15 +565,14 @@ class TestViolationLevel:
                 asked[v] += 1
                 if asked[v] > 2:
                     raise AskedForever
-            x = np.broadcast_to(level[..., None, None], w.shape[:-1] + (plant.n,))
+            x = np.broadcast_to(peak(level)[..., None, None], w.shape[:-1] + (plant.n,))
             return SimTrace(x, x, x, w)
 
         monkeypatch.setattr(attack, "simulate", amplitude_trace)
         monkeypatch.setitem(globals(), "simulate", amplitude_trace)
         # 500 cases: the sequential reference takes about 8 ms per case
         for threshold, strict, tol in threshold_cases(500, seed=2):
-            x_limit = threshold if strict else np.nextafter(threshold, -np.inf)
-            args = (plant, net, maps, 0, 4, x_limit, tol)
+            args = (plant, net, maps, 0, 4, threshold, tol)
             case = (threshold, strict, tol)
             asked.clear()
             level = attack.violation_level(*args)
@@ -555,7 +585,7 @@ class TestViolationLevel:
                 # doubling twice; it asks a third time only once no float lies
                 # inside its bracket, and would then ask forever, with hi the
                 # least violating amplitude asked
-                reference = min(v for v in asked if v > x_limit)
+                reference = min(v for v in asked if peak(v) > threshold)
             assert level == reference, case
 
     def test_no_violation_returns_inf(self, scalar_loop, monkeypatch):
@@ -625,7 +655,7 @@ class TestViolationLevels:
             finite_at_inf += levels[-1] < np.inf
         assert 0 < finite_at_inf < 8
         # 38 with a blind depth-3 midpoint tree a round
-        assert len(count_simulations) <= 24
+        assert len(count_simulations) == 23
 
     def test_cartpole_column_in_two_calls(self, cartpole, cloned_policy, kd,
                                           count_simulations):
@@ -636,12 +666,27 @@ class TestViolationLevels:
         _, maps = certify.extract_loop(cartpole, cloned_policy, None, kd)
         levels = attack.violation_levels(cartpole, cloned_policy, maps, [2], 2500, values, 1e-3,
                                           None)
-        assert len(count_simulations) <= 2
+        assert (len(count_simulations), sum(count_simulations)) == (2, 61)
         assert levels == [attack.violation_level(cartpole, cloned_policy, maps, 2, 2500, v)
                           for v in values]
         assert levels == [0.00026928710937500005, 0.0005385742187500001,
                           0.00080761718750000007, 0.0013457031249999999,
                           0.0021640625000000002]
+
+    @pytest.mark.parametrize("limit", [-1e-3, -np.inf, np.nan])
+    def test_rejects_a_negative_or_nan_limit(self, scalar_loop, count_simulations, limit):
+        # every peak would break it, and the level would read 0.0
+        plant, net, maps = scalar_loop
+        with pytest.raises(ValueError, match=re.escape(f"limit must be >= 0, got {limit}")):
+            attack.violation_levels(plant, net, maps, [0], 50, [0.1, limit], 1e-3, None)
+        assert count_simulations == []
+
+    def test_rejects_no_target(self, scalar_loop, count_simulations):
+        # no pair would be bisected, and the level would read inf
+        plant, net, maps = scalar_loop
+        with pytest.raises(ValueError, match="targets must name at least one state"):
+            attack.violation_levels(plant, net, maps, [], 50, [0.1], 1e-3, None)
+        assert count_simulations == []
 
 
 class TestFiles:

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from loopcert import attack, certify, linsys, neural, sysid
+from loopcert import attack, certify, linsys, neural
 from loopcert.certify import (
     BaselineResult,
     Quadruplet,
@@ -372,16 +372,6 @@ class TestSoundnessProperty:
                                         ("u", quad.u_bar)):
                         assert np.all(trace.max_abs(signal) <= bar * (1 + 1e-9)), \
                             (x_lim, k, signal)
-
-
-@pytest.fixture(scope="module")
-def learned_cartpole(cartpole_nl):
-    """Criterion 6's learned cart-pole (100 episodes, seed 1) and its
-    bootstrap Gamma_Delta."""
-    model = sysid.bootstrap_uncertainty(
-        sysid.collect(cartpole_nl, 100, u_amplitude=0.5, seed=1), seed=1)
-    return (sysid.uncertain_plant(model, c=cartpole_nl.c, d_w=cartpole_nl.d_w,
-                                  b_w=cartpole_nl.b_w), model.gamma_delta)
 
 
 def _fold_delta(plant, delta):
