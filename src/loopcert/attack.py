@@ -18,7 +18,9 @@ linear plant it also takes a batch of perturbations, shape (B, t_sim, p),
 and runs the B rollouts in one loop; every row is bit-identical to its own
 unbatched run.  The loop is the same for both: it holds one state as an
 (n,) vector and a batch as a (B, 1, n) stack, and writes each step's x, y,
-u and the policy's layers into buffers allocated once per call.
+u and the policy's layers into buffers allocated once per call.  A single
+run's products are ``np.dot`` calls and a batch's are ``np.matmul`` per
+row, with the same bits.
 :func:`violation_levels` rolls out each amplitude once and keeps one record
 per target, the peak of each amplitude (NaN where it diverged).  When its
 lock-step bisections ask one not rolled out yet, each adds the amplitudes it
@@ -175,13 +177,15 @@ def design_attack(maps: ClosedLoopMaps, target: int, horizon: int,
 def _plant_hooks(plant, batched: bool):
     """(step, C, D_w, B_w); ``step(x, u, out)`` writes the next state, before
     ``B_w w``, into ``out``, for a state and input held as the simulator
-    holds them: (n,) and (m,) vectors, or (B, 1, n) and (B, 1, m) stacks."""
+    holds them: (n,) and (m,) vectors, whose products are ``np.dot`` calls,
+    or (B, 1, n) and (B, 1, m) stacks, whose products are ``np.matmul``."""
     if isinstance(plant, StateSpacePlant):
         a_t, b_t = plant.a.T, plant.b.T
+        product = np.matmul if batched else np.dot
 
         def step(x, u, out):
-            np.matmul(x, a_t, out=out)
-            out += u @ b_t
+            product(x, a_t, out=out)
+            out += product(u, b_t)
 
         return step, plant.c, plant.d_w, plant.b_w
     if isinstance(plant, NonlinearPlant):
@@ -209,7 +213,9 @@ def simulate(plant, net: ReluNetwork, w=None, t_sim: int = 1000, x0=None,
 
     One loop serves both: an unbatched run holds its state as an (n,)
     vector, a batch as a (B, 1, n) stack, so every product is a per-row
-    matrix-vector product, the same one either way.  The series live in
+    matrix-vector product, the same one either way.  A single run's products
+    are ``np.dot`` calls and a batch's are ``np.matmul`` per row, with the
+    same bits; ``np.dot`` reaches BLAS in fewer steps.  The series live in
     time-major buffers that each step writes in place: ``y[t] = x[t] C'``,
     then ``+= D_w w[t]``; the policy's layers into row buffers, the last
     into ``u[t]``; ``x[t + 1] = x[t] A' + u[t] B'``, then ``+= B_w w[t]``.
@@ -268,6 +274,7 @@ def simulate(plant, net: ReluNetwork, w=None, t_sim: int = 1000, x0=None,
     layers = _bind(net.layers)
     outs = [np.empty((*lead, weight_t.shape[1])) for weight_t, _, _ in layers[:-1]] + [None]
     c_t, d_w_t, b_w_t = c.T, d_w.T, b_w.T
+    product = np.matmul if batched else np.dot
     diverged = np.full(rows, -1)
     for t in range(t_sim):
         k = t % _BLOCK
@@ -276,7 +283,7 @@ def simulate(plant, net: ReluNetwork, w=None, t_sim: int = 1000, x0=None,
             dw_w = (block @ d_w_t).reshape(len(block), *ys.shape[1:])
             bw_w = (block @ b_w_t).reshape(len(block), *xs.shape[1:])
         x, y, u, x_next = xs[t], ys[t], us[t], xs[t + 1]
-        np.matmul(x, c_t, out=y)
+        product(x, c_t, out=y)
         y += dw_w[k]
         outs[-1] = u  # the last layer writes u[t]
         _forward_into(y, layers, outs)
@@ -316,8 +323,14 @@ def monte_carlo_attack(plant, net: ReluNetwork, w_inf: float, t_sim: int,
 
     Each step draws i.i.d. from the amplitude ball: ``uniform`` on
     [-w_inf, w_inf] per channel, or ``rademacher`` on the extreme points.
-    Returns the trace and per-state deviation statistics.
+    Returns the trace and per-state deviation statistics.  A ``t_sim``
+    below 1, which has no statistics, or a ``w_inf`` that is negative or not
+    finite raises ``ValueError`` before any draw.
     """
+    if t_sim < 1:
+        raise ValueError(f"t_sim must be at least 1, got {t_sim}")
+    if not 0.0 <= w_inf < np.inf:
+        raise ValueError(f"w_inf must be finite and nonnegative, got {w_inf}")
     _, _, d_w, _ = _plant_hooks(plant, batched=False)
     p = d_w.shape[1]
     rng = np.random.default_rng(seed)

@@ -91,10 +91,10 @@ def _gain_from_file(path) -> np.ndarray:
 
 def _amplitude(flag: str, value: float) -> float:
     """``value`` of ``flag`` as a perturbation bound w, whose uniform draw on
-    [-w, w] must have a finite float width 2|w|; a CliError otherwise."""
-    if not abs(value) <= sys.float_info.max / 2.0:
-        raise CliError(f"{flag} must be finite and at most half the largest float, "
-                       f"got {value}")
+    [-w, w] must have a finite float width 2w; a CliError otherwise."""
+    if not 0.0 <= value <= sys.float_info.max / 2.0:
+        raise CliError(f"{flag} must be finite, nonnegative and at most half the largest "
+                       f"float, got {value}")
     return value
 
 

@@ -185,8 +185,9 @@ def evaluate(net: ReluNetwork, y) -> np.ndarray:
 
     Accepts a single input vector or a batch with samples in rows.  Each
     layer makes one fresh array and adds its bias and applies its ReLU in
-    place; callers that evaluate many equal-sized batches reuse row buffers
-    through :func:`_forward_into` instead, with bit-identical results.
+    place; a single vector's products are ``np.dot`` calls and a batch's
+    ``np.matmul``.  Callers that evaluate many equal-sized batches reuse row
+    buffers through :func:`_forward_into` instead, with bit-identical results.
     """
     z = np.asarray(y, dtype=float)
     if z.shape[-1] != net.input_dim:
@@ -208,12 +209,16 @@ def _forward_into(z: np.ndarray, layers, outs=None) -> np.ndarray:
     layer k written into ``outs[k]``.
 
     Without ``outs`` each layer makes one fresh array.  A layer is
-    ``z @ weight.T``, then ``+= bias``, then ``maximum(., 0)`` in place for a
-    ReLU layer, so a buffer holds the same bits a fresh array would.
+    ``z weight'``, then ``+= bias``, then ``maximum(., 0)`` in place for a
+    ReLU layer, so a buffer holds the same bits a fresh array would.  The
+    product of a single row, a 1-D ``z``, is an ``np.dot`` call, which reaches
+    BLAS's matrix-vector product in fewer steps than ``np.matmul``; a batch's
+    is ``np.matmul``, per row for a (B, 1, n) stack, with the same bits.
     Returns the last layer's output.
     """
+    product = np.dot if z.ndim == 1 else np.matmul
     for k, (weight_t, bias, relu) in enumerate(layers):
-        z = z @ weight_t if outs is None else np.matmul(z, weight_t, out=outs[k])
+        z = product(z, weight_t) if outs is None else product(z, weight_t, out=outs[k])
         z += bias
         if relu:
             np.maximum(z, 0.0, out=z)

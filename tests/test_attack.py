@@ -435,6 +435,24 @@ class TestBatchedSimulate:
         batch = simulate(plant, net, np.zeros((2, 40, 1)), 40)
         assert batch.steps == 40 and batch.max_abs("u").shape == (2, 1)
 
+    def test_one_state_step_matches_plain_product_and_stack_row(self):
+        # an (n,) state steps through np.dot and a (B, 1, n) stack through
+        # np.matmul, both with the bits of A x + B u: when this class's two
+        # simulator paths part, this test tells whether the plant's step did
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            plant = random_stable_plant(rng)
+            single, _, _, _ = attack._plant_hooks(plant, batched=False)
+            stacked, _, _, _ = attack._plant_hooks(plant, batched=True)
+            xs, us = rng.normal(size=(5, 1, plant.n)), rng.normal(size=(5, 1, plant.m))
+            stack_out = np.empty((5, 1, plant.n))
+            stacked(xs, us, stack_out)
+            for row in range(5):
+                x, u, out = xs[row, 0], us[row, 0], np.empty(plant.n)
+                single(x, u, out)
+                assert np.array_equal(out, plant.a @ x + plant.b @ u), (seed, row)
+                assert np.array_equal(out, stack_out[row, 0]), (seed, row)
+
     def test_rejects_batch_on_nonlinear_plant(self, kd):
         net = neural.mlp([(kd, np.zeros(1))])
         with pytest.raises(ValueError):
@@ -471,6 +489,24 @@ class TestMonteCarlo:
         plant, net, _ = scalar_loop
         trace, _ = monte_carlo_attack(plant, net, 0.1, 100, seed=3, mode="rademacher")
         assert np.all(np.isin(trace.w, (-0.1, 0.1)))
+
+    @pytest.mark.parametrize("w_inf, t_sim, message", [
+        (0.1, 0, "t_sim must be at least 1, got 0"),
+        (0.1, -3, "t_sim must be at least 1, got -3"),
+        (-1.0, 10, "w_inf must be finite and nonnegative, got -1.0"),
+        (np.nan, 10, "w_inf must be finite and nonnegative, got nan"),
+        (np.inf, 10, "w_inf must be finite and nonnegative, got inf"),
+    ])
+    def test_rejects_bad_inputs_before_any_draw(self, scalar_loop, monkeypatch,
+                                                count_simulations, w_inf, t_sim, message):
+        # numpy's errors named neither argument: a reduction over no steps,
+        # "high - low < 0" and an OverflowError
+        plant, net, _ = scalar_loop
+        draws = []
+        monkeypatch.setattr(np.random, "default_rng", lambda *args: draws.append(args))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            monte_carlo_attack(plant, net, w_inf, t_sim)
+        assert draws == [] and count_simulations == []
 
     def test_designed_beats_monte_carlo_on_cartpole(self, cartpole, cloned_policy, kd):
         # same amplitude and step budget; the designed sequence must win big

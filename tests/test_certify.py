@@ -19,6 +19,7 @@ from loopcert.certify import (
     constructive_quadruplet,
     frontier,
 )
+from loopcert.plant import NonlinearPlant
 
 from conftest import (
     fresh_draw_gain,
@@ -372,6 +373,50 @@ class TestSoundnessProperty:
                                         ("u", quad.u_bar)):
                         assert np.all(trace.max_abs(signal) <= bar * (1 + 1e-9)), \
                             (x_lim, k, signal)
+
+    def test_learned_cartpole_under_time_varying_delta(self, learned_cartpole,
+                                                       cloned_policy, kd):
+        # Theorem 1 covers a Delta_t that changes every step.  The learned
+        # plant has D_alpha_w = 0, so alpha_t = C_alpha x + D_alpha_u u and a
+        # nonlinear plant stepping A0 x + B0 u + B_delta Delta_t alpha_t carries
+        # its whole uncertainty path.  Each trace draws its own seeded schedule
+        # of +-Gamma_Delta sign patterns, one a step.  The same two certified
+        # points, designed attacks from the nominal maps on every state and a
+        # Rademacher run: 10 traces
+        plant, gamma = learned_cartpole
+        assert not np.any(plant.d_alpha_w)
+        rng = np.random.default_rng(1)
+        horizon = 2500
+        for x_lim, w_inf in ((0.005, 5e-4), (0.01, 1e-3)):
+            limited = certify.with_state_limit(plant, 2, x_lim)
+            result = algorithm1(limited, cloned_policy, kd, gamma, w_inf=w_inf)
+            assert result.success, x_lim
+            quad = result.quadruplet
+            maps = linsys.close_loop(limited, result.gain)
+            traces = [attack.simulate(_scheduled_delta(limited, gamma, horizon, rng),
+                                      cloned_policy,
+                                      attack.design_attack(maps, i, horizon, w_inf), horizon)
+                      for i in range(plant.n)]
+            traces.append(attack.monte_carlo_attack(
+                _scheduled_delta(limited, gamma, horizon, rng), cloned_policy, w_inf, horizon,
+                seed=0, mode="rademacher")[0])
+            for k, trace in enumerate(traces):
+                for signal, bar in (("x", quad.x_bar), ("y", quad.y_bar), ("u", quad.u_bar)):
+                    assert np.all(trace.max_abs(signal) <= bar * (1 + 1e-9)), \
+                        (x_lim, k, signal)
+
+
+def _scheduled_delta(plant, gamma, steps, rng):
+    """``plant`` as a nonlinear plant under a time-varying uncertainty: step
+    t applies ``Delta_t = gamma * S_t``, with ``S_t`` a sign pattern drawn
+    from ``rng``, to ``alpha_t = C_alpha x + D_alpha_u u``."""
+    deltas = iter(gamma * rng.choice((-1.0, 1.0), size=(steps, *gamma.shape)))
+
+    def step(x, u):
+        alpha = plant.c_alpha @ x + plant.d_alpha_u @ u
+        return plant.a @ x + plant.b @ u + plant.b_delta @ (next(deltas) @ alpha)
+
+    return NonlinearPlant(step=step, c=plant.c, d_w=plant.d_w, b_w=plant.b_w)
 
 
 def _fold_delta(plant, delta):

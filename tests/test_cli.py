@@ -580,7 +580,7 @@ class TestAttackSimulateRoundTrip:
         # the pole comes back up
         assert abs(float(lines[-1].split(",")[4])) < 1e-3
 
-    @pytest.mark.parametrize("value", ["inf", "nan", "1e308"])
+    @pytest.mark.parametrize("value", ["inf", "nan", "1e308", "-1"])
     def test_random_amplitude_that_cannot_be_drawn_exits_cleanly(self, scalar_files, tmp_path,
                                                                 capsys, value):
         plant_path, policy_path = scalar_files
@@ -637,7 +637,7 @@ class TestLearn:
         assert "need at least one step per episode" in err and "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("value", ["inf", "nan", "1e308"])
+    @pytest.mark.parametrize("value", ["inf", "nan", "1e308", "-1"])
     def test_amplitude_that_cannot_be_drawn_exits_cleanly(self, tmp_path, capsys, value):
         out = tmp_path / "model.json"
         code = main(["learn", "--episodes", "4", "--amplitude", value, "--out", str(out)])

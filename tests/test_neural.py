@@ -119,6 +119,33 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(single_relu_policy(), [1.0, 2.0])
 
+    def test_one_row_pass_matches_plain_loop_and_stack_row(self):
+        # a 1-D row takes np.dot, a (B, 1, n) stack np.matmul: layer by layer,
+        # with and without buffers, both give the bits of a plain
+        # weight @ z + bias loop, so a parting names its layer
+        widest = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            net = random_relu_net(rng)
+            layers = neural._bind(net.layers)
+            widest = max(widest, *(layer.weight.shape[0] for layer in net.layers))
+            stack = rng.normal(size=(5, 1, net.input_dim))
+            stack_outs = [np.empty((5, 1, weight_t.shape[1])) for weight_t, _, _ in layers]
+            neural._forward_into(stack, layers, stack_outs)
+            for row in range(5):
+                z = stack[row, 0]
+                outs = [np.empty(weight_t.shape[1]) for weight_t, _, _ in layers]
+                last = neural._forward_into(z, layers, outs)
+                assert np.array_equal(neural._forward_into(z, layers), last), seed
+                plain = z
+                for k, layer in enumerate(net.layers):
+                    plain = layer.weight @ plain + layer.bias
+                    if layer.activation == "relu":
+                        plain = np.maximum(plain, 0.0)
+                    assert np.array_equal(outs[k], plain), (seed, row, k)
+                    assert np.array_equal(outs[k], stack_outs[k][row, 0]), (seed, row, k)
+        assert widest == 16
+
 
 class TestIntervalBounds:
     def test_signed_linear_layer(self):
