@@ -193,6 +193,14 @@ def cmd_attack(args) -> int:
 def cmd_simulate(args) -> int:
     if args.steps < 0:
         raise CliError(f"--steps must be at least 0, got {args.steps}")
+    # a flag the run would not read is a usage error: --w-inf bounds only
+    # --random's draw, and a plan fixes the perturbation
+    if args.random and args.plan is not None:
+        raise CliError("--random cannot be combined with --plan, which fixes the perturbation")
+    if args.random and args.w_inf is None:
+        raise CliError("--random needs --w-inf, the bound of its uniform draw")
+    if args.w_inf is not None and not args.random:
+        raise CliError("--w-inf is read only with --random")
     if args.plant == "cartpole-nonlinear":
         plant = cartpole_nonlinear()
     else:
@@ -201,7 +209,7 @@ def cmd_simulate(args) -> int:
     if args.plan is not None:
         w = attack_mod.load_plan(args.plan)
     elif args.random:
-        w_inf = _amplitude("--w-inf", args.w_inf or 0.0) * _angle_scale(args)
+        w_inf = _amplitude("--w-inf", args.w_inf) * _angle_scale(args)
         rng = np.random.default_rng(args.seed)
         p = plant.d_w.shape[1]
         w = rng.uniform(-w_inf, w_inf, size=(args.steps, p))
@@ -237,6 +245,8 @@ def cmd_learn(args) -> int:
         raise CliError(f"bad --params: {exc}") from exc
     w_inf = _amplitude("--w-inf", args.w_inf or 0.0)
     amplitude = _amplitude("--amplitude", args.amplitude)
+    if args.n_boot < 2:
+        raise CliError(f"--n-boot must be at least 2, got {args.n_boot}")
     try:
         episodes = sysid.collect(plant, args.episodes, ep_len=args.ep_len,
                                  u_amplitude=amplitude, seed=args.seed)

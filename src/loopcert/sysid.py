@@ -15,9 +15,12 @@ matrix ``Gamma_Delta = [Delta_A  Delta_B]`` of the uncertainty channel
 
 Resampling is per episode (not per transition), matching the episodic
 structure of the data collection.  The transitions are stacked into one
-design once; a resample takes its episodes' rows from it in one index
-take, and its column scale from per-episode column maxima, so every refit
-sees the bits a refit of the resampled episodes from scratch would.
+design once, with each episode's column maxima and Gram matrix.  A
+resample takes its episodes' rows from the design in one index take, so
+its least-squares solve sees the bits of a refit of the resampled
+episodes from scratch.  Its rank test reads a Gram matrix summed from the
+per-episode Grams, equilibrated by the resample's column maxima, in place
+of one formed from its rows.
 """
 
 from __future__ import annotations
@@ -129,27 +132,81 @@ def _stack(episodes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(regressors, targets, offsets)`` of the episodes' transitions:
     rows ``[x[t], u[t]]`` and ``x[t+1]``, episode ``i`` in rows
     ``offsets[i]:offsets[i + 1]``."""
+    if len(episodes) == 0:
+        raise ValueError("need at least one episode")
     regressors = np.vstack([np.hstack([ep.states[:-1], ep.inputs]) for ep in episodes])
     targets = np.vstack([ep.states[1:] for ep in episodes])
     offsets = np.cumsum([0] + [ep.inputs.shape[0] for ep in episodes])
     return regressors, targets, offsets
 
 
+def _per_episode(reduce: np.ufunc, rows: np.ndarray, starts: np.ndarray,
+                 lengths: np.ndarray) -> np.ndarray:
+    """``reduce`` over each episode's ``rows``; 0 for an episode of none."""
+    out = np.zeros((len(lengths), rows.shape[1]))
+    filled = lengths > 0
+    # reduceat gives an empty segment the next row, not 0
+    if filled.any():
+        out[filled] = reduce.reduceat(rows, starts[filled], axis=0)
+    return out
+
+
+class _Transitions:
+    """The episodes' transitions stacked once, with each episode's column
+    maxima ``m_i`` of ``|regressors|`` and its Gram matrix ``G_i = E_i' E_i``.
+
+    ``E_i`` is the episode's rows over its own column maxima, so no entry
+    exceeds 1.  A resample's Gram over its column maxima ``s`` is then
+    ``sum_p D_p G_p D_p`` over its picks ``p``, with ``D_p = diag(m_p / s)``:
+    equal to the Gram of its rows but for rounding, at any spread of
+    column scales between episodes.
+    """
+
+    def __init__(self, episodes):
+        self.regressors, self.targets, offsets = _stack(episodes)
+        self.starts, self.lengths = offsets[:-1], np.diff(offsets)
+        self.col_max = _per_episode(np.maximum, np.abs(self.regressors),
+                                    self.starts, self.lengths)
+        # an episode's zero column stays zero in its Gram
+        e = self.regressors / np.repeat(np.where(self.col_max > 0.0, self.col_max, 1.0),
+                                        self.lengths, axis=0)
+        k = e.shape[1]
+        self.grams = _per_episode(np.add, (e[:, :, None] * e[:, None, :]).reshape(-1, k * k),
+                                  self.starts, self.lengths).reshape(-1, k, k)
+
+    def fit(self, picks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`least_squares_fit` of the episodes ``picks``, in order.
+
+        The solve takes the bits of their rows stacked from scratch; the
+        rank test reads the Gram summed from the episodes' Grams.
+        """
+        # rows starts[i] .. starts[i] + lengths[i] - 1 of each pick i, in order
+        taken = self.lengths[picks]
+        ends = np.cumsum(taken)
+        rows = np.arange(ends[-1]) + np.repeat(self.starts[picks] - (ends - taken), taken)
+        if rows.size < self.regressors.shape[1]:
+            raise RankDeficient("fewer transitions than parameters per state row")
+        # column equilibration keeps the singularity test scale-free
+        col_max = self.col_max[picks]
+        scale = col_max.max(axis=0)
+        if np.any(scale == 0.0):
+            raise RankDeficient("a regressor column is identically zero")
+        # no ratio exceeds 1, so no term overflows; a term that underflows is
+        # below 1e-308 of the Gram's diagonal, whose entries are at least 1
+        ratio = col_max / scale
+        gram = np.einsum("pj,pk,pjk->jk", ratio, ratio, self.grams[picks])
+        return _fit(self.regressors.take(rows, axis=0), self.targets.take(rows, axis=0), gram)
+
+
 def _fit(regressors: np.ndarray, targets: np.ndarray,
-         scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`least_squares_fit` of stacked transitions whose column maxima
-    of ``|regressors|`` are ``scale``."""
-    n = targets.shape[1]
-    if regressors.shape[0] < regressors.shape[1]:
-        raise RankDeficient("fewer transitions than parameters per state row")
-    # column equilibration keeps the singularity test scale-free
-    if np.any(scale == 0.0):
-        raise RankDeficient("a regressor column is identically zero")
-    equilibrated = regressors / scale
-    if np.linalg.cond(equilibrated.T @ equilibrated) > _COND_LIMIT:
+         gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`least_squares_fit` of stacked transitions whose regressors
+    have the column-equilibrated Gram matrix ``gram``."""
+    if np.linalg.cond(gram) > _COND_LIMIT:
         raise RankDeficient("regressor Gram matrix is numerically singular")
     theta, *_ = np.linalg.lstsq(regressors, targets, rcond=None)
     theta = theta.T
+    n = targets.shape[1]
     return theta[:, :n], theta[:, n:]
 
 
@@ -160,8 +217,7 @@ def least_squares_fit(episodes) -> tuple[np.ndarray, np.ndarray]:
     regressor Gram matrix has condition number above 1e12 (the excitation
     does not identify the model).
     """
-    regressors, targets, _ = _stack(episodes)
-    return _fit(regressors, targets, np.max(np.abs(regressors), axis=0, initial=0.0))
+    return _Transitions(episodes).fit(np.arange(len(episodes)))
 
 
 def bootstrap_uncertainty(episodes, n_boot: int = 100, seed: int = 0) -> LearnedModel:
@@ -171,31 +227,21 @@ def bootstrap_uncertainty(episodes, n_boot: int = 100, seed: int = 0) -> Learned
     is refit and its deviation from the full-data fit recorded.  The box
     contains every bootstrap fit by construction.
 
-    Each refit takes its resample's rows from one stack of the transitions
-    and sees the bits :func:`least_squares_fit` of the resampled episodes
-    would see.
+    Each refit takes its resample's rows from one stack of the transitions,
+    and its least-squares solve sees the bits :func:`least_squares_fit` of
+    the resampled episodes would see.  Its rank test reads a Gram matrix
+    summed from per-episode Grams formed once (:class:`_Transitions`).
     """
     if n_boot < 2:
         raise ValueError("need at least two bootstrap resamples")
-    regressors, targets, offsets = _stack(episodes)
-    starts, lengths = offsets[:-1], np.diff(offsets)
-    # np.maximum.reduceat gives an empty segment the next row, not 0
-    col_max = np.zeros((len(lengths), regressors.shape[1]))
-    filled = lengths > 0
-    if filled.any():
-        col_max[filled] = np.maximum.reduceat(np.abs(regressors), starts[filled], axis=0)
-    a0, b0 = _fit(regressors, targets, col_max.max(axis=0))
+    transitions = _Transitions(episodes)
+    count = len(episodes)
+    a0, b0 = transitions.fit(np.arange(count))
     delta_a = np.zeros_like(a0)
     delta_b = np.zeros_like(b0)
     rng = np.random.default_rng(seed)
     for _ in range(n_boot):
-        picks = rng.integers(0, len(lengths), size=len(lengths))
-        # rows starts[i] .. starts[i] + lengths[i] - 1 of each pick i, in order
-        taken = lengths[picks]
-        ends = np.cumsum(taken)
-        rows = np.arange(ends[-1]) + np.repeat(starts[picks] - (ends - taken), taken)
-        a_j, b_j = _fit(regressors.take(rows, axis=0), targets.take(rows, axis=0),
-                        col_max[picks].max(axis=0))
+        a_j, b_j = transitions.fit(rng.integers(0, count, size=count))
         delta_a = np.maximum(delta_a, np.abs(a_j - a0))
         delta_b = np.maximum(delta_b, np.abs(b_j - b0))
     return LearnedModel(a0=a0, b0=b0, delta_a=delta_a, delta_b=delta_b)

@@ -442,6 +442,29 @@ class TestAttackSimulateRoundTrip:
         lines = trace_path.read_text().strip().splitlines()
         assert len(lines) == 43  # note + header + 41 steps
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--w-inf", "0.1"], "--w-inf is read only with --random\n"),
+        (["--random"], "--random needs --w-inf, the bound of its uniform draw\n"),
+        (["--random", "--w-inf", "0.1", "--plan", None],
+         "--random cannot be combined with --plan, which fixes the perturbation\n"),
+        (["--w-inf", "0.1", "--plan", None], "--w-inf is read only with --random\n"),
+    ])
+    def test_perturbation_flags_the_run_would_not_read_are_usage_errors(
+            self, scalar_files, tmp_path, capsys, flags, message):
+        # each was accepted and ignored: an unperturbed trace, the plan's
+        # perturbation, or a draw from [-0, 0]
+        plant_path, policy_path = scalar_files
+        plan_path = tmp_path / "plan.json"
+        assert main(["attack", "--plant", plant_path, "--policy", policy_path, "--target", "0",
+                     "--horizon", "10", "--w-inf", "0.1", "--out", str(plan_path)]) == EXIT_OK
+        flags = [str(plan_path) if flag is None else flag for flag in flags]
+        out = tmp_path / "trace.csv"
+        code = main(["simulate", "--plant", plant_path, "--policy", policy_path, *flags,
+                     "--steps", "10", "--out", str(out)])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
     @pytest.mark.parametrize("horizon", ["0", "-3"])
     def test_attack_horizon_below_one_is_a_usage_error(self, scalar_files, tmp_path, capsys,
                                                        horizon):
@@ -646,6 +669,21 @@ class TestLearn:
         assert err.startswith("--amplitude must be finite") and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("n_boot", ["1", "0", "-2"])
+    def test_fewer_than_two_resamples_is_refused_before_collecting(self, tmp_path, capsys,
+                                                                    monkeypatch, n_boot):
+        from loopcert import sysid
+
+        def collect(*args, **kwargs):
+            raise AssertionError("collected episodes for a run that cannot fit")
+
+        monkeypatch.setattr(sysid, "collect", collect)
+        out = tmp_path / "model.json"
+        code = main(["learn", "--episodes", "4", "--n-boot", n_boot, "--out", str(out)])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == f"--n-boot must be at least 2, got {n_boot}\n"
+        assert not out.exists()
+
     def test_diverging_episode_is_a_negative_answer(self, tmp_path, capsys):
         out, episodes = tmp_path / "model.json", tmp_path / "episodes.csv"
         code = main(["learn", "--episodes", "5", "--amplitude", "1e6", "--out", str(out),
@@ -839,7 +877,8 @@ class TestUsage:
         ("certify", ["--eps-trunc", "1e-6"]), ("baseline", ["--eps-trunc", "1e-6"]),
         ("frontier", ["--eps-trunc", "1e-6"]), ("attack", ["--eps-trunc", "1e-6"]),
         ("baseline", ["--seed", "3"]), ("baseline", ["--samples", "64"]),
-        ("frontier", ["--samples", "64"]),
+        ("frontier", ["--samples", "64"]), ("simulate", ["--w-inf", "0.1"]),
+        ("simulate", ["--random"]),
     ])
     def test_flags_a_command_does_not_read_are_rejected(self, scalar_files, tmp_path,
                                                          command, flag):

@@ -92,6 +92,11 @@ class TestLeastSquares:
         with pytest.raises(RankDeficient):
             least_squares_fit([episode] * 10)
 
+    @pytest.mark.parametrize("fit", [least_squares_fit, bootstrap_uncertainty])
+    def test_no_episodes_is_an_error(self, fit):
+        with pytest.raises(ValueError, match="^need at least one episode$"):
+            fit([])
+
 
 def reference_fit(episodes):
     """:func:`least_squares_fit` as first written, restacking its episodes."""
@@ -135,6 +140,11 @@ def outcome(fn, *args):
     return [a.tobytes() for a in result]
 
 
+def decision(result):
+    """The RankDeficient message of an :func:`outcome`, or ``"fit"``."""
+    return result if isinstance(result, str) else "fit"
+
+
 def truncated(episode, steps):
     return Episode(states=episode.states[:steps + 1], inputs=episode.inputs[:steps])
 
@@ -173,6 +183,88 @@ class TestRefitsMatchTheRestackingLoop:
             seen.add(want if isinstance(want, str) else "fit")
         assert seen == {"fit", "a regressor column is identically zero",
                         "fewer transitions than parameters per state row"}
+
+
+def near_collinear(rng, episodes=6, steps=8):
+    """Episodes whose input is the first state plus noise of a log-uniform
+    width, each episode's within two decades of the design's.  Every column
+    is scaled by a log-uniform factor from 1e-8 to 1e3, and each episode's
+    states by one more from 1e-3 to 1 (its input by the first state's), so
+    that a resample's condition number and column maxima are not the whole
+    design's."""
+    col = 10.0 ** rng.uniform(-8, 3, size=5)
+    lowest = rng.uniform(-10, -1)
+    out = []
+    for _ in range(episodes):
+        ep_col = col * 10.0 ** rng.uniform(-3, 0, size=4)[[0, 1, 2, 3, 0]]
+        width = 10.0 ** rng.uniform(lowest, lowest + 2)
+        states = rng.standard_normal((steps + 1, 4))
+        inputs = states[:-1, :1] + width * rng.standard_normal((steps, 1))
+        out.append(Episode(states=states * ep_col[:4], inputs=inputs * ep_col[4]))
+    return out
+
+
+def equilibrated_cond(episodes):
+    regressors = np.vstack([np.hstack([ep.states[:-1], ep.inputs]) for ep in episodes])
+    equilibrated = regressors / np.max(np.abs(regressors), axis=0)
+    return np.linalg.cond(equilibrated.T @ equilibrated)
+
+
+def scaled(episodes, factor):
+    return [Episode(states=ep.states * factor, inputs=ep.inputs * factor) for ep in episodes]
+
+
+class TestRankTestFromEpisodeGrams:
+    """The rank test reads a Gram summed from per-episode Grams, not one
+    formed from the rows; its decisions must be those of the rows' Gram."""
+
+    def test_near_collinear_designs_decide_as_the_rows_gram(self):
+        rng = np.random.default_rng(11)
+        conds, decisions = [], set()
+        for seed in range(150):
+            episodes = near_collinear(rng)
+            conds.append(equilibrated_cond(episodes))
+            want = outcome(reference_fit, episodes)
+            assert outcome(least_squares_fit, episodes) == want
+            decisions.add(decision(want))
+            assert outcome(bootstrap_uncertainty, episodes, 4, seed) == \
+                outcome(reference_bootstrap, episodes, 4, seed)
+        assert min(conds) < 1e3 and max(conds) > 1e16
+        assert decisions == {"fit", "regressor Gram matrix is numerically singular"}
+
+    @pytest.mark.parametrize("factor", [1e150, 1e-150])
+    def test_extreme_scales_fit_and_decide_as_unscaled(self, factor):
+        # the per-episode Grams are formed over the column maxima, so scaling
+        # the design changes no decision and neither overflows nor underflows
+        rng = np.random.default_rng(12)
+        kinds = set()
+        for seed in range(30):
+            episodes = near_collinear(rng)
+            big = scaled(episodes, factor)
+            want = outcome(reference_bootstrap, big, 4, seed)
+            assert outcome(bootstrap_uncertainty, big, 4, seed) == want
+            assert outcome(least_squares_fit, big) == outcome(reference_fit, big)
+            plain = decision(outcome(bootstrap_uncertainty, episodes, 4, seed))
+            assert decision(want) == plain
+            kinds.add(plain)
+        assert "fit" in kinds and len(kinds) > 1
+
+    @pytest.mark.parametrize("tiny", [1e-160, 1e-200, 1e-300])
+    def test_resamples_far_below_the_design_scale_fit_as_the_rows(self, tiny):
+        # one episode's input is 1 / tiny times the others', so a resample
+        # without it equilibrates by a scale far below the whole design's
+        rng = np.random.default_rng(14)
+        episodes = [Episode(states=rng.standard_normal((9, 4)),
+                            inputs=rng.standard_normal((8, 1)) * (1.0 if i == 0 else tiny))
+                    for i in range(6)]
+        assert outcome(bootstrap_uncertainty, episodes, 20, 3) == \
+            outcome(reference_bootstrap, episodes, 20, 3)
+
+    def test_learned_cartpole_bootstrap_is_the_reference(self, cartpole_nl):
+        episodes = collect(cartpole_nl, 100, seed=1)
+        want = outcome(reference_bootstrap, episodes, 100, 1)
+        assert isinstance(want, list)
+        assert outcome(bootstrap_uncertainty, episodes, 100, 1) == want
 
 
 class TestBootstrap:
