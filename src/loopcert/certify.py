@@ -773,19 +773,24 @@ def _baseline_checks(loop: _Loop) -> Callable:
     realization with the limits of ``plant``.  Neither the gain nor the
     region scan reads a limit, so the gain and its maps, the offset and the
     row sum of Γ_Δ are taken once, and each distinct level is scanned once
-    (:func:`_region_scan`)."""
+    (:func:`_region_scan`).  The scan asks for the policy gains of a
+    schedule of regions at once, and they come from one stacked interval
+    Jacobian (:func:`neural.jacobian_bounds`), each region's bit for bit
+    that of bounding it alone."""
     if loop.fixed is None:
         return lambda plant, w: BaselineResult(np.inf, np.inf, False, np.inf)
     k0, maps = loop.fixed
     gamma = float(np.max(np.sum(loop.gamma_delta, axis=1), initial=0.0))
     offset = float(np.max(loop.origin_bounds[0], initial=0.0))
 
-    def gain(y_inf: float) -> float:
-        j_lo, j_hi = neural.jacobian_bounds(loop.net, Box.symmetric(np.full(loop.plant.r, y_inf)))
-        return float(np.max(np.sum(np.maximum(np.abs(j_lo - k0), np.abs(j_hi - k0)), axis=1),
-                            initial=0.0))
+    def gains(radii) -> np.ndarray:
+        regions = Box.symmetric(np.repeat(np.asarray(radii, dtype=float)[:, None],
+                                          loop.plant.r, axis=1))
+        j_lo, j_hi = neural.jacobian_bounds(loop.net, regions)
+        return np.max(np.sum(np.maximum(np.abs(j_lo - k0), np.abs(j_hi - k0)), axis=-1),
+                      axis=-1, initial=0.0)
 
-    scan = functools.cache(lambda w: _region_scan(maps, gain, offset, gamma, w))
+    scan = functools.cache(lambda w: _region_scan(maps, gains, offset, gamma, w))
 
     def check(plant: StateSpacePlant, w: float) -> BaselineResult:
         result = scan(w)
@@ -798,14 +803,21 @@ def _baseline_checks(loop: _Loop) -> Callable:
     return check
 
 
-def _region_scan(maps: ClosedLoopMaps, gain: Callable[[float], float], offset: float,
+def _region_scan(maps: ClosedLoopMaps, gains: Callable[[list], np.ndarray], offset: float,
                  gamma: float, w_amp: float) -> BaselineResult:
     """The region loop of :func:`baseline_certify`, which reads no plant limit:
     the last region's result, holding the quadruplet with ``x_bar`` if it
-    certified.  ``gain(y_inf)`` bounds the residual's slope over the region
-    ``|y| <= y_inf``.  At most ``_REGION_ITER`` regions are tried; when
+    certified.  ``gains(radii)`` bounds the residual's slope over each region
+    ``|y| <= radii[i]``.  At most ``_REGION_ITER`` regions are tried; when
     ``beta1 >= 1`` only the gain of the region the scan would end on is
-    taken."""
+    taken.
+
+    Once the scan doubles the region, the rest of its schedule is known: the
+    region doubles on while it stays within 1e9 and regions are left.  Those
+    gains are taken in one call, and the regions are then checked one by one
+    as before; a region that certifies, or jumps to its implied bound, drops
+    the gains left over.  So the result is that of taking each region's gain
+    alone."""
     # Region search: a larger region can only raise the gain, and the
     # implied bound must fit inside the region, so scan upward and keep the
     # first region that closes all conditions.
@@ -821,15 +833,24 @@ def _region_scan(maps: ClosedLoopMaps, gain: Callable[[float], float], offset: f
             y_inf *= 2.0
         regions = 1
     result = BaselineResult(np.inf, np.inf, False, np.inf)
-    for _ in range(regions):
-        result = check_lemma1(maps, gain(y_inf), gamma, w_amp, y_inf, offset)
+    ahead = []  # gains of the doubling schedule still to check, the next one last
+    for left in reversed(range(regions)):
+        gamma_pi = ahead.pop() if ahead else float(gains([y_inf])[0])
+        result = check_lemma1(maps, gamma_pi, gamma, w_amp, y_inf, offset)
         if result.certified:
             break
         if (result.beta1 < 1.0 and result.beta2 < 1.0
                 and np.isfinite(result.y_inf_implied) and result.y_inf_implied > y_inf):
             y_inf = result.y_inf_implied * (1.0 + 1e-6)
+            ahead = []
         else:
             y_inf *= 2.0
+            if not ahead:
+                # doubling by a power of two is exact: these are the
+                # regions the scan reaches by doubling one at a time
+                schedule = [y for y in y_inf * 2.0 ** np.arange(left) if y <= 1e9]
+                if schedule:
+                    ahead = gains(schedule)[::-1].tolist()
         if y_inf > 1e9:
             break
     if not result.certified:

@@ -21,7 +21,9 @@ is rejected as not Schur stable.  See :func:`impulse_response`.
 The march (:func:`_march`) makes the terms and the horizon in one pass:
 each group of chunks advances the tail test and the terms together, and a
 response leaves the march in the group where its tail bound first drops
-below ``EPS_TRUNC``.  A closed loop (:class:`ClosedLoopMaps`) is held as its
+below ``EPS_TRUNC``.  From the second group on, the group's last chunk is
+bounded first, and only a response that can stop in the group has every
+chunk tested.  A closed loop (:class:`ClosedLoopMaps`) is held as its
 realization and its absolute sums only.  :func:`close_loop` adds the terms
 up as the march makes them, and the impulse response, whose size grows with
 the horizon, is marched again from the realization whenever a caller reads
@@ -313,6 +315,17 @@ def _march(a: np.ndarray, bc: np.ndarray, cc: np.ndarray, weights: tuple):
     ``live[j]`` takes from it (``_GROUP`` if it goes on) and ``tails[j]`` is
     its tail bound (NaN if it goes on).
 
+    The norm of each row of ``Z_(k+1) W^-1`` is at most ``rho_w^8`` times
+    that of ``Z_k W^-1``, so no chunk's bound is below that of a later
+    chunk.  From the second group on, the group's last chunk
+    ``Z (A^8)^(_GROUP-1)``, which the next group starts from anyway, is
+    bounded first.  Only the responses whose last chunk is bounded by at
+    most ``2 EPS_TRUNC`` (the factor covers the rounding) have every chunk
+    tested, and only they may stop in the group; when there are none, the
+    group tests nothing.  The first group and the one at the term cap test
+    every response.  So where a response stops never depends on the others
+    in the stack.
+
     Every product acts on one response's matrices, in the same layout as
     when it is marched alone, so each response's terms, horizon and tail
     bound equal its march alone bit for bit.
@@ -350,32 +363,46 @@ def _march(a: np.ndarray, bc: np.ndarray, cc: np.ndarray, weights: tuple):
     live, marched = np.arange(count), 0
     z, x, inverse, scale, margin = (cc, bc, w_inv[:, None], wb_max[:, None],
                                     (1.0 - rho_w)[:, None])
-    while live.size:
-        k = live.size
-        zs = z[:, None] @ powers
+
+    def tail_bounds(zs: np.ndarray) -> np.ndarray:
+        # the tail bound of each chunk of a (k, chunks, out, n) stack of Z_k
         weighted = zs @ inverse
         row_max = np.sqrt(np.add.reduce(weighted * weighted, axis=3)).max(axis=2, initial=0.0)
-        bounds = row_max * scale / margin
-        below = bounds <= EPS_TRUNC
-        ends = below.any(axis=1)
+        return row_max * scale / margin
+
+    while live.size:
+        k = live.size
+        capped = marched + _GROUP > cap
+        tested = np.ones(k, dtype=bool)
+        if marched and not capped:
+            # a response whose last chunk is bounded above 2 EPS_TRUNC cannot
+            # stop in this group
+            last = z @ powers[:, -1]
+            tested = tail_bounds(last[:, None])[:, 0] <= 2.0 * EPS_TRUNC
         stops = tails = None
         size = _GROUP
-        if ends.any() or marched + _GROUP > cap:
-            first = below.argmax(axis=1)
-            stops = np.where(ends, first, _GROUP)
-            tails = np.where(ends, bounds[np.arange(k), first], np.nan)
-            over = marched + stops > cap
-            stops[over], tails[over] = 0, np.inf
-            size = int(stops.max())
+        if tested.any():
+            zs = z[:, None] @ powers
+            last = zs[:, -1]
+            bounds = tail_bounds(zs)
+            below = (bounds <= EPS_TRUNC) & tested[:, None]
+            ends = below.any(axis=1)
+            if ends.any() or capped:
+                first = below.argmax(axis=1)
+                stops = np.where(ends, first, _GROUP)
+                tails = np.where(ends, bounds[np.arange(k), first], np.nan)
+                over = marched + stops > cap
+                stops[over], tails[over] = 0, np.inf
+                size = int(stops.max())
         np.matmul(powers[:, :size], x[:, None], out=xs[:k, :size])
         np.matmul(ca, xs[:k, :size], out=terms[:k, :size])
         yield live, terms[:k, :size].reshape(k, chunk * size, out_dim, in_dim), stops, tails
         x = xs[:k, _GROUP - 1]
         if stops is not None:
             keep = stops == _GROUP
-            live, zs, x, powers, a_chunk, ca, inverse, scale, margin = (
-                v[keep] for v in (live, zs, x, powers, a_chunk, ca, inverse, scale, margin))
-        z = zs[:, -1] @ a_chunk
+            live, last, x, powers, a_chunk, ca, inverse, scale, margin = (
+                v[keep] for v in (live, last, x, powers, a_chunk, ca, inverse, scale, margin))
+        z = last @ a_chunk
         x = a_chunk @ x
         marched += _GROUP
 

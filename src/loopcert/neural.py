@@ -40,7 +40,6 @@ __all__ = [
     "LinearBounds",
     "QuantizationSpec",
     "evaluate",
-    "interval_bounds",
     "linear_relaxation",
     "concretize",
     "magnitude_bound",
@@ -232,16 +231,20 @@ def interval_bounds(net: ReluNetwork, box: Box):
     pre-activation pair per layer and ``out`` is the output interval (equal to
     the last pre-activation pair because the final layer is linear).  Sound:
     every input in the box produces pre-activations inside the intervals.
+
+    A ``(B, d)`` stack of boxes gives ``(B, width)`` bounds, and each box's
+    equal bounding it alone bit for bit: every product takes one box's
+    vector as a column.
     """
-    if box.center.shape[0] != net.input_dim:
+    if box.center.shape[-1] != net.input_dim:
         raise ValueError("box does not match the network input dimension")
-    mid, rad = box.center, box.radius
+    mid, rad = box.center[..., None], box.radius[..., None]
     pre = []
     for layer in net.layers:
-        p_mid = layer.weight @ mid + layer.bias
+        p_mid = layer.weight @ mid + layer.bias[:, None]
         p_rad = np.abs(layer.weight) @ rad
         lo, hi = p_mid - p_rad, p_mid + p_rad
-        pre.append((lo, hi))
+        pre.append((lo[..., 0], hi[..., 0]))
         if layer.activation == "relu":
             lo, hi = np.maximum(lo, 0.0), np.maximum(hi, 0.0)
         mid, rad = (lo + hi) / 2.0, (hi - lo) / 2.0
@@ -404,6 +407,9 @@ def jacobian_bounds(net: ReluNetwork, box: Box) -> tuple[np.ndarray, np.ndarray]
     point of the box lies within the bounds, in exact arithmetic.  Where the
     interval bounds fix every slope, both bounds are the Jacobian that
     :func:`jacobian_at` computes inside the box, bit for bit.
+
+    A ``(B, d)`` stack of boxes gives ``(B, out, d)`` bounds in one pass,
+    each box's equal to bounding it alone bit for bit.
     """
     pre, _ = interval_bounds(net, box)
     centre = np.eye(net.input_dim)
@@ -413,8 +419,12 @@ def jacobian_bounds(net: ReluNetwork, box: Box) -> tuple[np.ndarray, np.ndarray]
         if layer.activation == "relu":
             top = (hi > 0.0).astype(float)  # the slope's upper and lower ends
             bottom = top * (lo >= 0.0)
-            mid, half = ((top + bottom) / 2.0)[:, None], ((top - bottom) / 2.0)[:, None]
+            mid, half = ((top + bottom) / 2.0)[..., None], ((top - bottom) / 2.0)[..., None]
             centre, radius = mid * centre, mid * radius + half * (np.abs(centre) + radius)
+    if centre.ndim < box.center.ndim + 1:
+        # no ReLU layer: one Jacobian for every box of the stack
+        shape = (*box.center.shape[:-1], *centre.shape)
+        centre, radius = np.broadcast_to(centre, shape), np.broadcast_to(radius, shape)
     return centre - radius, centre + radius
 
 

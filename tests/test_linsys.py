@@ -248,10 +248,12 @@ class TestBatchedMarch:
         # the march after exactly K chunks.  One stack holds a loop with no
         # input (0 chunks), two that leave in the same group (5 and 20), one
         # that ends on a group's last chunk (31), one on a group boundary
-        # (32) and one that runs past two flushes of the sums (600)
-        chunks = [0, 5, 20, 31, 32, 600]
+        # (32), one in group 2 after a group 1 whose last chunk is near (70),
+        # one in group 3 (100) and one that runs past two flushes of the
+        # sums (600)
+        chunks = [0, 5, 20, 31, 32, 70, 100, 600]
         stack = [([[a]], [[float(k > 0)]], [[linsys.EPS_TRUNC * (1 - a) / a ** (8 * (k - 0.5))]],
-                  [[0.5]]) for a, k in zip((0.6, 0.6, 0.9, 0.9, 0.9, 0.995), chunks)]
+                  [[0.5]]) for a, k in zip((0.6, 0.6, 0.9, 0.9, 0.9, 0.99, 0.95, 0.995), chunks)]
         assert 600 > 2 * linsys._FLUSH * linsys._GROUP
         got, tails, errors = linsys._abs_response(*(np.array(v, dtype=float) for v in zip(*stack)))
         assert errors == [None] * len(stack)
@@ -259,6 +261,36 @@ class TestBatchedMarch:
             phi = _assert_streamed_sums_exact(*args)
             assert phi.length == 1 + 8 * k
             assert sums.tobytes() == abs_transfer(phi).tobytes() and tail == phi.tail_bound
+
+    @pytest.mark.parametrize("a, factor, stop", [
+        # chunk 63, the last of group 1, bounded by 1.7 EPS_TRUNC: near, so
+        # group 1 tests every chunk, but none stops there
+        (0.99, 1.7, 70),
+        # chunk 63 at 0.96 EPS_TRUNC and chunk 62 above it: the stop is the
+        # last chunk of group 1, found only because that chunk is screened
+        (0.99, 0.96, 63),
+        # chunk 63 at EPS_TRUNC / a^4, 1.5 (near) or 7.7 (skipped) times it:
+        # the stop is chunk 0 of group 2 either way
+        (0.9, 0.9 ** -4, 64),
+        (0.6, 0.6 ** -4, 64),
+    ])
+    def test_stops_around_a_group_whose_last_chunk_is_bounded_first(self, a, factor, stop):
+        # the scalar loop x+ = a x + u, y = c x, whose chunk-k tail bound is
+        # |c| a^(8k) / (1 - a), with chunk 63 bounded by factor * EPS_TRUNC
+        args = ([[a]], [[1.0]], [[factor * linsys.EPS_TRUNC * (1 - a) / a ** (8 * 63)]], [[0.0]])
+        phi = _assert_streamed_sums_exact(*args)
+        _assert_close_response(phi, _sequential_impulse_response(*args))
+        assert phi.length == 1 + 8 * stop
+
+    def test_slow_non_normal_loop_over_many_groups(self):
+        # a Jordan block at 0.995 takes its horizon over more than 8 groups,
+        # each screened by its last chunk
+        a = _jordan_chain(3, 0.995)
+        rng = np.random.default_rng(8)
+        args = (a, rng.normal(size=(3, 2)), rng.normal(size=(2, 3)), np.zeros((2, 2)))
+        phi = _assert_streamed_sums_exact(*args)
+        _assert_close_response(phi, _sequential_impulse_response(*args))
+        assert phi.length > 1 + 8 * 8 * linsys._GROUP
 
     def test_term_cap_boundary_matches_sequential_rule(self, monkeypatch):
         # chunk k is marched only while 1 + 8k <= _MAX_TRUNC_TERMS, so a

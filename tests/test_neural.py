@@ -405,6 +405,49 @@ class TestJacobianBounds:
             checked += 1
         assert checked >= 20
 
+    def test_stack_equals_each_box_alone(self, cloned_policy):
+        # a (B, d) stack gives each box the interval and Jacobian bounds of
+        # bounding it alone, bit for bit: random nets with zero radii among
+        # their boxes, a net with no ReLU layer, relu(y) on boxes whose ends
+        # sit on its kink, and the cart-pole clone on the regions |y| <= y
+        # that the baseline's scan doubles up to 1e9
+        rng = np.random.default_rng(17)
+        cases = []
+        for _ in range(40):
+            net = random_relu_net(rng)
+            d = net.input_dim
+            radius = rng.uniform(0.0, 2.0, size=(6, d)) * 10.0 ** rng.uniform(-6, 1, size=(6, 1))
+            radius[0] = 0.0
+            cases.append((net, Box(rng.normal(size=(6, d)), radius)))
+        cases.append((neural.mlp([(rng.normal(size=(2, 3)), rng.normal(size=2))]),
+                      Box(rng.normal(size=(3, 3)), np.abs(rng.normal(size=(3, 3))))))
+        cases.append((single_relu_policy(),
+                      Box([[0.0], [1.0], [-1.0], [0.25], [0.5], [2.0]],
+                          [[0.0], [1.0], [1.0], [0.5], [0.5], [0.0]])))
+        radii = 1e-4 * 2.0 ** np.arange(44)
+        radii = radii[radii <= 1e9]
+        assert len(radii) == 44
+        cases.append((cloned_policy, Box.symmetric(np.repeat(radii[:, None], 4, axis=1))))
+        for net, stack in cases:
+            pre, _ = interval_bounds(net, stack)
+            bounds = jacobian_bounds(net, stack)
+            assert bounds[0].shape == (len(stack.center), net.output_dim, net.input_dim)
+            for b, (center, radius) in enumerate(zip(stack.center, stack.radius)):
+                box = Box(center, radius)
+                for (lo, hi), (lo1, hi1) in zip(pre, interval_bounds(net, box)[0]):
+                    assert lo[b].tobytes() == lo1.tobytes() and hi[b].tobytes() == hi1.tobytes()
+                for got, want in zip(bounds, jacobian_bounds(net, box)):
+                    assert got[b].tobytes() == want.tobytes()
+        # on the kinks: slope 0 where hi == 0, 1 where lo == 0, [0, 1] across
+        j_lo, j_hi = jacobian_bounds(*cases[-2])
+        assert j_lo.ravel().tolist() == [0.0, 1.0, 0.0, 0.0, 1.0, 1.0]
+        assert j_hi.ravel().tolist() == [0.0, 1.0, 0.0, 1.0, 1.0, 1.0]
+
+    def test_interval_bounds_is_private_to_the_jacobian(self):
+        # importable by name for the tests, but not part of the public surface
+        assert "interval_bounds" not in neural.__all__
+        assert "jacobian_bounds" in neural.__all__
+
     def test_contains_the_jacobian_at_sampled_points(self):
         rng = np.random.default_rng(5)
         for _ in range(40):
